@@ -165,13 +165,13 @@ pub fn build(mcu: &mut Mcu, cfg: &FlakyRadioCfg) -> (App, NvVar<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{MakeRuntime, RuntimeKind};
+    use crate::harness::{KernelKind, MakeRuntime};
     use kernel::{run_app, ExecConfig, FaultSpec, Outcome};
     use mcu_emu::{Supply, TimerResetConfig};
     use periph::Peripherals;
 
     fn run_with_faults(
-        kind: RuntimeKind,
+        kind: KernelKind,
         supply: Supply,
         env_seed: u64,
         fault: &FaultSpec,
@@ -192,7 +192,7 @@ mod tests {
 
     #[test]
     fn all_runtimes_correct_without_faults() {
-        for kind in RuntimeKind::ALL {
+        for kind in KernelKind::ALL {
             let (r, sent, packets) =
                 run_with_faults(kind, Supply::continuous(), 3, &FaultSpec::none());
             assert_eq!(r.outcome, Outcome::Completed, "{}", kind.name());
@@ -205,7 +205,7 @@ mod tests {
     fn easeio_exactly_once_under_power_failures() {
         for seed in 0..30u64 {
             let (r, sent, packets) = run_with_faults(
-                RuntimeKind::EaseIo,
+                KernelKind::EaseIo,
                 Supply::timer(TimerResetConfig::default(), seed),
                 seed,
                 &FaultSpec::none(),
@@ -223,7 +223,7 @@ mod tests {
         for seed in 0..20u64 {
             let fault = FaultSpec::with_rate(seed.wrapping_mul(3) + 1, 120);
             let (r, sent, packets) =
-                run_with_faults(RuntimeKind::EaseIo, Supply::continuous(), seed, &fault);
+                run_with_faults(KernelKind::EaseIo, Supply::continuous(), seed, &fault);
             assert_eq!(r.outcome, Outcome::Completed, "seed {seed}");
             assert_eq!(r.verdict, Some(Verdict::Correct), "seed {seed}");
             assert_eq!(sent as usize, packets, "seed {seed}");
@@ -238,7 +238,7 @@ mod tests {
         for seed in 0..30u64 {
             let fault = FaultSpec::with_rate(seed.wrapping_mul(7) + 2, 200);
             let (r, sent, packets) =
-                run_with_faults(RuntimeKind::Naive, Supply::continuous(), seed, &fault);
+                run_with_faults(KernelKind::Naive, Supply::continuous(), seed, &fault);
             if r.outcome == Outcome::Completed && packets != sent as usize {
                 violated += 1;
             }

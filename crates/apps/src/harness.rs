@@ -16,10 +16,6 @@ use std::sync::Arc;
 
 pub use kernel::{KernelBuilder, KernelFactory, KernelKind};
 
-/// Which runtime an experiment uses — the kernel crate's [`KernelKind`],
-/// re-exported under its historical harness name.
-pub type RuntimeKind = KernelKind;
-
 /// The [`KernelFactory`] covering every kernel the repository ships: it
 /// constructs EaseIO (which lives upstream of the `kernel` crate) and lets
 /// the in-crate baselines fall through to [`KernelBuilder`]'s defaults.
@@ -168,7 +164,7 @@ impl Summary {
 /// Runs the app once. `builder` allocates the app on the provided MCU.
 pub fn run_once(
     builder: &dyn Fn(&mut Mcu) -> App,
-    kind: RuntimeKind,
+    kind: KernelKind,
     supply: Supply,
     env_seed: u64,
 ) -> RunResult {
@@ -179,7 +175,7 @@ pub fn run_once(
 /// policy applied.
 pub fn run_once_faulted(
     builder: &dyn Fn(&mut Mcu) -> App,
-    kind: RuntimeKind,
+    kind: KernelKind,
     supply: Supply,
     env_seed: u64,
     fault: &FaultSpec,
@@ -191,7 +187,7 @@ pub fn run_once_faulted(
 /// returned [`RunResult::events`] holds the full trace.
 pub fn run_traced(
     builder: &dyn Fn(&mut Mcu) -> App,
-    kind: RuntimeKind,
+    kind: KernelKind,
     supply: Supply,
     env_seed: u64,
 ) -> RunResult {
@@ -201,7 +197,7 @@ pub fn run_traced(
 /// Traced run with a peripheral fault plan installed.
 pub fn run_traced_faulted(
     builder: &dyn Fn(&mut Mcu) -> App,
-    kind: RuntimeKind,
+    kind: KernelKind,
     supply: Supply,
     env_seed: u64,
     fault: &FaultSpec,
@@ -211,7 +207,7 @@ pub fn run_traced_faulted(
 
 fn run_configured(
     builder: &dyn Fn(&mut Mcu) -> App,
-    kind: RuntimeKind,
+    kind: KernelKind,
     supply: Supply,
     env_seed: u64,
     traced: bool,
@@ -235,7 +231,7 @@ fn run_configured(
 /// Golden run on continuous power: returns (app time, app energy) per run.
 /// On continuous power nothing re-executes, so the app-classified ledger is
 /// pure useful work.
-pub fn golden(builder: &dyn Fn(&mut Mcu) -> App, kind: RuntimeKind, env_seed: u64) -> (u64, u64) {
+pub fn golden(builder: &dyn Fn(&mut Mcu) -> App, kind: KernelKind, env_seed: u64) -> (u64, u64) {
     let r = run_once(builder, kind, Supply::continuous(), env_seed);
     assert_eq!(
         r.outcome,
@@ -249,7 +245,7 @@ pub fn golden(builder: &dyn Fn(&mut Mcu) -> App, kind: RuntimeKind, env_seed: u6
 pub fn run_many(
     app_name: &'static str,
     builder: &dyn Fn(&mut Mcu) -> App,
-    kind: RuntimeKind,
+    kind: KernelKind,
     cfg: &ExperimentCfg,
 ) -> Summary {
     let (golden_app_us, golden_app_energy_nj) = golden(builder, kind, cfg.base_seed);
@@ -316,7 +312,7 @@ pub fn run_many(
 /// allocator and evaluate the code model.
 pub fn measure_footprint(
     builder: &dyn Fn(&mut Mcu) -> App,
-    kind: RuntimeKind,
+    kind: KernelKind,
     env_seed: u64,
 ) -> Footprint {
     let mut mcu = Mcu::new(Supply::continuous());
@@ -347,8 +343,8 @@ mod tests {
             ..Default::default()
         };
         let build = |mcu: &mut Mcu| dma_app::build(mcu, &DmaAppCfg::default());
-        let a = run_many("dma", &build, RuntimeKind::Alpaca, &cfg);
-        let b = run_many("dma", &build, RuntimeKind::Alpaca, &cfg);
+        let a = run_many("dma", &build, KernelKind::Alpaca, &cfg);
+        let b = run_many("dma", &build, KernelKind::Alpaca, &cfg);
         assert_eq!(a.total_on_us, b.total_on_us);
         assert_eq!(a.power_failures, b.power_failures);
         assert_eq!(a.completed, 20);
@@ -362,8 +358,8 @@ mod tests {
             ..Default::default()
         };
         let build = |mcu: &mut Mcu| dma_app::build(mcu, &DmaAppCfg::default());
-        let alpaca = run_many("dma", &build, RuntimeKind::Alpaca, &cfg);
-        let easeio = run_many("dma", &build, RuntimeKind::EaseIo, &cfg);
+        let alpaca = run_many("dma", &build, KernelKind::Alpaca, &cfg);
+        let easeio = run_many("dma", &build, KernelKind::EaseIo, &cfg);
         assert!(
             easeio.reexecutions() < alpaca.reexecutions(),
             "EaseIO {} vs Alpaca {} re-executions",
@@ -382,9 +378,9 @@ mod tests {
     #[test]
     fn footprints_are_ordered_like_table6() {
         let build = |mcu: &mut Mcu| temp_app::build(mcu, &TempAppCfg::default());
-        let alpaca = measure_footprint(&build, RuntimeKind::Alpaca, 1);
-        let ink = measure_footprint(&build, RuntimeKind::Ink, 1);
-        let easeio = measure_footprint(&build, RuntimeKind::EaseIo, 1);
+        let alpaca = measure_footprint(&build, KernelKind::Alpaca, 1);
+        let ink = measure_footprint(&build, KernelKind::Ink, 1);
+        let easeio = measure_footprint(&build, KernelKind::EaseIo, 1);
         assert!(alpaca.text < ink.text);
         assert!(alpaca.text < easeio.text);
         assert!(alpaca.fram <= easeio.fram, "EaseIO adds flag slots in FRAM");
@@ -400,7 +396,7 @@ mod percentile_tests {
         let mut s = run_many(
             "dma",
             &|mcu: &mut Mcu| crate::dma_app::build(mcu, &crate::dma_app::DmaAppCfg::default()),
-            RuntimeKind::EaseIo,
+            KernelKind::EaseIo,
             &ExperimentCfg {
                 runs: 5,
                 ..Default::default()

@@ -36,5 +36,5 @@ pub mod weather;
 
 pub use harness::{
     kernel_builder, run_many, run_once, standard_factory, ExperimentCfg, KernelBuilder,
-    KernelFactory, KernelKind, MakeRuntime, RuntimeKind, Summary,
+    KernelFactory, KernelKind, MakeRuntime, Summary,
 };

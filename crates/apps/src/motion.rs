@@ -175,12 +175,12 @@ pub fn build(mcu: &mut Mcu, cfg: &MotionCfg) -> (App, NvVar<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{MakeRuntime, RuntimeKind};
+    use crate::harness::{KernelKind, MakeRuntime};
     use kernel::{run_app, ExecConfig, Outcome};
     use mcu_emu::{Supply, TimerResetConfig};
     use periph::Peripherals;
 
-    fn run(kind: RuntimeKind, seed: u64) -> (kernel::RunResult, u32, usize) {
+    fn run(kind: KernelKind, seed: u64) -> (kernel::RunResult, u32, usize) {
         let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), seed));
         let mut p = Peripherals::new(seed);
         let (app, alerts) = build(&mut mcu, &MotionCfg::default());
@@ -195,7 +195,7 @@ mod tests {
         let mut mcu = Mcu::new(Supply::continuous());
         let mut p = Peripherals::new(3);
         let (app, alerts) = build(&mut mcu, &MotionCfg::default());
-        let mut rt = RuntimeKind::Alpaca.make();
+        let mut rt = KernelKind::Alpaca.make();
         let r = run_app(&app, rt.as_mut(), &mut mcu, &mut p, &ExecConfig::default());
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(r.verdict, Some(Verdict::Correct));
@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn easeio_keeps_the_exactly_once_alert_invariant() {
         for seed in 0..40u64 {
-            let (r, alerts, packets) = run(RuntimeKind::EaseIo, seed);
+            let (r, alerts, packets) = run(KernelKind::EaseIo, seed);
             assert_eq!(r.outcome, Outcome::Completed, "seed {seed}");
             assert_eq!(r.verdict, Some(Verdict::Correct), "seed {seed}");
             assert_eq!(alerts as usize, packets, "seed {seed}");
@@ -218,7 +218,7 @@ mod tests {
     fn naive_runtime_breaks_the_alert_invariant_somewhere() {
         let mut violated = 0;
         for seed in 150..230u64 {
-            let (r, alerts, packets) = run(RuntimeKind::Naive, seed);
+            let (r, alerts, packets) = run(KernelKind::Naive, seed);
             assert_eq!(r.outcome, Outcome::Completed, "seed {seed}");
             if packets != alerts as usize {
                 violated += 1;
@@ -237,7 +237,7 @@ mod tests {
     fn loop_samples_resume_after_failures_under_easeio() {
         let mut skipped_total = 0;
         for seed in 0..20u64 {
-            let (r, _, _) = run(RuntimeKind::EaseIo, seed);
+            let (r, _, _) = run(KernelKind::EaseIo, seed);
             skipped_total += r.stats.io_skipped;
         }
         assert!(

@@ -199,20 +199,20 @@ pub fn build(mcu: &mut Mcu, cfg: &OtaUpdateCfg) -> (App, NvVar<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{MakeRuntime, RuntimeKind};
+    use crate::harness::{KernelKind, MakeRuntime};
     use kernel::update::{PROBE_DUPLICATE_ACTIVATION, PROBE_VERSION_TORN};
     use kernel::{run_app, ExecConfig, Outcome};
     use mcu_emu::Supply;
     use periph::Peripherals;
 
-    fn cfg_for(kind: RuntimeKind) -> OtaUpdateCfg {
+    fn cfg_for(kind: KernelKind) -> OtaUpdateCfg {
         OtaUpdateCfg {
             two_phase: kind.two_phase_update(),
             ..OtaUpdateCfg::default()
         }
     }
 
-    fn run_injected(kind: RuntimeKind, supply: Supply) -> kernel::RunResult {
+    fn run_injected(kind: KernelKind, supply: Supply) -> kernel::RunResult {
         let mut mcu = Mcu::new(supply);
         let mut p = Peripherals::new(5);
         let (app, _) = build(&mut mcu, &cfg_for(kind));
@@ -222,7 +222,7 @@ mod tests {
 
     #[test]
     fn all_runtimes_reach_the_target_version_on_continuous_power() {
-        for kind in RuntimeKind::ALL {
+        for kind in KernelKind::ALL {
             let r = run_injected(kind, Supply::continuous());
             assert_eq!(r.outcome, Outcome::Completed, "{}", kind.name());
             assert_eq!(r.verdict, Some(Verdict::Correct), "{}", kind.name());
@@ -244,9 +244,9 @@ mod tests {
     #[test]
     fn exhaustive_injection_separates_two_phase_from_in_place() {
         let boundaries =
-            |kind: RuntimeKind| run_injected(kind, Supply::continuous()).stats.boundaries;
+            |kind: KernelKind| run_injected(kind, Supply::continuous()).stats.boundaries;
 
-        for kind in [RuntimeKind::EaseIo, RuntimeKind::Alpaca, RuntimeKind::Ink] {
+        for kind in [KernelKind::EaseIo, KernelKind::Alpaca, KernelKind::Ink] {
             for b in 0..boundaries(kind) {
                 let r = run_injected(kind, Supply::injected(b, 100_000));
                 assert_eq!(r.outcome, Outcome::Completed, "{} b={b}", kind.name());
@@ -267,8 +267,8 @@ mod tests {
         }
 
         let (mut torn, mut dup) = (0u64, 0u64);
-        for b in 0..boundaries(RuntimeKind::Naive) {
-            let r = run_injected(RuntimeKind::Naive, Supply::injected(b, 100_000));
+        for b in 0..boundaries(KernelKind::Naive) {
+            let r = run_injected(KernelKind::Naive, Supply::injected(b, 100_000));
             torn += r.stats.counter(PROBE_VERSION_TORN);
             dup += r.stats.counter(PROBE_DUPLICATE_ACTIVATION);
         }
@@ -278,7 +278,7 @@ mod tests {
 
     #[test]
     fn window_markers_bracket_the_update() {
-        let r = run_injected(RuntimeKind::EaseIo, Supply::continuous());
+        let r = run_injected(KernelKind::EaseIo, Supply::continuous());
         assert_eq!(r.stats.counter(UPDATE_WINDOW_ENTER), 1);
         assert_eq!(r.stats.counter(UPDATE_WINDOW_EXIT), 1);
     }
@@ -292,7 +292,7 @@ mod tests {
             ..OtaUpdateCfg::default()
         };
         let (app, _) = build(&mut mcu, &cfg);
-        let mut rt = RuntimeKind::EaseIo.make();
+        let mut rt = KernelKind::EaseIo.make();
         let r = run_app(&app, rt.as_mut(), &mut mcu, &mut p, &ExecConfig::default());
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(r.verdict, Some(Verdict::Correct));

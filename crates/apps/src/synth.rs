@@ -33,7 +33,7 @@
 //!   that DMA — which addresses physical memory — cannot see; mixing the
 //!   two in one task is broken on *continuous* power under real InK too).
 
-use crate::harness::{MakeRuntime, RuntimeKind};
+use crate::harness::{KernelKind, MakeRuntime};
 use kernel::{
     run_app, App, ExecConfig, Inventory, IoOp, Outcome, ReexecSemantics, TaskCtx, TaskDef, TaskId,
     TaskResult, Transition,
@@ -500,7 +500,7 @@ pub fn oracle(prog: &Program, io_log: &[(u16, Vec<i32>)]) -> ModelState {
 /// divergence.
 pub fn check(
     prog: &Program,
-    kind: RuntimeKind,
+    kind: KernelKind,
     supply: Supply,
     env_seed: u64,
 ) -> Result<(), String> {
@@ -565,10 +565,10 @@ mod tests {
         for seed in 0..60u64 {
             let prog = generate(seed);
             for kind in [
-                RuntimeKind::Naive,
-                RuntimeKind::Alpaca,
-                RuntimeKind::Ink,
-                RuntimeKind::EaseIo,
+                KernelKind::Naive,
+                KernelKind::Alpaca,
+                KernelKind::Ink,
+                KernelKind::EaseIo,
             ] {
                 check(&prog, kind, Supply::continuous(), seed)
                     .unwrap_or_else(|e| panic!("seed {seed} {}: {e}", kind.name()));
@@ -581,7 +581,7 @@ mod tests {
         for seed in 0..120u64 {
             let prog = generate(seed);
             let supply = Supply::timer(TimerResetConfig::default(), seed.wrapping_mul(31));
-            check(&prog, RuntimeKind::EaseIo, supply, seed)
+            check(&prog, KernelKind::EaseIo, supply, seed)
                 .unwrap_or_else(|e| panic!("seed {seed}: EaseIO diverged: {e}"));
         }
     }
@@ -595,7 +595,7 @@ mod tests {
         for seed in 0..120u64 {
             let prog = generate(seed);
             let supply = Supply::timer(TimerResetConfig::default(), seed.wrapping_mul(31));
-            if check(&prog, RuntimeKind::Alpaca, supply, seed).is_err() {
+            if check(&prog, KernelKind::Alpaca, supply, seed).is_err() {
                 diverged += 1;
             }
         }

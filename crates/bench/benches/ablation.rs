@@ -7,7 +7,7 @@
 //! 3. `Exclude` annotation: privatization cost avoided on constant data
 //!    (the EaseIO vs EaseIO/Op delta, also visible in Figure 10).
 
-use apps::harness::{run_many, RuntimeKind};
+use apps::harness::{run_many, KernelKind};
 use easeio_bench::experiments::{
     ablation_reset_period, ablation_timely_window, fir_builder, paper_cfg,
 };
@@ -63,16 +63,11 @@ fn main() {
     println!("  Denser failures → more redundant re-execution for Alpaca → larger win.");
 
     let cfg = paper_cfg(runs);
-    let plain = run_many(
-        "FIR",
-        fir_builder(false).as_ref(),
-        RuntimeKind::EaseIo,
-        &cfg,
-    );
+    let plain = run_many("FIR", fir_builder(false).as_ref(), KernelKind::EaseIo, &cfg);
     let op = run_many(
         "FIR",
         fir_builder(true).as_ref(),
-        RuntimeKind::EaseIoOp,
+        KernelKind::EaseIoOp,
         &cfg,
     );
     let rows = vec![

@@ -3,7 +3,7 @@
 //! the simulated MCU — the simulated costs are exact by construction).
 
 use apps::dma_app::{self, DmaAppCfg};
-use apps::harness::{run_once, run_traced, RuntimeKind};
+use apps::harness::{run_once, run_traced, KernelKind};
 use apps::weather::{self, WeatherCfg};
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcu_emu::{Mcu, Supply, TimerResetConfig};
@@ -16,7 +16,7 @@ fn bench_simulator(c: &mut Criterion) {
             let builder = |mcu: &mut Mcu| dma_app::build(mcu, &DmaAppCfg::default());
             let r = run_once(
                 &builder,
-                RuntimeKind::EaseIo,
+                KernelKind::EaseIo,
                 Supply::timer(TimerResetConfig::default(), black_box(42)),
                 42,
             );
@@ -28,7 +28,7 @@ fn bench_simulator(c: &mut Criterion) {
             let builder = |mcu: &mut Mcu| weather::build(mcu, &WeatherCfg::default());
             let r = run_once(
                 &builder,
-                RuntimeKind::Alpaca,
+                KernelKind::Alpaca,
                 Supply::timer(TimerResetConfig::default(), black_box(7)),
                 7,
             );
@@ -100,7 +100,7 @@ fn bench_recorder(c: &mut Criterion) {
             let builder = |mcu: &mut Mcu| dma_app::build(mcu, &DmaAppCfg::default());
             let r = run_once(
                 &builder,
-                RuntimeKind::EaseIo,
+                KernelKind::EaseIo,
                 Supply::timer(TimerResetConfig::default(), black_box(42)),
                 42,
             );
@@ -112,7 +112,7 @@ fn bench_recorder(c: &mut Criterion) {
             let builder = |mcu: &mut Mcu| dma_app::build(mcu, &DmaAppCfg::default());
             let r = run_traced(
                 &builder,
-                RuntimeKind::EaseIo,
+                KernelKind::EaseIo,
                 Supply::timer(TimerResetConfig::default(), black_box(42)),
                 42,
             );

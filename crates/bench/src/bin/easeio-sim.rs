@@ -7,8 +7,7 @@
 //! ```text
 //!   --app <dma|temp|lea|fir|fir-long|weather|weather-single|branch|motion|flaky-radio
 //!          |ota-update>                            (default dma)
-//!   --kernel <naive|alpaca|ink|easeio|easeio-op>   (default easeio;
-//!                            --runtime is a deprecated alias and warns)
+//!   --kernel <naive|alpaca|ink|easeio|easeio-op>   (default easeio)
 //!   --supply <continuous|timer|rf>                 (default timer)
 //!   --distance <inches>      RF supply distance    (default 61)
 //!   --seed <u64>             (default 42; sweep defaults to 7, grid to 77)
@@ -16,7 +15,6 @@
 //!   --jobs <N>               worker threads for parallel modes (default 1)
 //!   --trace-out <path>       write the trace (.json Chrome, .jsonl lines)
 //!   --report-out <path>      write the machine-readable report
-//!                            (--report is a deprecated alias and warns)
 //!   --source <prog.eio>      compile an easec program instead of --app
 //! ```
 //!
@@ -40,7 +38,7 @@
 //!
 //! Run mode (no subcommand) adds `--trace` (print the timeline),
 //! `--validate-report <path>` (schema-check any report — run, sweep,
-//! metrics or fleet, v1 or v2 — and exit) and `--emit-transform` (print
+//! metrics, fleet or forensics — and exit) and `--emit-transform` (print
 //! the easec transform of `--source`).
 //!
 //! Subcommand `sweep` runs the deterministic power-failure sweep from the
@@ -120,35 +118,29 @@
 //! 1 = a verdict failed (safety violation, regression, duplicate,
 //! incomplete run), 2 = usage error or malformed input.
 
-use apps::harness::{golden, measure_footprint, run_once_faulted, run_traced_faulted, RuntimeKind};
+use apps::harness::{golden, measure_footprint, run_once_faulted, run_traced_faulted, KernelKind};
 use crashcheck::{boundary_forensics, SweepMode, SweepOutcome, SweepPlan};
 use easeio_exec::{
     run_grid, sweep_matrix, sweep_matrix_observed, AppSpec, DeviceSpec, GridSpec, ScenarioSpec,
     SupplySpec, SweepEntry, SweepOptions, APP_NAMES,
 };
 use easeio_fleet::{
-    find_air_duplicate, run_fleet_observed, run_fleet_streamed, run_rollout_observed,
-    run_rollout_streamed, RolloutPolicy,
+    find_air_duplicate, run_fleet, run_fleet_streamed, run_rollout, run_rollout_streamed,
+    RolloutPolicy,
 };
 use easeio_trace::{
     build_fleet_report, build_forensics_report, build_metrics_report, build_profile, build_report,
     build_sweep_report, chrome_trace_with_counters, compare_metrics, flamegraph, flush_registered,
     jsonl, parse_json, validate_any_report, validate_fleet_report, validate_forensics_report,
-    validate_metrics_report, CounterTrack, Event, EventKind, FaultSpecDoc, ForensicsInputs,
-    ForensicsViolationDoc, FramDiffByte, FramDiffDoc, InstantKind, JsonlWriter, MetricsEntry,
-    MetricsInputs, Progress, ReportInputs, SiteWasteRow, SkippedApp, SpanKind, SweepInputs,
-    SweepPruneDoc, SweepTimingDoc, SweepViolation, SweepWasteDoc, TaskWasteRow, Value,
-    CATEGORY_NAMES,
+    validate_metrics_report, CounterTrack, Event, EventKind, FaultSpecDoc, FleetInputs,
+    ForensicsInputs, ForensicsViolationDoc, FramDiffByte, FramDiffDoc, InstantKind, JsonlWriter,
+    MetricsEntry, MetricsInputs, Progress, ReportInputs, SiteWasteRow, SkippedApp, SpanKind,
+    StreamStats, SweepInputs, SweepPruneDoc, SweepTimingDoc, SweepViolation, SweepWasteDoc,
+    TaskWasteRow, Value, CATEGORY_NAMES,
 };
 use kernel::{App, Fault, FaultSpec, Outcome, Verdict};
 use mcu_emu::{CauseSample, Mcu, RunStats, Supply, DMA_SITE_BASE};
 use periph::MediumSpec;
-
-/// Warns (once per occurrence, on stderr) that a still-accepted flag
-/// spelling is deprecated, and what replaces it.
-fn deprecated_flag(old: &str, new: &str) {
-    eprintln!("warning: {old} is deprecated; use {new}");
-}
 
 /// The peripheral-fault flag group: `--fault-rate`, `--fault-seed`,
 /// `--max-retries`. One struct shared verbatim by every subcommand (run,
@@ -199,8 +191,7 @@ impl FaultOpts {
 }
 
 /// The one flag set shared by every mode. Parsed once; each subcommand adds
-/// its own extras on top. `--runtime` (for `--kernel`) and `--report` (for
-/// `--report-out`) are deprecated aliases that still parse but warn.
+/// its own extras on top.
 struct CommonOpts {
     app: String,
     source: Option<String>,
@@ -249,10 +240,6 @@ impl CommonOpts {
             "--app" => self.app = val("--app")?,
             "--source" => self.source = Some(val("--source")?),
             "--kernel" => self.kernel = val("--kernel")?,
-            "--runtime" => {
-                deprecated_flag("--runtime", "--kernel");
-                self.kernel = val("--runtime")?;
-            }
             "--supply" => self.supply = val("--supply")?,
             "--distance" => self.distance = parse_num(&val("--distance")?)?,
             "--seed" => self.seed = Some(parse_num(&val("--seed")?)?),
@@ -261,10 +248,6 @@ impl CommonOpts {
             "--trace" => self.trace = true,
             "--trace-out" => self.trace_out = Some(val("--trace-out")?),
             "--report-out" => self.report_out = Some(val("--report-out")?),
-            "--report" => {
-                deprecated_flag("--report", "--report-out");
-                self.report_out = Some(val("--report")?);
-            }
             _ => return Ok(false),
         }
         Ok(true)
@@ -274,7 +257,7 @@ impl CommonOpts {
     /// fleet subcommand raises `count` afterwards). `default_seed` lets
     /// modes keep their historical defaults (run: 42, sweep: 7, grid: 77).
     fn into_scenario(self, default_seed: u64) -> Result<ScenarioSpec, String> {
-        let kernel = RuntimeKind::parse(&self.kernel)?;
+        let kernel = KernelKind::parse(&self.kernel)?;
         let supply = SupplySpec::parse(&self.supply, self.distance)?;
         let app = match &self.source {
             Some(path) => AppSpec::Source(path.clone()),
@@ -584,7 +567,7 @@ struct MetricsArgs {
     seed: u64,
     out: Option<String>,
     flame_out: Option<String>,
-    kernels: Vec<RuntimeKind>,
+    kernels: Vec<KernelKind>,
     apps: Vec<String>,
     include_skipped: bool,
 }
@@ -594,10 +577,10 @@ fn parse_metrics_args() -> Result<MetricsArgs, String> {
     let mut out = None;
     let mut flame_out = None;
     let mut kernels = vec![
-        RuntimeKind::Naive,
-        RuntimeKind::Alpaca,
-        RuntimeKind::Ink,
-        RuntimeKind::EaseIo,
+        KernelKind::Naive,
+        KernelKind::Alpaca,
+        KernelKind::Ink,
+        KernelKind::EaseIo,
     ];
     // Every benchmark app. Apps the metrics supply cannot run (`fir-long`:
     // its chunk task is a ~25 ms atomic burst, longer than the timer
@@ -613,17 +596,13 @@ fn parse_metrics_args() -> Result<MetricsArgs, String> {
         match flag.as_str() {
             "--seed" => seed = parse_num(&val("--seed")?)?,
             "--metrics-out" => out = Some(val("--metrics-out")?),
-            "--out" => {
-                deprecated_flag("--out", "--metrics-out");
-                out = Some(val("--out")?);
-            }
             "--flame-out" => flame_out = Some(val("--flame-out")?),
             "--include-skipped" => include_skipped = true,
             "--kernels" => {
                 kernels = val("--kernels")?
                     .split(',')
                     .filter(|p| !p.is_empty())
-                    .map(RuntimeKind::parse)
+                    .map(KernelKind::parse)
                     .collect::<Result<_, _>>()?
             }
             "--apps" => {
@@ -1429,7 +1408,7 @@ struct GridArgs {
 
 fn parse_grid_args() -> Result<GridArgs, String> {
     let mut common = CommonOpts::new();
-    let mut kernels: Option<Vec<RuntimeKind>> = None;
+    let mut kernels: Option<Vec<KernelKind>> = None;
     let mut distances: Option<Vec<u64>> = None;
     let mut on_times: Vec<u64> = vec![];
     let mut it = std::env::args().skip(2);
@@ -1444,7 +1423,7 @@ fn parse_grid_args() -> Result<GridArgs, String> {
                     val("--kernels")?
                         .split(',')
                         .filter(|p| !p.is_empty())
-                        .map(RuntimeKind::parse)
+                        .map(KernelKind::parse)
                         .collect::<Result<_, _>>()?,
                 )
             }
@@ -1498,12 +1477,12 @@ fn grid_main() -> ! {
     // Probe build once (grid apps must build under every kernel the same).
     {
         let mut probe = Mcu::new(Supply::continuous());
-        if let Err(e) = sc.device.app.build(RuntimeKind::EaseIo, &mut probe) {
+        if let Err(e) = sc.device.app.build(KernelKind::EaseIo, &mut probe) {
             die(&e);
         }
     }
     let app = &sc.device.app;
-    let builder = |kind: RuntimeKind, m: &mut Mcu| app.build(kind, m).unwrap();
+    let builder = |kind: KernelKind, m: &mut Mcu| app.build(kind, m).unwrap();
     let (cells, stats) = run_grid(&builder, &args.spec, sc.jobs);
     println!(
         "grid: {} — {} cells × {} run(s), {} job(s), {:.2} ms wall",
@@ -1672,34 +1651,58 @@ fn parse_fleet_args() -> Result<FleetArgs, String> {
     })
 }
 
+/// Opens the `--stream-out` device stream, registered so an interrupted
+/// run still flushes what it wrote.
+fn device_stream(path: &str) -> std::sync::Arc<std::sync::Mutex<JsonlWriter>> {
+    JsonlWriter::create_registered(path)
+        .unwrap_or_else(|e| die(&format!("cannot create device stream {path}: {e}")))
+}
+
+/// Prints the `stream:` summary line of a run with `--stream-out`.
+fn print_stream_line(path: &Option<String>, stream: &StreamStats) {
+    if let Some(path) = path {
+        println!(
+            "  stream:     {} device records -> {} ({} shard files)",
+            stream.records, path, stream.shards
+        );
+    }
+}
+
+/// Builds, self-checks and writes a `kind: "fleet"` report: a document
+/// violating its own accounting invariants must never leave the process.
+fn write_fleet_report_or_die(path: &str, inputs: &FleetInputs) {
+    let doc = build_fleet_report(inputs);
+    if let Err(errs) = validate_fleet_report(&doc) {
+        eprintln!("error: built fleet report fails its own schema:");
+        for e in &errs {
+            eprintln!("  - {e}");
+        }
+        exit(ExitCode::VerdictFailure);
+    }
+    let mut text = doc.to_pretty();
+    text.push('\n');
+    write_or_die(path, &text, "fleet report");
+    println!("fleet report written to {path}");
+}
+
 /// The `fleet --rollout` driver: rolling OTA update, convergence summary,
 /// `kind: "fleet"` report with the `rollout` block, and the update-safety
 /// verdict.
 fn rollout_main(args: &FleetArgs, policy: &RolloutPolicy) -> ! {
     let sc = &args.sc;
     let guard = ProgressGuard::start(args.progress, args.progress_out.as_deref());
-    let (s, pool, inputs, first_violation, streamed) = if let Some(path) = &args.stream_out {
-        let sink = JsonlWriter::create_registered(path)
-            .unwrap_or_else(|e| die(&format!("cannot create device stream {path}: {e}")));
-        let mut w = sink.lock().unwrap();
-        let r =
-            run_rollout_streamed(sc, policy, &mut w, observer(&guard)).unwrap_or_else(|e| die(&e));
-        drop(w);
-        let inputs = r.report_inputs(sc);
-        (r.stats, r.pool, inputs, r.first_violation, Some(r.stream))
-    } else {
-        let r = run_rollout_observed(sc, policy, observer(&guard)).unwrap_or_else(|e| die(&e));
-        let inputs = r.report_inputs(sc);
-        (
-            r.stats,
-            r.fleet.pool.clone(),
-            inputs,
-            r.first_violation,
-            None,
-        )
-    };
+    let r = match args.stream_out.as_deref().map(device_stream) {
+        Some(sink) => run_rollout_streamed(
+            sc,
+            policy,
+            &mut sink.lock().expect("device stream lock poisoned"),
+            observer(&guard),
+        ),
+        None => run_rollout(sc, policy, observer(&guard)),
+    }
+    .unwrap_or_else(|e| die(&e));
     drop(guard);
-    let s = &s;
+    let (s, pool) = (&r.stats, &r.pool);
     println!(
         "rollout: {} devices to image seq {} under {} on {} supply \
          (seed {}, medium {}, waves of {})",
@@ -1743,28 +1746,12 @@ fn rollout_main(args: &FleetArgs, policy: &RolloutPolicy) -> ! {
         pool.jobs,
         pool.wall_us as f64 / 1000.0
     );
-    if let (Some(path), Some(stream)) = (&args.stream_out, &streamed) {
-        println!(
-            "  stream:     {} device records -> {} ({} shard files)",
-            stream.records, path, stream.shards
-        );
-    }
+    print_stream_line(&args.stream_out, &r.stream);
     if let Some(path) = &sc.report_out {
-        let doc = build_fleet_report(&inputs);
-        if let Err(errs) = validate_fleet_report(&doc) {
-            eprintln!("error: built fleet report fails its own schema:");
-            for e in &errs {
-                eprintln!("  - {e}");
-            }
-            exit(ExitCode::VerdictFailure);
-        }
-        let mut text = doc.to_pretty();
-        text.push('\n');
-        write_or_die(path, &text, "fleet report");
-        println!("fleet report written to {path}");
+        write_fleet_report_or_die(path, &r.report_inputs(sc));
     }
     if let Some(path) = &args.forensics_out {
-        match &first_violation {
+        match &r.first_violation {
             Some(v) => {
                 let mut repro = format!(
                     "easeio-sim fleet --rollout --devices {} --kernel {} --seed {} \
@@ -1872,54 +1859,18 @@ fn fleet_main() -> ! {
     }
     let sc = &args.sc;
     let guard = ProgressGuard::start(args.progress, args.progress_out.as_deref());
-    // Both execution paths land on the same commutative aggregate, so the
-    // summary and report are identical; only where the per-device records
-    // live differs (memory vs the streamed JSONL).
-    let (o, power_failures, straggle, energy, g, pool, inputs, streamed, dup) =
-        if let Some(path) = &args.stream_out {
-            let sink = JsonlWriter::create_registered(path)
-                .unwrap_or_else(|e| die(&format!("cannot create device stream {path}: {e}")));
-            let mut w = sink.lock().unwrap();
-            let r = run_fleet_streamed(sc, &mut w, observer(&guard)).unwrap_or_else(|e| die(&e));
-            drop(w);
-            let dup = args.forensics_out.as_ref().and_then(|_| {
-                find_air_duplicate(r.packets.iter().map(|(d, p)| (*d, p.as_slice())))
-            });
-            (
-                r.agg.outcomes(),
-                r.agg.power_failures(),
-                r.agg.stragglers(),
-                r.agg.energy(),
-                r.gateway.clone(),
-                r.pool.clone(),
-                r.report_inputs(sc),
-                Some(r.stream),
-                dup,
-            )
-        } else {
-            let fleet = run_fleet_observed(sc, observer(&guard)).unwrap_or_else(|e| die(&e));
-            let dup = args.forensics_out.as_ref().and_then(|_| {
-                find_air_duplicate(
-                    fleet
-                        .results
-                        .iter()
-                        .map(|r| (r.device, r.packets.as_slice())),
-                )
-            });
-            (
-                fleet.outcomes(),
-                fleet.power_failures(),
-                fleet.stragglers(),
-                fleet.energy(),
-                fleet.gateway.clone(),
-                fleet.pool.clone(),
-                fleet.report_inputs(sc),
-                None,
-                dup,
-            )
-        };
+    let r = match args.stream_out.as_deref().map(device_stream) {
+        Some(sink) => run_fleet_streamed(
+            sc,
+            &mut sink.lock().expect("device stream lock poisoned"),
+            observer(&guard),
+        ),
+        None => run_fleet(sc, observer(&guard)),
+    }
+    .unwrap_or_else(|e| die(&e));
     drop(guard);
-    let g = &g;
+    let (o, straggle, energy) = (r.agg.outcomes(), r.agg.stragglers(), r.agg.energy());
+    let (g, pool, power_failures) = (&r.gateway, &r.pool, r.agg.power_failures());
     println!(
         "fleet: {} × {} under {} on {} supply (seed {}, medium {}{})",
         sc.count,
@@ -1969,30 +1920,13 @@ fn fleet_main() -> ! {
         pool.jobs,
         pool.wall_us as f64 / 1000.0
     );
-    if let (Some(path), Some(stream)) = (&args.stream_out, &streamed) {
-        println!(
-            "  stream:     {} device records -> {} ({} shard files)",
-            stream.records, path, stream.shards
-        );
-    }
+    print_stream_line(&args.stream_out, &r.stream);
     if let Some(path) = &sc.report_out {
-        let doc = build_fleet_report(&inputs);
-        // Self-check before writing: a fleet document violating its own
-        // accounting invariants must never leave the process.
-        if let Err(errs) = validate_fleet_report(&doc) {
-            eprintln!("error: built fleet report fails its own schema:");
-            for e in &errs {
-                eprintln!("  - {e}");
-            }
-            exit(ExitCode::VerdictFailure);
-        }
-        let mut text = doc.to_pretty();
-        text.push('\n');
-        write_or_die(path, &text, "fleet report");
-        println!("fleet report written to {path}");
+        write_fleet_report_or_die(path, &r.report_inputs(sc));
     }
     if let Some(path) = &args.forensics_out {
-        match &dup {
+        let logs = r.packets.iter().map(|(d, p)| (*d, p.as_slice()));
+        match &find_air_duplicate(logs) {
             Some(d) => {
                 let mut repro = format!(
                     "easeio-sim fleet --devices {} {} --kernel {} --seed {} \
@@ -2136,8 +2070,8 @@ fn main() {
     };
     let sc = &args.sc;
 
-    // Standalone schema check: no simulation at all. Accepts v1 and v2
-    // documents of either kind through the single validator entry point.
+    // Standalone schema check: no simulation at all. Accepts a document of
+    // any kind through the single validator entry point.
     if let Some(path) = &args.validate {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("error: {path}: {e}");

@@ -6,7 +6,7 @@
 
 use apps::dma_app::{self, DmaAppCfg};
 use apps::fir::{self, FirCfg};
-use apps::harness::{measure_footprint, run_many, run_once, ExperimentCfg, RuntimeKind, Summary};
+use apps::harness::{measure_footprint, run_many, run_once, ExperimentCfg, KernelKind, Summary};
 use apps::lea_app::{self, LeaAppCfg};
 use apps::temp_app::{self, TempAppCfg};
 use apps::weather::{self, WeatherCfg};
@@ -91,7 +91,7 @@ pub fn uni_task_summaries(runs: u64) -> Vec<(UniApp, Vec<Summary>)> {
         .into_iter()
         .map(|app| {
             let b = app.builder();
-            let sums = RuntimeKind::PAPER_SET
+            let sums = KernelKind::PAPER_SET
                 .iter()
                 .map(|rt| run_many(app.label(), b.as_ref(), *rt, &cfg))
                 .collect();
@@ -105,17 +105,17 @@ pub fn uni_task_summaries(runs: u64) -> Vec<(UniApp, Vec<Summary>)> {
 pub fn multi_task_summaries(runs: u64) -> (Vec<Summary>, Vec<Summary>) {
     let cfg = paper_cfg(runs);
     let mut fir_rows = Vec::new();
-    for rt in RuntimeKind::PAPER_SET {
+    for rt in KernelKind::PAPER_SET {
         fir_rows.push(run_many("FIR", fir_builder(false).as_ref(), rt, &cfg));
     }
     fir_rows.push(run_many(
         "FIR",
         fir_builder(true).as_ref(),
-        RuntimeKind::EaseIoOp,
+        KernelKind::EaseIoOp,
         &cfg,
     ));
     let mut weather_rows = Vec::new();
-    for rt in RuntimeKind::PAPER_SET {
+    for rt in KernelKind::PAPER_SET {
         weather_rows.push(run_many(
             "Weather",
             weather_builder(false, false).as_ref(),
@@ -148,7 +148,7 @@ pub fn table5(runs: u64) -> Vec<Table5Row> {
     let cfg = paper_cfg(runs);
     let mut rows = Vec::new();
     for (single, label) in [(false, "double"), (true, "single")] {
-        for rt in RuntimeKind::PAPER_SET {
+        for rt in KernelKind::PAPER_SET {
             let b = weather_builder(single, false);
             let cont = run_once(b.as_ref(), rt, Supply::continuous(), cfg.base_seed);
             assert_eq!(cont.outcome, Outcome::Completed);
@@ -188,7 +188,7 @@ pub fn table6() -> Vec<Table6Row> {
     ];
     let mut rows = Vec::new();
     for (name, b) in &apps {
-        for rt in RuntimeKind::PAPER_SET {
+        for rt in KernelKind::PAPER_SET {
             rows.push(Table6Row {
                 app: name,
                 runtime: rt.name(),
@@ -232,7 +232,7 @@ pub fn fig13() -> Vec<Fig13Row> {
     let mut rows = Vec::new();
     for d in distances {
         let mut ms = Vec::new();
-        for rt in [RuntimeKind::EaseIo, RuntimeKind::Ink, RuntimeKind::Alpaca] {
+        for rt in [KernelKind::EaseIo, KernelKind::Ink, KernelKind::Alpaca] {
             let b: Builder = Box::new(move |mcu| {
                 dma_app::build(
                     mcu,
@@ -284,7 +284,7 @@ pub fn ablation_timely_window(runs: u64) -> Vec<(u64, u64, u64, u64)> {
                     },
                 )
             });
-            let s = run_many("temp", b.as_ref(), RuntimeKind::EaseIo, &cfg);
+            let s = run_many("temp", b.as_ref(), KernelKind::EaseIo, &cfg);
             (w, s.reexecutions(), s.io_skipped, s.mean_total_us())
         })
         .collect()
@@ -317,8 +317,8 @@ pub fn ablation_reset_period(runs: u64) -> Vec<ResetSweepRow> {
                 ..ExperimentCfg::default()
             };
             let b = UniApp::Dma.builder();
-            let a = run_many("dma", b.as_ref(), RuntimeKind::Alpaca, &cfg);
-            let e = run_many("dma", b.as_ref(), RuntimeKind::EaseIo, &cfg);
+            let a = run_many("dma", b.as_ref(), KernelKind::Alpaca, &cfg);
+            let e = run_many("dma", b.as_ref(), KernelKind::EaseIo, &cfg);
             let mean = |s: &Summary| {
                 if s.completed == 0 {
                     None

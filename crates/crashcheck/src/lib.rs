@@ -31,7 +31,7 @@
 //! Exhaustive below a threshold; above it, boundaries are sampled without
 //! replacement from a seeded [`StdRng`].
 
-use apps::harness::{MakeRuntime, RuntimeKind};
+use apps::harness::{KernelKind, MakeRuntime};
 use kernel::{run_app, App, ExecConfig, FaultSpec, Outcome, Verdict};
 use mcu_emu::{AllocTag, Mcu, McuSnapshot, Region, SpendBoundary, Supply, CAUSE_COUNT};
 use periph::Peripherals;
@@ -293,7 +293,7 @@ pub struct RunRecord {
 /// so the parallel engine's workers replay exactly the serial recipe.
 pub fn run_from(
     app: &App,
-    kind: RuntimeKind,
+    kind: KernelKind,
     mcu: &mut Mcu,
     snap: &McuSnapshot,
     supply: Supply,
@@ -372,7 +372,7 @@ pub struct BoundaryTrace {
 /// aggressive fault plan; its prefix trace is valid regardless.
 pub fn reference_trace(
     app: &App,
-    kind: RuntimeKind,
+    kind: KernelKind,
     mcu: &mut Mcu,
     snap: &McuSnapshot,
     env_seed: u64,
@@ -557,7 +557,7 @@ pub struct SweepOracle {
 /// sweep of an app that cannot finish on wall power is meaningless.
 pub fn prepare_oracle(
     builder: &dyn Fn(&mut Mcu) -> App,
-    kind: RuntimeKind,
+    kind: KernelKind,
     env_seed: u64,
 ) -> SweepOracle {
     let mut mcu = Mcu::new(Supply::continuous());
@@ -725,7 +725,7 @@ pub struct BoundaryForensics {
 /// the record always describes the run the sweep saw.
 pub fn boundary_forensics(
     builder: &dyn Fn(&mut Mcu) -> App,
-    kind: RuntimeKind,
+    kind: KernelKind,
     plan: &SweepPlan,
     boundary: u64,
 ) -> BoundaryForensics {
@@ -778,7 +778,7 @@ pub fn boundary_forensics(
 /// injected run per selected boundary, checking the invariants above.
 pub fn sweep(
     builder: &dyn Fn(&mut Mcu) -> App,
-    kind: RuntimeKind,
+    kind: KernelKind,
     plan: &SweepPlan,
 ) -> SweepOutcome {
     let mut mcu = Mcu::new(Supply::continuous());
@@ -855,7 +855,7 @@ mod tests {
     fn easeio_exhaustive_sweep_is_clean_on_the_dma_app() {
         let out = sweep(
             &small_dma,
-            RuntimeKind::EaseIo,
+            KernelKind::EaseIo,
             &SweepPlan {
                 strict_memory: true,
                 ..SweepPlan::with_env_seed(5)
@@ -880,7 +880,7 @@ mod tests {
     fn easeio_exhaustive_sweep_keeps_motion_alerts_exactly_once() {
         let out = sweep(
             &|m: &mut Mcu| motion::build(m, &motion::MotionCfg::default()).0,
-            RuntimeKind::EaseIo,
+            KernelKind::EaseIo,
             &SweepPlan::with_env_seed(7),
         );
         assert!(out.oracle_boundaries > 0);
@@ -898,7 +898,7 @@ mod tests {
         // checksum verdict both expose.
         let out = sweep(
             &small_dma,
-            RuntimeKind::Naive,
+            KernelKind::Naive,
             &SweepPlan {
                 strict_memory: true,
                 ..SweepPlan::with_env_seed(5)
@@ -919,7 +919,7 @@ mod tests {
         let build = |m: &mut Mcu| unsafe_branch::build(m, &unsafe_branch::BranchCfg::default()).0;
         let out = sweep(
             &build,
-            RuntimeKind::Alpaca,
+            KernelKind::Alpaca,
             &SweepPlan {
                 off_us: 2_000_000,
                 ..SweepPlan::with_env_seed(11)
@@ -936,7 +936,7 @@ mod tests {
         // And EaseIO survives the identical schedule.
         let clean = sweep(
             &build,
-            RuntimeKind::EaseIo,
+            KernelKind::EaseIo,
             &SweepPlan {
                 off_us: 2_000_000,
                 ..SweepPlan::with_env_seed(11)
@@ -958,7 +958,7 @@ mod tests {
             fault: FaultSpec::with_rate(3, 80),
             ..SweepPlan::with_env_seed(5)
         };
-        let naive = sweep(&build, RuntimeKind::Naive, &plan);
+        let naive = sweep(&build, KernelKind::Naive, &plan);
         assert!(
             naive
                 .violations
@@ -967,7 +967,7 @@ mod tests {
             "Naive must duplicate a NACKed send somewhere: {:?}",
             naive.violations
         );
-        let clean = sweep(&build, RuntimeKind::EaseIo, &plan);
+        let clean = sweep(&build, KernelKind::EaseIo, &plan);
         assert!(
             clean.is_clean(),
             "EaseIO violated under the identical fault schedule: {:?}",
@@ -989,7 +989,7 @@ mod tests {
         fault.retry.max_retries = 1;
         let out = sweep(
             &build,
-            RuntimeKind::Naive,
+            KernelKind::Naive,
             &SweepPlan {
                 mode: SweepMode::Sample(60),
                 fault,
@@ -1007,7 +1007,7 @@ mod tests {
 
     #[test]
     fn sweep_collects_a_full_waste_ledger_per_boundary() {
-        let out = sweep(&small_dma, RuntimeKind::Naive, &SweepPlan::with_env_seed(5));
+        let out = sweep(&small_dma, KernelKind::Naive, &SweepPlan::with_env_seed(5));
         assert_eq!(out.boundary_waste_nj.len() as u64, out.injections);
         // Cross-check: the per-boundary waste series and the summed cause
         // ledgers are two views of the same attribution — they must agree.
@@ -1039,7 +1039,7 @@ mod tests {
             strict_memory: true,
             ..SweepPlan::with_env_seed(5)
         };
-        for kind in [RuntimeKind::EaseIo, RuntimeKind::Alpaca, RuntimeKind::Ink] {
+        for kind in [KernelKind::EaseIo, KernelKind::Alpaca, KernelKind::Ink] {
             let build = move |m: &mut Mcu| {
                 ota_update::build(
                     m,
@@ -1075,7 +1075,7 @@ mod tests {
                 )
                 .0
             },
-            RuntimeKind::Naive,
+            KernelKind::Naive,
             &plan,
         );
         assert!(
@@ -1102,7 +1102,7 @@ mod tests {
         };
         let out = sweep(
             &|m: &mut Mcu| ota_update::build(m, &OtaUpdateCfg::default()).0,
-            RuntimeKind::EaseIo,
+            KernelKind::EaseIo,
             &plan,
         );
         assert!(out.injections > 0);
@@ -1132,14 +1132,14 @@ mod tests {
             update_window: true,
             ..SweepPlan::with_env_seed(5)
         };
-        let out = sweep(&build, RuntimeKind::Naive, &plan);
+        let out = sweep(&build, KernelKind::Naive, &plan);
         let torn = out
             .violations
             .iter()
             .find(|v| v.kind == ViolationKind::VersionTorn)
             .expect("the in-place rewrite must strand a torn image");
 
-        let f = boundary_forensics(&build, RuntimeKind::Naive, &plan, torn.boundary);
+        let f = boundary_forensics(&build, KernelKind::Naive, &plan, torn.boundary);
         assert_eq!(f.boundary, torn.boundary);
         assert!(f.spend_seq.is_some(), "window boundaries are on the trace");
         assert!(f
@@ -1158,7 +1158,7 @@ mod tests {
         // yields exactly the violations of that one boundary.
         let repro = sweep(
             &build,
-            RuntimeKind::Naive,
+            KernelKind::Naive,
             &SweepPlan {
                 mode: SweepMode::Boundary(torn.boundary),
                 update_window: false,
@@ -1180,13 +1180,13 @@ mod tests {
             strict_memory: true,
             ..SweepPlan::with_env_seed(5)
         };
-        let out = sweep(&small_dma, RuntimeKind::Naive, &plan);
+        let out = sweep(&small_dma, KernelKind::Naive, &plan);
         let div = out
             .violations
             .iter()
             .find(|v| v.kind == ViolationKind::MemoryDivergence)
             .expect("naive re-execution must diverge somewhere");
-        let f = boundary_forensics(&small_dma, RuntimeKind::Naive, &plan, div.boundary);
+        let f = boundary_forensics(&small_dma, KernelKind::Naive, &plan, div.boundary);
         assert!(f.divergent_bytes > 0);
         assert!(!f.fram_diff.is_empty());
         assert!(f.fram_diff.len() <= FORENSICS_DIFF_CAP);
@@ -1261,9 +1261,9 @@ mod tests {
     #[test]
     fn materialized_records_match_real_injected_runs() {
         for (kind, fault) in [
-            (RuntimeKind::EaseIo, FaultSpec::none()),
-            (RuntimeKind::Naive, FaultSpec::none()),
-            (RuntimeKind::EaseIo, FaultSpec::with_rate(3, 120)),
+            (KernelKind::EaseIo, FaultSpec::none()),
+            (KernelKind::Naive, FaultSpec::none()),
+            (KernelKind::EaseIo, FaultSpec::with_rate(3, 120)),
         ] {
             let plan = SweepPlan {
                 fault,
@@ -1392,8 +1392,8 @@ mod tests {
             mode: SweepMode::Sample(40),
             ..SweepPlan::with_env_seed(5)
         };
-        let a = sweep(&small_dma, RuntimeKind::Naive, &plan);
-        let b = sweep(&small_dma, RuntimeKind::Naive, &plan);
+        let a = sweep(&small_dma, KernelKind::Naive, &plan);
+        let b = sweep(&small_dma, KernelKind::Naive, &plan);
         assert_eq!(a.violations.len(), b.violations.len());
         for (x, y) in a.violations.iter().zip(&b.violations) {
             assert_eq!(x.boundary, y.boundary);

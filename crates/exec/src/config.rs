@@ -13,9 +13,7 @@
 //! A scenario is a *device template × replication count*: [`DeviceSpec`]
 //! says what one device runs, `count` says how many identical devices run
 //! it, and the per-device seeds (`device_seed`) decorrelate their supply
-//! schedules, environments, and fault draws deterministically. The
-//! historical [`SimConfig`] survives as a deprecated shim for exactly the
-//! `count == 1` special case.
+//! schedules, environments, and fault draws deterministically.
 
 use apps::harness::{kernel_builder, KernelBuilder, KernelKind};
 use apps::{
@@ -286,8 +284,7 @@ impl Default for ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// A 1-device scenario over the given template — the direct
-    /// replacement for constructing a `SimConfig`.
+    /// A 1-device scenario over the given template.
     pub fn single(device: DeviceSpec) -> Self {
         Self {
             device,
@@ -335,103 +332,6 @@ impl ScenarioSpec {
             ));
         }
         fault
-    }
-}
-
-/// One single-device simulation — the historical construction surface.
-///
-/// Superseded by [`ScenarioSpec`], of which this is exactly the `count ==
-/// 1` special case; convert with [`SimConfig::into_scenario`] or `From`.
-/// Kept for one release so downstream tests and benches keep compiling
-/// (with a warning), and covered by the N=1 equivalence proptest in
-/// `crates/fleet`.
-#[deprecated(note = "use ScenarioSpec (SimConfig is its count == 1 special case); \
-            convert with into_scenario()")]
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// What application runs.
-    pub app: AppSpec,
-    /// Which kernel runs it.
-    pub kernel: KernelKind,
-    /// What power drives it.
-    pub supply: SupplySpec,
-    /// Base seed: environment, supply schedule, and boundary sampling all
-    /// derive from it.
-    pub seed: u64,
-    /// Repetitions for aggregate modes (seed advances per run).
-    pub runs: u64,
-    /// Worker threads for the parallel engine (1 = serial).
-    pub jobs: usize,
-    /// Where to write the event trace, if anywhere.
-    pub trace_out: Option<String>,
-    /// Where to write the machine-readable report, if anywhere.
-    pub report_out: Option<String>,
-    /// Transient peripheral-fault configuration (plan + retry policy).
-    pub fault: FaultSpec,
-}
-
-#[allow(deprecated)]
-impl Default for SimConfig {
-    fn default() -> Self {
-        Self {
-            app: AppSpec::Named("dma".into()),
-            kernel: KernelKind::EaseIo,
-            supply: SupplySpec::Timer,
-            seed: 42,
-            runs: 1,
-            jobs: 1,
-            trace_out: None,
-            report_out: None,
-            fault: FaultSpec::none(),
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl SimConfig {
-    /// The kernel builder for this config, standard factory installed and
-    /// the fault configuration attached. Delegates through the equivalent
-    /// [`ScenarioSpec`] — the shim carries no construction logic of its
-    /// own, so the two surfaces cannot drift apart.
-    pub fn kernel_builder(&self) -> KernelBuilder {
-        self.clone().into_scenario().kernel_builder()
-    }
-
-    /// Builds the configured app on `mcu`, applying the kernel's
-    /// app-variant pairings automatically (via [`ScenarioSpec`]).
-    pub fn build_app(&self, mcu: &mut Mcu) -> Result<App, String> {
-        self.clone().into_scenario().build_app(mcu)
-    }
-
-    /// The supply for run `i` of an aggregate (via [`ScenarioSpec`]).
-    pub fn supply_for_run(&self, i: u64) -> Supply {
-        self.clone().into_scenario().supply_for_run(i)
-    }
-
-    /// The equivalent 1-device [`ScenarioSpec`] — the migration path.
-    pub fn into_scenario(self) -> ScenarioSpec {
-        ScenarioSpec::from(self)
-    }
-}
-
-#[allow(deprecated)]
-impl From<SimConfig> for ScenarioSpec {
-    fn from(sim: SimConfig) -> Self {
-        ScenarioSpec {
-            device: DeviceSpec {
-                app: sim.app,
-                kernel: sim.kernel,
-                fault: sim.fault,
-            },
-            count: 1,
-            supply: sim.supply,
-            medium: MediumSpec::ideal(),
-            seed: sim.seed,
-            runs: sim.runs,
-            jobs: sim.jobs,
-            trace_out: sim.trace_out,
-            report_out: sim.report_out,
-        }
     }
 }
 
@@ -493,29 +393,6 @@ mod tests {
         // A no-fault template stays fault-free on every device.
         let quiet = ScenarioSpec::default();
         assert_eq!(quiet.fault_for_device(7), FaultSpec::none());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn sim_config_shim_converts_to_the_single_device_scenario() {
-        let sim = SimConfig {
-            kernel: KernelKind::Naive,
-            app: AppSpec::Named("temp".into()),
-            supply: SupplySpec::Rf(58),
-            seed: 7,
-            runs: 3,
-            jobs: 2,
-            fault: FaultSpec::with_rate(1, 25),
-            ..SimConfig::default()
-        };
-        let spec = sim.clone().into_scenario();
-        assert_eq!(spec.count, 1);
-        assert_eq!(spec.device.kernel, KernelKind::Naive);
-        assert_eq!(spec.device.app, sim.app);
-        assert_eq!(spec.device.fault, sim.fault);
-        assert_eq!(spec.supply, sim.supply);
-        assert_eq!(spec.medium, periph::MediumSpec::ideal());
-        assert_eq!((spec.seed, spec.runs, spec.jobs), (7, 3, 2));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! seeded independently of every other, the merged table is identical at
 //! any `--jobs` width.
 
-use apps::harness::{run_once_faulted, RuntimeKind};
+use apps::harness::{run_once_faulted, KernelKind};
 use kernel::{App, FaultSpec, Outcome, Verdict};
 use mcu_emu::Mcu;
 
@@ -23,7 +23,7 @@ const RF_PHASE_STEP_US: u64 = 3_171;
 #[derive(Debug, Clone)]
 pub struct GridSpec {
     /// Kernels to compare (columns).
-    pub kernels: Vec<RuntimeKind>,
+    pub kernels: Vec<KernelKind>,
     /// RF distances in inches (rows on the harvesting axis).
     pub distances_inch: Vec<u64>,
     /// Timer mean on-periods in milliseconds (rows on the failure-intensity
@@ -41,7 +41,7 @@ pub struct GridSpec {
 impl Default for GridSpec {
     fn default() -> Self {
         Self {
-            kernels: RuntimeKind::PAPER_SET.to_vec(),
+            kernels: KernelKind::PAPER_SET.to_vec(),
             distances_inch: vec![52, 55, 58, 61, 64],
             on_times_ms: vec![],
             runs: 4,
@@ -73,7 +73,7 @@ pub struct GridCell {
 /// The cell list in canonical order: kernel-major, distances before
 /// on-times. Exposed so callers (and the determinism test) can label rows
 /// without re-deriving the order.
-pub fn grid_points(spec: &GridSpec) -> Vec<(RuntimeKind, SupplySpec)> {
+pub fn grid_points(spec: &GridSpec) -> Vec<(KernelKind, SupplySpec)> {
     let mut points = Vec::new();
     for &kind in &spec.kernels {
         for &d in &spec.distances_inch {
@@ -90,7 +90,7 @@ pub fn grid_points(spec: &GridSpec) -> Vec<(RuntimeKind, SupplySpec)> {
 /// so apps can pair `Exclude` variants with EaseIO/Op. Returns cells in
 /// [`grid_points`] order plus the pool's utilization record.
 pub fn run_grid(
-    builder: &(dyn Fn(RuntimeKind, &mut Mcu) -> App + Sync),
+    builder: &(dyn Fn(KernelKind, &mut Mcu) -> App + Sync),
     spec: &GridSpec,
     jobs: usize,
 ) -> (Vec<GridCell>, PoolStats) {
@@ -142,7 +142,7 @@ mod tests {
     use super::*;
     use apps::dma_app;
 
-    fn builder(_: RuntimeKind, m: &mut Mcu) -> App {
+    fn builder(_: KernelKind, m: &mut Mcu) -> App {
         dma_app::build(
             m,
             &dma_app::DmaAppCfg {
@@ -157,7 +157,7 @@ mod tests {
 
     fn small_spec() -> GridSpec {
         GridSpec {
-            kernels: vec![RuntimeKind::Alpaca, RuntimeKind::EaseIo],
+            kernels: vec![KernelKind::Alpaca, KernelKind::EaseIo],
             distances_inch: vec![52, 61],
             on_times_ms: vec![12],
             runs: 2,
@@ -186,8 +186,8 @@ mod tests {
     fn grid_points_enumerate_kernel_major() {
         let points = grid_points(&small_spec());
         assert_eq!(points.len(), 2 * 3);
-        assert_eq!(points[0], (RuntimeKind::Alpaca, SupplySpec::Rf(52)));
-        assert_eq!(points[2], (RuntimeKind::Alpaca, SupplySpec::TimerOnMs(12)));
-        assert_eq!(points[3], (RuntimeKind::EaseIo, SupplySpec::Rf(52)));
+        assert_eq!(points[0], (KernelKind::Alpaca, SupplySpec::Rf(52)));
+        assert_eq!(points[2], (KernelKind::Alpaca, SupplySpec::TimerOnMs(12)));
+        assert_eq!(points[3], (KernelKind::EaseIo, SupplySpec::Rf(52)));
     }
 }

@@ -22,8 +22,7 @@
 //! [`ScenarioSpec`] is the construction surface tying it together: one
 //! parsed value holding a device template (app, kernel, faults), a
 //! replication count, the shared supply/medium, seeds, and sinks, consumed
-//! by every entry point instead of ad-hoc flag plumbing. The historical
-//! [`SimConfig`] remains as a deprecated shim for the 1-device case.
+//! by every entry point instead of ad-hoc flag plumbing.
 
 pub mod config;
 pub mod grid;
@@ -31,13 +30,11 @@ pub mod pool;
 pub mod supply;
 pub mod sweep;
 
-#[allow(deprecated)]
-pub use config::SimConfig;
 pub use config::{AppSpec, DeviceSpec, ScenarioSpec, SupplySpec, APP_NAMES};
 pub use grid::{grid_points, run_grid, GridCell, GridSpec};
 pub use pool::{run_indexed, run_indexed_collect, PoolStats};
 pub use supply::{rf_supply, rf_supply_phased, timer_supply_with_mean_on};
 pub use sweep::{
-    parallel_sweep, run_sweep, sweep_matrix, sweep_matrix_observed, PruneStats, SweepEntry,
-    SweepOptions, SweepTiming,
+    run_sweep, sweep_matrix, sweep_matrix_observed, PruneStats, SweepEntry, SweepOptions,
+    SweepTiming,
 };

@@ -39,7 +39,7 @@
 //! keep per-entry machines in a local cache — so short sweeps no longer
 //! pay a pool spawn/join plus N full snapshot adoptions each.
 
-use apps::harness::RuntimeKind;
+use apps::harness::KernelKind;
 use crashcheck::{
     check_record, classify_boundaries, filter_update_window, materialize_record, prepare_oracle,
     reference_trace, run_from, select_boundaries, BoundaryTrace, PruneClasses, RunRecord,
@@ -131,7 +131,7 @@ pub struct SweepEntry<'a> {
     /// App constructor (runs once per worker machine).
     pub builder: &'a (dyn Fn(&mut Mcu) -> App + Sync),
     /// Runtime under test.
-    pub kind: RuntimeKind,
+    pub kind: KernelKind,
     /// The sweep plan.
     pub plan: SweepPlan,
 }
@@ -414,7 +414,7 @@ pub fn sweep_matrix_observed(
 /// `crashcheck::sweep(builder, kind, plan)` at any `jobs`, pruned or not.
 pub fn run_sweep(
     builder: &(dyn Fn(&mut Mcu) -> App + Sync),
-    kind: RuntimeKind,
+    kind: KernelKind,
     plan: &SweepPlan,
     opts: &SweepOptions,
 ) -> (SweepOutcome, SweepTiming) {
@@ -428,16 +428,6 @@ pub fn run_sweep(
     )
     .pop()
     .expect("one entry in, one outcome out")
-}
-
-/// Pre-pruning spelling of [`run_sweep`]: parallel, unpruned.
-pub fn parallel_sweep(
-    builder: &(dyn Fn(&mut Mcu) -> App + Sync),
-    kind: RuntimeKind,
-    plan: &SweepPlan,
-    jobs: usize,
-) -> (SweepOutcome, SweepTiming) {
-    run_sweep(builder, kind, plan, &SweepOptions { jobs, prune: false })
 }
 
 #[cfg(test)]
@@ -498,9 +488,14 @@ mod tests {
             strict_memory: true,
             ..SweepPlan::with_env_seed(5)
         };
-        let serial = sweep(&small_dma, RuntimeKind::Naive, &plan);
+        let serial = sweep(&small_dma, KernelKind::Naive, &plan);
         for jobs in [1, 3, 4] {
-            let (parallel, timing) = parallel_sweep(&small_dma, RuntimeKind::Naive, &plan, jobs);
+            let (parallel, timing) = run_sweep(
+                &small_dma,
+                KernelKind::Naive,
+                &plan,
+                &SweepOptions { jobs, prune: false },
+            );
             outcomes_equal(&serial, &parallel);
             // The pool clamps the worker count to the available batches.
             assert_eq!(timing.jobs, jobs.min(timing.batches.max(1) as usize));
@@ -520,8 +515,16 @@ mod tests {
             strict_memory: true,
             ..SweepPlan::with_env_seed(5)
         };
-        let serial = sweep(&small_dma, RuntimeKind::EaseIo, &plan);
-        let (parallel, _) = parallel_sweep(&small_dma, RuntimeKind::EaseIo, &plan, 4);
+        let serial = sweep(&small_dma, KernelKind::EaseIo, &plan);
+        let (parallel, _) = run_sweep(
+            &small_dma,
+            KernelKind::EaseIo,
+            &plan,
+            &SweepOptions {
+                jobs: 4,
+                prune: false,
+            },
+        );
         outcomes_equal(&serial, &parallel);
         assert!(parallel.is_clean());
     }
@@ -531,9 +534,9 @@ mod tests {
     #[test]
     fn pruned_sweep_is_byte_identical_to_unpruned_serial() {
         for (kind, fault) in [
-            (RuntimeKind::EaseIo, FaultSpec::none()),
-            (RuntimeKind::Naive, FaultSpec::none()),
-            (RuntimeKind::EaseIo, FaultSpec::with_rate(3, 120)),
+            (KernelKind::EaseIo, FaultSpec::none()),
+            (KernelKind::Naive, FaultSpec::none()),
+            (KernelKind::EaseIo, FaultSpec::with_rate(3, 120)),
         ] {
             let plan = SweepPlan {
                 strict_memory: true,
@@ -569,9 +572,9 @@ mod tests {
     fn update_window_sweep_matches_serial_at_every_width() {
         use apps::ota_update;
         for (kind, fault) in [
-            (RuntimeKind::EaseIo, FaultSpec::none()),
-            (RuntimeKind::Naive, FaultSpec::none()),
-            (RuntimeKind::EaseIo, FaultSpec::with_rate(3, 80)),
+            (KernelKind::EaseIo, FaultSpec::none()),
+            (KernelKind::Naive, FaultSpec::none()),
+            (KernelKind::EaseIo, FaultSpec::with_rate(3, 80)),
         ] {
             let build = move |m: &mut Mcu| {
                 ota_update::build(
@@ -611,10 +614,10 @@ mod tests {
             mode: SweepMode::Sample(40),
             ..SweepPlan::with_env_seed(5)
         };
-        let serial = sweep(&build, RuntimeKind::EaseIo, &plan);
+        let serial = sweep(&build, KernelKind::EaseIo, &plan);
         let (pruned, timing) = run_sweep(
             &build,
-            RuntimeKind::EaseIo,
+            KernelKind::EaseIo,
             &plan,
             &SweepOptions {
                 jobs: 4,
@@ -637,12 +640,12 @@ mod tests {
         let entries = [
             SweepEntry {
                 builder: &small_dma,
-                kind: RuntimeKind::EaseIo,
+                kind: KernelKind::EaseIo,
                 plan: plan.clone(),
             },
             SweepEntry {
                 builder: &chunky_dma,
-                kind: RuntimeKind::Naive,
+                kind: KernelKind::Naive,
                 plan: plan.clone(),
             },
         ];
@@ -654,8 +657,8 @@ mod tests {
             },
         );
         assert_eq!(results.len(), 2);
-        let serial_a = sweep(&small_dma, RuntimeKind::EaseIo, &plan);
-        let serial_b = sweep(&chunky_dma, RuntimeKind::Naive, &plan);
+        let serial_a = sweep(&small_dma, KernelKind::EaseIo, &plan);
+        let serial_b = sweep(&chunky_dma, KernelKind::Naive, &plan);
         outcomes_equal(&serial_a, &results[0].0);
         outcomes_equal(&serial_b, &results[1].0);
     }
@@ -671,7 +674,7 @@ mod tests {
         };
         let entries = [SweepEntry {
             builder: &small_dma,
-            kind: RuntimeKind::Naive,
+            kind: KernelKind::Naive,
             plan: plan.clone(),
         }];
         let opts = SweepOptions {

@@ -11,7 +11,7 @@
 //! merge order were wrong for some input, the outcomes would diverge here.
 
 use apps::dma_app;
-use apps::harness::RuntimeKind;
+use apps::harness::KernelKind;
 use crashcheck::{sweep, SweepOutcome, SweepPlan};
 use easeio_exec::{run_sweep, SweepOptions};
 use kernel::FaultSpec;
@@ -62,7 +62,7 @@ proptest! {
             post_compute,
         };
         let build = move |m: &mut Mcu| dma_app::build(m, &cfg);
-        let kind = if naive { RuntimeKind::Naive } else { RuntimeKind::EaseIo };
+        let kind = if naive { KernelKind::Naive } else { KernelKind::EaseIo };
         let fault = if fault_rate == 0 {
             FaultSpec::none()
         } else {

@@ -19,8 +19,6 @@
 use periph::{MediumSpec, Packet};
 use std::collections::BTreeMap;
 
-use crate::DeviceResult;
-
 /// The gateway's accounting over one fleet run.
 ///
 /// A packet's *identity* is its (device, sequence) pair, where the
@@ -72,22 +70,12 @@ struct AirEvent {
     identity: (u32, i64),
 }
 
-/// Merges every device's radio log over the medium and accounts for each
-/// packet. Pure in `(results, medium)`: device order inside `results` is
-/// canonical (index order from the pool merge), and nothing here depends
-/// on host timing.
-pub fn reconcile(results: &[DeviceResult], medium: &MediumSpec) -> GatewayStats {
-    reconcile_logs(
-        results.iter().map(|r| (r.device, r.packets.as_slice())),
-        medium,
-    )
-}
-
-/// [`reconcile`] over bare `(device, radio log)` pairs — what the streamed
-/// fleet path retains once per-device results stop accumulating. The
-/// radio logs are the one per-device datum the gateway cannot reduce
-/// incrementally: collisions couple packets *across* devices through the
-/// global air-window order.
+/// Merges every device's `(device, radio log)` pair over the medium and
+/// accounts for each packet. Pure in `(logs, medium)`: the result does not
+/// depend on the order of `logs`, and nothing here depends on host timing.
+/// The radio logs are the one per-device datum a fleet run retains: the
+/// gateway cannot reduce them incrementally, because collisions couple
+/// packets *across* devices through the global air-window order.
 pub fn reconcile_logs<'a>(
     logs: impl IntoIterator<Item = (u32, &'a [Packet])>,
     medium: &MediumSpec,
@@ -195,21 +183,13 @@ pub fn find_air_duplicate<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kernel::Outcome;
-    use mcu_emu::RunStats;
     use periph::Packet;
 
-    fn device(id: u32, packets: Vec<Packet>) -> DeviceResult {
-        DeviceResult {
-            device: id,
-            seed: id as u64,
-            outcome: Outcome::Completed,
-            verdict: None,
-            wall_us: 0,
-            on_us: 0,
-            stats: RunStats::new(),
-            packets,
-        }
+    /// One device's radio log.
+    type Log = (u32, Vec<Packet>);
+
+    fn reconcile(devices: &[Log], medium: &MediumSpec) -> GatewayStats {
+        reconcile_logs(devices.iter().map(|(d, p)| (*d, p.as_slice())), medium)
     }
 
     fn pkt(time_us: u64, seq: i32) -> Packet {
@@ -226,10 +206,7 @@ mod tests {
 
     #[test]
     fn disjoint_windows_all_deliver() {
-        let devices = [
-            device(0, vec![pkt(100, 0), pkt(300, 1)]),
-            device(1, vec![pkt(200, 0)]),
-        ];
+        let devices = [(0, vec![pkt(100, 0), pkt(300, 1)]), (1, vec![pkt(200, 0)])];
         let g = reconcile(&devices, &medium());
         assert_eq!(g.transmissions, 3);
         assert_eq!(g.delivered, 3);
@@ -242,7 +219,7 @@ mod tests {
     #[test]
     fn overlapping_windows_destroy_both() {
         // Completion times 20 µs apart; the 40 µs windows overlap.
-        let devices = [device(0, vec![pkt(100, 0)]), device(1, vec![pkt(120, 0)])];
+        let devices = [(0, vec![pkt(100, 0)]), (1, vec![pkt(120, 0)])];
         let g = reconcile(&devices, &medium());
         assert_eq!(g.lost_collision, 2);
         assert_eq!(g.delivered, 0);
@@ -257,10 +234,10 @@ mod tests {
         // overlap, a-c don't: one chain, all three destroyed. d starts
         // exactly at the chain's end (165) and is clean.
         let devices = [
-            device(0, vec![pkt(100, 0)]),
-            device(1, vec![pkt(130, 0)]),
-            device(2, vec![pkt(165, 0)]),
-            device(3, vec![pkt(205, 0)]),
+            (0, vec![pkt(100, 0)]),
+            (1, vec![pkt(130, 0)]),
+            (2, vec![pkt(165, 0)]),
+            (3, vec![pkt(205, 0)]),
         ];
         let g = reconcile(&devices, &medium());
         assert_eq!(g.lost_collision, 3);
@@ -270,7 +247,7 @@ mod tests {
     #[test]
     fn retransmissions_of_one_identity_are_air_duplicates() {
         // Device re-sends round 0 (a Single violation), well separated.
-        let devices = [device(0, vec![pkt(100, 0), pkt(300, 0), pkt(500, 1)])];
+        let devices = [(0, vec![pkt(100, 0), pkt(300, 0), pkt(500, 1)])];
         let g = reconcile(&devices, &medium());
         assert_eq!(g.transmissions, 3);
         assert_eq!(g.unique_sent, 2);
@@ -282,7 +259,7 @@ mod tests {
 
     #[test]
     fn same_sequence_on_different_devices_is_not_a_duplicate() {
-        let devices = [device(0, vec![pkt(100, 0)]), device(1, vec![pkt(300, 0)])];
+        let devices = [(0, vec![pkt(100, 0)]), (1, vec![pkt(300, 0)])];
         let g = reconcile(&devices, &medium());
         assert_eq!(g.unique_sent, 2);
         assert_eq!(g.air_duplicates, 0);
@@ -291,12 +268,12 @@ mod tests {
     #[test]
     fn channel_loss_applies_only_to_collision_free_packets() {
         let lossy = MediumSpec::lossy(3, 1000); // every survivor is dropped
-        let devices = [device(0, vec![pkt(100, 0)]), device(1, vec![pkt(120, 0)])];
+        let devices = [(0, vec![pkt(100, 0)]), (1, vec![pkt(120, 0)])];
         let g = reconcile(&devices, &lossy);
         // The two collide first; channel loss never sees them.
         assert_eq!(g.lost_collision, 2);
         assert_eq!(g.lost_channel, 0);
-        let clean = [device(0, vec![pkt(100, 0)])];
+        let clean = [(0, vec![pkt(100, 0)])];
         let g = reconcile(&clean, &lossy);
         assert_eq!(g.lost_channel, 1);
         assert_eq!(g.delivered, 0);
@@ -305,9 +282,9 @@ mod tests {
     #[test]
     fn accounting_always_balances() {
         let lossy = MediumSpec::lossy(9, 300);
-        let devices: Vec<DeviceResult> = (0..16)
+        let devices: Vec<Log> = (0..16)
             .map(|d| {
-                device(
+                (
                     d,
                     (0..8)
                         .map(|k| pkt(80 * d as u64 + 61 * k, k as i32))
@@ -328,10 +305,10 @@ mod tests {
     #[test]
     fn first_air_duplicate_is_found_with_its_indices() {
         let devices = [
-            device(0, vec![pkt(100, 0), pkt(300, 1)]),
-            device(1, vec![pkt(100, 0), pkt(300, 1), pkt(500, 0)]),
+            (0, vec![pkt(100, 0), pkt(300, 1)]),
+            (1, vec![pkt(100, 0), pkt(300, 1), pkt(500, 0)]),
         ];
-        let logs = devices.iter().map(|d| (d.device, d.packets.as_slice()));
+        let logs = devices.iter().map(|(d, p)| (*d, p.as_slice()));
         let dup = find_air_duplicate(logs).unwrap();
         assert_eq!(
             dup,
@@ -342,18 +319,16 @@ mod tests {
                 dup_index: 2
             }
         );
-        let clean = [device(0, vec![pkt(100, 0), pkt(300, 1)])];
-        assert!(
-            find_air_duplicate(clean.iter().map(|d| (d.device, d.packets.as_slice()))).is_none()
-        );
+        let clean = [(0, vec![pkt(100, 0), pkt(300, 1)])];
+        assert!(find_air_duplicate(clean.iter().map(|(d, p)| (*d, p.as_slice()))).is_none());
     }
 
     #[test]
     fn reconcile_is_independent_of_result_order() {
         let lossy = MediumSpec::lossy(5, 200);
-        let mut devices: Vec<DeviceResult> = (0..8)
+        let mut devices: Vec<Log> = (0..8)
             .map(|d| {
-                device(
+                (
                     d,
                     (0..4)
                         .map(|k| pkt(97 * d as u64 + 53 * k, k as i32))

@@ -27,40 +27,42 @@
 //! only copies the pages the previous run dirtied, so a mostly-idle fleet
 //! costs ~nothing per extra device and 10k+ devices are practical.
 //!
-//! ## Two execution paths, one report
+//! ## One engine
 //!
-//! [`run_fleet`] holds every [`DeviceResult`] in memory — right for tests
-//! and small fleets that want per-device access afterwards.
-//! [`run_fleet_streamed`] instead writes each device's record to a
-//! per-worker JSONL shard as it completes and folds it into a bounded
-//! [`FleetAgg`]; only the radio logs (needed by the gateway's collision
-//! merge) survive per device. Both paths aggregate through the same
-//! [`FleetAgg`], whose fold is commutative, so the streamed report is
-//! byte-identical to the in-memory one at any `--jobs` width while peak
-//! memory stays O(workers + sketches) instead of O(devices).
+//! Every fleet run and every rollout wave goes through one private
+//! device-batch routine. Each pool worker restores the shared template
+//! snapshot into its cached machine, runs the device, folds the result
+//! into its own [`FleetAgg`] and — when the caller passed a sink — appends
+//! the device's JSONL record to its own shard. Afterwards the shards
+//! k-way-merge into the sink in device order and the per-worker aggregates
+//! merge into one. Only the radio logs (needed by the gateway's collision
+//! merge) survive per device, so peak memory stays O(workers + sketches +
+//! radio logs) with or without a sink. The fold is commutative, so the
+//! report is byte-identical at any `--jobs` width, and a run with a sink
+//! differs from one without only in the records it wrote.
 
 pub mod gateway;
 pub mod rollout;
 pub mod telemetry;
 
-pub use gateway::{find_air_duplicate, reconcile, reconcile_logs, AirDuplicate, GatewayStats};
+pub use gateway::{find_air_duplicate, reconcile_logs, AirDuplicate, GatewayStats};
 pub use rollout::{
-    run_rollout, run_rollout_observed, run_rollout_streamed, RolloutOutcome, RolloutPolicy,
-    RolloutViolation, RolloutViolationKind, StreamedRolloutOutcome,
+    run_rollout, run_rollout_streamed, RolloutPolicy, RolloutViolation, RolloutViolationKind,
+    StreamedRolloutOutcome,
 };
 pub use telemetry::FleetAgg;
 
-use easeio_exec::{run_indexed, run_indexed_collect, PoolStats, ScenarioSpec};
+use easeio_exec::{run_indexed_collect, PoolStats, ScenarioSpec};
 use easeio_trace::fleet::{FleetDeliveryDoc, FleetInputs, FleetMediumDoc, FleetTimingDoc};
 use easeio_trace::stream::{JsonlWriter, ShardedSink, StreamStats};
 use easeio_trace::sweep::FaultSpecDoc;
 use easeio_trace::{Progress, Value};
 use kernel::{run_app, App, ExecConfig, Outcome, Verdict};
 use mcu_emu::{Mcu, McuSnapshot, RunStats, Supply};
-use periph::{Packet, Peripherals};
+use periph::{MediumSpec, Packet, Peripherals};
 
-/// Everything one device's run produced, in device-index order inside
-/// [`FleetOutcome::results`].
+/// Everything one device's run produced: what the worker folds into its
+/// [`FleetAgg`] and streams as the device's record.
 #[derive(Debug, Clone)]
 pub struct DeviceResult {
     /// Device index (0-based).
@@ -114,20 +116,8 @@ impl DeviceResult {
     }
 }
 
-/// One complete fleet run: per-device results in device order, the
-/// gateway's reconciliation, and the pool's utilization record.
-#[derive(Debug, Clone)]
-pub struct FleetOutcome {
-    /// Per-device results, indexed by device.
-    pub results: Vec<DeviceResult>,
-    /// Gateway delivery accounting over the shared medium.
-    pub gateway: GatewayStats,
-    /// Worker utilization (host timing; stripped from report identity).
-    pub pool: PoolStats,
-}
-
-/// A streamed fleet run: the bounded aggregate and gateway accounting,
-/// with per-device records already on disk instead of in memory.
+/// A fleet run: the bounded aggregate and gateway accounting, with any
+/// per-device records already in the sink instead of in memory.
 #[derive(Debug)]
 pub struct StreamedFleetOutcome {
     /// Fleet-wide aggregate (merged per-worker folds).
@@ -136,31 +126,53 @@ pub struct StreamedFleetOutcome {
     pub gateway: GatewayStats,
     /// Worker utilization (host timing; stripped from report identity).
     pub pool: PoolStats,
-    /// What the sharded sink merged.
+    /// What the sharded sink merged (all zero for a run without a sink).
     pub stream: StreamStats,
     /// Per-device radio logs in device order — the one per-device datum
     /// the gateway's collision merge cannot reduce incrementally.
     pub packets: Vec<(u32, Vec<Packet>)>,
 }
 
-/// Runs one device of the scenario on a worker's cached machine,
-/// restoring the shared template snapshot first. The result is a function
-/// of `(spec, device)` alone — the determinism contract both execution
-/// paths and every `--jobs` width rely on.
+/// Builds a template's app on a machine.
+type BuildApp<'a> = dyn Fn(&mut Mcu) -> Result<App, String> + Sync + 'a;
+
+/// A device image a batch restores: the shared CoW snapshot, and how a
+/// worker builds the matching machine + app the first time it serves it.
+struct Template<'a> {
+    snap: McuSnapshot,
+    build: Box<BuildApp<'a>>,
+}
+
+impl<'a> Template<'a> {
+    /// Builds the image once on the coordinator — so workers can't hit a
+    /// build error mid-pool — and snapshots it. Allocator addresses are
+    /// deterministic, so every worker's lazily built machine matches.
+    fn new(build: impl Fn(&mut Mcu) -> Result<App, String> + Sync + 'a) -> Result<Self, String> {
+        let mut template = Mcu::new(Supply::continuous());
+        build(&mut template)?;
+        Ok(Self {
+            snap: template.snapshot(),
+            build: Box::new(build),
+        })
+    }
+}
+
+/// Runs one device on a worker's cached machine for `template`, restoring
+/// the shared snapshot first. The result is a function of `(spec,
+/// template, device)` alone — the determinism contract every `--jobs`
+/// width relies on.
 fn run_device(
     spec: &ScenarioSpec,
-    snap: &McuSnapshot,
+    template: &Template,
     cache: &mut Option<(Mcu, App)>,
     device: u32,
 ) -> DeviceResult {
     let (mcu, app) = cache.get_or_insert_with(|| {
         let mut mcu = Mcu::new(Supply::continuous());
-        let app = spec
-            .build_app(&mut mcu)
-            .expect("template validated on the coordinator");
+        let app = (template.build)(&mut mcu).expect("template validated on the coordinator");
         (mcu, app)
     });
-    mcu.restore(snap);
+    mcu.restore(&template.snap);
     mcu.supply = spec.supply_for_device(device);
     let mut periph = Peripherals::new(spec.device_seed(device));
     let fault = spec.fault_for_device(device);
@@ -183,136 +195,155 @@ fn run_device(
     }
 }
 
-/// Validates the template once on the coordinator so workers can't hit a
-/// build error mid-pool, and returns the shared CoW snapshot.
-fn template_snapshot(spec: &ScenarioSpec) -> Result<McuSnapshot, String> {
-    let mut template = Mcu::new(Supply::continuous());
-    spec.build_app(&mut template)?;
-    Ok(template.snapshot())
+/// What one device batch yields.
+struct Batch<R> {
+    /// `keep` of every device, in item order.
+    kept: Vec<R>,
+    /// The merged per-worker aggregates.
+    agg: FleetAgg,
+    pool: PoolStats,
+    stream: StreamStats,
 }
 
-/// Runs the scenario's fleet: `spec.count` devices, sharded across
-/// `spec.jobs` workers, reconciled at the gateway.
-///
-/// Every worker builds its own template machine + app once (allocator
-/// addresses are deterministic, so all workers' templates are identical),
-/// then serves devices by restoring the shared CoW snapshot and installing
-/// the device's supply and fault plan — the same restore discipline the
-/// crash sweep uses, which is what makes results a function of the device
-/// index alone.
-pub fn run_fleet(spec: &ScenarioSpec) -> Result<FleetOutcome, String> {
-    run_fleet_observed(spec, None)
-}
-
-/// [`run_fleet`] with a live progress channel: ticks one unit per device
-/// completed in a `"devices"` phase.
-pub fn run_fleet_observed(
+/// The one device-batch routine: runs every `(device, template index)`
+/// item on the pool, each worker holding a cached machine per template, a
+/// [`FleetAgg`], and — when `out` is given — a shard of a sharded sink;
+/// then merges the shards into `out` in device order and the aggregates
+/// into one. `keep` picks what survives of each device's result.
+fn run_batch<R: Send>(
     spec: &ScenarioSpec,
+    templates: &[Template],
+    items: &[(u32, u32)],
+    out: Option<&mut JsonlWriter>,
     progress: Option<&Progress>,
-) -> Result<FleetOutcome, String> {
-    if spec.count == 0 {
-        return Err("a fleet needs at least 1 device".into());
-    }
-    let snap = template_snapshot(spec)?;
-    if let Some(p) = progress {
-        p.begin_phase("devices", spec.count as u64);
-    }
-    let devices: Vec<u32> = (0..spec.count).collect();
-    let (results, pool) = run_indexed(
+    keep: impl Fn(DeviceResult) -> R + Sync,
+) -> Result<Batch<R>, String> {
+    let jobs = spec.jobs.max(1).min(items.len().max(1));
+    let sink = match &out {
+        Some(w) => Some(
+            ShardedSink::create(w.path(), jobs)
+                .map_err(|e| format!("stream shards for {}: {e}", w.path()))?,
+        ),
+        None => None,
+    };
+    let (kept, aggs, pool) = run_indexed_collect(
         spec.jobs,
-        &devices,
-        || None::<(Mcu, App)>,
-        |state, _, &device| {
-            let r = run_device(spec, &snap, state, device);
+        items,
+        || {
+            let cache: Vec<Option<(Mcu, App)>> = templates.iter().map(|_| None).collect();
+            (
+                cache,
+                FleetAgg::new(),
+                sink.as_ref().map(ShardedSink::claim),
+            )
+        },
+        |(cache, agg, shard), _, &(device, image)| {
+            let image = image as usize;
+            let r = run_device(spec, &templates[image], &mut cache[image], device);
+            agg.observe(&r);
+            if let (Some(sink), Some(k)) = (&sink, *shard) {
+                sink.write(k, device as u64, &r.record_line());
+            }
             if let Some(p) = progress {
                 p.add(1);
             }
-            r
+            keep(r)
         },
+        |(_, agg, _)| agg,
     );
-    if let Some(p) = progress {
-        p.begin_phase("reconcile", 1);
+    let stream = match (sink, out) {
+        (Some(sink), Some(w)) => sink
+            .merge_into(w)
+            .map_err(|e| format!("stream merge into {}: {e}", w.path()))?,
+        _ => StreamStats::default(),
+    };
+    let mut agg = FleetAgg::new();
+    for worker in &aggs {
+        agg.merge(worker);
     }
-    let gateway = reconcile(&results, &spec.medium);
-    if let Some(p) = progress {
-        p.add(1);
-    }
-    Ok(FleetOutcome {
-        results,
-        gateway,
+    Ok(Batch {
+        kept,
+        agg,
         pool,
+        stream,
     })
 }
 
-/// Runs the fleet in bounded memory: each worker appends finished device
-/// records to a private JSONL shard and folds them into its own
-/// [`FleetAgg`]; the shards k-way-merge into `out` in device order and
-/// the per-worker aggregates merge into one.
+/// The gateway post-pass over the device-ordered radio logs, ticked as
+/// its own one-unit `"reconcile"` progress phase.
+fn reconcile_phase(
+    packets: &[(u32, Vec<Packet>)],
+    medium: &MediumSpec,
+    progress: Option<&Progress>,
+) -> GatewayStats {
+    if let Some(p) = progress {
+        p.begin_phase("reconcile", 1);
+    }
+    let gateway = reconcile_logs(packets.iter().map(|(d, p)| (*d, p.as_slice())), medium);
+    if let Some(p) = progress {
+        p.add(1);
+    }
+    gateway
+}
+
+/// Runs the scenario's fleet: `spec.count` devices, sharded across
+/// `spec.jobs` workers, reconciled at the gateway. `progress` ticks one
+/// unit per device in a `"devices"` phase.
 ///
-/// Peak memory is O(workers + sketches + radio logs) — per-device
-/// `RunStats` ledgers never accumulate. The report built from the result
-/// is byte-identical to [`run_fleet`]'s at any `--jobs` width.
+/// Every worker builds its own template machine + app once, then serves
+/// devices by restoring the shared CoW snapshot and installing the
+/// device's supply and fault plan — the same restore discipline the crash
+/// sweep uses, which is what makes results a function of the device index
+/// alone.
+pub fn run_fleet(
+    spec: &ScenarioSpec,
+    progress: Option<&Progress>,
+) -> Result<StreamedFleetOutcome, String> {
+    fleet(spec, None, progress)
+}
+
+/// [`run_fleet`] that also streams every device's record into `out`, in
+/// device order: each worker appends to a private JSONL shard and the
+/// shards k-way-merge into `out` afterwards. The stream and the report are
+/// byte-identical at any `--jobs` width.
 pub fn run_fleet_streamed(
     spec: &ScenarioSpec,
     out: &mut JsonlWriter,
     progress: Option<&Progress>,
 ) -> Result<StreamedFleetOutcome, String> {
+    fleet(spec, Some(out), progress)
+}
+
+fn fleet(
+    spec: &ScenarioSpec,
+    out: Option<&mut JsonlWriter>,
+    progress: Option<&Progress>,
+) -> Result<StreamedFleetOutcome, String> {
     if spec.count == 0 {
         return Err("a fleet needs at least 1 device".into());
     }
-    let snap = template_snapshot(spec)?;
-    let jobs = spec.jobs.max(1).min(spec.count as usize);
-    let sink = ShardedSink::create(out.path(), jobs)
-        .map_err(|e| format!("stream shards for {}: {e}", out.path()))?;
+    let template = Template::new(|mcu| spec.build_app(mcu))?;
     if let Some(p) = progress {
         p.begin_phase("devices", spec.count as u64);
     }
-    let devices: Vec<u32> = (0..spec.count).collect();
-    let (packets, aggs, pool) = run_indexed_collect(
-        spec.jobs,
-        &devices,
-        || (None::<(Mcu, App)>, FleetAgg::new(), sink.claim()),
-        |(cache, agg, shard), _, &device| {
-            let r = run_device(spec, &snap, cache, device);
-            agg.observe(&r);
-            sink.write(*shard, device as u64, &r.record_line());
-            if let Some(p) = progress {
-                p.add(1);
-            }
-            (device, r.packets)
-        },
-        |(_, agg, _)| agg,
-    );
-    let stream = sink
-        .merge_into(out)
-        .map_err(|e| format!("stream merge into {}: {e}", out.path()))?;
-    let mut agg = FleetAgg::new();
-    for worker in &aggs {
-        agg.merge(worker);
-    }
-    if let Some(p) = progress {
-        p.begin_phase("reconcile", 1);
-    }
-    let gateway = reconcile_logs(
-        packets.iter().map(|(d, p)| (*d, p.as_slice())),
-        &spec.medium,
-    );
-    if let Some(p) = progress {
-        p.add(1);
-    }
+    let items: Vec<(u32, u32)> = (0..spec.count).map(|device| (device, 0)).collect();
+    let batch = run_batch(spec, &[template], &items, out, progress, |r| {
+        (r.device, r.packets)
+    })?;
+    let gateway = reconcile_phase(&batch.kept, &spec.medium, progress);
     Ok(StreamedFleetOutcome {
-        agg,
+        agg: batch.agg,
         gateway,
-        pool,
-        stream,
-        packets,
+        pool: batch.pool,
+        stream: batch.stream,
+        packets: batch.kept,
     })
 }
 
-/// The shared report assembly both execution paths feed: everything comes
+/// The report assembly every fleet and rollout feeds: everything comes
 /// from the commutative [`FleetAgg`] and the order-independent gateway
-/// ledger, so the two paths (and every `--jobs` width) render identically
-/// outside the stripped `timing` block.
+/// ledger, so every `--jobs` width renders identically outside the
+/// stripped `timing` block.
 pub(crate) fn fleet_inputs(
     spec: &ScenarioSpec,
     agg: &FleetAgg,
@@ -359,74 +390,28 @@ pub(crate) fn fleet_inputs(
 
 /// Host timing block from a pool record (measurement, stripped from
 /// report identity), including the process peak RSS the memory-ceiling CI
-/// gate reads.
-pub(crate) fn timing_doc(pool: &PoolStats, streamed_records: Option<u64>) -> FleetTimingDoc {
+/// gate reads. `streamed_records` appears only when a sink ran.
+pub(crate) fn timing_doc(pool: &PoolStats, stream: &StreamStats) -> FleetTimingDoc {
     FleetTimingDoc {
         jobs: pool.jobs as u64,
         wall_us: pool.wall_us,
         devices_per_worker: pool.items_per_worker.clone(),
         busy_us_per_worker: pool.busy_us_per_worker.clone(),
         peak_rss_bytes: mcu_emu::peak_rss_bytes(),
-        streamed_records,
-    }
-}
-
-impl FleetOutcome {
-    /// The fleet-wide aggregate, folded from the in-memory results in
-    /// device order. Equal to the streamed path's merged per-worker
-    /// aggregates because the fold is commutative.
-    pub fn agg(&self) -> FleetAgg {
-        let mut agg = FleetAgg::new();
-        for r in &self.results {
-            agg.observe(r);
-        }
-        agg
-    }
-
-    /// Power-failure reboots summed across the fleet.
-    pub fn power_failures(&self) -> u64 {
-        self.results.iter().map(|r| r.stats.power_failures).sum()
-    }
-
-    /// Fleet-wide energy ledger: every device's attribution summed.
-    pub fn energy(&self) -> easeio_trace::fleet::FleetEnergyDoc {
-        self.agg().energy()
-    }
-
-    /// Straggler percentiles over per-device wall-clock (sketch-based;
-    /// see [`FleetAgg::stragglers`]).
-    pub fn stragglers(&self) -> easeio_trace::fleet::FleetStragglerDoc {
-        self.agg().stragglers()
-    }
-
-    /// Per-device outcome tally.
-    pub fn outcomes(&self) -> easeio_trace::fleet::FleetOutcomesDoc {
-        self.agg().outcomes()
-    }
-
-    /// The `kind: "fleet"` report inputs for this outcome. Host timing
-    /// from the pool is included; `identity_document` strips it before
-    /// any `--jobs` comparison.
-    pub fn report_inputs(&self, spec: &ScenarioSpec) -> FleetInputs {
-        fleet_inputs(
-            spec,
-            &self.agg(),
-            &self.gateway,
-            timing_doc(&self.pool, None),
-        )
+        streamed_records: (stream.shards > 0).then_some(stream.records),
     }
 }
 
 impl StreamedFleetOutcome {
-    /// The `kind: "fleet"` report inputs — byte-identical to
-    /// [`FleetOutcome::report_inputs`] outside the stripped `timing`
-    /// block.
+    /// The `kind: "fleet"` report inputs. Host timing from the pool is
+    /// included; `identity_document` strips it before any `--jobs`
+    /// comparison.
     pub fn report_inputs(&self, spec: &ScenarioSpec) -> FleetInputs {
         fleet_inputs(
             spec,
             &self.agg,
             &self.gateway,
-            timing_doc(&self.pool, Some(self.stream.records)),
+            timing_doc(&self.pool, &self.stream),
         )
     }
 }
@@ -454,24 +439,24 @@ mod tests {
     #[test]
     fn small_easeio_fleet_delivers_exactly_once() {
         let spec = radio_fleet(8, KernelKind::EaseIo);
-        let fleet = run_fleet(&spec).unwrap();
-        assert_eq!(fleet.results.len(), 8);
-        let o = fleet.outcomes();
+        let fleet = run_fleet(&spec, None).unwrap();
+        assert_eq!(fleet.packets.len(), 8);
+        let o = fleet.agg.outcomes();
         assert_eq!(o.completed, 8);
         assert_eq!(o.correct, 8);
         // Single semantics: no identity transmits twice, even across the
         // fleet's power failures.
         assert_eq!(fleet.gateway.air_duplicates, 0);
-        assert!(fleet.power_failures() > 0, "timer supply must cycle");
+        assert!(fleet.agg.power_failures() > 0, "timer supply must cycle");
         // Device seeds decorrelate the supplies: not all wall-clocks equal.
-        let walls: Vec<u64> = fleet.results.iter().map(|r| r.wall_us).collect();
-        assert!(walls.iter().any(|&w| w != walls[0]), "{walls:?}");
+        let wall = fleet.agg.wall();
+        assert!(wall.min() < wall.max(), "{wall:?}");
     }
 
     #[test]
     fn fleet_report_validates_as_kind_fleet() {
         let spec = radio_fleet(4, KernelKind::EaseIo);
-        let fleet = run_fleet(&spec).unwrap();
+        let fleet = run_fleet(&spec, None).unwrap();
         let doc = build_fleet_report(&fleet.report_inputs(&spec));
         let parsed = easeio_trace::parse_json(&doc.to_pretty()).unwrap();
         assert_eq!(
@@ -483,46 +468,40 @@ mod tests {
     #[test]
     fn empty_fleet_is_an_error_and_bad_apps_fail_early() {
         let mut spec = radio_fleet(0, KernelKind::EaseIo);
-        assert!(run_fleet(&spec).is_err());
+        assert!(run_fleet(&spec, None).is_err());
         spec.count = 1;
         spec.device.app = AppSpec::Named("no-such-app".into());
-        assert!(run_fleet(&spec).unwrap_err().contains("no-such-app"));
+        assert!(run_fleet(&spec, None).unwrap_err().contains("no-such-app"));
     }
 
     #[test]
     fn attribution_stays_balanced_across_the_fleet() {
         let spec = radio_fleet(6, KernelKind::Alpaca);
-        let fleet = run_fleet(&spec).unwrap();
-        for r in &fleet.results {
-            assert!(r.stats.attribution_balanced(), "device {}", r.device);
-        }
-        let energy = fleet.energy();
+        let energy = run_fleet(&spec, None).unwrap().agg.energy();
         let cause_sum: u64 = energy.cause_energy_nj.iter().sum();
         assert_eq!(cause_sum, energy.total_energy_nj);
     }
 
     #[test]
-    fn streamed_fleet_matches_in_memory_and_writes_device_order() {
+    fn sink_receives_one_device_ordered_record_per_device() {
         let dir = std::env::temp_dir().join("easeio-fleet-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir
             .join(format!("stream-{}.jsonl", std::process::id()))
             .to_string_lossy()
             .into_owned();
-        let spec = radio_fleet(12, KernelKind::EaseIo);
-        let mem = run_fleet(&spec).unwrap();
-        let mut spec4 = spec.clone();
-        spec4.jobs = 4;
+        let mut spec = radio_fleet(12, KernelKind::EaseIo);
+        spec.jobs = 4;
         let mut out = JsonlWriter::create(&path).unwrap();
-        let streamed = run_fleet_streamed(&spec4, &mut out, None).unwrap();
+        let streamed = run_fleet_streamed(&spec, &mut out, None).unwrap();
         drop(out);
-        assert_eq!(streamed.gateway, mem.gateway);
-        assert_eq!(streamed.agg.outcomes(), mem.outcomes());
-        assert_eq!(streamed.agg.stragglers(), mem.stragglers());
         assert_eq!(streamed.stream.records, 12);
         let text = std::fs::read_to_string(&path).unwrap();
-        let expected: String = mem.results.iter().map(|r| r.record_line() + "\n").collect();
-        assert_eq!(text, expected, "stream is the device-ordered records");
+        for (i, line) in text.lines().enumerate() {
+            let rec = easeio_trace::parse_json(line).unwrap();
+            assert_eq!(rec.get("device").and_then(Value::as_u64), Some(i as u64));
+        }
+        assert_eq!(text.lines().count(), 12);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -530,7 +509,7 @@ mod tests {
     fn progress_ticks_through_the_fleet_phases() {
         let spec = radio_fleet(5, KernelKind::EaseIo);
         let progress = Progress::new();
-        run_fleet_observed(&spec, Some(&progress)).unwrap();
+        run_fleet(&spec, Some(&progress)).unwrap();
         let s = progress.snapshot();
         assert_eq!(s.phase, "reconcile");
         assert_eq!((s.done, s.total), (1, 1));

@@ -28,25 +28,22 @@
 //! report is byte-identical at any `--jobs` width, and a 1-device
 //! no-loss rollout reproduces the single-device staged update exactly.
 //!
-//! Like the plain fleet, the rollout has a streamed twin
-//! ([`run_rollout_streamed`]): each wave's device records go through a
-//! per-wave sharded sink merged into one shared JSONL stream (waves are
-//! device-ordered, so concatenating the merged waves preserves global
-//! device order), and per-device results fold into a [`FleetAgg`] instead
-//! of accumulating.
+//! Each wave is one run of the fleet's device batch over two templates
+//! (factory image / received image). With a sink, every wave's records
+//! merge into the one shared JSONL stream; waves are device-ordered, so
+//! the concatenated stream is globally device-ordered. Per-device results
+//! fold into a [`FleetAgg`] instead of accumulating.
 
 use crate::telemetry::FleetAgg;
-use crate::{reconcile, reconcile_logs, DeviceResult, FleetOutcome, GatewayStats};
+use crate::{reconcile_phase, run_batch, DeviceResult, GatewayStats, Template};
 use apps::ota_update::{self, OtaUpdateCfg};
-use easeio_exec::{run_indexed, run_indexed_collect, PoolStats, ScenarioSpec};
+use easeio_exec::{PoolStats, ScenarioSpec};
 use easeio_trace::fleet::{FleetInputs, FleetRolloutDoc};
-use easeio_trace::stream::{JsonlWriter, ShardedSink, StreamStats};
+use easeio_trace::stream::{JsonlWriter, StreamStats};
 use easeio_trace::Progress;
 use kernel::update::{PROBE_DUPLICATE_ACTIVATION, PROBE_VERSION_TORN};
-use kernel::{run_app, App, ExecConfig, Outcome, Verdict};
-use mcu_emu::{Mcu, McuSnapshot, Supply};
-use periph::{MediumSpec, Packet, Peripherals};
-use std::collections::HashMap;
+use kernel::{Outcome, Verdict};
+use periph::{MediumSpec, Packet};
 
 /// How the gateway rolls the update out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,31 +99,8 @@ pub struct RolloutViolation {
     pub kind: RolloutViolationKind,
 }
 
-/// One complete rollout: the merged fleet outcome (device order) plus the
-/// version-convergence accounting.
-#[derive(Debug, Clone)]
-pub struct RolloutOutcome {
-    /// Per-device results and gateway reconciliation, as in a plain fleet
-    /// run.
-    pub fleet: FleetOutcome,
-    /// The `rollout` report block.
-    pub stats: FleetRolloutDoc,
-    /// First device that tripped an update-safety probe, if any.
-    pub first_violation: Option<RolloutViolation>,
-}
-
-impl RolloutOutcome {
-    /// The `kind: "fleet"` report inputs with the `rollout` block filled
-    /// in.
-    pub fn report_inputs(&self, spec: &ScenarioSpec) -> FleetInputs {
-        let mut inp = self.fleet.report_inputs(spec);
-        inp.rollout = Some(self.stats.clone());
-        inp
-    }
-}
-
-/// A streamed rollout: bounded aggregate, gateway accounting, and the
-/// version-convergence stats, with per-device records on disk.
+/// A rollout: bounded aggregate, gateway accounting, and the
+/// version-convergence stats, with any per-device records in the sink.
 #[derive(Debug)]
 pub struct StreamedRolloutOutcome {
     /// Fleet-wide aggregate (merged per-worker folds across all waves).
@@ -135,7 +109,8 @@ pub struct StreamedRolloutOutcome {
     pub gateway: GatewayStats,
     /// Worker utilization, summed over waves.
     pub pool: PoolStats,
-    /// What the per-wave sinks merged, summed over waves.
+    /// What the per-wave sinks merged, summed over waves (all zero for a
+    /// run without a sink).
     pub stream: StreamStats,
     /// The `rollout` report block.
     pub stats: FleetRolloutDoc,
@@ -144,15 +119,14 @@ pub struct StreamedRolloutOutcome {
 }
 
 impl StreamedRolloutOutcome {
-    /// The `kind: "fleet"` report inputs — byte-identical to
-    /// [`RolloutOutcome::report_inputs`] outside the stripped `timing`
-    /// block.
+    /// The `kind: "fleet"` report inputs with the `rollout` block filled
+    /// in.
     pub fn report_inputs(&self, spec: &ScenarioSpec) -> FleetInputs {
         let mut inp = crate::fleet_inputs(
             spec,
             &self.agg,
             &self.gateway,
-            crate::timing_doc(&self.pool, Some(self.stream.records)),
+            crate::timing_doc(&self.pool, &self.stream),
         );
         inp.rollout = Some(self.stats.clone());
         inp
@@ -195,10 +169,15 @@ fn downlink(medium: &MediumSpec, device: u32, chunks: u32, attempts: u32) -> Dow
     d
 }
 
-/// The validated, precomputed rollout plan shared by both execution paths.
+/// Template index of a device that did not receive the image.
+const FACTORY: u32 = 0;
+/// Template index of a device that received the full image.
+const RECEIVED: u32 = 1;
+
+/// The validated, precomputed rollout plan.
 struct RolloutPlan {
-    snaps: [McuSnapshot; 2],
-    cfgs: [OtaUpdateCfg; 2],
+    /// The device templates, indexed by [`FACTORY`] / [`RECEIVED`].
+    templates: [Template<'static>; 2],
     chunks: u32,
     attempts: u32,
     waves: u32,
@@ -223,65 +202,20 @@ fn plan_rollout(spec: &ScenarioSpec, policy: &RolloutPolicy) -> Result<RolloutPl
         target_seq: 1,
         ..updated_cfg.clone()
     };
-    // One shared CoW snapshot per app variant, built once on the
-    // coordinator; allocator addresses are deterministic, so every
-    // worker's lazily built template matches its snapshot.
-    let snapshot_of = |cfg: &OtaUpdateCfg| -> McuSnapshot {
-        let mut template = Mcu::new(Supply::continuous());
-        ota_update::build(&mut template, cfg);
-        template.snapshot()
-    };
     let chunks = updated_cfg
         .payload_words
         .div_ceil(updated_cfg.chunk_words.max(1));
+    let template = |cfg: OtaUpdateCfg| Template::new(move |mcu| Ok(ota_update::build(mcu, &cfg).0));
     Ok(RolloutPlan {
-        snaps: [snapshot_of(&stale_cfg), snapshot_of(&updated_cfg)],
-        cfgs: [stale_cfg, updated_cfg],
+        templates: [template(stale_cfg)?, template(updated_cfg)?],
         chunks,
         attempts: 1 + spec.device.fault.retry.max_retries,
         waves: spec.count.div_ceil(policy.wave_size),
     })
 }
 
-/// Runs one OTA device on a worker's cached machine (cache keyed by app
-/// variant). Pure in `(spec, plan, device, received)`.
-fn run_ota_device(
-    spec: &ScenarioSpec,
-    plan: &RolloutPlan,
-    cache: &mut HashMap<bool, (Mcu, App)>,
-    device: u32,
-    received: bool,
-) -> DeviceResult {
-    let (mcu, app) = cache.entry(received).or_insert_with(|| {
-        let mut mcu = Mcu::new(Supply::continuous());
-        let (app, _) = ota_update::build(&mut mcu, &plan.cfgs[received as usize]);
-        (mcu, app)
-    });
-    mcu.restore(&plan.snaps[received as usize]);
-    mcu.supply = spec.supply_for_device(device);
-    let mut periph = Peripherals::new(spec.device_seed(device));
-    let fault = spec.fault_for_device(device);
-    fault.apply(&mut periph);
-    let mut rt = spec.kernel_builder().with_faults(fault).build();
-    let cfg = ExecConfig {
-        retry: fault.retry,
-        ..ExecConfig::default()
-    };
-    let r = run_app(app, rt.as_mut(), mcu, &mut periph, &cfg);
-    DeviceResult {
-        device,
-        seed: spec.device_seed(device),
-        outcome: r.outcome,
-        verdict: r.verdict,
-        wall_us: r.wall_us,
-        on_us: r.on_us,
-        stats: r.stats,
-        packets: periph.radio.packets().to_vec(),
-    }
-}
-
-/// Deterministic gateway-side pre-pass for one wave: which devices get
-/// the full image, with the downlink accounting folded into `stats`.
+/// Deterministic gateway-side pre-pass for one wave: which template each
+/// device runs, with the downlink accounting folded into `stats`.
 fn plan_wave(
     spec: &ScenarioSpec,
     plan: &RolloutPlan,
@@ -289,12 +223,12 @@ fn plan_wave(
     last: u32,
     offered: bool,
     stats: &mut FleetRolloutDoc,
-) -> Vec<(u32, bool)> {
+) -> Vec<(u32, u32)> {
     (first..last)
         .map(|device| {
             if !offered {
                 stats.stale += 1;
-                return (device, false);
+                return (device, FACTORY);
             }
             stats.offered += 1;
             let d = downlink(&spec.medium, device, plan.chunks, plan.attempts);
@@ -302,8 +236,9 @@ fn plan_wave(
             stats.downlink_chunks_lost += d.chunks_lost;
             if !d.received {
                 stats.stragglers += 1;
+                return (device, FACTORY);
             }
-            (device, d.received)
+            (device, RECEIVED)
         })
         .collect()
 }
@@ -314,13 +249,13 @@ fn plan_wave(
 /// probe-clean).
 fn review_wave(
     wave: u32,
-    items: &[(u32, bool)],
+    items: &[(u32, u32)],
     wave_results: &[DeviceResult],
     stats: &mut FleetRolloutDoc,
     first_violation: &mut Option<RolloutViolation>,
 ) -> bool {
     let mut regressed = false;
-    for (r, &(device, received)) in wave_results.iter().zip(items) {
+    for (r, &(device, image)) in wave_results.iter().zip(items) {
         let torn = r.stats.counter(PROBE_VERSION_TORN);
         let dups = r.stats.counter(PROBE_DUPLICATE_ACTIVATION);
         stats.duplicate_activations += dups;
@@ -337,7 +272,7 @@ fn review_wave(
                 *first_violation = Some(RolloutViolation { device, wave, kind });
             }
         }
-        if received {
+        if image == RECEIVED {
             let ok = r.outcome == Outcome::Completed && r.verdict == Some(Verdict::Correct);
             if ok {
                 stats.updated += 1;
@@ -353,108 +288,37 @@ fn review_wave(
 }
 
 /// Runs a rolling update of `spec`'s fleet to `policy.target_seq`.
+/// `progress` ticks one unit per device in a `"devices"` phase, with the
+/// wave index alongside.
 ///
 /// The scenario's app is fixed to `ota-update` (two variants: received the
 /// image / did not); the scenario's kernel decides the on-device protocol
 /// via [`kernel::KernelKind::two_phase_update`]. Everything else — supply,
 /// faults, medium, seeds, `jobs` — is the scenario's own.
-pub fn run_rollout(spec: &ScenarioSpec, policy: &RolloutPolicy) -> Result<RolloutOutcome, String> {
-    run_rollout_observed(spec, policy, None)
-}
-
-/// [`run_rollout`] with a live progress channel: ticks one unit per
-/// device in a `"devices"` phase, with the wave index alongside.
-pub fn run_rollout_observed(
+pub fn run_rollout(
     spec: &ScenarioSpec,
     policy: &RolloutPolicy,
     progress: Option<&Progress>,
-) -> Result<RolloutOutcome, String> {
-    let plan = plan_rollout(spec, policy)?;
-    if let Some(p) = progress {
-        p.begin_phase("devices", spec.count as u64);
-        p.set_wave(0, plan.waves as u64);
-    }
-
-    let mut stats = FleetRolloutDoc {
-        target_seq: policy.target_seq as u64,
-        wave_size: policy.wave_size as u64,
-        waves: plan.waves as u64,
-        ..FleetRolloutDoc::default()
-    };
-    let mut first_violation = None;
-    let mut results: Vec<DeviceResult> = Vec::with_capacity(spec.count as usize);
-    let mut pool_total: Option<PoolStats> = None;
-    let mut aborted = false;
-
-    for wave in 0..plan.waves {
-        let first = wave * policy.wave_size;
-        let last = (first + policy.wave_size).min(spec.count);
-        let offered = !aborted;
-        if offered {
-            stats.waves_rolled_out += 1;
-        }
-        if let Some(p) = progress {
-            p.set_wave(wave as u64 + 1, plan.waves as u64);
-        }
-        let items = plan_wave(spec, &plan, first, last, offered, &mut stats);
-
-        // Device phase: same restore discipline as `run_fleet`, with the
-        // worker cache keyed by app variant.
-        let (wave_results, pool) = run_indexed(
-            spec.jobs,
-            &items,
-            HashMap::<bool, (Mcu, App)>::new,
-            |cache, _, &(device, received)| {
-                let r = run_ota_device(spec, &plan, cache, device, received);
-                if let Some(p) = progress {
-                    p.add(1);
-                }
-                r
-            },
-        );
-        merge_pool(&mut pool_total, pool, first as usize);
-
-        let regressed = review_wave(
-            wave,
-            &items,
-            &wave_results,
-            &mut stats,
-            &mut first_violation,
-        );
-        results.extend(wave_results);
-        if offered && policy.abort_on_regression && regressed {
-            aborted = true;
-        }
-    }
-    stats.aborted = aborted;
-
-    if let Some(p) = progress {
-        p.begin_phase("reconcile", 1);
-    }
-    let gateway = reconcile(&results, &spec.medium);
-    if let Some(p) = progress {
-        p.add(1);
-    }
-    Ok(RolloutOutcome {
-        fleet: FleetOutcome {
-            results,
-            gateway,
-            pool: pool_total.expect("at least one wave ran"),
-        },
-        stats,
-        first_violation,
-    })
+) -> Result<StreamedRolloutOutcome, String> {
+    rollout(spec, policy, None, progress)
 }
 
-/// Runs the rollout in bounded memory: each wave streams its device
-/// records through a per-wave sharded sink merged into `out` (waves are
-/// device-ordered, so the concatenated stream is globally device-ordered
-/// and byte-identical at any `--jobs` width), and per-device results fold
-/// into one [`FleetAgg`].
+/// [`run_rollout`] that also streams every device's record into `out`:
+/// each wave's records merge into `out` in device order, so the stream is
+/// globally device-ordered and byte-identical at any `--jobs` width.
 pub fn run_rollout_streamed(
     spec: &ScenarioSpec,
     policy: &RolloutPolicy,
     out: &mut JsonlWriter,
+    progress: Option<&Progress>,
+) -> Result<StreamedRolloutOutcome, String> {
+    rollout(spec, policy, Some(out), progress)
+}
+
+fn rollout(
+    spec: &ScenarioSpec,
+    policy: &RolloutPolicy,
+    mut out: Option<&mut JsonlWriter>,
     progress: Option<&Progress>,
 ) -> Result<StreamedRolloutOutcome, String> {
     let plan = plan_rollout(spec, policy)?;
@@ -488,67 +352,31 @@ pub fn run_rollout_streamed(
         }
         let items = plan_wave(spec, &plan, first, last, offered, &mut stats);
 
-        let jobs = spec.jobs.max(1).min(items.len().max(1));
-        let sink = ShardedSink::create(&format!("{}.wave{wave}", out.path()), jobs)
-            .map_err(|e| format!("stream shards for {}: {e}", out.path()))?;
-        // The wave is small (`wave_size` devices), so holding its
-        // `DeviceResult`s for the review pass keeps memory bounded by the
-        // wave, not the fleet.
-        let (wave_results, aggs, pool) = run_indexed_collect(
-            spec.jobs,
+        // The wave is small (`wave_size` devices), so keeping its
+        // `DeviceResult`s for the review pass bounds memory by the wave,
+        // not the fleet.
+        let batch = run_batch(
+            spec,
+            &plan.templates,
             &items,
-            || {
-                (
-                    HashMap::<bool, (Mcu, App)>::new(),
-                    FleetAgg::new(),
-                    sink.claim(),
-                )
-            },
-            |(cache, agg, shard), _, &(device, received)| {
-                let r = run_ota_device(spec, &plan, cache, device, received);
-                agg.observe(&r);
-                sink.write(*shard, device as u64, &r.record_line());
-                if let Some(p) = progress {
-                    p.add(1);
-                }
-                r
-            },
-            |(_, agg, _)| agg,
-        );
-        let wave_stream = sink
-            .merge_into(out)
-            .map_err(|e| format!("stream merge into {}: {e}", out.path()))?;
-        stream.records += wave_stream.records;
-        stream.shards = stream.shards.max(wave_stream.shards);
-        for worker in &aggs {
-            agg.merge(worker);
-        }
-        merge_pool(&mut pool_total, pool, first as usize);
+            out.as_deref_mut(),
+            progress,
+            |r| r,
+        )?;
+        stream.records += batch.stream.records;
+        stream.shards = stream.shards.max(batch.stream.shards);
+        agg.merge(&batch.agg);
+        merge_pool(&mut pool_total, batch.pool, first as usize);
 
-        let regressed = review_wave(
-            wave,
-            &items,
-            &wave_results,
-            &mut stats,
-            &mut first_violation,
-        );
-        packets.extend(wave_results.into_iter().map(|r| (r.device, r.packets)));
+        let regressed = review_wave(wave, &items, &batch.kept, &mut stats, &mut first_violation);
+        packets.extend(batch.kept.into_iter().map(|r| (r.device, r.packets)));
         if offered && policy.abort_on_regression && regressed {
             aborted = true;
         }
     }
     stats.aborted = aborted;
 
-    if let Some(p) = progress {
-        p.begin_phase("reconcile", 1);
-    }
-    let gateway = reconcile_logs(
-        packets.iter().map(|(d, p)| (*d, p.as_slice())),
-        &spec.medium,
-    );
-    if let Some(p) = progress {
-        p.add(1);
-    }
+    let gateway = reconcile_phase(&packets, &spec.medium, progress);
     Ok(StreamedRolloutOutcome {
         agg,
         gateway,
@@ -620,7 +448,7 @@ mod tests {
             wave_size: 7,
             ..RolloutPolicy::default()
         };
-        let r = run_rollout(&spec, &policy).unwrap();
+        let r = run_rollout(&spec, &policy, None).unwrap();
         let s = &r.stats;
         assert_eq!(s.waves, 4);
         assert_eq!(s.waves_rolled_out, 4);
@@ -630,18 +458,14 @@ mod tests {
         assert_eq!(s.duplicate_activations, 0);
         assert_eq!(s.version_torn, 0);
         assert!(r.first_violation.is_none());
-        assert_eq!(r.fleet.results.len(), 24);
-        // Device order is the merge order regardless of wave boundaries.
-        for (i, d) in r.fleet.results.iter().enumerate() {
-            assert_eq!(d.device, i as u32);
-        }
+        assert_eq!(r.agg.devices(), 24);
     }
 
     #[test]
     fn lossy_downlinks_leave_stragglers_on_the_factory_image() {
         let mut spec = rollout_spec(32, KernelKind::EaseIo);
         spec.medium = MediumSpec::lossy(9, 400);
-        let r = run_rollout(&spec, &RolloutPolicy::default()).unwrap();
+        let r = run_rollout(&spec, &RolloutPolicy::default(), None).unwrap();
         let s = &r.stats;
         assert!(s.stragglers > 0, "40% chunk loss must strand someone");
         assert!(s.updated > 0, "retries must get someone through");
@@ -666,47 +490,42 @@ mod tests {
                 ..RolloutPolicy::default()
             },
         ] {
-            assert!(run_rollout(&spec, &policy).is_err());
+            assert!(run_rollout(&spec, &policy, None).is_err());
         }
         assert!(run_rollout(
             &rollout_spec(0, KernelKind::EaseIo),
-            &RolloutPolicy::default()
+            &RolloutPolicy::default(),
+            None
         )
         .is_err());
     }
 
     #[test]
-    fn streamed_rollout_matches_in_memory_across_waves() {
+    fn sink_concatenates_waves_in_device_order() {
         let dir = std::env::temp_dir().join("easeio-fleet-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir
             .join(format!("rollout-stream-{}.jsonl", std::process::id()))
             .to_string_lossy()
             .into_owned();
-        let spec = rollout_spec(20, KernelKind::EaseIo);
+        let mut spec = rollout_spec(20, KernelKind::EaseIo);
+        spec.jobs = 3;
         let policy = RolloutPolicy {
             wave_size: 6,
             ..RolloutPolicy::default()
         };
-        let mem = run_rollout(&spec, &policy).unwrap();
-        let mut spec3 = spec.clone();
-        spec3.jobs = 3;
         let mut out = JsonlWriter::create(&path).unwrap();
-        let streamed = run_rollout_streamed(&spec3, &policy, &mut out, None).unwrap();
+        let streamed = run_rollout_streamed(&spec, &policy, &mut out, None).unwrap();
         drop(out);
-        assert_eq!(streamed.gateway, mem.fleet.gateway);
-        assert_eq!(streamed.stats.updated, mem.stats.updated);
-        assert_eq!(streamed.stats.waves_rolled_out, mem.stats.waves_rolled_out);
-        assert_eq!(streamed.first_violation, mem.first_violation);
+        assert_eq!(streamed.stats.waves_rolled_out, 4);
         assert_eq!(streamed.stream.records, 20);
         let text = std::fs::read_to_string(&path).unwrap();
-        let expected: String = mem
-            .fleet
-            .results
-            .iter()
-            .map(|r| r.record_line() + "\n")
-            .collect();
-        assert_eq!(text, expected, "waves concatenate in device order");
+        for (i, line) in text.lines().enumerate() {
+            let rec = easeio_trace::parse_json(line).unwrap();
+            let device = rec.get("device").and_then(easeio_trace::Value::as_u64);
+            assert_eq!(device, Some(i as u64), "waves concatenate in device order");
+        }
+        assert_eq!(text.lines().count(), 20);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -1,16 +1,19 @@
-//! The fleet engine's two identity anchors (ISSUE satellites):
+//! The fleet engine's two identity anchors:
 //!
 //! 1. **N = 1 ≡ single run** — a 1-device fleet must reproduce the plain
 //!    single-device harness run at the same seed exactly, for any app ×
-//!    kernel × fault-rate draw. This is what licenses `SimConfig` (and its
-//!    deprecated shim) to be *defined* as the `count == 1` special case of
-//!    [`ScenarioSpec`].
+//!    kernel × fault-rate draw. This is what licenses a single run to be
+//!    *defined* as the `count == 1` special case of [`ScenarioSpec`].
 //! 2. **Jobs-width identity** — a seeded 256-device fleet's report is
-//!    byte-identical at `--jobs` 1, 4 and 8 once host timing is stripped
-//!    (`identity_document`), the property the CI fleet smoke gate enforces.
+//!    byte-identical at `--jobs` 1, 4 and 8, with and without a stream
+//!    sink, once host timing is stripped (`identity_document`), and the
+//!    streamed records are byte-identical across widths — the properties
+//!    the CI fleet smoke and streamed-telemetry gates enforce.
+
+mod common;
 
 use easeio_exec::{AppSpec, DeviceSpec, ScenarioSpec, SupplySpec};
-use easeio_fleet::run_fleet;
+use easeio_fleet::{run_fleet, run_fleet_streamed};
 use easeio_trace::envelope::identity_document;
 use easeio_trace::fleet::build_fleet_report;
 use kernel::{FaultSpec, KernelKind};
@@ -52,10 +55,7 @@ proptest! {
             ..ScenarioSpec::default()
         };
 
-        let fleet = run_fleet(&spec).unwrap();
-        prop_assert_eq!(fleet.results.len(), 1);
-        let d = &fleet.results[0];
-
+        let fleet = run_fleet(&spec, None).unwrap();
         let builder = |mcu: &mut mcu_emu::Mcu| spec.build_app(mcu).unwrap();
         let single = apps::harness::run_once_faulted(
             &builder,
@@ -64,15 +64,7 @@ proptest! {
             spec.device_seed(0),
             &fault,
         );
-
-        prop_assert_eq!(d.outcome, single.outcome);
-        prop_assert_eq!(&d.verdict, &single.verdict);
-        prop_assert_eq!(d.wall_us, single.wall_us);
-        prop_assert_eq!(d.on_us, single.on_us);
-        prop_assert_eq!(d.stats.total_time_us(), single.stats.total_time_us());
-        prop_assert_eq!(d.stats.total_energy_nj(), single.stats.total_energy_nj());
-        prop_assert_eq!(d.stats.cause_energy_nj, single.stats.cause_energy_nj);
-        prop_assert_eq!(d.stats.power_failures, single.stats.power_failures);
+        common::assert_agg_is_the_single_run(&fleet.agg, &single)?;
     }
 }
 
@@ -93,20 +85,20 @@ fn fleet_256(jobs: usize) -> ScenarioSpec {
 }
 
 /// Anchor 2: the 256-device fleet report is byte-identical across worker
-/// counts once host timing is stripped.
+/// counts and with or without a sink once host timing is stripped; the
+/// sink's records are byte-identical across worker counts.
 #[test]
 fn report_is_byte_identical_across_jobs_widths() {
-    let reference = {
-        let spec = fleet_256(1);
-        let fleet = run_fleet(&spec).unwrap();
-        identity_document(&build_fleet_report(&fleet.report_inputs(&spec))).to_pretty()
-    };
-    for jobs in [4, 8] {
+    common::assert_identical_with_and_without_sink("fleet", 256, &[1, 4, 8], |jobs, out| {
         let spec = fleet_256(jobs);
-        let fleet = run_fleet(&spec).unwrap();
-        let doc = identity_document(&build_fleet_report(&fleet.report_inputs(&spec))).to_pretty();
-        assert_eq!(doc, reference, "jobs={jobs} diverged from the serial run");
-    }
+        let fleet = match out {
+            Some(w) => run_fleet_streamed(&spec, w, None),
+            None => run_fleet(&spec, None),
+        }
+        .unwrap();
+        identity_document(&build_fleet_report(&fleet.report_inputs(&spec))).to_pretty()
+    })
+    .unwrap();
 }
 
 /// The exactly-once headline: under device power failures and peripheral
@@ -116,7 +108,7 @@ fn report_is_byte_identical_across_jobs_widths() {
 #[test]
 fn easeio_fleet_has_no_air_duplicates_and_naive_pins_them() {
     let spec = fleet_256(4);
-    let fleet = run_fleet(&spec).unwrap();
+    let fleet = run_fleet(&spec, None).unwrap();
     assert_eq!(
         fleet.gateway.air_duplicates, 0,
         "EaseIO leaked duplicate transmissions: {:?}",
@@ -131,7 +123,7 @@ fn easeio_fleet_has_no_air_duplicates_and_naive_pins_them() {
         },
         ..fleet_256(4)
     };
-    let fleet = run_fleet(&naive).unwrap();
+    let fleet = run_fleet(&naive, None).unwrap();
     assert!(
         fleet.gateway.air_duplicates > 0,
         "the Naive baseline should retransmit across reboots: {:?}",

@@ -1,4 +1,4 @@
-//! The rolling-update engine's two identity anchors (ISSUE satellites):
+//! The rolling-update engine's two identity anchors:
 //!
 //! 1. **N = 1 ≡ single staged update** — a 1-device no-loss rollout must
 //!    reproduce the plain single-device OTA-update run at the same seed
@@ -6,11 +6,15 @@
 //!    *defined* as waves of the single-device protocol, and this pins it.
 //! 2. **Jobs-width identity** — the downlink pre-pass and the device phase
 //!    are pure in the device index, so the rollout report (downlink chunk
-//!    accounting included) is byte-identical at any `--jobs` width.
+//!    accounting included) is byte-identical at any `--jobs` width, with
+//!    and without a stream sink, and the streamed records concatenate
+//!    across waves into the same device-ordered bytes at every width.
+
+mod common;
 
 use apps::ota_update::{self, OtaUpdateCfg};
 use easeio_exec::{AppSpec, DeviceSpec, ScenarioSpec, SupplySpec};
-use easeio_fleet::{run_rollout, RolloutPolicy};
+use easeio_fleet::{run_rollout, run_rollout_streamed, RolloutPolicy};
 use easeio_trace::envelope::identity_document;
 use easeio_trace::fleet::build_fleet_report;
 use kernel::{FaultSpec, KernelKind};
@@ -58,11 +62,9 @@ proptest! {
         spec.supply = [SupplySpec::Timer, SupplySpec::Continuous][supply_i];
         let policy = RolloutPolicy::default();
 
-        let r = run_rollout(&spec, &policy).unwrap();
-        prop_assert_eq!(r.fleet.results.len(), 1);
+        let r = run_rollout(&spec, &policy, None).unwrap();
         prop_assert_eq!(r.stats.offered, 1);
         prop_assert_eq!(r.stats.stragglers + r.stats.stale, 0);
-        let d = &r.fleet.results[0];
 
         let cfg = OtaUpdateCfg {
             target_seq: policy.target_seq,
@@ -77,15 +79,7 @@ proptest! {
             spec.device_seed(0),
             &fault,
         );
-
-        prop_assert_eq!(d.outcome, single.outcome);
-        prop_assert_eq!(&d.verdict, &single.verdict);
-        prop_assert_eq!(d.wall_us, single.wall_us);
-        prop_assert_eq!(d.on_us, single.on_us);
-        prop_assert_eq!(d.stats.total_time_us(), single.stats.total_time_us());
-        prop_assert_eq!(d.stats.total_energy_nj(), single.stats.total_energy_nj());
-        prop_assert_eq!(d.stats.cause_energy_nj, single.stats.cause_energy_nj);
-        prop_assert_eq!(d.stats.power_failures, single.stats.power_failures);
+        common::assert_agg_is_the_single_run(&r.agg, &single)?;
     }
 }
 
@@ -93,8 +87,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Anchor 2: the whole rollout report — downlink chunk deliveries,
-    /// stragglers, version buckets, energy — is byte-identical across
-    /// worker counts, for lossless and lossy downlinks alike.
+    /// stragglers, version buckets, energy, the forensics anchor — is
+    /// byte-identical across worker counts and with or without a sink, for
+    /// lossless and lossy downlinks alike.
     #[test]
     fn rollout_report_is_byte_identical_across_jobs_widths(
         seed in 0u64..500,
@@ -105,23 +100,25 @@ proptest! {
             wave_size: 7,
             ..RolloutPolicy::default()
         };
-        let doc_at = |jobs: usize| {
+        let spec_at = |jobs: usize| {
             let mut spec = rollout_spec(40, KernelKind::EaseIo, seed);
             spec.medium = MediumSpec::lossy(seed ^ 0x77, loss);
             spec.jobs = jobs;
-            let r = run_rollout(&spec, &policy).unwrap();
-            (
-                identity_document(&build_fleet_report(&r.report_inputs(&spec))).to_pretty(),
-                r.stats,
-            )
+            spec
         };
-        let (reference, stats) = doc_at(1);
         if loss > 0 {
-            prop_assert!(stats.downlink_chunks_lost > 0);
+            let r = run_rollout(&spec_at(1), &policy, None).unwrap();
+            prop_assert!(r.stats.downlink_chunks_lost > 0);
         }
-        for jobs in [4usize, 8] {
-            let (doc, _) = doc_at(jobs);
-            prop_assert_eq!(&doc, &reference, "jobs={} diverged from serial", jobs);
-        }
+        common::assert_identical_with_and_without_sink("rollout", 40, &[1, 4, 8], |jobs, out| {
+            let spec = spec_at(jobs);
+            let r = match out {
+                Some(w) => run_rollout_streamed(&spec, &policy, w, None),
+                None => run_rollout(&spec, &policy, None),
+            }
+            .unwrap();
+            let doc = identity_document(&build_fleet_report(&r.report_inputs(&spec)));
+            format!("{}\nfirst violation {:?}", doc.to_pretty(), r.first_violation)
+        })?;
     }
 }

@@ -1,12 +1,11 @@
 //! The versioned report envelope shared by every report kind.
 //!
-//! Schema v1 had two independent flat layouts (run and sweep) telling
-//! themselves apart by the free-form `tool` string. v2 unifies them under
-//! one envelope — `{schema_version, kind, tool, report: {…}}` — produced
-//! by the generic [`Report`] wrapper over a [`ReportBody`], with
-//! [`validate_any_report`] as the single validator entry point for both
-//! versions: v2 documents dispatch on `kind`, v1 documents fall back to
-//! the legacy flat validators so existing archived reports keep reading.
+//! Every report is one envelope — `{schema_version, kind, tool, report:
+//! {…}}` — produced by the generic [`Report`] wrapper over a
+//! [`ReportBody`], with [`validate_any_report`] as the single validator
+//! entry point, dispatching on `kind`. Schema v1's flat, pre-envelope
+//! layouts are no longer read: a v1 document gets a typed rejection naming
+//! the supported version.
 //!
 //! Reports may carry a `timing` block inside the body (host wall-clock,
 //! worker utilization). Timing is honest measurement, not result: two runs
@@ -16,14 +15,9 @@
 //! divergence gate) are defined over.
 
 use crate::json::Value;
-use crate::report::validate_report_v1;
-use crate::sweep::validate_sweep_report_v1;
 
 /// Version of the report document layout.
 pub const SCHEMA_VERSION: u64 = 2;
-
-/// The previous flat layout, still accepted by [`validate_any_report`].
-pub const LEGACY_SCHEMA_VERSION: u64 = 1;
 
 /// A report payload that knows its kind, its producing tool, how to render
 /// itself, and how to check a rendered body.
@@ -103,15 +97,15 @@ fn validate_envelope(v: &Value, expect_kind: Option<&str>) -> Vec<String> {
 /// What a document turned out to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReportKind {
-    /// A single-run report (v1 flat or v2 envelope).
+    /// A single-run report.
     Run,
-    /// A crash-sweep report (v1 flat or v2 envelope).
+    /// A crash-sweep report.
     Sweep,
-    /// An energy-attribution metrics report (v2 only).
+    /// An energy-attribution metrics report.
     Metrics,
-    /// A fleet-scale simulation report (v2 only).
+    /// A fleet-scale simulation report.
     Fleet,
-    /// A violation-forensics bundle (v2 only).
+    /// A violation-forensics bundle.
     Forensics,
 }
 
@@ -128,9 +122,9 @@ impl ReportKind {
     }
 }
 
-/// The single validator entry point: accepts v2 envelopes (dispatching on
-/// `kind`) and v1 flat documents (dispatching on the legacy `tool`
-/// string), returning what the document was.
+/// The single validator entry point: accepts envelopes of the current
+/// schema version (dispatching on `kind`), returning what the document
+/// was.
 pub fn validate_any_report(v: &Value) -> Result<ReportKind, Vec<String>> {
     match v.get("schema_version").and_then(Value::as_u64) {
         Some(SCHEMA_VERSION) => {
@@ -161,17 +155,8 @@ pub fn validate_any_report(v: &Value) -> Result<ReportKind, Vec<String>> {
             };
             result.map(|()| kind)
         }
-        Some(LEGACY_SCHEMA_VERSION) => {
-            // v1 had no `kind`; the tool string is the discriminator.
-            if v.get("tool").and_then(Value::as_str) == Some("easeio-sim sweep") {
-                validate_sweep_report_v1(v).map(|()| ReportKind::Sweep)
-            } else {
-                validate_report_v1(v).map(|()| ReportKind::Run)
-            }
-        }
         Some(other) => Err(vec![format!(
-            "unsupported schema_version {other} (this tool reads \
-             {LEGACY_SCHEMA_VERSION} and {SCHEMA_VERSION})"
+            "unsupported schema_version {other} (this tool reads {SCHEMA_VERSION})"
         )]),
         None => Err(vec!["missing key 'schema_version'".into()]),
     }
@@ -216,8 +201,13 @@ mod tests {
 
     #[test]
     fn unknown_versions_are_rejected_with_guidance() {
-        let doc = parse(r#"{"schema_version": 9}"#).unwrap();
-        let errs = validate_any_report(&doc).unwrap_err();
-        assert!(errs[0].contains("unsupported schema_version 9"), "{errs:?}");
+        // Schema 1 is the retired flat layout: rejected like any other
+        // version, naming only the supported one.
+        for version in [1, 9] {
+            let doc = parse(&format!(r#"{{"schema_version": {version}}}"#)).unwrap();
+            let errs = validate_any_report(&doc).unwrap_err();
+            let expected = format!("unsupported schema_version {version} (this tool reads 2)");
+            assert_eq!(errs, [expected]);
+        }
     }
 }

@@ -43,8 +43,7 @@ pub mod tracker;
 
 pub use chrome::{chrome_trace, chrome_trace_with_counters, counter_events, CounterTrack};
 pub use envelope::{
-    identity_document, validate_any_report, Report, ReportBody, ReportKind, LEGACY_SCHEMA_VERSION,
-    SCHEMA_VERSION,
+    identity_document, validate_any_report, Report, ReportBody, ReportKind, SCHEMA_VERSION,
 };
 pub use event::{Event, EventKind, InstantKind, SpanKind, Status, NO_SITE, NO_TASK};
 pub use fleet::{

@@ -6,10 +6,9 @@
 //! per-call-site profile and per-task latency table, inside the shared
 //! [`Report`] envelope of [`crate::envelope`]. Downstream tooling pins
 //! `schema_version`; [`validate_report`] is the schema check CI runs
-//! against a fresh report, and [`validate_report_v1`] still reads the
-//! pre-envelope flat layout.
+//! against a fresh report.
 
-use crate::envelope::{Report, ReportBody, LEGACY_SCHEMA_VERSION};
+use crate::envelope::{Report, ReportBody};
 use crate::json::Value;
 use crate::profile::Profile;
 
@@ -348,33 +347,7 @@ pub fn validate_report(v: &Value) -> Result<(), Vec<String>> {
     Report::<RunReportDoc>::validate(v)
 }
 
-/// Checks a parsed **v1** (pre-envelope, flat) report document — the
-/// reader kept for archived reports.
-pub fn validate_report_v1(v: &Value) -> Result<(), Vec<String>> {
-    let mut errs = Vec::new();
-    {
-        let mut need = |key: &str, pred: &dyn Fn(&Value) -> bool, what: &str| match v.get(key) {
-            None => errs.push(format!("missing key '{key}'")),
-            Some(val) if !pred(val) => errs.push(format!("'{key}' must be {what}")),
-            _ => {}
-        };
-        need(
-            "schema_version",
-            &|x| x.as_u64() == Some(LEGACY_SCHEMA_VERSION),
-            &format!("the integer {LEGACY_SCHEMA_VERSION}"),
-        );
-        need("tool", &|x| x.as_str().is_some(), "a string");
-    }
-    errs.extend(validate_run_body(v));
-    if errs.is_empty() {
-        Ok(())
-    } else {
-        Err(errs)
-    }
-}
-
-/// Body-level checks shared by the v2 validator (against the `report`
-/// object) and the v1 validator (against the flat document).
+/// Body-level checks on the `report` object.
 fn validate_run_body(v: &Value) -> Vec<String> {
     let mut errs = Vec::new();
     let mut need = |key: &str, pred: &dyn Fn(&Value) -> bool, what: &str| match v.get(key) {
@@ -573,25 +546,5 @@ mod tests {
         assert!(errs.iter().any(|e| e.contains("'runtime' must be")));
         assert!(errs.iter().any(|e| e.contains("missing key 'metrics'")));
         assert!(errs.len() > 5, "all violations collected: {errs:?}");
-    }
-
-    #[test]
-    fn v1_reader_still_accepts_the_flat_layout() {
-        // A minimal synthetic v1 document: flat fields, schema_version 1.
-        let flat = {
-            let body = super::run_body(&sample_inputs(), &Profile::default());
-            let Value::Obj(mut fields) = body else {
-                panic!("body must be an object")
-            };
-            fields.insert(0, ("tool".into(), Value::str("easeio-sim")));
-            fields.insert(
-                0,
-                ("schema_version".into(), Value::u64(LEGACY_SCHEMA_VERSION)),
-            );
-            Value::Obj(fields)
-        };
-        validate_report_v1(&flat).expect("v1 layout must keep validating");
-        // And the v2 validator must NOT accept it.
-        assert!(validate_report(&flat).is_err());
     }
 }

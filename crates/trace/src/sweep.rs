@@ -9,12 +9,10 @@
 //! injected at the recorded boundary.
 //!
 //! The body rides inside the shared [`Report`]
-//! envelope (`{schema_version, kind: "sweep", tool, report: {…}}`); the old
-//! v1 flat layout is still accepted by [`validate_sweep_report_v1`] and by
-//! [`validate_any_report`](crate::envelope::validate_any_report).
+//! envelope (`{schema_version, kind: "sweep", tool, report: {…}}`).
 
 use crate::agg::{percentile, tally};
-use crate::envelope::{Report, ReportBody, LEGACY_SCHEMA_VERSION};
+use crate::envelope::{Report, ReportBody};
 use crate::json::Value;
 
 /// One injection run that broke a crash-consistency invariant.
@@ -177,8 +175,7 @@ impl ReportBody for SweepInputs {
     }
 }
 
-/// Renders the body object (shared by the v2 envelope; v1 used the same
-/// fields flat at top level).
+/// Renders the body object.
 fn sweep_body(inp: &SweepInputs) -> Value {
     let violations = inp
         .violations
@@ -316,27 +313,7 @@ pub fn validate_sweep_report(v: &Value) -> Result<(), Vec<String>> {
     Report::<SweepInputs>::validate(v)
 }
 
-/// Checks a v1 flat sweep document (schema_version 1, fields at top level).
-pub fn validate_sweep_report_v1(v: &Value) -> Result<(), Vec<String>> {
-    let mut errs = Vec::new();
-    match v.get("schema_version").and_then(Value::as_u64) {
-        Some(LEGACY_SCHEMA_VERSION) => {}
-        _ => errs.push(format!(
-            "'schema_version' must be the integer {LEGACY_SCHEMA_VERSION}"
-        )),
-    }
-    if v.get("tool").and_then(Value::as_str).is_none() {
-        errs.push("'tool' must be a string".into());
-    }
-    errs.extend(validate_sweep_body(v));
-    if errs.is_empty() {
-        Ok(())
-    } else {
-        Err(errs)
-    }
-}
-
-/// Body-level checks shared by both schema versions.
+/// Body-level checks on the `report` object.
 fn validate_sweep_body(v: &Value) -> Vec<String> {
     let mut errs = Vec::new();
     let mut need = |key: &str, pred: &dyn Fn(&Value) -> bool, what: &str| match v.get(key) {

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example compile_and_run`
 
-use easeio_repro::apps::harness::{MakeRuntime, RuntimeKind};
+use easeio_repro::apps::harness::{KernelKind, MakeRuntime};
 use easeio_repro::easec;
 use easeio_repro::kernel::{run_app, ExecConfig, Outcome};
 use easeio_repro::mcu_emu::{Mcu, Supply, TimerResetConfig};
@@ -17,7 +17,7 @@ fn main() {
     println!("===== easec transformation (paper Fig. 5) =====\n{transformed}");
 
     println!("===== execution under intermittent power =====");
-    for kind in [RuntimeKind::Alpaca, RuntimeKind::EaseIo] {
+    for kind in [KernelKind::Alpaca, KernelKind::EaseIo] {
         let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), 17));
         let compiled = easec::compile(source, &mut mcu).expect("compiles");
         let mut periph = Peripherals::new(17);

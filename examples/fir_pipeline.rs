@@ -8,14 +8,14 @@
 //! Run with: `cargo run --release --example fir_pipeline`
 
 use easeio_repro::apps::fir::{self, FirCfg};
-use easeio_repro::apps::harness::{MakeRuntime, RuntimeKind};
+use easeio_repro::apps::harness::{KernelKind, MakeRuntime};
 use easeio_repro::kernel::{run_app, ExecConfig, Outcome, Verdict};
 use easeio_repro::mcu_emu::{Mcu, Supply, TimerResetConfig};
 use easeio_repro::periph::Peripherals;
 
 const SEEDS: u64 = 200;
 
-fn tally(kind: RuntimeKind) -> (u64, u64, f64) {
+fn tally(kind: KernelKind) -> (u64, u64, f64) {
     let mut correct = 0u64;
     let mut incorrect = 0u64;
     let mut total_ms = 0.0;
@@ -54,10 +54,10 @@ fn main() {
         "runtime", "correct", "incorrect", "% corrupted", "mean ms"
     );
     for kind in [
-        RuntimeKind::Alpaca,
-        RuntimeKind::Ink,
-        RuntimeKind::EaseIo,
-        RuntimeKind::EaseIoOp,
+        KernelKind::Alpaca,
+        KernelKind::Ink,
+        KernelKind::EaseIo,
+        KernelKind::EaseIoOp,
     ] {
         let (ok, bad, mean_ms) = tally(kind);
         println!(

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example motion_sentinel`
 
-use easeio_repro::apps::harness::{MakeRuntime, RuntimeKind};
+use easeio_repro::apps::harness::{KernelKind, MakeRuntime};
 use easeio_repro::apps::motion::{self, MotionCfg};
 use easeio_repro::kernel::{run_app, ExecConfig, Outcome};
 use easeio_repro::mcu_emu::{Mcu, Supply, TimerResetConfig};
@@ -19,7 +19,7 @@ fn main() {
         "{:<8} {:>6} {:>8} {:>9} {:>10} {:>16}",
         "runtime", "seed", "alerts", "packets", "failures", "invariant"
     );
-    for kind in [RuntimeKind::Naive, RuntimeKind::Alpaca, RuntimeKind::EaseIo] {
+    for kind in [KernelKind::Naive, KernelKind::Alpaca, KernelKind::EaseIo] {
         for seed in [175u64, 182, 37] {
             let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), seed));
             let mut periph = Peripherals::new(seed);

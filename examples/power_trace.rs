@@ -13,7 +13,7 @@
 //! Run with: `cargo run --release --example power_trace`
 
 use easeio_repro::apps::dma_app::{self, DmaAppCfg};
-use easeio_repro::apps::harness::{MakeRuntime, RuntimeKind};
+use easeio_repro::apps::harness::{KernelKind, MakeRuntime};
 use easeio_repro::easeio_trace::{chrome_trace, Event, TraceSink};
 use easeio_repro::kernel::{run_app, ExecConfig};
 use easeio_repro::mcu_emu::{Capacitor, Mcu, RfHarvestConfig, Supply};
@@ -42,7 +42,7 @@ fn trace(distance_inch: u64) -> (Vec<(f64, f64)>, u64, Vec<Event>) {
             ..DmaAppCfg::default()
         },
     );
-    let mut rt = RuntimeKind::EaseIo.make();
+    let mut rt = KernelKind::EaseIo.make();
     // Sample the capacitor through a supply observer: we run the app to
     // completion and reconstruct the trace from failure timestamps.
     let r = run_app(

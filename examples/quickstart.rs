@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use easeio_repro::apps::dma_app::{self, DmaAppCfg};
-use easeio_repro::apps::harness::{MakeRuntime, RuntimeKind};
+use easeio_repro::apps::harness::{KernelKind, MakeRuntime};
 use easeio_repro::kernel::{run_app, ExecConfig, Outcome};
 use easeio_repro::mcu_emu::{Mcu, Supply, TimerResetConfig};
 use easeio_repro::periph::Peripherals;
@@ -18,7 +18,7 @@ fn main() {
         "{:<10} {:>10} {:>10} {:>12} {:>10} {:>12}",
         "runtime", "total ms", "failures", "DMA re-runs", "skipped", "energy µJ"
     );
-    for kind in [RuntimeKind::Alpaca, RuntimeKind::Ink, RuntimeKind::EaseIo] {
+    for kind in [KernelKind::Alpaca, KernelKind::Ink, KernelKind::EaseIo] {
         // Fresh MCU, same seed → identical failure schedule for each runtime.
         let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), 42));
         let mut periph = Peripherals::new(42);

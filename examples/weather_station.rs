@@ -8,13 +8,13 @@
 //!
 //! Run with: `cargo run --release --example weather_station`
 
-use easeio_repro::apps::harness::{MakeRuntime, RuntimeKind};
+use easeio_repro::apps::harness::{KernelKind, MakeRuntime};
 use easeio_repro::apps::weather::{self, WeatherCfg};
 use easeio_repro::kernel::{run_app, ExecConfig, Outcome, Verdict};
 use easeio_repro::mcu_emu::{Mcu, Supply, TimerResetConfig};
 use easeio_repro::periph::Peripherals;
 
-fn run_station(kind: RuntimeKind, single_buffer: bool, seed: u64) {
+fn run_station(kind: KernelKind, single_buffer: bool, seed: u64) {
     let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), seed));
     let mut periph = Peripherals::new(seed);
     let cfg = WeatherCfg {
@@ -59,12 +59,12 @@ fn run_station(kind: RuntimeKind, single_buffer: bool, seed: u64) {
 fn main() {
     println!("Batteryless weather station (11 tasks, 5-layer DNN on LEA)\n");
     println!("Double-buffered DNN activations (safe for everyone):");
-    for kind in [RuntimeKind::Alpaca, RuntimeKind::Ink, RuntimeKind::EaseIo] {
+    for kind in [KernelKind::Alpaca, KernelKind::Ink, KernelKind::EaseIo] {
         run_station(kind, false, 7);
     }
     println!("\nSingle shared activation buffer (Table 5's risky layout):");
     for seed in [3u64, 9, 21] {
-        for kind in [RuntimeKind::Alpaca, RuntimeKind::EaseIo] {
+        for kind in [KernelKind::Alpaca, KernelKind::EaseIo] {
             run_station(kind, true, seed);
         }
     }

@@ -13,7 +13,7 @@
 //! # Quick start
 //!
 //! ```
-//! use easeio_repro::apps::{dma_app, harness::{MakeRuntime, RuntimeKind}};
+//! use easeio_repro::apps::{dma_app, harness::{KernelKind, MakeRuntime}};
 //! use easeio_repro::kernel::{run_app, ExecConfig, Outcome};
 //! use easeio_repro::mcu_emu::{Mcu, Supply, TimerResetConfig};
 //! use easeio_repro::periph::Peripherals;
@@ -23,7 +23,7 @@
 //! let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), 42));
 //! let mut periph = Peripherals::new(42);
 //! let app = dma_app::build(&mut mcu, &dma_app::DmaAppCfg::default());
-//! let mut rt = RuntimeKind::EaseIo.make();
+//! let mut rt = KernelKind::EaseIo.make();
 //! let result = run_app(&app, rt.as_mut(), &mut mcu, &mut periph, &ExecConfig::default());
 //! assert_eq!(result.outcome, Outcome::Completed);
 //! ```

@@ -1,7 +1,7 @@
 //! End-to-end tests of the easec front-end: programs written in the paper's
 //! own surface syntax get the paper's guarantees when run under EaseIO.
 
-use easeio_repro::apps::harness::{MakeRuntime, RuntimeKind};
+use easeio_repro::apps::harness::{KernelKind, MakeRuntime};
 use easeio_repro::easec;
 use easeio_repro::kernel::{run_app, ExecConfig, Outcome};
 use easeio_repro::mcu_emu::{Mcu, Supply, TimerResetConfig};
@@ -9,7 +9,7 @@ use easeio_repro::periph::Peripherals;
 
 fn run_compiled(
     src: &str,
-    kind: RuntimeKind,
+    kind: KernelKind,
     supply: Supply,
     env_seed: u64,
 ) -> (Mcu, Peripherals, easec::Compiled, kernel::RunResult) {
@@ -52,7 +52,7 @@ fn fig2c_compiled_program_is_safe_under_easeio() {
             },
             seed,
         );
-        let (mcu, _, c, r) = run_compiled(FIG2C, RuntimeKind::EaseIo, supply, seed);
+        let (mcu, _, c, r) = run_compiled(FIG2C, KernelKind::EaseIo, supply, seed);
         assert_eq!(r.outcome, Outcome::Completed);
         let both = c.vars["stdy"].get(&mcu.mem) == 1 && c.vars["alarm"].get(&mcu.mem) == 1;
         assert!(!both, "seed {seed}: both actuation flags set");
@@ -93,7 +93,7 @@ fn fig4_compiled_dependencies_prevent_stale_sends() {
             },
             seed,
         );
-        let (_, periph, _, r) = run_compiled(FIG4, RuntimeKind::EaseIo, supply, seed);
+        let (_, periph, _, r) = run_compiled(FIG4, KernelKind::EaseIo, supply, seed);
         assert_eq!(r.outcome, Outcome::Completed, "seed {seed}");
         assert!(periph.radio.count() >= 1, "seed {seed}");
         assert_eq!(
@@ -139,7 +139,7 @@ const WAR_DMA: &str = r#"
 fn war_dma_pattern_is_consistent_under_easeio() {
     for seed in 0..80u64 {
         let supply = Supply::timer(TimerResetConfig::default(), seed);
-        let (mcu, _, c, r) = run_compiled(WAR_DMA, RuntimeKind::EaseIo, supply, seed);
+        let (mcu, _, c, r) = run_compiled(WAR_DMA, KernelKind::EaseIo, supply, seed);
         assert_eq!(r.outcome, Outcome::Completed, "seed {seed}");
         let sig = &c.arrays["sig"];
         // Continuous semantics: sig[4..8] = sig[0..4] = [0,3,6,9];
@@ -179,7 +179,7 @@ fn compiled_sensor_loop_uses_lock_arrays() {
             },
             seed,
         );
-        let (mcu, _, c, r) = run_compiled(src, RuntimeKind::EaseIo, supply, seed);
+        let (mcu, _, c, r) = run_compiled(src, KernelKind::EaseIo, supply, seed);
         assert_eq!(r.outcome, Outcome::Completed, "seed {seed}");
         // Despite failures mid-loop, each sample was sensed exactly once.
         assert_eq!(r.stats.io_executed, 8, "seed {seed}");
@@ -199,7 +199,7 @@ fn compiled_apps_run_identically_on_baselines() {
     // The front-end targets the runtime interface, not EaseIO specifically:
     // the same compiled app runs under Alpaca/InK (which simply ignore the
     // annotations).
-    for kind in [RuntimeKind::Alpaca, RuntimeKind::Ink, RuntimeKind::Naive] {
+    for kind in [KernelKind::Alpaca, KernelKind::Ink, KernelKind::Naive] {
         let (mcu, _, c, r) = run_compiled(WAR_DMA, kind, Supply::continuous(), 1);
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(c.arrays["sig"].get(&mcu.mem, 4), 0, "{}", kind.name());
@@ -227,7 +227,7 @@ fn artifact_temp_demo_runs_from_its_eio_source() {
         },
         13,
     );
-    let (mcu, _, c, r) = run_compiled(src, RuntimeKind::EaseIo, supply, 13);
+    let (mcu, _, c, r) = run_compiled(src, KernelKind::EaseIo, supply, 13);
     assert_eq!(r.outcome, Outcome::Completed);
     // At least one sense per sample; expired samples re-sense.
     assert!(r.stats.io_executed >= 30);
@@ -264,7 +264,7 @@ fn fir_eio_program_matches_reference_under_easeio() {
     let expected = fir_eio_reference();
     for seed in 0..50u64 {
         let supply = Supply::timer(TimerResetConfig::default(), seed);
-        let (mcu, _, c, r) = run_compiled(src, RuntimeKind::EaseIo, supply, seed);
+        let (mcu, _, c, r) = run_compiled(src, KernelKind::EaseIo, supply, seed);
         assert_eq!(r.outcome, Outcome::Completed, "seed {seed}");
         assert_eq!(
             c.arrays["sig"].to_vec(&mcu.mem),
@@ -281,7 +281,7 @@ fn fir_eio_program_corrupts_under_alpaca() {
     let mut bad = 0;
     for seed in 0..80u64 {
         let supply = Supply::timer(TimerResetConfig::default(), seed);
-        let (mcu, _, c, r) = run_compiled(src, RuntimeKind::Alpaca, supply, seed);
+        let (mcu, _, c, r) = run_compiled(src, KernelKind::Alpaca, supply, seed);
         assert_eq!(r.outcome, Outcome::Completed, "seed {seed}");
         if c.arrays["sig"].to_vec(&mcu.mem) != expected {
             bad += 1;
@@ -300,7 +300,7 @@ fn weather_dnn_eio_matches_the_reference_network() {
     let (fc_ref, class_ref) = dnn::reference_inference(&dnn::scene(7));
     for seed in [0u64, 7, 23, 91, 144] {
         let supply = Supply::timer(TimerResetConfig::default(), seed);
-        let (mcu, periph, c, r) = run_compiled(src, RuntimeKind::EaseIo, supply, seed);
+        let (mcu, periph, c, r) = run_compiled(src, KernelKind::EaseIo, supply, seed);
         assert_eq!(r.outcome, Outcome::Completed, "seed {seed}");
         assert_eq!(
             c.vars["cls"].get(&mcu.mem),
@@ -323,7 +323,7 @@ fn weather_dnn_eio_is_double_buffered_and_safe_on_baselines() {
     let (_, class_ref) = dnn::reference_inference(&dnn::scene(7));
     for seed in [3u64, 17] {
         let supply = Supply::timer(TimerResetConfig::default(), seed);
-        let (mcu, _, c, r) = run_compiled(src, RuntimeKind::Alpaca, supply, seed);
+        let (mcu, _, c, r) = run_compiled(src, KernelKind::Alpaca, supply, seed);
         assert_eq!(r.outcome, Outcome::Completed, "seed {seed}");
         assert_eq!(
             c.vars["cls"].get(&mcu.mem),
@@ -341,7 +341,7 @@ fn weather_dnn_single_buffer_eio_reproduces_table5() {
     // EaseIO: always correct.
     for seed in 0..30u64 {
         let supply = Supply::timer(TimerResetConfig::default(), seed);
-        let (mcu, _, c, r) = run_compiled(src, RuntimeKind::EaseIo, supply, seed);
+        let (mcu, _, c, r) = run_compiled(src, KernelKind::EaseIo, supply, seed);
         assert_eq!(r.outcome, Outcome::Completed, "seed {seed}");
         assert_eq!(c.vars["cls"].get(&mcu.mem), class_ref as i32, "seed {seed}");
         let got: Vec<i16> = (0..4).map(|i| c.arrays["img"].get(&mcu.mem, i)).collect();
@@ -351,7 +351,7 @@ fn weather_dnn_single_buffer_eio_reproduces_table5() {
     let mut bad = 0;
     for seed in 0..60u64 {
         let supply = Supply::timer(TimerResetConfig::default(), seed);
-        let (mcu, _, c, r) = run_compiled(src, RuntimeKind::Alpaca, supply, seed);
+        let (mcu, _, c, r) = run_compiled(src, KernelKind::Alpaca, supply, seed);
         assert_eq!(r.outcome, Outcome::Completed, "seed {seed}");
         if c.vars["cls"].get(&mcu.mem) != class_ref as i32 {
             bad += 1;

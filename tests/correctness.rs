@@ -5,7 +5,7 @@
 //! workload; the baselines must be correct exactly where the paper says
 //! they are (no DMA WAR, or double-buffered layouts).
 
-use easeio_repro::apps::harness::{run_once, MakeRuntime, RuntimeKind};
+use easeio_repro::apps::harness::{run_once, KernelKind, MakeRuntime};
 use easeio_repro::apps::{dma_app, fir, lea_app, temp_app, unsafe_branch, weather};
 use easeio_repro::kernel::{App, Outcome, Verdict};
 use easeio_repro::mcu_emu::{Mcu, Supply, TimerResetConfig};
@@ -57,10 +57,10 @@ fn all_apps() -> Vec<(&'static str, Builder)> {
 fn every_app_correct_on_continuous_power_under_every_runtime() {
     for (name, builder) in all_apps() {
         for kind in [
-            RuntimeKind::Naive,
-            RuntimeKind::Alpaca,
-            RuntimeKind::Ink,
-            RuntimeKind::EaseIo,
+            KernelKind::Naive,
+            KernelKind::Alpaca,
+            KernelKind::Ink,
+            KernelKind::EaseIo,
         ] {
             let r = run_once(builder.as_ref(), kind, Supply::continuous(), 5);
             assert_eq!(r.outcome, Outcome::Completed, "{name} / {}", kind.name());
@@ -80,7 +80,7 @@ fn easeio_correct_on_every_app_under_failures() {
     for (name, builder) in all_apps() {
         for seed in 0..25u64 {
             let supply = Supply::timer(TimerResetConfig::default(), seed);
-            let r = run_once(builder.as_ref(), RuntimeKind::EaseIo, supply, seed);
+            let r = run_once(builder.as_ref(), KernelKind::EaseIo, supply, seed);
             assert_eq!(r.outcome, Outcome::Completed, "{name} seed {seed}");
             assert_eq!(
                 r.verdict,
@@ -100,7 +100,7 @@ fn baselines_correct_on_war_free_apps_under_failures() {
         if name == "fir" || name == "weather/single" || name == "branch" {
             continue; // the three workloads with known baseline bugs
         }
-        for kind in [RuntimeKind::Alpaca, RuntimeKind::Ink] {
+        for kind in [KernelKind::Alpaca, KernelKind::Ink] {
             for seed in 0..15u64 {
                 let supply = Supply::timer(TimerResetConfig::default(), seed);
                 let r = run_once(builder.as_ref(), kind, supply, seed);
@@ -124,7 +124,7 @@ fn baseline_corruption_appears_exactly_on_the_war_workloads() {
         let supply = Supply::timer(TimerResetConfig::default(), seed);
         let b: Builder = Box::new(|m: &mut Mcu| fir::build(m, &fir::FirCfg::default()));
         if matches!(
-            run_once(b.as_ref(), RuntimeKind::Alpaca, supply, seed).verdict,
+            run_once(b.as_ref(), KernelKind::Alpaca, supply, seed).verdict,
             Some(Verdict::Incorrect(_))
         ) {
             fir_bad += 1;
@@ -140,7 +140,7 @@ fn baseline_corruption_appears_exactly_on_the_war_workloads() {
             )
         });
         if matches!(
-            run_once(b.as_ref(), RuntimeKind::Alpaca, supply, seed).verdict,
+            run_once(b.as_ref(), KernelKind::Alpaca, supply, seed).verdict,
             Some(Verdict::Incorrect(_))
         ) {
             weather_single_bad += 1;
@@ -161,7 +161,7 @@ fn radio_never_receives_duplicate_packets_under_easeio() {
         let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), seed));
         let mut periph = easeio_repro::periph::Peripherals::new(seed);
         let app = weather::build(&mut mcu, &weather::WeatherCfg::default());
-        let mut rt = RuntimeKind::EaseIo.make();
+        let mut rt = KernelKind::EaseIo.make();
         let r = easeio_repro::kernel::run_app(
             &app,
             rt.as_mut(),
@@ -186,7 +186,7 @@ fn naive_runtime_duplicates_packets_under_failures() {
         let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), seed));
         let mut periph = easeio_repro::periph::Peripherals::new(seed);
         let app = weather::build(&mut mcu, &weather::WeatherCfg::default());
-        let mut rt = RuntimeKind::Naive.make();
+        let mut rt = KernelKind::Naive.make();
         let r = easeio_repro::kernel::run_app(
             &app,
             rt.as_mut(),

@@ -182,7 +182,7 @@ fn generated_programs_round_trip_and_compile() {
         let compiled = easec::compile(&printed, &mut mcu)
             .unwrap_or_else(|e| panic!("seed {seed}: compile failed: {e}\n{printed}"));
         let mut periph = easeio_repro::periph::Peripherals::new(seed);
-        let mut rt = easeio_repro::apps::harness::RuntimeKind::EaseIo.make();
+        let mut rt = easeio_repro::apps::harness::KernelKind::EaseIo.make();
         let r = easeio_repro::kernel::run_app(
             &compiled.app,
             rt.as_mut(),
@@ -210,7 +210,7 @@ fn generated_programs_survive_intermittent_power() {
             Err(e) => panic!("seed {seed}: {e}"),
         };
         let mut periph = easeio_repro::periph::Peripherals::new(seed);
-        let mut rt = easeio_repro::apps::harness::RuntimeKind::EaseIo.make();
+        let mut rt = easeio_repro::apps::harness::KernelKind::EaseIo.make();
         let r = easeio_repro::kernel::run_app(
             &compiled.app,
             rt.as_mut(),

@@ -6,7 +6,7 @@
 //! incrementally across periods, so the application completes.
 
 use easeio_repro::apps::dma_app::{self, DmaAppCfg};
-use easeio_repro::apps::harness::{run_once, RuntimeKind};
+use easeio_repro::apps::harness::{run_once, KernelKind};
 use easeio_repro::kernel::Outcome;
 use easeio_repro::mcu_emu::{Mcu, Supply, TimerResetConfig};
 
@@ -29,7 +29,7 @@ fn reset_cfg() -> TimerResetConfig {
 #[test]
 fn alpaca_livelocks_on_oversized_io_task() {
     let b = |m: &mut Mcu| dma_app::build(m, &heavy_cfg());
-    let r = run_once(&b, RuntimeKind::Alpaca, Supply::timer(reset_cfg(), 3), 3);
+    let r = run_once(&b, KernelKind::Alpaca, Supply::timer(reset_cfg(), 3), 3);
     assert_eq!(
         r.outcome,
         Outcome::NonTermination,
@@ -43,7 +43,7 @@ fn easeio_completes_the_same_task_incrementally() {
         let b = |m: &mut Mcu| dma_app::build(m, &heavy_cfg());
         let r = run_once(
             &b,
-            RuntimeKind::EaseIo,
+            KernelKind::EaseIo,
             Supply::timer(reset_cfg(), seed),
             seed,
         );
@@ -67,7 +67,7 @@ fn easeio_needs_strictly_fewer_failures_to_finish() {
     for seed in 0..30u64 {
         alpaca_pf += run_once(
             &b,
-            RuntimeKind::Alpaca,
+            KernelKind::Alpaca,
             Supply::timer(reset_cfg(), seed),
             seed,
         )
@@ -75,7 +75,7 @@ fn easeio_needs_strictly_fewer_failures_to_finish() {
         .power_failures;
         easeio_pf += run_once(
             &b,
-            RuntimeKind::EaseIo,
+            KernelKind::EaseIo,
             Supply::timer(reset_cfg(), seed),
             seed,
         )

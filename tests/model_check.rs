@@ -6,7 +6,7 @@
 //! schedule, so shrinking yields a minimal (program, schedule) pair on any
 //! regression.
 
-use easeio_repro::apps::harness::RuntimeKind;
+use easeio_repro::apps::harness::KernelKind;
 use easeio_repro::apps::synth;
 use easeio_repro::mcu_emu::{Supply, TimerResetConfig};
 use proptest::prelude::*;
@@ -35,7 +35,7 @@ proptest! {
     ) {
         let prog = synth::generate(prog_seed);
         let supply = Supply::timer(cfg, supply_seed);
-        if let Err(e) = synth::check(&prog, RuntimeKind::EaseIo, supply, prog_seed) {
+        if let Err(e) = synth::check(&prog, KernelKind::EaseIo, supply, prog_seed) {
             prop_assert!(false, "program {prog_seed} diverged: {e}");
         }
     }
@@ -48,10 +48,10 @@ proptest! {
         which in 0usize..4,
     ) {
         let kind = [
-            RuntimeKind::Naive,
-            RuntimeKind::Alpaca,
-            RuntimeKind::Ink,
-            RuntimeKind::EaseIo,
+            KernelKind::Naive,
+            KernelKind::Alpaca,
+            KernelKind::Ink,
+            KernelKind::EaseIo,
         ][which];
         let prog = synth::generate(prog_seed);
         if let Err(e) = synth::check(&prog, kind, Supply::continuous(), prog_seed) {
@@ -67,7 +67,7 @@ fn easeio_sweep_500_programs() {
     for prog_seed in 0..500u64 {
         let prog = synth::generate(prog_seed);
         let supply = Supply::timer(TimerResetConfig::default(), prog_seed.wrapping_mul(7919));
-        synth::check(&prog, RuntimeKind::EaseIo, supply, prog_seed)
+        synth::check(&prog, KernelKind::EaseIo, supply, prog_seed)
             .unwrap_or_else(|e| panic!("program {prog_seed} diverged: {e}"));
     }
 }

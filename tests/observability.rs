@@ -13,7 +13,7 @@
 //! A second group runs the real simulator end-to-end and checks that a fresh
 //! report always satisfies its own schema.
 
-use easeio_repro::apps::harness::{golden, run_traced, RuntimeKind};
+use easeio_repro::apps::harness::{golden, run_traced, KernelKind};
 use easeio_repro::apps::temp_app;
 use easeio_repro::easeio_trace::fleet::{
     build_fleet_report, FleetDeliveryDoc, FleetEnergyDoc, FleetInputs, FleetMediumDoc,
@@ -207,20 +207,6 @@ fn report_matches_golden_and_validates() {
     let parsed = parse_json(&doc).unwrap();
     validate_report(&parsed).expect("golden report satisfies the schema");
     assert_eq!(validate_any_report(&parsed), Ok(ReportKind::Run));
-}
-
-#[test]
-fn archived_v1_report_still_validates() {
-    // `report_v1.json` is a frozen schema-v1 document (the pre-envelope flat
-    // layout). It must keep reading through the single validator entry point
-    // for as long as v1 is a supported legacy format — never regenerate it.
-    let text = std::fs::read_to_string(golden_path("report_v1.json")).unwrap();
-    let doc = parse_json(&text).unwrap();
-    assert_eq!(doc.get("schema_version").and_then(Value::as_u64), Some(1));
-    assert_eq!(validate_any_report(&doc), Ok(ReportKind::Run));
-    // The v2-only validator must reject it: readers that need the new
-    // envelope cannot silently accept the old shape.
-    assert!(validate_report(&doc).is_err());
 }
 
 /// A fixed two-entry metrics document covering every record shape: a wasteful
@@ -514,7 +500,7 @@ fn real_run_report_satisfies_the_schema() {
     // End-to-end: trace a real intermittent run, derive its profile, build
     // the report exactly as `easeio-sim --report` does, and validate.
     let build = |m: &mut Mcu| temp_app::build(m, &temp_app::TempAppCfg::default());
-    let kind = RuntimeKind::EaseIo;
+    let kind = KernelKind::EaseIo;
     let seed = 7;
     let r = run_traced(
         &build,

@@ -8,9 +8,9 @@
 //! CI divergence gate.
 
 use crashcheck::{SweepMode, SweepOutcome, SweepPlan};
-use easeio_exec::{parallel_sweep, run_grid, GridSpec, SweepTiming};
+use easeio_exec::{run_grid, run_sweep, GridSpec, SweepOptions, SweepTiming};
 use easeio_repro::apps::dma_app;
-use easeio_repro::apps::harness::RuntimeKind;
+use easeio_repro::apps::harness::KernelKind;
 use easeio_repro::easeio_trace::{
     build_sweep_report, identity_document, validate_any_report, FaultSpecDoc, ReportKind,
     SweepInputs, SweepPruneDoc, SweepTimingDoc, SweepViolation, SweepWasteDoc, CATEGORY_NAMES,
@@ -95,6 +95,11 @@ fn report_for(out: &SweepOutcome, plan: &SweepPlan, timing: &SweepTiming) -> Str
     text
 }
 
+/// Sweep options for an unpruned sweep at `jobs` workers.
+fn unpruned(jobs: usize) -> SweepOptions {
+    SweepOptions { jobs, prune: false }
+}
+
 /// The tentpole guarantee: `--jobs 1`, `--jobs 4`, and `--jobs 8` emit
 /// byte-identical sweep reports once timing is stripped — on a kernel that
 /// produces violations (Naive), where merge *order* is load-bearing.
@@ -104,14 +109,14 @@ fn sweep_reports_are_byte_identical_across_jobs() {
         strict_memory: true,
         ..SweepPlan::with_env_seed(5)
     };
-    let (serial_out, serial_timing) = parallel_sweep(&small_dma, RuntimeKind::Naive, &plan, 1);
+    let (serial_out, serial_timing) = run_sweep(&small_dma, KernelKind::Naive, &plan, &unpruned(1));
     assert!(
         !serial_out.violations.is_empty(),
         "Naive must violate for the order check to bite"
     );
     let serial_doc = report_for(&serial_out, &plan, &serial_timing);
     for jobs in [4, 8] {
-        let (out, timing) = parallel_sweep(&small_dma, RuntimeKind::Naive, &plan, jobs);
+        let (out, timing) = run_sweep(&small_dma, KernelKind::Naive, &plan, &unpruned(jobs));
         let doc = report_for(&out, &plan, &timing);
         assert_eq!(
             doc, serial_doc,
@@ -129,10 +134,11 @@ fn clean_sweep_reports_are_byte_identical_across_jobs() {
         strict_memory: true,
         ..SweepPlan::with_env_seed(9)
     };
-    let (serial_out, serial_timing) = parallel_sweep(&small_dma, RuntimeKind::EaseIo, &plan, 1);
+    let (serial_out, serial_timing) =
+        run_sweep(&small_dma, KernelKind::EaseIo, &plan, &unpruned(1));
     assert!(serial_out.is_clean());
     let serial_doc = report_for(&serial_out, &plan, &serial_timing);
-    let (out, timing) = parallel_sweep(&small_dma, RuntimeKind::EaseIo, &plan, 8);
+    let (out, timing) = run_sweep(&small_dma, KernelKind::EaseIo, &plan, &unpruned(8));
     assert_eq!(report_for(&out, &plan, &timing), serial_doc);
 }
 
@@ -147,13 +153,13 @@ fn faulted_sweep_reports_are_byte_identical_across_jobs() {
         fault: FaultSpec::with_rate(11, 80),
         ..SweepPlan::with_env_seed(5)
     };
-    let (serial_out, serial_timing) = parallel_sweep(&small_dma, RuntimeKind::Naive, &plan, 1);
+    let (serial_out, serial_timing) = run_sweep(&small_dma, KernelKind::Naive, &plan, &unpruned(1));
     let serial_doc = report_for(&serial_out, &plan, &serial_timing);
     assert!(
         serial_doc.contains("fault_spec"),
         "faulted sweep report must carry its fault spec"
     );
-    let (out, timing) = parallel_sweep(&small_dma, RuntimeKind::Naive, &plan, 8);
+    let (out, timing) = run_sweep(&small_dma, KernelKind::Naive, &plan, &unpruned(8));
     assert_eq!(report_for(&out, &plan, &timing), serial_doc);
 }
 
@@ -161,14 +167,14 @@ fn faulted_sweep_reports_are_byte_identical_across_jobs() {
 #[test]
 fn grid_cells_are_identical_across_jobs() {
     let spec = GridSpec {
-        kernels: vec![RuntimeKind::Alpaca, RuntimeKind::EaseIo],
+        kernels: vec![KernelKind::Alpaca, KernelKind::EaseIo],
         distances_inch: vec![55, 61],
         on_times_ms: vec![12],
         runs: 2,
         seed: 77,
         fault: FaultSpec::none(),
     };
-    let builder = |_: RuntimeKind, m: &mut Mcu| small_dma(m);
+    let builder = |_: KernelKind, m: &mut Mcu| small_dma(m);
     let (serial, _) = run_grid(&builder, &spec, 1);
     for jobs in [4, 8] {
         let (parallel, _) = run_grid(&builder, &spec, jobs);

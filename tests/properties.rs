@@ -13,7 +13,7 @@
 //!   timestamped across power failures and every span begin has a matching
 //!   end, for every runtime and schedule.
 
-use easeio_repro::apps::harness::{run_once, run_traced, MakeRuntime, RuntimeKind};
+use easeio_repro::apps::harness::{run_once, run_traced, KernelKind, MakeRuntime};
 use easeio_repro::apps::{dma_app, fir, temp_app};
 use easeio_repro::easeio_trace::build_profile;
 use easeio_repro::kernel::{Outcome, Verdict};
@@ -42,7 +42,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let b = |m: &mut Mcu| fir::build(m, &fir::FirCfg::default());
-        let r = run_once(&b, RuntimeKind::EaseIo, Supply::timer(cfg, seed), seed);
+        let r = run_once(&b, KernelKind::EaseIo, Supply::timer(cfg, seed), seed);
         prop_assert_eq!(r.outcome, Outcome::Completed);
         prop_assert_eq!(r.verdict, Some(Verdict::Correct));
     }
@@ -53,7 +53,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let b = |m: &mut Mcu| dma_app::build(m, &dma_app::DmaAppCfg::default());
-        let r = run_once(&b, RuntimeKind::EaseIo, Supply::timer(cfg, seed), seed);
+        let r = run_once(&b, KernelKind::EaseIo, Supply::timer(cfg, seed), seed);
         prop_assert_eq!(r.outcome, Outcome::Completed);
         // Re-execution of a completed Single site would be counted here.
         prop_assert_eq!(r.stats.dma_reexecutions, 0);
@@ -66,7 +66,7 @@ proptest! {
         seed in any::<u64>(),
         which in 0usize..3,
     ) {
-        let kind = [RuntimeKind::Alpaca, RuntimeKind::Ink, RuntimeKind::EaseIo][which];
+        let kind = [KernelKind::Alpaca, KernelKind::Ink, KernelKind::EaseIo][which];
         let b = |m: &mut Mcu| temp_app::build(m, &temp_app::TempAppCfg::default());
         let r = run_once(&b, kind, Supply::timer(cfg, seed), seed);
         prop_assert_eq!(r.outcome, Outcome::Completed);
@@ -95,10 +95,10 @@ proptest! {
         // per-task ledger, and the headline totals are three views of the
         // same number — for every runtime, app, and failure schedule.
         let kind = [
-            RuntimeKind::Naive,
-            RuntimeKind::Alpaca,
-            RuntimeKind::Ink,
-            RuntimeKind::EaseIo,
+            KernelKind::Naive,
+            KernelKind::Alpaca,
+            KernelKind::Ink,
+            KernelKind::EaseIo,
         ][which];
         let r = if app == 0 {
             let b = |m: &mut Mcu| temp_app::build(m, &temp_app::TempAppCfg::default());
@@ -140,7 +140,7 @@ proptest! {
         seed in any::<u64>(),
         which in 0usize..3,
     ) {
-        let kind = [RuntimeKind::Alpaca, RuntimeKind::Ink, RuntimeKind::EaseIo][which];
+        let kind = [KernelKind::Alpaca, KernelKind::Ink, KernelKind::EaseIo][which];
         let b = |m: &mut Mcu| temp_app::build(m, &temp_app::TempAppCfg::default());
         let r = run_traced(&b, kind, Supply::timer(cfg, seed), seed);
         prop_assert_eq!(r.outcome, Outcome::Completed);
@@ -176,8 +176,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let b = |m: &mut Mcu| temp_app::build(m, &temp_app::TempAppCfg::default());
-        let r1 = run_once(&b, RuntimeKind::EaseIo, Supply::timer(cfg.clone(), seed), seed);
-        let r2 = run_once(&b, RuntimeKind::EaseIo, Supply::timer(cfg, seed), seed);
+        let r1 = run_once(&b, KernelKind::EaseIo, Supply::timer(cfg.clone(), seed), seed);
+        let r2 = run_once(&b, KernelKind::EaseIo, Supply::timer(cfg, seed), seed);
         prop_assert_eq!(r1.wall_us, r2.wall_us);
         prop_assert_eq!(r1.stats.total_energy_nj(), r2.stats.total_energy_nj());
         prop_assert_eq!(r1.stats.power_failures, r2.stats.power_failures);
@@ -201,7 +201,7 @@ proptest! {
         };
         let app_cfg = temp_app::TempAppCfg { window_ms, ..temp_app::TempAppCfg::default() };
         let b = move |m: &mut Mcu| temp_app::build(m, &app_cfg.clone());
-        let r = run_once(&b, RuntimeKind::EaseIo, Supply::timer(cfg, seed), seed);
+        let r = run_once(&b, KernelKind::EaseIo, Supply::timer(cfg, seed), seed);
         prop_assert_eq!(r.outcome, Outcome::Completed);
         if off > window_ms * 1000 {
             // Every restart after an outage must re-sense: restores can only
@@ -223,7 +223,7 @@ fn easeio_matches_continuous_memory_exactly_on_fir() {
         let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), seed));
         let mut periph = easeio_repro::periph::Peripherals::new(seed);
         let app = fir::build(&mut mcu, &cfg);
-        let mut rt = RuntimeKind::EaseIo.make();
+        let mut rt = KernelKind::EaseIo.make();
         let r = easeio_repro::kernel::run_app(
             &app,
             rt.as_mut(),
