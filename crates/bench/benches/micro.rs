@@ -1,6 +1,8 @@
 //! Criterion micro-benchmarks: host-side cost of the simulator and of the
-//! EaseIO runtime primitives (these measure the *reproduction's* speed, not
-//! the simulated MCU — the simulated costs are exact by construction).
+//! trace recorder (these measure the *reproduction's* speed, not the
+//! simulated MCU — the simulated costs are exact by construction). The
+//! runtime primitives (flag check, regional snapshot, DMA copy) are
+//! measured once, by perfbench's `core.*` and `periph.*` layers.
 
 use apps::dma_app::{self, DmaAppCfg};
 use apps::harness::{run_once, run_traced, KernelKind};
@@ -33,53 +35,6 @@ fn bench_simulator(c: &mut Criterion) {
                 7,
             );
             black_box(r.stats.total_time_us())
-        })
-    });
-    g.finish();
-}
-
-fn bench_primitives(c: &mut Criterion) {
-    use easeio_core::flags::IoSlotTable;
-    use kernel::TaskId;
-
-    let mut g = c.benchmark_group("primitives");
-    g.bench_function("flag_check_and_restore", |b| {
-        let mut mcu = Mcu::new(Supply::continuous());
-        let mut table = IoSlotTable::new();
-        let slot = table.ensure(&mut mcu, TaskId(0), 0);
-        table
-            .record_completion(&mut mcu, TaskId(0), 0, slot, 99, true, None)
-            .unwrap();
-        b.iter(|| {
-            let locked = table.lock_is_set(&mut mcu, slot).unwrap();
-            let v = table.restore_out(&mut mcu, slot).unwrap();
-            black_box((locked, v))
-        })
-    });
-    g.bench_function("regional_snapshot_first_touch", |b| {
-        use easeio_core::regional::Regional;
-        use mcu_emu::{NvVar, Region};
-        let mut mcu = Mcu::new(Supply::continuous());
-        let v: NvVar<i32> = NvVar::alloc(&mut mcu.mem, Region::Fram);
-        let mut regional = Regional::new();
-        b.iter(|| {
-            // Clearing after each snapshot forces the first-touch path while
-            // reusing the persistent slot (no allocator growth).
-            regional
-                .snap_before_access(&mut mcu, TaskId(0), 0, v.raw())
-                .unwrap();
-            regional.clear_task(TaskId(0));
-            black_box(regional.slot_count())
-        })
-    });
-    g.bench_function("memory_dma_copy_1kb", |b| {
-        use mcu_emu::{AllocTag, Region};
-        let mut mcu = Mcu::new(Supply::continuous());
-        let src = mcu.mem.alloc(Region::Fram, 1024, AllocTag::App);
-        let dst = mcu.mem.alloc(Region::Fram, 1024, AllocTag::App);
-        b.iter(|| {
-            periph::dma::transfer(&mut mcu.mem, src, dst, 1024);
-            black_box(mcu.mem.read_bytes(dst, 4)[0])
         })
     });
     g.finish();
@@ -140,5 +95,5 @@ fn bench_recorder(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_simulator, bench_primitives, bench_recorder);
+criterion_group!(benches, bench_simulator, bench_recorder);
 criterion_main!(benches);

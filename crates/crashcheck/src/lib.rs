@@ -122,10 +122,6 @@ impl SweepPlan {
     }
 }
 
-/// Former name of [`SweepPlan`] (minus `env_seed`), kept as an alias so the
-/// pre-plan spelling keeps compiling.
-pub type SweepConfig = SweepPlan;
-
 /// Classes of invariant violations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViolationKind {
