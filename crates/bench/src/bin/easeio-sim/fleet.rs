@@ -4,8 +4,8 @@
 
 use crate::flags::Args;
 use crate::{
-    app_repro_flag, die, emit_checked, fault_repro_flags, fault_spec_doc, faults_suffix, observer,
-    verdict, ExitCode, ProgressGuard,
+    app_repro_flag, die, emit_report, fault_repro_flags, faults_suffix, observer, verdict,
+    ExitCode, ProgressGuard,
 };
 use easeio_exec::{AppSpec, PoolStats, ScenarioSpec};
 use easeio_fleet::{
@@ -13,8 +13,8 @@ use easeio_fleet::{
     RolloutPolicy,
 };
 use easeio_trace::{
-    build_fleet_report, build_forensics_report, validate_fleet_report, validate_forensics_report,
-    FleetInputs, ForensicsInputs, ForensicsViolationDoc, JsonlWriter, Progress, StreamStats,
+    build_fleet_report, build_forensics_report, FleetInputs, ForensicsInputs,
+    ForensicsViolationDoc, JsonlWriter, Progress, StreamStats,
 };
 use periph::MediumSpec;
 
@@ -106,8 +106,7 @@ fn finish(
         );
     }
     if let Some(path) = &sc.report_out {
-        let doc = build_fleet_report(&inputs);
-        emit_checked(path, &doc, "fleet report", validate_fleet_report);
+        emit_report(path, &build_fleet_report(&inputs), "fleet report");
     }
 }
 
@@ -192,7 +191,7 @@ fn fleet_main(a: &Args, sc: &ScenarioSpec) -> ExitCode {
                         device: Some(d.device as u64),
                         wave: None,
                     },
-                    fault_spec: fault_spec_doc(&sc.device.fault),
+                    fault_spec: sc.device.fault.doc(),
                     context: vec![
                         ("devices".into(), sc.count as u64),
                         ("transmissions".into(), g.transmissions),
@@ -202,8 +201,7 @@ fn fleet_main(a: &Args, sc: &ScenarioSpec) -> ExitCode {
                     fram_diff: None,
                     repro_command: repro,
                 };
-                let doc = build_forensics_report(&inputs);
-                emit_checked(path, &doc, "forensics bundle", validate_forensics_report);
+                emit_report(path, &build_forensics_report(&inputs), "forensics bundle");
             }
             None => println!("forensics: no air duplicates — nothing written to {path}"),
         }
@@ -304,7 +302,7 @@ fn rollout_main(a: &Args, sc: &ScenarioSpec, policy: &RolloutPolicy) -> ExitCode
                         device: Some(v.device as u64),
                         wave: Some(v.wave as u64 + 1),
                     },
-                    fault_spec: fault_spec_doc(&sc.device.fault),
+                    fault_spec: sc.device.fault.doc(),
                     context: vec![
                         ("devices".into(), sc.count as u64),
                         ("waves".into(), s.waves),
@@ -316,8 +314,7 @@ fn rollout_main(a: &Args, sc: &ScenarioSpec, policy: &RolloutPolicy) -> ExitCode
                     fram_diff: None,
                     repro_command: repro,
                 };
-                let doc = build_forensics_report(&inputs);
-                emit_checked(path, &doc, "forensics bundle", validate_forensics_report);
+                emit_report(path, &build_forensics_report(&inputs), "forensics bundle");
             }
             None => println!("forensics: no update-safety violations — nothing written to {path}"),
         }

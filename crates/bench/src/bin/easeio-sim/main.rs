@@ -14,7 +14,9 @@ mod sweep;
 
 use apps::harness::KernelKind;
 use easeio_exec::AppSpec;
-use easeio_trace::{flush_registered, parse_json, FaultSpecDoc, JsonlWriter, Progress, Value};
+use easeio_trace::{
+    flush_registered, parse_json, validate_any_report, JsonlWriter, Progress, Value,
+};
 use flags::{Args, Mode};
 use kernel::FaultSpec;
 use mcu_emu::{Mcu, Supply};
@@ -123,23 +125,14 @@ pub fn emit_json(path: &str, doc: &Value, what: &str) {
     println!("{what} written to {path}");
 }
 
-/// Exits 1 if a document this process built fails its own schema: such a
-/// document must never leave the process (or become a baseline).
-pub fn self_check(doc: &Value, what: &str, validate: fn(&Value) -> Result<(), Vec<String>>) {
-    if let Err(errs) = validate(doc) {
+/// Writes an enveloped report like [`emit_json`], but first exits 1 if
+/// the document fails its own schema: such a document must never leave the
+/// process (or become a baseline).
+pub fn emit_report(path: &str, doc: &Value, what: &str) {
+    if let Err(errs) = validate_any_report(doc) {
         print_list(&format!("error: built {what} fails its own schema:"), errs);
         exit(ExitCode::VerdictFailure);
     }
-}
-
-/// [`self_check`] then [`emit_json`].
-pub fn emit_checked(
-    path: &str,
-    doc: &Value,
-    what: &str,
-    validate: fn(&Value) -> Result<(), Vec<String>>,
-) {
-    self_check(doc, what, validate);
     emit_json(path, doc, what);
 }
 
@@ -158,16 +151,6 @@ pub fn probe_build(app: &AppSpec, kernel: KernelKind) -> &'static str {
         Ok(built) => built.name,
         Err(e) => die(&e),
     }
-}
-
-/// A fault plan as its report document, `None` when faults are off.
-pub fn fault_spec_doc(fault: &FaultSpec) -> Option<FaultSpecDoc> {
-    fault.plan.map(|p| FaultSpecDoc {
-        seed: p.seed,
-        rate_permille: p.rate_permille as u64,
-        max_retries: fault.retry.max_retries as u64,
-        backoff_base_us: fault.retry.backoff_base_us,
-    })
 }
 
 /// The `, faults …` suffix of a headline, empty when faults are off.
@@ -195,11 +178,6 @@ pub fn fault_repro_flags(fault: &FaultSpec) -> String {
         ),
         None => String::new(),
     }
-}
-
-/// A slice of counters as a JSON array.
-pub fn u64_array(values: &[u64]) -> Value {
-    Value::Arr(values.iter().map(|&n| Value::u64(n)).collect())
 }
 
 /// The CLI side of the live progress channel: owns the shared [`Progress`]

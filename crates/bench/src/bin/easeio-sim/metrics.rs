@@ -2,12 +2,12 @@
 //! regression gate over two of them).
 
 use crate::flags::Args;
-use crate::{emit_json, print_list, probe_build, read_json_or_die, self_check, ExitCode};
+use crate::{emit_json, emit_report, print_list, probe_build, read_json_or_die, ExitCode};
 use apps::harness::{run_once_faulted, KernelKind};
 use easeio_exec::{AppSpec, SupplySpec, APP_NAMES};
 use easeio_trace::{
-    build_metrics_report, compare_metrics, flamegraph, validate_metrics_report, MetricsEntry,
-    MetricsInputs, SiteWasteRow, SkippedApp, TaskWasteRow,
+    build_metrics_report, compare_metrics, flamegraph, MetricsEntry, MetricsInputs, SiteWasteRow,
+    SkippedApp, TaskWasteRow,
 };
 use kernel::{FaultSpec, Outcome, Verdict};
 use mcu_emu::{Mcu, RunStats, DMA_SITE_BASE};
@@ -126,12 +126,8 @@ pub fn metrics_main(a: &Args) -> ExitCode {
         entries,
         skipped,
     };
-    let doc = build_metrics_report(&inputs);
-    // Self-check before anything is written: a document violating the
-    // attribution invariant must never become a baseline.
-    self_check(&doc, "metrics report", validate_metrics_report);
     if let Some(path) = a.opt("--metrics-out") {
-        emit_json(path, &doc, "metrics report");
+        emit_report(path, &build_metrics_report(&inputs), "metrics report");
     }
     if let Some(path) = a.opt("--flame-out") {
         emit_json(path, &flamegraph(&inputs), "flamegraph");

@@ -5,15 +5,15 @@
 use crate::flags::Args;
 use crate::metrics::metrics_entry;
 use crate::{
-    die, emit_json, faults_suffix, pretty, print_list, probe_build, read_json_or_die, read_or_die,
-    write_or_die, ExitCode,
+    die, emit_report, faults_suffix, pretty, print_list, probe_build, read_json_or_die,
+    read_or_die, write_or_die, ExitCode,
 };
 use apps::harness::{golden, measure_footprint, run_once_faulted, run_traced_faulted};
 use easeio_exec::{AppSpec, ScenarioSpec, SupplySpec};
 use easeio_trace::{
     build_metrics_report, build_profile, build_report, chrome_trace_with_counters, jsonl,
     validate_any_report, CounterTrack, Event, EventKind, InstantKind, MetricsInputs, ReportInputs,
-    SpanKind, Value, CATEGORY_NAMES,
+    SpanKind, Value, CATEGORY_NAMES, SCHEMA_VERSION,
 };
 use kernel::{Fault, Outcome, Verdict};
 use mcu_emu::{CauseSample, Mcu};
@@ -26,11 +26,10 @@ pub fn main(a: &Args) -> ExitCode {
         let doc = read_json_or_die(path);
         return match validate_any_report(&doc) {
             Ok(kind) => {
-                let version = doc
-                    .get("schema_version")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0);
-                println!("{path}: valid {} report (schema v{version})", kind.label());
+                println!(
+                    "{path}: valid {} report (schema v{SCHEMA_VERSION})",
+                    kind.label()
+                );
                 ExitCode::Ok
             }
             Err(errs) => {
@@ -177,7 +176,7 @@ fn single(sc: &ScenarioSpec, app_name: &str, trace: bool, metrics_out: Option<&s
             events_recorded: r.events.len() as u64,
             events_dropped: r.events_dropped,
         };
-        emit_json(
+        emit_report(
             path,
             &build_report(&inputs, &build_profile(&r.events)),
             "report",
@@ -195,7 +194,7 @@ fn single(sc: &ScenarioSpec, app_name: &str, trace: bool, metrics_out: Option<&s
             )],
             skipped: Vec::new(),
         };
-        emit_json(path, &build_metrics_report(&inputs), "metrics report");
+        emit_report(path, &build_metrics_report(&inputs), "metrics report");
     }
     if let Outcome::Fault(e) = &r.outcome {
         // Typed abort message: an unrecoverable I/O fault (retries

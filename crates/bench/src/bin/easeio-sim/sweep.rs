@@ -5,17 +5,17 @@
 
 use crate::flags::Args;
 use crate::{
-    app_repro_flag, emit_checked, emit_json, exit, fault_repro_flags, fault_spec_doc,
-    faults_suffix, observer, probe_build, u64_array, verdict, ExitCode, ProgressGuard,
+    app_repro_flag, emit_json, emit_report, exit, fault_repro_flags, faults_suffix, observer,
+    probe_build, verdict, ExitCode, ProgressGuard,
 };
 use crashcheck::{boundary_forensics, SweepMode, SweepOutcome, SweepPlan};
 use easeio_exec::{
     sweep_matrix, sweep_matrix_observed, AppSpec, SweepEntry, SweepOptions, SweepTiming, APP_NAMES,
 };
 use easeio_trace::{
-    build_forensics_report, build_sweep_report, validate_forensics_report, ForensicsInputs,
-    ForensicsViolationDoc, FramDiffByte, FramDiffDoc, SweepInputs, SweepPruneDoc, SweepTimingDoc,
-    SweepViolation, SweepWasteDoc, Value, CATEGORY_NAMES,
+    build_forensics_report, build_sweep_report, ForensicsInputs, ForensicsViolationDoc,
+    FramDiffByte, FramDiffDoc, SweepInputs, SweepPruneDoc, SweepTimingDoc, SweepViolation,
+    SweepWasteDoc, Value, CATEGORY_NAMES,
 };
 use kernel::App;
 use mcu_emu::Mcu;
@@ -84,7 +84,7 @@ fn sweep_report_inputs(out: &SweepOutcome, plan: &SweepPlan, timing: &SweepTimin
                 detail: v.detail.clone(),
             })
             .collect(),
-        fault_spec: fault_spec_doc(&plan.fault),
+        fault_spec: plan.fault.doc(),
         waste: Some(SweepWasteDoc::from_series(
             &out.boundary_waste_nj,
             CATEGORY_NAMES
@@ -276,7 +276,7 @@ pub fn main(a: &Args) -> ExitCode {
         );
         if let Some(path) = &sc.report_out {
             let doc = build_sweep_report(&sweep_report_inputs(out, plan, timing));
-            emit_json(path, &doc, "sweep report");
+            emit_report(path, &doc, "sweep report");
         }
         total_violations += out.violations.len() as u64;
         total_injections += out.injections;
@@ -316,11 +316,11 @@ pub fn main(a: &Args) -> ExitCode {
             ("runtime".into(), Value::str(out.runtime)),
             (
                 "injections_per_worker".into(),
-                u64_array(&timing.injections_per_worker),
+                Value::u64_arr(&timing.injections_per_worker),
             ),
             (
                 "busy_us_per_worker".into(),
-                u64_array(&timing.busy_us_per_worker),
+                Value::u64_arr(&timing.busy_us_per_worker),
             ),
         ]));
     }
@@ -365,7 +365,7 @@ pub fn main(a: &Args) -> ExitCode {
                         device: None,
                         wave: None,
                     },
-                    fault_spec: fault_spec_doc(&plan.fault),
+                    fault_spec: plan.fault.doc(),
                     context: vec![
                         ("oracle_boundaries".into(), f.oracle_boundaries),
                         ("injections".into(), out.injections),
@@ -388,8 +388,7 @@ pub fn main(a: &Args) -> ExitCode {
                     }),
                     repro_command: repro,
                 };
-                let doc = build_forensics_report(&inputs);
-                emit_checked(path, &doc, "forensics bundle", validate_forensics_report);
+                emit_report(path, &build_forensics_report(&inputs), "forensics bundle");
             }
             None => println!("forensics: no violations — nothing written to {path}"),
         }
@@ -448,9 +447,12 @@ pub fn main(a: &Args) -> ExitCode {
             ("wall_us".into(), Value::u64(matrix_wall_us)),
             (
                 "injections_per_worker".into(),
-                u64_array(&injections_per_worker),
+                Value::u64_arr(&injections_per_worker),
             ),
-            ("busy_us_per_worker".into(), u64_array(&busy_us_per_worker)),
+            (
+                "busy_us_per_worker".into(),
+                Value::u64_arr(&busy_us_per_worker),
+            ),
             ("apps".into(), Value::Arr(per_app_util)),
         ]);
         emit_json(path, &doc, "sweep utilization");

@@ -259,6 +259,9 @@ fn written_reports_validate() {
     let sweep = dir.join("sweep.json");
     let fleet = dir.join("fleet.json");
     let metrics = dir.join("metrics.json");
+    let boundary = dir.join("boundary.json");
+    let forensics = dir.join("forensics.json");
+    let rollout = dir.join("rollout.json");
     for args in [
         &["--app", "temp", "--report-out", path_str(&run)][..],
         &[
@@ -280,10 +283,44 @@ fn written_reports_validate() {
             "--metrics-out",
             path_str(&metrics),
         ],
+        &[
+            "sweep",
+            "--app",
+            "dma",
+            "--boundary",
+            "3",
+            "--report-out",
+            path_str(&boundary),
+        ],
+        &[
+            "sweep",
+            "--app",
+            "ota-update",
+            "--kernel",
+            "naive",
+            "--seed",
+            "7",
+            "--boundary",
+            "27",
+            "--strict-memory",
+            "--expect-violations",
+            "--forensics-out",
+            path_str(&forensics),
+        ],
+        &[
+            "fleet",
+            "--rollout",
+            "--devices",
+            "4",
+            "--report-out",
+            path_str(&rollout),
+        ],
     ] {
         assert_eq!(code(&sim(args)), 0, "{args:?}");
     }
-    for doc in [&run, &sweep, &fleet, &metrics] {
+    for doc in [
+        &run, &sweep, &fleet, &metrics, &boundary, &forensics, &rollout,
+    ] {
         let out = sim(&["--validate-report", path_str(doc)]);
         assert_eq!(code(&out), 0, "{}", doc.display());
         assert!(stdout(&out).contains(": valid "), "{}", stdout(&out));

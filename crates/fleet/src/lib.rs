@@ -55,7 +55,6 @@ pub use telemetry::FleetAgg;
 use easeio_exec::{run_indexed_collect, PoolStats, ScenarioSpec};
 use easeio_trace::fleet::{FleetDeliveryDoc, FleetInputs, FleetMediumDoc, FleetTimingDoc};
 use easeio_trace::stream::{JsonlWriter, ShardedSink, StreamStats};
-use easeio_trace::sweep::FaultSpecDoc;
 use easeio_trace::{Progress, Value};
 use kernel::{run_app, App, ExecConfig, Outcome, Verdict};
 use mcu_emu::{Mcu, McuSnapshot, RunStats, Supply};
@@ -362,12 +361,7 @@ pub(crate) fn fleet_inputs(
             airtime_base_us: spec.medium.airtime_base_us,
             airtime_us_per_word: spec.medium.airtime_us_per_word,
         },
-        fault_spec: spec.device.fault.plan.map(|p| FaultSpecDoc {
-            seed: p.seed,
-            rate_permille: p.rate_permille as u64,
-            max_retries: spec.device.fault.retry.max_retries as u64,
-            backoff_base_us: spec.device.fault.retry.backoff_base_us,
-        }),
+        fault_spec: spec.device.fault.doc(),
         outcomes: agg.outcomes(),
         power_failures: agg.power_failures(),
         delivery: FleetDeliveryDoc {

@@ -12,6 +12,7 @@
 //! value travels from the CLI through `ScenarioSpec`, `KernelBuilder`, and the
 //! crash sweep down to the executor and peripherals.
 
+use easeio_trace::FaultSpecDoc;
 use mcu_emu::Cost;
 use periph::{FaultPlan, Peripherals};
 
@@ -84,6 +85,16 @@ impl FaultSpec {
                 p.seed, p.rate_permille, self.retry.max_retries
             ),
         }
+    }
+
+    /// The `fault_spec` block of a report, `None` when faults are off.
+    pub fn doc(&self) -> Option<FaultSpecDoc> {
+        self.plan.map(|p| FaultSpecDoc {
+            seed: p.seed,
+            rate_permille: p.rate_permille as u64,
+            max_retries: self.retry.max_retries as u64,
+            backoff_base_us: self.retry.backoff_base_us,
+        })
     }
 }
 

@@ -1,7 +1,7 @@
 //! The versioned report envelope shared by every report kind.
 //!
 //! Every report is one envelope — `{schema_version, kind, tool, report:
-//! {…}}` — produced by the generic [`Report`] wrapper over a
+//! {…}}` — rendered and checked by the provided methods of
 //! [`ReportBody`], with [`validate_any_report`] as the single validator
 //! entry point, dispatching on `kind`. Schema v1's flat, pre-envelope
 //! layouts are no longer read: a v1 document gets a typed rejection naming
@@ -15,53 +15,75 @@
 //! divergence gate) are defined over.
 
 use crate::json::Value;
+use crate::schema::{self, req, Field, Ty};
 
 /// Version of the report document layout.
 pub const SCHEMA_VERSION: u64 = 2;
 
+/// The envelope table shared by every kind; the body under `report` is
+/// walked against the kind's own table, with paths relative to the body.
+const ENVELOPE: &[Field] = &[
+    req("schema_version", Ty::U64),
+    req("kind", Ty::Str),
+    req("tool", Ty::Str),
+    req("report", Ty::Obj(&[])),
+];
+
 /// A report payload that knows its kind, its producing tool, how to render
-/// itself, and how to check a rendered body.
+/// itself, and the key table a rendered body is checked against. The
+/// provided methods wrap it in the versioned envelope and check one.
 pub trait ReportBody {
     /// Envelope `kind` discriminator (`"run"`, `"sweep"`).
     const KIND: &'static str;
     /// Envelope `tool` string.
     const TOOL: &'static str;
+    /// The body's key table, walked by [`schema::check`].
+    const SCHEMA: &'static [Field];
+
     /// Renders the body object.
     fn body(&self) -> Value;
-    /// Returns every schema violation in a rendered body (empty = valid).
-    fn validate_body(body: &Value) -> Vec<String>;
-}
 
-/// The generic envelope: wraps any [`ReportBody`] into the versioned
-/// document layout.
-#[derive(Debug, Clone)]
-pub struct Report<T> {
-    /// The payload.
-    pub body: T,
-}
-
-impl<T: ReportBody> Report<T> {
-    /// Wraps a body.
-    pub fn new(body: T) -> Self {
-        Self { body }
+    /// Cross-key rules the table cannot state (ledger partitions, sums).
+    /// Runs only on a body that passed the table walk, so it may read the
+    /// keys it checks without re-checking their types.
+    fn invariants(_body: &Value) -> Vec<String> {
+        Vec::new()
     }
 
     /// Renders the full versioned document.
-    pub fn to_value(&self) -> Value {
+    fn to_document(&self) -> Value {
         Value::Obj(vec![
             ("schema_version".into(), Value::u64(SCHEMA_VERSION)),
-            ("kind".into(), Value::str(T::KIND)),
-            ("tool".into(), Value::str(T::TOOL)),
-            ("report".into(), self.body.body()),
+            ("kind".into(), Value::str(Self::KIND)),
+            ("tool".into(), Value::str(Self::TOOL)),
+            ("report".into(), self.body()),
         ])
     }
 
-    /// Validates a parsed v2 document of this kind.
-    pub fn validate(v: &Value) -> Result<(), Vec<String>> {
-        let mut errs = validate_envelope(v, Some(T::KIND));
-        match v.get("report") {
-            None => errs.push("missing key 'report'".into()),
-            Some(body) => errs.extend(T::validate_body(body)),
+    /// Validates a parsed v2 document of this kind, returning every
+    /// violation found, not just the first.
+    fn validate(v: &Value) -> Result<(), Vec<String>> {
+        let mut errs = schema::check(v, ENVELOPE);
+        if v.get("schema_version")
+            .and_then(Value::as_u64)
+            .is_some_and(|n| n != SCHEMA_VERSION)
+        {
+            errs.push(format!(
+                "'schema_version' must be the integer {SCHEMA_VERSION}"
+            ));
+        }
+        if let Some(k) = v.get("kind").and_then(Value::as_str) {
+            if k != Self::KIND {
+                errs.push(format!("'kind' is '{k}', expected '{}'", Self::KIND));
+            }
+        }
+        if let Some(body) = v.get("report") {
+            let body_errs = schema::check(body, Self::SCHEMA);
+            errs.extend(if body_errs.is_empty() {
+                Self::invariants(body)
+            } else {
+                body_errs
+            });
         }
         if errs.is_empty() {
             Ok(())
@@ -69,29 +91,6 @@ impl<T: ReportBody> Report<T> {
             Err(errs)
         }
     }
-}
-
-/// Envelope-level checks shared by every v2 kind.
-fn validate_envelope(v: &Value, expect_kind: Option<&str>) -> Vec<String> {
-    let mut errs = Vec::new();
-    match v.get("schema_version").and_then(Value::as_u64) {
-        Some(SCHEMA_VERSION) => {}
-        _ => errs.push(format!(
-            "'schema_version' must be the integer {SCHEMA_VERSION}"
-        )),
-    }
-    match v.get("kind").and_then(Value::as_str) {
-        Some(k) if expect_kind.is_none_or(|e| e == k) => {}
-        Some(k) => errs.push(format!(
-            "'kind' is '{k}', expected '{}'",
-            expect_kind.unwrap_or("?")
-        )),
-        None => errs.push("missing key 'kind'".into()),
-    }
-    if v.get("tool").and_then(Value::as_str).is_none() {
-        errs.push("'tool' must be a string".into());
-    }
-    errs
 }
 
 /// What a document turned out to be.
@@ -127,39 +126,27 @@ impl ReportKind {
 /// was.
 pub fn validate_any_report(v: &Value) -> Result<ReportKind, Vec<String>> {
     match v.get("schema_version").and_then(Value::as_u64) {
-        Some(SCHEMA_VERSION) => {
-            let (kind, result) = match v.get("kind").and_then(Value::as_str) {
-                Some("sweep") => (
-                    ReportKind::Sweep,
-                    Report::<crate::sweep::SweepInputs>::validate(v),
-                ),
-                Some("metrics") => (
-                    ReportKind::Metrics,
-                    Report::<crate::metrics::MetricsInputs>::validate(v),
-                ),
-                Some("fleet") => (
-                    ReportKind::Fleet,
-                    Report::<crate::fleet::FleetInputs>::validate(v),
-                ),
-                Some("forensics") => (
-                    ReportKind::Forensics,
-                    Report::<crate::forensics::ForensicsInputs>::validate(v),
-                ),
-                Some("run") | None => (
-                    ReportKind::Run,
-                    Report::<crate::report::RunReportDoc>::validate(v),
-                ),
-                Some(other) => {
-                    return Err(vec![format!("unknown report kind '{other}'")]);
-                }
-            };
-            result.map(|()| kind)
+        Some(SCHEMA_VERSION) => {}
+        Some(other) => {
+            return Err(vec![format!(
+                "unsupported schema_version {other} (this tool reads {SCHEMA_VERSION})"
+            )])
         }
-        Some(other) => Err(vec![format!(
-            "unsupported schema_version {other} (this tool reads {SCHEMA_VERSION})"
-        )]),
-        None => Err(vec!["missing key 'schema_version'".into()]),
+        None => return Err(vec!["missing key 'schema_version'".into()]),
     }
+    type Validate = fn(&Value) -> Result<(), Vec<String>>;
+    let (kind, validate): (ReportKind, Validate) = match v.get("kind").and_then(Value::as_str) {
+        Some("sweep") => (ReportKind::Sweep, crate::sweep::SweepInputs::validate),
+        Some("metrics") => (ReportKind::Metrics, crate::metrics::MetricsInputs::validate),
+        Some("fleet") => (ReportKind::Fleet, crate::fleet::FleetInputs::validate),
+        Some("forensics") => (
+            ReportKind::Forensics,
+            crate::forensics::ForensicsInputs::validate,
+        ),
+        Some("run") | None => (ReportKind::Run, crate::report::RunReportDoc::validate),
+        Some(other) => return Err(vec![format!("unknown report kind '{other}'")]),
+    };
+    validate(v).map(|()| kind)
 }
 
 /// The canonical identity form of a report: the document with every

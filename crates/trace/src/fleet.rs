@@ -6,7 +6,7 @@
 //! the fleet-wide energy ledger by cause, straggler percentiles over
 //! per-device wall-clock, and — when sharded across the parallel engine —
 //! an optional `timing` block. The body rides inside the shared
-//! [`Report`] envelope as `kind: "fleet"`.
+//! versioned envelope as `kind: "fleet"`.
 //!
 //! The delivery block is where the paper's `Single` semantics becomes a
 //! fleet-level claim: `air_duplicates` counts transmissions of a
@@ -17,9 +17,10 @@
 //! channel, and the duplicate/unique splits must sum — a document whose
 //! ledger does not balance is rejected as malformed.
 
-use crate::envelope::{Report, ReportBody};
+use crate::envelope::ReportBody;
 use crate::json::Value;
 use crate::metrics::{CATEGORY_COUNT, CATEGORY_NAMES};
+use crate::schema::{field, opt, req, uint, uint_sum, Field, Ty, FAULT_SPEC, U64_MAP};
 use crate::sweep::FaultSpecDoc;
 
 /// The shared radio-medium configuration a fleet ran over. Experiment
@@ -210,12 +211,14 @@ impl ReportBody for FleetInputs {
     const KIND: &'static str = "fleet";
     const TOOL: &'static str = "easeio-sim fleet";
 
+    const SCHEMA: &'static [Field] = FLEET_SCHEMA;
+
     fn body(&self) -> Value {
         fleet_body(self)
     }
 
-    fn validate_body(body: &Value) -> Vec<String> {
-        validate_fleet_body(body)
+    fn invariants(body: &Value) -> Vec<String> {
+        fleet_invariants(body)
     }
 }
 
@@ -243,15 +246,7 @@ fn fleet_body(inp: &FleetInputs) -> Value {
         ),
     ];
     if let Some(f) = &inp.fault_spec {
-        fields.push((
-            "fault_spec".into(),
-            Value::Obj(vec![
-                ("seed".into(), Value::u64(f.seed)),
-                ("rate_permille".into(), Value::u64(f.rate_permille)),
-                ("max_retries".into(), Value::u64(f.max_retries)),
-                ("backoff_base_us".into(), Value::u64(f.backoff_base_us)),
-            ]),
-        ));
+        fields.push(("fault_spec".into(), f.to_value()));
     }
     let o = &inp.outcomes;
     fields.push((
@@ -295,16 +290,7 @@ fn fleet_body(inp: &FleetInputs) -> Value {
             ("total_energy_nj".into(), Value::u64(e.total_energy_nj)),
             (
                 "cause_energy_nj".into(),
-                Value::Obj(
-                    (0..CATEGORY_COUNT)
-                        .map(|i| {
-                            (
-                                CATEGORY_NAMES[i].to_string(),
-                                Value::u64(e.cause_energy_nj[i]),
-                            )
-                        })
-                        .collect(),
-                ),
+                Value::u64_map(CATEGORY_NAMES.iter().zip(e.cause_energy_nj)),
             ),
         ]),
     ));
@@ -356,363 +342,273 @@ fn fleet_body(inp: &FleetInputs) -> Value {
         ));
     }
     if let Some(t) = &inp.timing {
-        fields.push((
-            "timing".into(),
-            Value::Obj(vec![
-                ("jobs".into(), Value::u64(t.jobs)),
-                ("wall_us".into(), Value::u64(t.wall_us)),
-                (
-                    "devices_per_worker".into(),
-                    Value::Arr(
-                        t.devices_per_worker
-                            .iter()
-                            .map(|&n| Value::u64(n))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "busy_us_per_worker".into(),
-                    Value::Arr(
-                        t.busy_us_per_worker
-                            .iter()
-                            .map(|&n| Value::u64(n))
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ));
-        if let Value::Obj(timing) = fields.last_mut().map(|(_, v)| v).unwrap() {
-            if let Some(rss) = t.peak_rss_bytes {
-                timing.push(("peak_rss_bytes".into(), Value::u64(rss)));
-            }
-            if let Some(n) = t.streamed_records {
-                timing.push(("streamed_records".into(), Value::u64(n)));
-            }
+        let mut timing = vec![
+            ("jobs".into(), Value::u64(t.jobs)),
+            ("wall_us".into(), Value::u64(t.wall_us)),
+            (
+                "devices_per_worker".into(),
+                Value::u64_arr(&t.devices_per_worker),
+            ),
+            (
+                "busy_us_per_worker".into(),
+                Value::u64_arr(&t.busy_us_per_worker),
+            ),
+        ];
+        if let Some(rss) = t.peak_rss_bytes {
+            timing.push(("peak_rss_bytes".into(), Value::u64(rss)));
         }
+        if let Some(n) = t.streamed_records {
+            timing.push(("streamed_records".into(), Value::u64(n)));
+        }
+        fields.push(("timing".into(), Value::Obj(timing)));
     }
     Value::Obj(fields)
 }
 
 /// Builds the full versioned fleet report document.
 pub fn build_fleet_report(inp: &FleetInputs) -> Value {
-    Report::new(inp.clone()).to_value()
+    inp.to_document()
 }
 
 /// Validates a parsed fleet report document (envelope and body).
 pub fn validate_fleet_report(v: &Value) -> Result<(), Vec<String>> {
-    Report::<FleetInputs>::validate(v)
+    FleetInputs::validate(v)
 }
 
-/// Body-level validation, including the delivery-accounting invariants.
-fn validate_fleet_body(v: &Value) -> Vec<String> {
+/// The fleet-report body table.
+const FLEET_SCHEMA: &[Field] = &[
+    req("runtime", Ty::Str),
+    req("app", Ty::Str),
+    req("devices", Ty::U64),
+    req("seed", Ty::U64),
+    req("supply", Ty::Str),
+    req("medium", Ty::Obj(MEDIUM)),
+    opt("fault_spec", FAULT_SPEC),
+    req("outcomes", Ty::Obj(OUTCOMES)),
+    req("power_failures", Ty::U64),
+    req("delivery", Ty::Obj(DELIVERY)),
+    req("energy", Ty::Obj(ENERGY)),
+    req("stragglers", Ty::Obj(STRAGGLERS)),
+    opt("rollout", Ty::Obj(ROLLOUT)),
+    opt("timing", Ty::Obj(TIMING)),
+];
+
+const MEDIUM: &[Field] = &[
+    req("seed", Ty::U64),
+    req("loss_permille", Ty::U64),
+    req("airtime_base_us", Ty::U64),
+    req("airtime_us_per_word", Ty::U64),
+];
+
+const OUTCOMES: &[Field] = &[
+    req("completed", Ty::U64),
+    req("non_terminated", Ty::U64),
+    req("faulted", Ty::U64),
+    req("correct", Ty::U64),
+    req("incorrect", Ty::U64),
+    req("unverified", Ty::U64),
+];
+
+const DELIVERY: &[Field] = &[
+    req("transmissions", Ty::U64),
+    req("unique_sent", Ty::U64),
+    req("air_duplicates", Ty::U64),
+    req("delivered", Ty::U64),
+    req("delivered_unique", Ty::U64),
+    req("gateway_duplicates", Ty::U64),
+    req("lost_collision", Ty::U64),
+    req("lost_channel", Ty::U64),
+    req("delivery_rate_milli", Ty::U64),
+];
+
+const ENERGY: &[Field] = &[
+    req("total_time_us", Ty::U64),
+    req("total_energy_nj", Ty::U64),
+    req("cause_energy_nj", U64_MAP),
+];
+
+const STRAGGLERS: &[Field] = &[
+    req("p50_wall_us", Ty::U64),
+    req("p90_wall_us", Ty::U64),
+    req("p99_wall_us", Ty::U64),
+    req("max_wall_us", Ty::U64),
+];
+
+const ROLLOUT: &[Field] = &[
+    req("target_seq", Ty::U64),
+    req("wave_size", Ty::U64),
+    req("waves", Ty::U64),
+    req("waves_rolled_out", Ty::U64),
+    req("aborted", Ty::Bool),
+    req("offered", Ty::U64),
+    req("updated", Ty::U64),
+    req("update_failed", Ty::U64),
+    req("stragglers", Ty::U64),
+    req("stale", Ty::U64),
+    req("downlink_chunks_sent", Ty::U64),
+    req("downlink_chunks_lost", Ty::U64),
+    req("duplicate_activations", Ty::U64),
+    req("version_torn", Ty::U64),
+    req("versions", U64_MAP),
+];
+
+const TIMING: &[Field] = &[
+    req("jobs", Ty::U64),
+    req("wall_us", Ty::U64),
+    req("devices_per_worker", Ty::Arr(&Ty::U64)),
+    req("busy_us_per_worker", Ty::Arr(&Ty::U64)),
+    opt("peak_rss_bytes", Ty::U64),
+    opt("streamed_records", Ty::U64),
+];
+
+/// The accounting rules: outcome, delivery and rollout partitions, the
+/// energy category sum, and straggler percentile order.
+fn fleet_invariants(v: &Value) -> Vec<String> {
     let mut errs = Vec::new();
-    for key in ["runtime", "app", "supply"] {
-        if v.get(key).and_then(Value::as_str).is_none() {
-            errs.push(format!("'{key}' must be a string"));
-        }
-    }
-    for key in ["devices", "seed", "power_failures"] {
-        if v.get(key).and_then(Value::as_u64).is_none() {
-            errs.push(format!("'{key}' must be an unsigned integer"));
-        }
-    }
-    let devices = v.get("devices").and_then(Value::as_u64).unwrap_or(0);
-    if v.get("devices").and_then(Value::as_u64) == Some(0) {
+    let devices = uint(v, "devices");
+    if devices == 0 {
         errs.push("'devices' must be at least 1".into());
     }
 
-    match v.get("medium") {
-        None => errs.push("missing key 'medium'".into()),
-        Some(m) => {
-            for key in [
-                "seed",
-                "loss_permille",
-                "airtime_base_us",
-                "airtime_us_per_word",
-            ] {
-                if m.get(key).and_then(Value::as_u64).is_none() {
-                    errs.push(format!("'medium.{key}' must be an unsigned integer"));
-                }
-            }
-        }
+    let o = field(v, "outcomes");
+    let by_outcome = uint(o, "completed") + uint(o, "non_terminated") + uint(o, "faulted");
+    let by_verdict = uint(o, "correct") + uint(o, "incorrect") + uint(o, "unverified");
+    if by_outcome != devices {
+        errs.push(format!(
+            "'outcomes': completed + non_terminated + faulted is \
+             {by_outcome} but 'devices' is {devices}"
+        ));
+    }
+    if by_verdict != devices {
+        errs.push(format!(
+            "'outcomes': correct + incorrect + unverified is \
+             {by_verdict} but 'devices' is {devices}"
+        ));
     }
 
-    if let Some(f) = v.get("fault_spec") {
-        for k in ["seed", "rate_permille", "max_retries", "backoff_base_us"] {
-            if f.get(k).and_then(Value::as_u64).is_none() {
-                errs.push(format!("'fault_spec.{k}' must be an unsigned integer"));
-            }
-        }
+    let d = field(v, "delivery");
+    let get = |k: &str| uint(d, k);
+    let tx = get("transmissions");
+    let unique = get("unique_sent");
+    let delivered = get("delivered");
+    let del_unique = get("delivered_unique");
+    if unique + get("air_duplicates") != tx {
+        errs.push(format!(
+            "'delivery': unique_sent + air_duplicates is {} but \
+             transmissions is {tx}",
+            unique + get("air_duplicates")
+        ));
+    }
+    let accounted = delivered + get("lost_collision") + get("lost_channel");
+    if accounted != tx {
+        errs.push(format!(
+            "'delivery': delivered + lost_collision + lost_channel \
+             is {accounted} but transmissions is {tx} (every packet must be \
+             accounted for)"
+        ));
+    }
+    if del_unique + get("gateway_duplicates") != delivered {
+        errs.push(format!(
+            "'delivery': delivered_unique + gateway_duplicates is \
+             {} but delivered is {delivered}",
+            del_unique + get("gateway_duplicates")
+        ));
+    }
+    if del_unique > unique {
+        errs.push("'delivery': delivered_unique exceeds unique_sent".into());
+    }
+    let rate = get("delivery_rate_milli");
+    let expect_rate = (del_unique * 1000).checked_div(unique).unwrap_or(0);
+    if rate != expect_rate {
+        errs.push(format!(
+            "'delivery.delivery_rate_milli' is {rate}, expected \
+             {expect_rate} (delivered_unique * 1000 / unique_sent)"
+        ));
     }
 
-    match v.get("outcomes") {
-        None => errs.push("missing key 'outcomes'".into()),
-        Some(o) => {
-            let get = |k: &str| o.get(k).and_then(Value::as_u64);
-            let keys = [
-                "completed",
-                "non_terminated",
-                "faulted",
-                "correct",
-                "incorrect",
-                "unverified",
-            ];
-            if keys.iter().any(|k| get(k).is_none()) {
-                errs.push("'outcomes' must carry six unsigned-integer counts".into());
-            } else {
-                let by_outcome = get("completed").unwrap()
-                    + get("non_terminated").unwrap()
-                    + get("faulted").unwrap();
-                let by_verdict = get("correct").unwrap()
-                    + get("incorrect").unwrap()
-                    + get("unverified").unwrap();
-                if by_outcome != devices {
-                    errs.push(format!(
-                        "'outcomes': completed + non_terminated + faulted is \
-                         {by_outcome} but 'devices' is {devices}"
-                    ));
-                }
-                if by_verdict != devices {
-                    errs.push(format!(
-                        "'outcomes': correct + incorrect + unverified is \
-                         {by_verdict} but 'devices' is {devices}"
-                    ));
-                }
-            }
-        }
+    let e = field(v, "energy");
+    let cells = field(e, "cause_energy_nj").as_obj().unwrap_or_default();
+    if !cells.iter().map(|(k, _)| k.as_str()).eq(CATEGORY_NAMES) {
+        errs.push(format!(
+            "'energy.cause_energy_nj' keys must be exactly {CATEGORY_NAMES:?}"
+        ));
+    }
+    let sum = uint_sum(field(e, "cause_energy_nj"));
+    let total = uint(e, "total_energy_nj");
+    if total != sum {
+        errs.push(format!(
+            "'energy': categories sum to {sum} nJ but total_energy_nj is \
+             {total} (attribution invariant violated)"
+        ));
     }
 
-    match v.get("delivery") {
-        None => errs.push("missing key 'delivery'".into()),
-        Some(d) => {
-            let get = |k: &str| d.get(k).and_then(Value::as_u64);
-            let keys = [
-                "transmissions",
-                "unique_sent",
-                "air_duplicates",
-                "delivered",
-                "delivered_unique",
-                "gateway_duplicates",
-                "lost_collision",
-                "lost_channel",
-                "delivery_rate_milli",
-            ];
-            if keys.iter().any(|k| get(k).is_none()) {
-                errs.push("'delivery' must carry nine unsigned-integer counts".into());
-            } else {
-                let tx = get("transmissions").unwrap();
-                let unique = get("unique_sent").unwrap();
-                let air_dup = get("air_duplicates").unwrap();
-                let delivered = get("delivered").unwrap();
-                let del_unique = get("delivered_unique").unwrap();
-                let gw_dup = get("gateway_duplicates").unwrap();
-                let collided = get("lost_collision").unwrap();
-                let dropped = get("lost_channel").unwrap();
-                let rate = get("delivery_rate_milli").unwrap();
-                if unique + air_dup != tx {
-                    errs.push(format!(
-                        "'delivery': unique_sent + air_duplicates is {} but \
-                         transmissions is {tx}",
-                        unique + air_dup
-                    ));
-                }
-                if delivered + collided + dropped != tx {
-                    errs.push(format!(
-                        "'delivery': delivered + lost_collision + lost_channel \
-                         is {} but transmissions is {tx} (every packet must be \
-                         accounted for)",
-                        delivered + collided + dropped
-                    ));
-                }
-                if del_unique + gw_dup != delivered {
-                    errs.push(format!(
-                        "'delivery': delivered_unique + gateway_duplicates is \
-                         {} but delivered is {delivered}",
-                        del_unique + gw_dup
-                    ));
-                }
-                if del_unique > unique {
-                    errs.push("'delivery': delivered_unique exceeds unique_sent".into());
-                }
-                let expect_rate = (del_unique * 1000).checked_div(unique).unwrap_or(0);
-                if rate != expect_rate {
-                    errs.push(format!(
-                        "'delivery.delivery_rate_milli' is {rate}, expected \
-                         {expect_rate} (delivered_unique * 1000 / unique_sent)"
-                    ));
-                }
-            }
-        }
-    }
-
-    match v.get("energy") {
-        None => errs.push("missing key 'energy'".into()),
-        Some(e) => {
-            for key in ["total_time_us", "total_energy_nj"] {
-                if e.get(key).and_then(Value::as_u64).is_none() {
-                    errs.push(format!("'energy.{key}' must be an unsigned integer"));
-                }
-            }
-            match e.get("cause_energy_nj").and_then(Value::as_obj) {
-                None => errs.push("'energy.cause_energy_nj' must be an object".into()),
-                Some(cells) => {
-                    let keys: Vec<&str> = cells.iter().map(|(k, _)| k.as_str()).collect();
-                    if keys != CATEGORY_NAMES {
-                        errs.push(format!(
-                            "'energy.cause_energy_nj' keys must be exactly \
-                             {CATEGORY_NAMES:?}"
-                        ));
-                    }
-                    let mut sum = 0u64;
-                    let mut complete = true;
-                    for (k, n) in cells {
-                        match n.as_u64() {
-                            Some(n) => sum += n,
-                            None => {
-                                complete = false;
-                                errs.push(format!(
-                                    "'energy.cause_energy_nj.{k}' must be an integer"
-                                ));
-                            }
-                        }
-                    }
-                    let total = e.get("total_energy_nj").and_then(Value::as_u64);
-                    if complete && total.is_some_and(|t| t != sum) {
-                        errs.push(format!(
-                            "'energy': categories sum to {sum} nJ but \
-                             total_energy_nj is {} (attribution invariant \
-                             violated)",
-                            total.unwrap()
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    match v.get("stragglers") {
-        None => errs.push("missing key 'stragglers'".into()),
-        Some(s) => {
-            let get = |k: &str| s.get(k).and_then(Value::as_u64);
-            let keys = ["p50_wall_us", "p90_wall_us", "p99_wall_us", "max_wall_us"];
-            if keys.iter().any(|k| get(k).is_none()) {
-                errs.push("'stragglers' must carry four unsigned-integer percentiles".into());
-            } else {
-                let series: Vec<u64> = keys.iter().map(|k| get(k).unwrap()).collect();
-                if series.windows(2).any(|w| w[0] > w[1]) {
-                    errs.push(
-                        "'stragglers' percentiles must be non-decreasing \
-                         (p50 <= p90 <= p99 <= max)"
-                            .into(),
-                    );
-                }
-            }
-        }
+    let s = field(v, "stragglers");
+    let series = ["p50_wall_us", "p90_wall_us", "p99_wall_us", "max_wall_us"].map(|k| uint(s, k));
+    if series.windows(2).any(|w| w[0] > w[1]) {
+        errs.push(
+            "'stragglers' percentiles must be non-decreasing \
+             (p50 <= p90 <= p99 <= max)"
+                .into(),
+        );
     }
 
     if let Some(r) = v.get("rollout") {
-        let get = |k: &str| r.get(k).and_then(Value::as_u64);
-        let keys = [
-            "target_seq",
-            "wave_size",
-            "waves",
-            "waves_rolled_out",
-            "offered",
-            "updated",
-            "update_failed",
-            "stragglers",
-            "stale",
-            "downlink_chunks_sent",
-            "downlink_chunks_lost",
-            "duplicate_activations",
-            "version_torn",
-        ];
-        if r.get("aborted").and_then(Value::as_bool).is_none() {
-            errs.push("'rollout.aborted' must be a boolean".into());
-        }
-        if keys.iter().any(|k| get(k).is_none()) {
-            errs.push("'rollout' must carry thirteen unsigned-integer counts".into());
-        } else {
-            let target = get("target_seq").unwrap();
-            if target < 2 {
-                errs.push("'rollout.target_seq' must be at least 2".into());
-            }
-            let updated = get("updated").unwrap();
-            let failed = get("update_failed").unwrap();
-            let stragglers = get("stragglers").unwrap();
-            let stale = get("stale").unwrap();
-            let by_bucket = updated + failed + stragglers + stale;
-            if by_bucket != devices {
-                errs.push(format!(
-                    "'rollout': updated + update_failed + stragglers + stale \
-                     is {by_bucket} but 'devices' is {devices} (buckets must \
-                     partition the fleet)"
-                ));
-            }
-            if get("offered").unwrap() != updated + failed + stragglers {
-                errs.push(
-                    "'rollout': offered must equal updated + update_failed + \
-                     stragglers"
-                        .into(),
-                );
-            }
-            if get("waves_rolled_out").unwrap() > get("waves").unwrap() {
-                errs.push("'rollout.waves_rolled_out' exceeds 'rollout.waves'".into());
-            }
-            if get("downlink_chunks_lost").unwrap() > get("downlink_chunks_sent").unwrap() {
-                errs.push(
-                    "'rollout.downlink_chunks_lost' exceeds \
-                     'rollout.downlink_chunks_sent'"
-                        .into(),
-                );
-            }
-            match r.get("versions").and_then(Value::as_obj) {
-                None => errs.push("'rollout.versions' must be an object".into()),
-                Some(cells) => {
-                    let lookup = |k: &str| {
-                        cells
-                            .iter()
-                            .find(|(key, _)| key == k)
-                            .and_then(|(_, n)| n.as_u64())
-                    };
-                    if lookup("1") != Some(stragglers + stale) {
-                        errs.push(
-                            "'rollout.versions' must count stragglers + stale \
-                             devices on version 1"
-                                .into(),
-                        );
-                    }
-                    if lookup(&target.to_string()) != Some(updated) {
-                        errs.push(format!(
-                            "'rollout.versions' must count updated devices on \
-                             version {target}"
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    if let Some(t) = v.get("timing") {
-        for k in ["jobs", "wall_us"] {
-            if t.get(k).and_then(Value::as_u64).is_none() {
-                errs.push(format!("'timing.{k}' must be an unsigned integer"));
-            }
-        }
-        for k in ["devices_per_worker", "busy_us_per_worker"] {
-            if t.get(k).and_then(Value::as_arr).is_none() {
-                errs.push(format!("'timing.{k}' must be an array"));
-            }
-        }
-        for k in ["peak_rss_bytes", "streamed_records"] {
-            if let Some(n) = t.get(k) {
-                if n.as_u64().is_none() {
-                    errs.push(format!("'timing.{k}' must be an unsigned integer"));
-                }
-            }
-        }
+        rollout_invariants(r, devices, &mut errs);
     }
     errs
+}
+
+/// The rollout buckets partition the fleet, and `versions` agrees with them.
+fn rollout_invariants(r: &Value, devices: u128, errs: &mut Vec<String>) {
+    let get = |k: &str| uint(r, k);
+    let target = get("target_seq");
+    if target < 2 {
+        errs.push("'rollout.target_seq' must be at least 2".into());
+    }
+    let updated = get("updated");
+    let failed = get("update_failed");
+    let stragglers = get("stragglers");
+    let stale = get("stale");
+    let by_bucket = updated + failed + stragglers + stale;
+    if by_bucket != devices {
+        errs.push(format!(
+            "'rollout': updated + update_failed + stragglers + stale \
+             is {by_bucket} but 'devices' is {devices} (buckets must \
+             partition the fleet)"
+        ));
+    }
+    if get("offered") != updated + failed + stragglers {
+        errs.push(
+            "'rollout': offered must equal updated + update_failed + \
+             stragglers"
+                .into(),
+        );
+    }
+    if get("waves_rolled_out") > get("waves") {
+        errs.push("'rollout.waves_rolled_out' exceeds 'rollout.waves'".into());
+    }
+    if get("downlink_chunks_lost") > get("downlink_chunks_sent") {
+        errs.push(
+            "'rollout.downlink_chunks_lost' exceeds \
+             'rollout.downlink_chunks_sent'"
+                .into(),
+        );
+    }
+    let versions = field(r, "versions");
+    if versions.get("1").is_none() || uint(versions, "1") != stragglers + stale {
+        errs.push(
+            "'rollout.versions' must count stragglers + stale \
+             devices on version 1"
+                .into(),
+        );
+    }
+    let target_key = target.to_string();
+    if versions.get(&target_key).is_none() || uint(versions, &target_key) != updated {
+        errs.push(format!(
+            "'rollout.versions' must count updated devices on \
+             version {target}"
+        ));
+    }
 }
 
 #[cfg(test)]
@@ -809,6 +705,27 @@ mod tests {
                 .and_then(Value::as_u64),
             Some(10)
         );
+
+        // Every optional block filled: builder and table agree both ways.
+        let full = build_fleet_report(&FleetInputs {
+            fault_spec: Some(FaultSpecDoc {
+                seed: 3,
+                rate_permille: 20,
+                max_retries: 2,
+                backoff_base_us: 40,
+            }),
+            rollout: Some(rollout_doc()),
+            timing: Some(FleetTimingDoc {
+                jobs: 1,
+                wall_us: 5,
+                devices_per_worker: vec![4],
+                busy_us_per_worker: vec![5],
+                peak_rss_bytes: Some(1 << 20),
+                streamed_records: Some(4),
+            }),
+            ..inputs()
+        });
+        crate::schema::tests::assert_matches_table::<FleetInputs>(&full);
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //! continuous-power oracle, and a ready-to-paste minimal-repro CLI
 //! command that re-executes exactly that injection.
 //!
-//! The document lives under the same versioned [`Report`]
+//! The document lives under the same versioned [`ReportBody`]
 //! envelope as every other kind and is validated by
 //! [`validate_forensics_report`] / dispatched by
 //! [`validate_any_report`](crate::validate_any_report).
 
-use crate::envelope::{Report, ReportBody};
+use crate::envelope::ReportBody;
 use crate::json::Value;
+use crate::schema::{field, opt, req, uint, Field, Ty, FAULT_SPEC, U64_MAP};
 use crate::sweep::FaultSpecDoc;
 
 /// How many divergent FRAM bytes a bundle spells out; the total count is
@@ -87,6 +88,7 @@ pub struct ForensicsInputs {
 impl ReportBody for ForensicsInputs {
     const KIND: &'static str = "forensics";
     const TOOL: &'static str = "easeio-sim";
+    const SCHEMA: &'static [Field] = FORENSICS_SCHEMA;
 
     fn body(&self) -> Value {
         let v = &self.violation;
@@ -112,25 +114,12 @@ impl ReportBody for ForensicsInputs {
             ("violation".into(), Value::Obj(violation)),
         ];
         if let Some(f) = &self.fault_spec {
-            fields.push((
-                "fault_spec".into(),
-                Value::Obj(vec![
-                    ("seed".into(), Value::u64(f.seed)),
-                    ("rate_permille".into(), Value::u64(f.rate_permille)),
-                    ("max_retries".into(), Value::u64(f.max_retries)),
-                    ("backoff_base_us".into(), Value::u64(f.backoff_base_us)),
-                ]),
-            ));
+            fields.push(("fault_spec".into(), f.to_value()));
         }
         if !self.context.is_empty() {
             fields.push((
                 "context".into(),
-                Value::Obj(
-                    self.context
-                        .iter()
-                        .map(|(k, n)| (k.clone(), Value::u64(*n)))
-                        .collect(),
-                ),
+                Value::u64_map(self.context.iter().map(|(k, n)| (k, *n))),
             ));
         }
         if let Some(d) = &self.fram_diff {
@@ -166,89 +155,70 @@ impl ReportBody for ForensicsInputs {
         Value::Obj(fields)
     }
 
-    fn validate_body(body: &Value) -> Vec<String> {
+    fn invariants(body: &Value) -> Vec<String> {
         let mut errs = Vec::new();
-        for key in ["source", "runtime", "app"] {
-            match body.get(key).and_then(Value::as_str) {
-                Some(s) if !s.is_empty() => {}
-                _ => errs.push(format!("'{key}' must be a nonempty string")),
-            }
-        }
-        if body.get("seed").and_then(Value::as_u64).is_none() {
-            errs.push("'seed' must be an unsigned integer".into());
-        }
-        match body.get("violation") {
-            Some(v) => {
-                match v.get("kind").and_then(Value::as_str) {
-                    Some(k) if !k.is_empty() => {}
-                    _ => errs.push("'violation.kind' must be a nonempty string".into()),
-                }
-                if v.get("detail").and_then(Value::as_str).is_none() {
-                    errs.push("'violation.detail' must be a string".into());
-                }
-                for key in ["boundary", "spend_seq", "device", "wave"] {
-                    if let Some(n) = v.get(key) {
-                        if n.as_u64().is_none() {
-                            errs.push(format!("'violation.{key}' must be an unsigned integer"));
-                        }
-                    }
-                }
-            }
-            None => errs.push("missing key 'violation'".into()),
-        }
         if let Some(d) = body.get("fram_diff") {
-            let total = d.get("divergent_bytes").and_then(Value::as_u64);
-            if total.is_none() {
-                errs.push("'fram_diff.divergent_bytes' must be an unsigned integer".into());
+            let first = field(d, "first").as_arr().unwrap_or_default();
+            if first.len() as u128 > uint(d, "divergent_bytes") {
+                errs.push("'fram_diff.first' lists more bytes than 'divergent_bytes'".into());
             }
-            match d.get("first").and_then(Value::as_arr) {
-                Some(first) => {
-                    if let Some(total) = total {
-                        if (first.len() as u64) > total {
-                            errs.push(
-                                "'fram_diff.first' lists more bytes than 'divergent_bytes'".into(),
-                            );
-                        }
-                    }
-                    for (i, b) in first.iter().enumerate() {
-                        let addr = b.get("addr").and_then(Value::as_u64);
-                        let oracle = b.get("oracle").and_then(Value::as_u64);
-                        let observed = b.get("observed").and_then(Value::as_u64);
-                        match (addr, oracle, observed) {
-                            (Some(_), Some(o), Some(b)) if o != b => {}
-                            (Some(_), Some(_), Some(_)) => errs.push(format!(
-                                "'fram_diff.first[{i}]' is not a divergence: oracle == observed"
-                            )),
-                            _ => errs.push(format!(
-                                "'fram_diff.first[{i}]' needs addr/oracle/observed integers"
-                            )),
-                        }
-                    }
+            for (i, b) in first.iter().enumerate() {
+                if b.get("oracle") == b.get("observed") {
+                    errs.push(format!(
+                        "'fram_diff.first[{i}]' is not a divergence: oracle == observed"
+                    ));
                 }
-                None => errs.push("'fram_diff.first' must be an array".into()),
             }
         }
-        match body
-            .get("repro")
-            .and_then(|r| r.get("command"))
-            .and_then(Value::as_str)
-        {
-            Some(cmd) if cmd.starts_with("easeio-sim ") => {}
-            Some(_) => errs.push("'repro.command' must start with 'easeio-sim '".into()),
-            None => errs.push("'repro.command' must be a string".into()),
+        let cmd = field(field(body, "repro"), "command").as_str();
+        if !cmd.unwrap_or_default().starts_with("easeio-sim ") {
+            errs.push("'repro.command' must start with 'easeio-sim '".into());
         }
         errs
     }
 }
 
+/// The forensics-bundle body table.
+const FORENSICS_SCHEMA: &[Field] = &[
+    req("source", Ty::NonEmptyStr),
+    req("runtime", Ty::NonEmptyStr),
+    req("app", Ty::NonEmptyStr),
+    req("seed", Ty::U64),
+    req("violation", Ty::Obj(VIOLATION)),
+    opt("fault_spec", FAULT_SPEC),
+    opt("context", U64_MAP),
+    opt("fram_diff", Ty::Obj(FRAM_DIFF)),
+    req("repro", Ty::Obj(&[req("command", Ty::Str)])),
+];
+
+const VIOLATION: &[Field] = &[
+    req("kind", Ty::NonEmptyStr),
+    req("detail", Ty::Str),
+    opt("boundary", Ty::U64),
+    opt("spend_seq", Ty::U64),
+    opt("device", Ty::U64),
+    opt("wave", Ty::U64),
+];
+
+const FRAM_DIFF: &[Field] = &[
+    req("divergent_bytes", Ty::U64),
+    req("first", Ty::Arr(&Ty::Obj(FRAM_BYTE))),
+];
+
+const FRAM_BYTE: &[Field] = &[
+    req("addr", Ty::U64),
+    req("oracle", Ty::U64),
+    req("observed", Ty::U64),
+];
+
 /// Renders the full versioned forensics document.
 pub fn build_forensics_report(inputs: &ForensicsInputs) -> Value {
-    Report::new(inputs.clone()).to_value()
+    inputs.to_document()
 }
 
 /// Validates a parsed forensics document.
 pub fn validate_forensics_report(v: &Value) -> Result<(), Vec<String>> {
-    Report::<ForensicsInputs>::validate(v)
+    ForensicsInputs::validate(v)
 }
 
 #[cfg(test)]
@@ -308,6 +278,20 @@ mod tests {
             .and_then(Value::as_str)
             .unwrap()
             .contains("--boundary 12"));
+
+        // Every optional block filled: builder and table agree both ways.
+        let mut full = sample();
+        full.violation.device = Some(3);
+        full.violation.wave = Some(1);
+        full.fault_spec = Some(FaultSpecDoc {
+            seed: 1,
+            rate_permille: 10,
+            max_retries: 2,
+            backoff_base_us: 40,
+        });
+        crate::schema::tests::assert_matches_table::<ForensicsInputs>(&build_forensics_report(
+            &full,
+        ));
     }
 
     #[test]

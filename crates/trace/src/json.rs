@@ -36,6 +36,21 @@ impl Value {
         Value::Num(n as f64)
     }
 
+    /// An array of unsigned integers.
+    pub fn u64_arr(values: &[u64]) -> Value {
+        Value::Arr(values.iter().map(|&n| Value::u64(n)).collect())
+    }
+
+    /// An object of unsigned-integer counts, keys in the pairs' order.
+    pub fn u64_map<K: ToString>(pairs: impl IntoIterator<Item = (K, u64)>) -> Value {
+        Value::Obj(
+            pairs
+                .into_iter()
+                .map(|(k, n)| (k.to_string(), Value::u64(n)))
+                .collect(),
+        )
+    }
+
     /// Looks up a key in an object.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {

@@ -36,6 +36,7 @@ pub mod profile;
 pub mod progress;
 pub mod report;
 pub mod ring;
+pub mod schema;
 pub mod sketch;
 pub mod stream;
 pub mod sweep;
@@ -43,7 +44,7 @@ pub mod tracker;
 
 pub use chrome::{chrome_trace, chrome_trace_with_counters, counter_events, CounterTrack};
 pub use envelope::{
-    identity_document, validate_any_report, Report, ReportBody, ReportKind, SCHEMA_VERSION,
+    identity_document, validate_any_report, ReportBody, ReportKind, SCHEMA_VERSION,
 };
 pub use event::{Event, EventKind, InstantKind, SpanKind, Status, NO_SITE, NO_TASK};
 pub use fleet::{
@@ -69,7 +70,7 @@ pub use sketch::Sketch;
 pub use stream::{flush_registered, register_for_flush, JsonlWriter, ShardedSink, StreamStats};
 pub use sweep::{
     build_sweep_report, validate_sweep_report, FaultSpecDoc, SweepInputs, SweepPruneDoc,
-    SweepTimingDoc, SweepViolation, SweepWasteDoc,
+    SweepTimingDoc, SweepViolation, SweepWasteDoc, SWEEP_MODES,
 };
 pub use tracker::ActivationTracker;
 

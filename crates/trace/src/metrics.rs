@@ -5,7 +5,7 @@
 //! overhead, retry backoff, DMA privatization, runtime misc, OTA update
 //! staging). This module
 //! is the report layer over that ledger: a versioned `kind: "metrics"`
-//! document under the shared [`Report`] envelope,
+//! document under the shared [`ReportBody`] envelope,
 //! one entry per runtime × app, each carrying the full per-category
 //! time/energy breakdown, per-task rows, and per-site redundant-energy
 //! rows.
@@ -22,8 +22,10 @@
 //! beyond a percentage gate; it backs `easeio-sim compare`, the CI gate
 //! against the committed `BENCH_baseline.json`.
 
-use crate::envelope::{Report, ReportBody};
+use crate::envelope::ReportBody;
 use crate::json::Value;
+use crate::report::pct;
+use crate::schema::{field, opt, req, uint, uint_sum, Field, Ty, U64_MAP};
 
 /// Number of attribution categories.
 pub const CATEGORY_COUNT: usize = 8;
@@ -46,9 +48,13 @@ pub const CATEGORY_NAMES: [&str; CATEGORY_COUNT] = [
 /// continuously-powered run would not have spent.
 pub const WASTE_CATEGORY_NAMES: [&str; 3] = ["reexec_compute", "redundant_io", "retry"];
 
-/// Whether category index `i` is a waste category.
-fn is_waste_index(i: usize) -> bool {
-    WASTE_CATEGORY_NAMES.contains(&CATEGORY_NAMES[i])
+/// The sum of the waste categories of a per-category ledger.
+fn waste_of(energy_nj: &[u64; CATEGORY_COUNT]) -> u64 {
+    let cells = CATEGORY_NAMES.iter().zip(energy_nj);
+    cells
+        .filter(|(name, _)| WASTE_CATEGORY_NAMES.contains(name))
+        .map(|(_, nj)| nj)
+        .sum()
 }
 
 /// Per-task slice of the attribution ledger.
@@ -101,10 +107,7 @@ pub struct MetricsEntry {
 impl MetricsEntry {
     /// Total wasted energy: the sum of the waste categories.
     pub fn waste_nj(&self) -> u64 {
-        (0..CATEGORY_COUNT)
-            .filter(|&i| is_waste_index(i))
-            .map(|i| self.cause_energy_nj[i])
-            .sum()
+        waste_of(&self.cause_energy_nj)
     }
 }
 
@@ -131,17 +134,10 @@ pub struct MetricsInputs {
     pub skipped: Vec<SkippedApp>,
 }
 
-fn pct(part: u64, whole: u64) -> Value {
-    if whole == 0 {
-        Value::Num(0.0)
-    } else {
-        Value::Num((part as f64 / whole as f64 * 1000.0).round() / 10.0)
-    }
-}
-
 impl ReportBody for MetricsInputs {
     const KIND: &'static str = "metrics";
     const TOOL: &'static str = "easeio-sim metrics";
+    const SCHEMA: &'static [Field] = METRICS_SCHEMA;
 
     fn body(&self) -> Value {
         let entries: Vec<Value> = self.entries.iter().map(render_entry).collect();
@@ -178,8 +174,8 @@ impl ReportBody for MetricsInputs {
         Value::Obj(fields)
     }
 
-    fn validate_body(body: &Value) -> Vec<String> {
-        validate_metrics_body(body)
+    fn invariants(body: &Value) -> Vec<String> {
+        metrics_invariants(body)
     }
 }
 
@@ -204,17 +200,13 @@ fn render_entry(e: &MetricsEntry) -> Value {
         .tasks
         .iter()
         .map(|t| {
-            let by_cause: Vec<(String, Value)> = (0..CATEGORY_COUNT)
-                .map(|i| (CATEGORY_NAMES[i].to_string(), Value::u64(t.energy_nj[i])))
-                .collect();
-            let task_waste: u64 = (0..CATEGORY_COUNT)
-                .filter(|&i| is_waste_index(i))
-                .map(|i| t.energy_nj[i])
-                .sum();
             Value::Obj(vec![
                 ("task".into(), Value::u64(t.task as u64)),
-                ("energy_nj".into(), Value::Obj(by_cause)),
-                ("waste_nj".into(), Value::u64(task_waste)),
+                (
+                    "energy_nj".into(),
+                    Value::u64_map(CATEGORY_NAMES.iter().zip(t.energy_nj)),
+                ),
+                ("waste_nj".into(), Value::u64(waste_of(&t.energy_nj))),
             ])
         })
         .collect();
@@ -247,199 +239,131 @@ fn render_entry(e: &MetricsEntry) -> Value {
 
 /// Builds the full versioned metrics report document.
 pub fn build_metrics_report(inp: &MetricsInputs) -> Value {
-    Report::new(inp.clone()).to_value()
+    inp.to_document()
 }
 
 /// Validates a parsed metrics report document (envelope and body).
 pub fn validate_metrics_report(v: &Value) -> Result<(), Vec<String>> {
-    Report::<MetricsInputs>::validate(v)
+    MetricsInputs::validate(v)
 }
 
-/// Body-level validation, including the attribution invariant: every
-/// entry's category breakdown must sum exactly to its totals (energy and
-/// time), its waste total must equal the sum of the waste categories, and
-/// its per-task rows together must cover the full energy total.
-fn validate_metrics_body(v: &Value) -> Vec<String> {
+/// The metrics-report body table.
+const METRICS_SCHEMA: &[Field] = &[
+    req("seed", Ty::U64),
+    req("categories", Ty::Arr(&Ty::Str)),
+    opt("waste_categories", Ty::Arr(&Ty::Str)),
+    req("entries", Ty::Arr(&Ty::Obj(ENTRY))),
+    // Optional, but an unexplained skip is exactly the silent omission the
+    // section exists to prevent.
+    opt("skipped", Ty::Arr(&Ty::Obj(SKIPPED))),
+];
+
+const ENTRY: &[Field] = &[
+    req("runtime", Ty::Str),
+    req("app", Ty::Str),
+    req("outcome", Ty::Str),
+    req("correct", Ty::Bool),
+    req("reboots", Ty::U64),
+    req("total_time_us", Ty::U64),
+    req("total_energy_nj", Ty::U64),
+    req("breakdown", Ty::Map(&Ty::Obj(CELL))),
+    req("waste_nj", Ty::U64),
+    opt("waste_pct", Ty::Num),
+    req("tasks", Ty::Arr(&Ty::Obj(TASK))),
+    req("redundant_sites", Ty::Arr(&Ty::Obj(SITE))),
+];
+
+/// One category of an entry's breakdown.
+const CELL: &[Field] = &[
+    req("time_us", Ty::U64),
+    req("energy_nj", Ty::U64),
+    opt("energy_pct", Ty::Num),
+];
+
+const TASK: &[Field] = &[
+    req("task", Ty::U64),
+    req("energy_nj", U64_MAP),
+    opt("waste_nj", Ty::U64),
+];
+
+const SITE: &[Field] = &[
+    req("site", Ty::U64),
+    req("dma", Ty::Bool),
+    req("energy_nj", Ty::U64),
+];
+
+const SKIPPED: &[Field] = &[req("app", Ty::NonEmptyStr), req("reason", Ty::NonEmptyStr)];
+
+/// The attribution invariant: every entry's category breakdown sums
+/// exactly to its totals (energy and time), its waste total equals the sum
+/// of the waste categories, and its per-task rows together cover the full
+/// energy total.
+fn metrics_invariants(v: &Value) -> Vec<String> {
     let mut errs = Vec::new();
-    if v.get("seed").and_then(Value::as_u64).is_none() {
-        errs.push("'seed' must be an unsigned integer".into());
+    let categories = field(v, "categories").as_arr().unwrap_or_default();
+    let names: Vec<&str> = categories.iter().filter_map(Value::as_str).collect();
+    if names != CATEGORY_NAMES {
+        errs.push(format!(
+            "'categories' must be exactly {CATEGORY_NAMES:?}, got {names:?}"
+        ));
     }
-    match v.get("categories").and_then(Value::as_arr) {
-        Some(cats) => {
-            let names: Vec<&str> = cats.iter().filter_map(Value::as_str).collect();
-            if names != CATEGORY_NAMES {
-                errs.push(format!(
-                    "'categories' must be exactly {CATEGORY_NAMES:?}, got {names:?}"
-                ));
-            }
-        }
-        None => errs.push("'categories' must be an array".into()),
-    }
-    // `skipped` is optional, but when present every row must say which app
-    // was skipped and why — an unexplained skip is exactly the silent
-    // omission the section exists to prevent.
-    if let Some(skipped) = v.get("skipped") {
-        match skipped.as_arr() {
-            None => errs.push("'skipped' must be an array".into()),
-            Some(rows) => {
-                for (i, row) in rows.iter().enumerate() {
-                    for key in ["app", "reason"] {
-                        match row.get(key).and_then(Value::as_str) {
-                            Some(s) if !s.is_empty() => {}
-                            _ => errs
-                                .push(format!("'skipped[{i}].{key}' must be a non-empty string")),
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let entries = match v.get("entries").and_then(Value::as_arr) {
-        Some(e) => e,
-        None => {
-            errs.push("'entries' must be an array".into());
-            return errs;
-        }
-    };
+    let entries = field(v, "entries").as_arr().unwrap_or_default();
     for (idx, entry) in entries.iter().enumerate() {
-        validate_entry(entry, idx, &mut errs);
+        entry_invariants(entry, idx, &mut errs);
     }
     errs
 }
 
-fn validate_entry(entry: &Value, idx: usize, errs: &mut Vec<String>) {
-    let at = |field: &str| format!("entries[{idx}].{field}");
-    for key in ["runtime", "app", "outcome"] {
-        if entry.get(key).and_then(Value::as_str).is_none() {
-            errs.push(format!("'{}' must be a string", at(key)));
-        }
-    }
-    if !matches!(entry.get("correct"), Some(Value::Bool(_))) {
-        errs.push(format!("'{}' must be a boolean", at("correct")));
-    }
-    for key in ["reboots", "total_time_us", "total_energy_nj", "waste_nj"] {
-        if entry.get(key).and_then(Value::as_u64).is_none() {
-            errs.push(format!("'{}' must be an unsigned integer", at(key)));
-        }
-    }
-    let total_energy = entry
-        .get("total_energy_nj")
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
-    let total_time = entry
-        .get("total_time_us")
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
+fn entry_invariants(entry: &Value, idx: usize, errs: &mut Vec<String>) {
+    let at = |key: &str| format!("entries[{idx}].{key}");
+    let total_energy = uint(entry, "total_energy_nj");
+    let total_time = uint(entry, "total_time_us");
 
-    let mut energy_sum = 0u64;
-    let mut time_sum = 0u64;
-    let mut waste_sum = 0u64;
-    match entry.get("breakdown").and_then(Value::as_obj) {
-        None => errs.push(format!("'{}' must be an object", at("breakdown"))),
-        Some(breakdown) => {
-            let keys: Vec<&str> = breakdown.iter().map(|(k, _)| k.as_str()).collect();
-            if keys != CATEGORY_NAMES {
-                errs.push(format!(
-                    "'{}' keys must be exactly {CATEGORY_NAMES:?}",
-                    at("breakdown")
-                ));
-            }
-            for (name, cell) in breakdown {
-                let e = cell.get("energy_nj").and_then(Value::as_u64);
-                let t = cell.get("time_us").and_then(Value::as_u64);
-                match (e, t) {
-                    (Some(e), Some(t)) => {
-                        energy_sum += e;
-                        time_sum += t;
-                        if WASTE_CATEGORY_NAMES.contains(&name.as_str()) {
-                            waste_sum += e;
-                        }
-                    }
-                    _ => errs.push(format!(
-                        "'{}.{name}' must carry integer time_us and energy_nj",
-                        at("breakdown")
-                    )),
-                }
-            }
-            if energy_sum != total_energy {
-                errs.push(format!(
-                    "'{}': categories sum to {energy_sum} nJ but total_energy_nj \
-                     is {total_energy} (attribution invariant violated)",
-                    at("breakdown")
-                ));
-            }
-            if time_sum != total_time {
-                errs.push(format!(
-                    "'{}': categories sum to {time_sum} µs but total_time_us \
-                     is {total_time} (attribution invariant violated)",
-                    at("breakdown")
-                ));
-            }
-            if entry
-                .get("waste_nj")
-                .and_then(Value::as_u64)
-                .is_some_and(|w| w != waste_sum)
-            {
-                errs.push(format!(
-                    "'{}' must equal the waste-category sum {waste_sum}",
-                    at("waste_nj")
-                ));
-            }
+    let breakdown = field(entry, "breakdown").as_obj().unwrap_or_default();
+    if !breakdown.iter().map(|(k, _)| k.as_str()).eq(CATEGORY_NAMES) {
+        errs.push(format!(
+            "'{}' keys must be exactly {CATEGORY_NAMES:?}",
+            at("breakdown")
+        ));
+    }
+    let (mut energy_sum, mut time_sum, mut waste_sum) = (0u128, 0u128, 0u128);
+    for (name, cell) in breakdown {
+        let e = uint(cell, "energy_nj");
+        energy_sum += e;
+        time_sum += uint(cell, "time_us");
+        if WASTE_CATEGORY_NAMES.contains(&name.as_str()) {
+            waste_sum += e;
         }
+    }
+    if energy_sum != total_energy {
+        errs.push(format!(
+            "'{}': categories sum to {energy_sum} nJ but total_energy_nj \
+             is {total_energy} (attribution invariant violated)",
+            at("breakdown")
+        ));
+    }
+    if time_sum != total_time {
+        errs.push(format!(
+            "'{}': categories sum to {time_sum} µs but total_time_us \
+             is {total_time} (attribution invariant violated)",
+            at("breakdown")
+        ));
+    }
+    if uint(entry, "waste_nj") != waste_sum {
+        errs.push(format!(
+            "'{}' must equal the waste-category sum {waste_sum}",
+            at("waste_nj")
+        ));
     }
 
-    match entry.get("tasks").and_then(Value::as_arr) {
-        None => errs.push(format!("'{}' must be an array", at("tasks"))),
-        Some(tasks) => {
-            let mut task_total = 0u64;
-            for (ti, row) in tasks.iter().enumerate() {
-                if row.get("task").and_then(Value::as_u64).is_none() {
-                    errs.push(format!("'{}[{ti}].task' must be an integer", at("tasks")));
-                }
-                match row.get("energy_nj").and_then(Value::as_obj) {
-                    None => errs.push(format!(
-                        "'{}[{ti}].energy_nj' must be an object",
-                        at("tasks")
-                    )),
-                    Some(cells) => {
-                        for (name, n) in cells {
-                            match n.as_u64() {
-                                Some(n) => task_total += n,
-                                None => errs.push(format!(
-                                    "'{}[{ti}].energy_nj.{name}' must be an integer",
-                                    at("tasks")
-                                )),
-                            }
-                        }
-                    }
-                }
-            }
-            if task_total != total_energy {
-                errs.push(format!(
-                    "'{}': per-task rows sum to {task_total} nJ but total_energy_nj \
-                     is {total_energy} (task ledger must cover every nanojoule)",
-                    at("tasks")
-                ));
-            }
-        }
-    }
-
-    match entry.get("redundant_sites").and_then(Value::as_arr) {
-        None => errs.push(format!("'{}' must be an array", at("redundant_sites"))),
-        Some(sites) => {
-            for (si, row) in sites.iter().enumerate() {
-                if row.get("site").and_then(Value::as_u64).is_none()
-                    || row.get("energy_nj").and_then(Value::as_u64).is_none()
-                    || !matches!(row.get("dma"), Some(Value::Bool(_)))
-                {
-                    errs.push(format!(
-                        "'{}[{si}]' must carry integer site, boolean dma, \
-                         integer energy_nj",
-                        at("redundant_sites")
-                    ));
-                }
-            }
-        }
+    let tasks = field(entry, "tasks").as_arr().unwrap_or_default();
+    let task_total: u128 = tasks.iter().map(|t| uint_sum(field(t, "energy_nj"))).sum();
+    if task_total != total_energy {
+        errs.push(format!(
+            "'{}': per-task rows sum to {task_total} nJ but total_energy_nj \
+             is {total_energy} (task ledger must cover every nanojoule)",
+            at("tasks")
+        ));
     }
 }
 
@@ -558,8 +482,8 @@ pub fn compare_metrics(
             errs.push(format!("entry {}/{} missing from NEW", key.0, key.1));
             continue;
         };
-        let old_correct = old_e.get("correct").and_then(as_bool).unwrap_or(false);
-        let new_correct = new_e.get("correct").and_then(as_bool).unwrap_or(false);
+        let old_correct = old_e.get("correct").and_then(Value::as_bool) == Some(true);
+        let new_correct = new_e.get("correct").and_then(Value::as_bool) == Some(true);
         if old_correct && !new_correct {
             regressions.push(Regression {
                 runtime: key.0.clone(),
@@ -602,13 +526,6 @@ pub fn compare_metrics(
 
 fn prefix_errs(which: &str, errs: Vec<String>) -> Vec<String> {
     errs.into_iter().map(|e| format!("{which}: {e}")).collect()
-}
-
-fn as_bool(v: &Value) -> Option<bool> {
-    match v {
-        Value::Bool(b) => Some(*b),
-        _ => None,
-    }
 }
 
 /// `(runtime, app) -> entry` pairs of a validated metrics document.
@@ -717,6 +634,14 @@ mod tests {
             .as_arr()
             .unwrap()[0];
         assert_eq!(e0.get("waste_nj").unwrap().as_u64(), Some(16));
+
+        // Every optional block filled: builder and table agree both ways.
+        let mut full = sample();
+        full.skipped.push(SkippedApp {
+            app: "fir-long".into(),
+            reason: "too long".into(),
+        });
+        crate::schema::tests::assert_matches_table::<MetricsInputs>(&build_metrics_report(&full));
     }
 
     #[test]

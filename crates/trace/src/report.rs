@@ -4,13 +4,14 @@
 //! (runtime, app, supply, seed), the paper's five metrics (§5.2 — wasted
 //! work, energy, correctness, runtime overhead, memory overhead), the
 //! per-call-site profile and per-task latency table, inside the shared
-//! [`Report`] envelope of [`crate::envelope`]. Downstream tooling pins
+//! versioned envelope of [`crate::envelope`]. Downstream tooling pins
 //! `schema_version`; [`validate_report`] is the schema check CI runs
 //! against a fresh report.
 
-use crate::envelope::{Report, ReportBody};
+use crate::envelope::ReportBody;
 use crate::json::Value;
 use crate::profile::Profile;
+use crate::schema::{opt, req, Field, Ty, U64_MAP};
 
 pub use crate::envelope::SCHEMA_VERSION;
 
@@ -71,7 +72,9 @@ pub struct ReportInputs {
     pub events_dropped: u64,
 }
 
-fn pct(part: u64, whole: u64) -> Value {
+/// `part / whole` as a percentage rounded to one decimal (0 when `whole`
+/// is 0).
+pub(crate) fn pct(part: u64, whole: u64) -> Value {
     if whole == 0 {
         Value::Num(0.0)
     } else {
@@ -80,36 +83,33 @@ fn pct(part: u64, whole: u64) -> Value {
 }
 
 /// A complete run-report payload: ledger inputs plus the event profile.
-/// [`ReportBody`] implementation — wrap in [`Report`] (or call
-/// [`build_report`]) to render the versioned document.
-#[derive(Debug, Clone)]
-pub struct RunReportDoc {
+/// Its [`ReportBody`] implementation (or [`build_report`]) renders the
+/// versioned document.
+#[derive(Debug, Clone, Copy)]
+pub struct RunReportDoc<'a> {
     /// Ledger-level inputs.
-    pub inputs: ReportInputs,
+    pub inputs: &'a ReportInputs,
     /// The per-site / per-task profile derived from the event stream.
-    pub profile: Profile,
+    pub profile: &'a Profile,
 }
 
-impl ReportBody for RunReportDoc {
+impl ReportBody for RunReportDoc<'_> {
     const KIND: &'static str = "run";
     const TOOL: &'static str = "easeio-sim";
+    const SCHEMA: &'static [Field] = RUN_SCHEMA;
 
     fn body(&self) -> Value {
-        run_body(&self.inputs, &self.profile)
-    }
-
-    fn validate_body(body: &Value) -> Vec<String> {
-        validate_run_body(body)
+        run_body(self.inputs, self.profile)
     }
 }
 
 /// Builds the versioned report document (v2 envelope).
 pub fn build_report(inp: &ReportInputs, profile: &Profile) -> Value {
-    Report::new(RunReportDoc {
-        inputs: inp.clone(),
-        profile: profile.clone(),
-    })
-    .to_value()
+    RunReportDoc {
+        inputs: inp,
+        profile,
+    }
+    .to_document()
 }
 
 /// The report body: everything under the envelope's `report` key.
@@ -217,12 +217,6 @@ fn run_body(inp: &ReportInputs, profile: &Profile) -> Value {
         })
         .collect();
 
-    let instants = profile
-        .instants
-        .iter()
-        .map(|(k, v)| (k.to_string(), Value::u64(*v)))
-        .collect();
-
     let mut fields = vec![
         ("runtime".into(), Value::str(inp.runtime.clone())),
         ("app".into(), Value::str(inp.app.clone())),
@@ -239,7 +233,10 @@ fn run_body(inp: &ReportInputs, profile: &Profile) -> Value {
         ("metrics".into(), metrics),
         ("sites".into(), Value::Arr(sites)),
         ("tasks".into(), Value::Arr(tasks)),
-        ("instants".into(), Value::Obj(instants)),
+        (
+            "instants".into(),
+            Value::u64_map(profile.instants.iter().map(|(k, v)| (k, *v))),
+        ),
         (
             "trace".into(),
             Value::Obj(vec![
@@ -257,16 +254,6 @@ fn run_body(inp: &ReportInputs, profile: &Profile) -> Value {
         || !profile.degraded_by_mode.is_empty()
         || !profile.retries_by_site.is_empty()
     {
-        let by_kind = profile
-            .faults_by_kind
-            .iter()
-            .map(|(k, v)| (k.to_string(), Value::u64(*v)))
-            .collect();
-        let degraded = profile
-            .degraded_by_mode
-            .iter()
-            .map(|(k, v)| (k.to_string(), Value::u64(*v)))
-            .collect();
         let retries = profile
             .retries_by_site
             .iter()
@@ -281,8 +268,14 @@ fn run_body(inp: &ReportInputs, profile: &Profile) -> Value {
         fields.push((
             "faults".into(),
             Value::Obj(vec![
-                ("by_kind".into(), Value::Obj(by_kind)),
-                ("degraded".into(), Value::Obj(degraded)),
+                (
+                    "by_kind".into(),
+                    Value::u64_map(profile.faults_by_kind.iter().map(|(k, v)| (k, *v))),
+                ),
+                (
+                    "degraded".into(),
+                    Value::u64_map(profile.degraded_by_mode.iter().map(|(k, v)| (k, *v))),
+                ),
                 ("retries_by_site".into(), Value::Arr(retries)),
             ]),
         ));
@@ -290,142 +283,109 @@ fn run_body(inp: &ReportInputs, profile: &Profile) -> Value {
     Value::Obj(fields)
 }
 
-/// Required numeric keys inside `metrics`.
-const METRIC_KEYS: &[&str] = &[
-    "wall_us",
-    "on_us",
-    "app_time_us",
-    "overhead_time_us",
-    "app_energy_nj",
-    "overhead_energy_nj",
-    "total_energy_nj",
-    "wasted_time_us",
-    "wasted_energy_nj",
-    "wasted_work_pct",
-    "runtime_overhead_pct",
-    "power_failures",
-    "task_attempts",
-    "task_commits",
-    "io_executed",
-    "io_skipped",
-    "io_reexecutions",
-    "dma_executed",
-    "dma_skipped",
-    "dma_reexecutions",
+/// The run-report body table.
+const RUN_SCHEMA: &[Field] = &[
+    req("runtime", Ty::Str),
+    req("app", Ty::Str),
+    // Free-form: kind plus whatever bounds the supply has.
+    req("supply", Ty::Map(&Ty::Any)),
+    req("seed", Ty::U64),
+    req("outcome", Ty::OneOf(OUTCOMES)),
+    req("correct", Ty::BoolOrNull),
+    req("metrics", Ty::Obj(METRICS)),
+    req("sites", Ty::Arr(&Ty::Obj(SITE))),
+    req("tasks", Ty::Arr(&Ty::Obj(TASK))),
+    opt("instants", U64_MAP),
+    req("trace", Ty::Obj(TRACE)),
+    // Absent for fault-free runs and older v2 documents.
+    opt("faults", Ty::Obj(FAULTS)),
 ];
 
-const SITE_KEYS: &[&str] = &[
-    "task",
-    "site",
-    "kind",
-    "name",
-    "executions",
-    "redundant",
-    "skips",
-    "failed",
-    "time_us",
-    "energy_nj",
-    "wasted_time_us",
-    "wasted_energy_nj",
-    "wasted_share",
+const OUTCOMES: &[&str] = &["completed", "non_termination", "fault"];
+
+const METRICS: &[Field] = &[
+    req("wall_us", Ty::Num),
+    req("on_us", Ty::Num),
+    req("app_time_us", Ty::Num),
+    req("overhead_time_us", Ty::Num),
+    req("app_energy_nj", Ty::Num),
+    req("overhead_energy_nj", Ty::Num),
+    req("total_energy_nj", Ty::Num),
+    opt("golden_app_time_us", Ty::Num),
+    opt("golden_app_energy_nj", Ty::Num),
+    req("wasted_time_us", Ty::Num),
+    req("wasted_energy_nj", Ty::Num),
+    req("wasted_work_pct", Ty::Num),
+    req("runtime_overhead_pct", Ty::Num),
+    req("power_failures", Ty::Num),
+    req("task_attempts", Ty::Num),
+    req("task_commits", Ty::Num),
+    req("io_executed", Ty::Num),
+    req("io_skipped", Ty::Num),
+    req("io_reexecutions", Ty::Num),
+    req("dma_executed", Ty::Num),
+    req("dma_skipped", Ty::Num),
+    req("dma_reexecutions", Ty::Num),
+    // `{text, ram, fram}` bytes, or null when not measured.
+    opt("memory", Ty::Any),
 ];
 
-const TASK_KEYS: &[&str] = &[
-    "task",
-    "name",
-    "attempts",
-    "reexec_attempts",
-    "commits",
-    "failures",
-    "giveups",
-    "latency_us",
+const SITE: &[Field] = &[
+    req("task", Ty::U64),
+    req("site", Ty::U64),
+    req("kind", Ty::Str),
+    req("name", Ty::Str),
+    req("executions", Ty::U64),
+    req("redundant", Ty::U64),
+    req("skips", Ty::U64),
+    req("failed", Ty::U64),
+    req("time_us", Ty::U64),
+    req("energy_nj", Ty::U64),
+    req("wasted_time_us", Ty::U64),
+    req("wasted_energy_nj", Ty::U64),
+    req("wasted_share", Ty::Num),
+];
+
+const TASK: &[Field] = &[
+    req("task", Ty::U64),
+    req("name", Ty::Str),
+    req("attempts", Ty::U64),
+    req("reexec_attempts", Ty::U64),
+    req("commits", Ty::U64),
+    req("failures", Ty::U64),
+    req("giveups", Ty::U64),
+    req("latency_us", Ty::Obj(LATENCY)),
+];
+
+const LATENCY: &[Field] = &[
+    req("p50", Ty::U64),
+    req("p95", Ty::U64),
+    req("max", Ty::U64),
+];
+
+const TRACE: &[Field] = &[
+    req("events_recorded", Ty::U64),
+    req("events_dropped", Ty::U64),
+    opt("power_off_us", Ty::U64),
+    req("unbalanced_spans", Ty::U64),
+];
+
+const FAULTS: &[Field] = &[
+    req("by_kind", U64_MAP),
+    req("degraded", U64_MAP),
+    req("retries_by_site", Ty::Arr(&Ty::Obj(RETRIES))),
+];
+
+const RETRIES: &[Field] = &[
+    req("task", Ty::U64),
+    req("site", Ty::U64),
+    req("retries", Ty::U64),
 ];
 
 /// Checks a parsed v2 report document (envelope + body). Returns every
 /// violation found, not just the first.
 pub fn validate_report(v: &Value) -> Result<(), Vec<String>> {
-    Report::<RunReportDoc>::validate(v)
-}
-
-/// Body-level checks on the `report` object.
-fn validate_run_body(v: &Value) -> Vec<String> {
-    let mut errs = Vec::new();
-    let mut need = |key: &str, pred: &dyn Fn(&Value) -> bool, what: &str| match v.get(key) {
-        None => errs.push(format!("missing key '{key}'")),
-        Some(val) if !pred(val) => errs.push(format!("'{key}' must be {what}")),
-        _ => {}
-    };
-    need("runtime", &|x| x.as_str().is_some(), "a string");
-    need("app", &|x| x.as_str().is_some(), "a string");
-    need("supply", &|x| x.as_obj().is_some(), "an object");
-    need("seed", &|x| x.as_u64().is_some(), "an unsigned integer");
-    need(
-        "outcome",
-        &|x| matches!(x.as_str(), Some("completed" | "non_termination" | "fault")),
-        "'completed', 'non_termination', or 'fault'",
-    );
-    need(
-        "correct",
-        &|x| matches!(x, Value::Null | Value::Bool(_)),
-        "a bool or null",
-    );
-
-    match v.get("metrics") {
-        None => errs.push("missing key 'metrics'".into()),
-        Some(m) => {
-            for k in METRIC_KEYS {
-                if m.get(k).and_then(Value::as_f64).is_none() {
-                    errs.push(format!("metrics.{k} must be a number"));
-                }
-            }
-        }
-    }
-    for (key, required) in [("sites", SITE_KEYS), ("tasks", TASK_KEYS)] {
-        match v.get(key).and_then(Value::as_arr) {
-            None => errs.push(format!("'{key}' must be an array")),
-            Some(rows) => {
-                for (i, row) in rows.iter().enumerate() {
-                    for k in required {
-                        if row.get(k).is_none() {
-                            errs.push(format!("{key}[{i}] missing '{k}'"));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    match v.get("trace") {
-        None => errs.push("missing key 'trace'".into()),
-        Some(t) => {
-            for k in ["events_recorded", "events_dropped", "unbalanced_spans"] {
-                if t.get(k).and_then(Value::as_u64).is_none() {
-                    errs.push(format!("trace.{k} must be an unsigned integer"));
-                }
-            }
-        }
-    }
-    // 'faults' is optional (absent for fault-free runs and older v2 docs);
-    // when present its three sub-fields must be well-formed.
-    if let Some(f) = v.get("faults") {
-        for k in ["by_kind", "degraded"] {
-            if f.get(k).and_then(Value::as_obj).is_none() {
-                errs.push(format!("'faults.{k}' must be an object"));
-            }
-        }
-        match f.get("retries_by_site").and_then(Value::as_arr) {
-            None => errs.push("'faults.retries_by_site' must be an array".into()),
-            Some(rows) => {
-                for (i, row) in rows.iter().enumerate() {
-                    for k in ["task", "site", "retries"] {
-                        if row.get(k).and_then(Value::as_u64).is_none() {
-                            errs.push(format!("faults.retries_by_site[{i}] missing '{k}'"));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    errs
+    RunReportDoc::validate(v)
 }
 
 #[cfg(test)]
@@ -492,6 +452,30 @@ mod tests {
                 .as_f64(),
             Some(25.0)
         );
+
+        // Every optional block filled: builder and table agree both ways.
+        use crate::event::{Event, EventKind::*, InstantKind, SpanKind::*, Status};
+        let span = |ts: u64, kind| Event {
+            ts_us: ts,
+            energy_nj: ts * 10,
+            task: 0,
+            site: 0,
+            name: "sense",
+            kind,
+        };
+        let mut p = crate::profile::build_profile(&[
+            Event::instant(0, 0, InstantKind::Boot, "boot"),
+            span(1, SpanBegin(TaskAttempt)),
+            span(2, SpanBegin(IoCall)),
+            span(3, SpanEnd(IoCall, Status::Executed)),
+            span(4, SpanEnd(TaskAttempt, Status::Committed)),
+        ]);
+        assert!(!p.sites.is_empty() && !p.tasks.is_empty() && !p.instants.is_empty());
+        p.faults_by_kind.insert("radio_nack", 3);
+        p.degraded_by_mode.insert("fallback", 1);
+        p.retries_by_site.insert((4, 2), 3);
+        let full = build_report(&sample_inputs(), &p);
+        crate::schema::tests::assert_matches_table::<RunReportDoc>(&full);
     }
 
     #[test]

@@ -8,12 +8,17 @@
 //! the document alone: re-run the same app/runtime/seed with a failure
 //! injected at the recorded boundary.
 //!
-//! The body rides inside the shared [`Report`]
+//! The body rides inside the shared [`ReportBody`]
 //! envelope (`{schema_version, kind: "sweep", tool, report: {…}}`).
 
 use crate::agg::{percentile, tally};
-use crate::envelope::{Report, ReportBody};
+use crate::envelope::ReportBody;
 use crate::json::Value;
+use crate::schema::{self, opt, req, Field, Ty, FAULT_SPEC, U64_MAP};
+
+/// Every boundary-selection mode name a sweep report may carry, in
+/// `crashcheck::SweepMode` order (a cross-crate test holds the two equal).
+pub const SWEEP_MODES: [&str; 3] = ["exhaustive", "sample", "boundary"];
 
 /// One injection run that broke a crash-consistency invariant.
 #[derive(Debug, Clone)]
@@ -90,6 +95,18 @@ pub struct FaultSpecDoc {
     pub backoff_base_us: u64,
 }
 
+impl FaultSpecDoc {
+    /// The `fault_spec` object every report kind carries.
+    pub fn to_value(&self) -> Value {
+        Value::Obj(vec![
+            ("seed".into(), Value::u64(self.seed)),
+            ("rate_permille".into(), Value::u64(self.rate_permille)),
+            ("max_retries".into(), Value::u64(self.max_retries)),
+            ("backoff_base_us".into(), Value::u64(self.backoff_base_us)),
+        ])
+    }
+}
+
 /// Per-boundary energy-waste distribution of a sweep: every injection run
 /// attributes its energy by cause, and this block folds those ledgers
 /// across the sweep's boundaries. Result identity (kept by
@@ -142,7 +159,7 @@ pub struct SweepInputs {
     pub seed: u64,
     /// Outage length injected at each boundary (µs).
     pub off_us: u64,
-    /// `"exhaustive"` or `"sample"`.
+    /// One of [`SWEEP_MODES`].
     pub mode: String,
     /// Energy-spend boundaries counted in the continuous-power oracle run.
     pub oracle_boundaries: u64,
@@ -166,12 +183,20 @@ impl ReportBody for SweepInputs {
     const KIND: &'static str = "sweep";
     const TOOL: &'static str = "easeio-sim sweep";
 
+    const SCHEMA: &'static [Field] = SWEEP_SCHEMA;
+
     fn body(&self) -> Value {
         sweep_body(self)
     }
 
-    fn validate_body(body: &Value) -> Vec<String> {
-        validate_sweep_body(body)
+    fn invariants(body: &Value) -> Vec<String> {
+        let rows = schema::field(body, "violations")
+            .as_arr()
+            .unwrap_or_default();
+        if schema::uint(body, "violation_count") != rows.len() as u128 {
+            return vec!["'violation_count' disagrees with 'violations' length".into()];
+        }
+        Vec::new()
     }
 }
 
@@ -209,25 +234,9 @@ fn sweep_body(inp: &SweepInputs) -> Value {
     // Per-probe counts, derived from the violation list so they can never
     // disagree with it.
     let by_kind = tally(inp.violations.iter().map(|v| v.kind.as_str()));
-    fields.push((
-        "violations_by_kind".into(),
-        Value::Obj(
-            by_kind
-                .into_iter()
-                .map(|(k, n)| (k.to_string(), Value::u64(n)))
-                .collect(),
-        ),
-    ));
+    fields.push(("violations_by_kind".into(), Value::u64_map(by_kind)));
     if let Some(f) = &inp.fault_spec {
-        fields.push((
-            "fault_spec".into(),
-            Value::Obj(vec![
-                ("seed".into(), Value::u64(f.seed)),
-                ("rate_permille".into(), Value::u64(f.rate_permille)),
-                ("max_retries".into(), Value::u64(f.max_retries)),
-                ("backoff_base_us".into(), Value::u64(f.backoff_base_us)),
-            ]),
-        ));
+        fields.push(("fault_spec".into(), f.to_value()));
     }
     if let Some(w) = &inp.waste {
         fields.push((
@@ -240,12 +249,7 @@ fn sweep_body(inp: &SweepInputs) -> Value {
                 ("max_waste_nj".into(), Value::u64(w.max_waste_nj)),
                 (
                     "cause_energy_nj".into(),
-                    Value::Obj(
-                        w.cause_energy_nj
-                            .iter()
-                            .map(|(k, n)| (k.clone(), Value::u64(*n)))
-                            .collect(),
-                    ),
+                    Value::u64_map(w.cause_energy_nj.iter().map(|(k, n)| (k, *n))),
                 ),
             ]),
         ));
@@ -265,21 +269,11 @@ fn sweep_body(inp: &SweepInputs) -> Value {
             ("merge_us".into(), Value::u64(t.merge_us)),
             (
                 "injections_per_worker".into(),
-                Value::Arr(
-                    t.injections_per_worker
-                        .iter()
-                        .map(|&n| Value::u64(n))
-                        .collect(),
-                ),
+                Value::u64_arr(&t.injections_per_worker),
             ),
             (
                 "busy_us_per_worker".into(),
-                Value::Arr(
-                    t.busy_us_per_worker
-                        .iter()
-                        .map(|&n| Value::u64(n))
-                        .collect(),
-                ),
+                Value::u64_arr(&t.busy_us_per_worker),
             ),
         ]);
         if let Some(p) = &t.prune {
@@ -304,149 +298,71 @@ fn sweep_body(inp: &SweepInputs) -> Value {
 
 /// Builds the sweep report document (v2 envelope).
 pub fn build_sweep_report(inp: &SweepInputs) -> Value {
-    Report::new(inp.clone()).to_value()
+    inp.to_document()
 }
 
 /// Checks a parsed v2 sweep report. Returns every violation found, not just
 /// the first.
 pub fn validate_sweep_report(v: &Value) -> Result<(), Vec<String>> {
-    Report::<SweepInputs>::validate(v)
+    SweepInputs::validate(v)
 }
 
-/// Body-level checks on the `report` object.
-fn validate_sweep_body(v: &Value) -> Vec<String> {
-    let mut errs = Vec::new();
-    let mut need = |key: &str, pred: &dyn Fn(&Value) -> bool, what: &str| match v.get(key) {
-        None => errs.push(format!("missing key '{key}'")),
-        Some(val) if !pred(val) => errs.push(format!("'{key}' must be {what}")),
-        _ => {}
-    };
-    need("runtime", &|x| x.as_str().is_some(), "a string");
-    need("app", &|x| x.as_str().is_some(), "a string");
-    need("seed", &|x| x.as_u64().is_some(), "an unsigned integer");
-    need("off_us", &|x| x.as_u64().is_some(), "an unsigned integer");
-    need(
-        "mode",
-        &|x| matches!(x.as_str(), Some("exhaustive" | "sample")),
-        "'exhaustive' or 'sample'",
-    );
-    need(
-        "oracle_boundaries",
-        &|x| x.as_u64().is_some(),
-        "an unsigned integer",
-    );
-    need("strict_memory", &|x| matches!(x, Value::Bool(_)), "a bool");
-    need(
-        "injections",
-        &|x| x.as_u64().is_some(),
-        "an unsigned integer",
-    );
-    need(
-        "violation_count",
-        &|x| x.as_u64().is_some(),
-        "an unsigned integer",
-    );
-    match v.get("violations").and_then(Value::as_arr) {
-        None => errs.push("'violations' must be an array".into()),
-        Some(rows) => {
-            if v.get("violation_count").and_then(Value::as_u64) != Some(rows.len() as u64) {
-                errs.push("'violation_count' disagrees with 'violations' length".into());
-            }
-            for (i, row) in rows.iter().enumerate() {
-                for k in ["boundary", "kind", "detail"] {
-                    if row.get(k).is_none() {
-                        errs.push(format!("violations[{i}] missing '{k}'"));
-                    }
-                }
-            }
-        }
-    }
-    // Both fault blocks are optional: pre-fault v2 documents carry neither.
-    if let Some(b) = v.get("violations_by_kind") {
-        match b.as_obj() {
-            None => errs.push("'violations_by_kind' must be an object".into()),
-            Some(entries) => {
-                for (k, n) in entries {
-                    if n.as_u64().is_none() {
-                        errs.push(format!(
-                            "'violations_by_kind.{k}' must be an unsigned integer"
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    if let Some(f) = v.get("fault_spec") {
-        for k in ["seed", "rate_permille", "max_retries", "backoff_base_us"] {
-            if f.get(k).and_then(Value::as_u64).is_none() {
-                errs.push(format!("'fault_spec.{k}' must be an unsigned integer"));
-            }
-        }
-    }
-    if let Some(w) = v.get("waste") {
-        for k in [
-            "boundaries",
-            "mean_waste_nj",
-            "p50_waste_nj",
-            "p95_waste_nj",
-            "max_waste_nj",
-        ] {
-            if w.get(k).and_then(Value::as_u64).is_none() {
-                errs.push(format!("'waste.{k}' must be an unsigned integer"));
-            }
-        }
-        match w.get("cause_energy_nj").and_then(Value::as_obj) {
-            None => errs.push("'waste.cause_energy_nj' must be an object".into()),
-            Some(entries) => {
-                for (k, n) in entries {
-                    if n.as_u64().is_none() {
-                        errs.push(format!("'waste.cause_energy_nj.{k}' must be an integer"));
-                    }
-                }
-            }
-        }
-    }
-    if let Some(t) = v.get("timing") {
-        for k in ["jobs", "wall_us"] {
-            if t.get(k).and_then(Value::as_u64).is_none() {
-                errs.push(format!("'timing.{k}' must be an unsigned integer"));
-            }
-        }
-        // Optional: absent on sweeps too fast to time (and the stage
-        // clocks are absent from pre-pruning documents).
-        for k in [
-            "injections_per_sec_milli",
-            "oracle_us",
-            "classify_us",
-            "inject_us",
-            "merge_us",
-        ] {
-            if let Some(val) = t.get(k) {
-                if val.as_u64().is_none() {
-                    errs.push(format!("'timing.{k}' must be an unsigned integer"));
-                }
-            }
-        }
-        for k in ["injections_per_worker", "busy_us_per_worker"] {
-            if t.get(k).and_then(Value::as_arr).is_none() {
-                errs.push(format!("'timing.{k}' must be an array"));
-            }
-        }
-        if let Some(p) = t.get("prune") {
-            for k in ["injections_executed", "injections_pruned", "classes"] {
-                if p.get(k).and_then(Value::as_u64).is_none() {
-                    errs.push(format!("'timing.prune.{k}' must be an unsigned integer"));
-                }
-            }
-            for k in ["enabled", "time_observed"] {
-                if !matches!(p.get(k), Some(Value::Bool(_))) {
-                    errs.push(format!("'timing.prune.{k}' must be a bool"));
-                }
-            }
-        }
-    }
-    errs
-}
+/// The sweep-report body table.
+const SWEEP_SCHEMA: &[Field] = &[
+    req("runtime", Ty::Str),
+    req("app", Ty::Str),
+    req("seed", Ty::U64),
+    req("off_us", Ty::U64),
+    req("mode", Ty::OneOf(&SWEEP_MODES)),
+    req("oracle_boundaries", Ty::U64),
+    req("strict_memory", Ty::Bool),
+    req("injections", Ty::U64),
+    req("violation_count", Ty::U64),
+    req("violations", Ty::Arr(&Ty::Obj(VIOLATION))),
+    // The optional blocks are absent from pre-fault v2 documents.
+    opt("violations_by_kind", U64_MAP),
+    opt("fault_spec", FAULT_SPEC),
+    opt("waste", Ty::Obj(WASTE)),
+    opt("timing", Ty::Obj(TIMING)),
+];
+
+const VIOLATION: &[Field] = &[
+    req("boundary", Ty::U64),
+    req("kind", Ty::Str),
+    req("detail", Ty::Str),
+];
+
+const WASTE: &[Field] = &[
+    req("boundaries", Ty::U64),
+    req("mean_waste_nj", Ty::U64),
+    req("p50_waste_nj", Ty::U64),
+    req("p95_waste_nj", Ty::U64),
+    req("max_waste_nj", Ty::U64),
+    req("cause_energy_nj", U64_MAP),
+];
+
+const TIMING: &[Field] = &[
+    req("jobs", Ty::U64),
+    req("wall_us", Ty::U64),
+    // Absent on sweeps too fast to time; the stage clocks are absent from
+    // pre-pruning documents.
+    opt("injections_per_sec_milli", Ty::U64),
+    opt("oracle_us", Ty::U64),
+    opt("classify_us", Ty::U64),
+    opt("inject_us", Ty::U64),
+    opt("merge_us", Ty::U64),
+    req("injections_per_worker", Ty::Arr(&Ty::U64)),
+    req("busy_us_per_worker", Ty::Arr(&Ty::U64)),
+    opt("prune", Ty::Obj(PRUNE)),
+];
+
+const PRUNE: &[Field] = &[
+    req("enabled", Ty::Bool),
+    req("injections_executed", Ty::U64),
+    req("injections_pruned", Ty::U64),
+    req("classes", Ty::U64),
+    req("time_observed", Ty::Bool),
+];
 
 #[cfg(test)]
 mod tests {
@@ -472,6 +388,41 @@ mod tests {
             fault_spec: None,
             waste: None,
             timing: None,
+        }
+    }
+
+    /// [`inputs`] with every optional block present.
+    fn full_inputs() -> SweepInputs {
+        SweepInputs {
+            fault_spec: Some(FaultSpecDoc {
+                seed: 9,
+                rate_permille: 50,
+                max_retries: 4,
+                backoff_base_us: 40,
+            }),
+            waste: Some(SweepWasteDoc::from_series(
+                &[40, 10],
+                vec![("progress".into(), 900)],
+            )),
+            timing: Some(SweepTimingDoc {
+                jobs: 2,
+                wall_us: 10,
+                injections_per_sec_milli: Some(7),
+                oracle_us: 1,
+                classify_us: 1,
+                inject_us: 1,
+                merge_us: 1,
+                injections_per_worker: vec![21, 21],
+                busy_us_per_worker: vec![5, 5],
+                prune: Some(SweepPruneDoc {
+                    enabled: true,
+                    injections_executed: 12,
+                    injections_pruned: 30,
+                    classes: 12,
+                    time_observed: false,
+                }),
+            }),
+            ..inputs()
         }
     }
 
@@ -513,6 +464,10 @@ mod tests {
             rows[0].get("kind").and_then(Value::as_str),
             Some("single_redundant")
         );
+
+        // Every optional block filled: builder and table agree both ways.
+        let full = build_sweep_report(&full_inputs());
+        crate::schema::tests::assert_matches_table::<SweepInputs>(&full);
     }
 
     #[test]

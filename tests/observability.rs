@@ -17,18 +17,22 @@ use easeio_repro::apps::harness::{golden, run_traced, KernelKind};
 use easeio_repro::apps::temp_app;
 use easeio_repro::easeio_trace::fleet::{
     build_fleet_report, FleetDeliveryDoc, FleetEnergyDoc, FleetInputs, FleetMediumDoc,
-    FleetOutcomesDoc, FleetStragglerDoc,
+    FleetOutcomesDoc, FleetRolloutDoc, FleetStragglerDoc, FleetTimingDoc,
 };
+use easeio_repro::easeio_trace::report::RunReportDoc;
+use easeio_repro::easeio_trace::schema::{Field, Ty};
 use easeio_repro::easeio_trace::{
-    build_metrics_report, build_profile, build_report, build_sweep_report, chrome_trace,
-    compare_metrics, jsonl, parse_json, validate_any_report, validate_metrics_report,
-    validate_report, Event, EventKind, FaultSpecDoc, InstantKind, MetricsEntry, MetricsInputs,
-    ReportInputs, ReportKind, SiteWasteRow, SpanKind, Status, SweepInputs, SweepViolation,
-    SweepWasteDoc, TaskWasteRow, Value, CATEGORY_COUNT, CATEGORY_NAMES, NO_SITE, NO_TASK,
-    WASTE_CATEGORY_NAMES,
+    build_forensics_report, build_metrics_report, build_profile, build_report, build_sweep_report,
+    chrome_trace, compare_metrics, jsonl, parse_json, validate_any_report, validate_metrics_report,
+    validate_report, Event, EventKind, FaultSpecDoc, ForensicsInputs, ForensicsViolationDoc,
+    FramDiffByte, FramDiffDoc, InstantKind, MetricsEntry, MetricsInputs, ReportBody, ReportInputs,
+    ReportKind, SiteWasteRow, SkippedApp, SpanKind, Status, SweepInputs, SweepPruneDoc,
+    SweepTimingDoc, SweepViolation, SweepWasteDoc, TaskWasteRow, Value, CATEGORY_COUNT,
+    CATEGORY_NAMES, NO_SITE, NO_TASK, SWEEP_MODES, WASTE_CATEGORY_NAMES,
 };
 use easeio_repro::kernel::Outcome;
 use easeio_repro::mcu_emu::{EnergyCause, Mcu, Supply, TimerResetConfig, KERNEL_TASK};
+use proptest::prelude::*;
 use std::path::PathBuf;
 
 fn ev(ts: u64, nj: u64, task: u16, site: u16, name: &'static str, kind: EventKind) -> Event {
@@ -314,6 +318,24 @@ fn category_names_match_the_emulator_ledger() {
     }
 }
 
+/// The sweep table's `mode` row lists every name `crashcheck::SweepMode`
+/// can put in a report, so no sweep the CLI runs writes a document its own
+/// validator rejects. The exhaustive match breaks this test's build when a
+/// mode is added.
+#[test]
+fn sweep_mode_names_match_the_schema() {
+    use crashcheck::SweepMode;
+    let names = [
+        SweepMode::Exhaustive,
+        SweepMode::Sample(1),
+        SweepMode::Boundary(0),
+    ]
+    .map(|m| match m {
+        SweepMode::Exhaustive | SweepMode::Sample(_) | SweepMode::Boundary(_) => m.name(),
+    });
+    assert_eq!(names, SWEEP_MODES);
+}
+
 #[test]
 fn compare_gate_fails_on_injected_regression() {
     let old = build_metrics_report(&sample_metrics_inputs());
@@ -569,4 +591,331 @@ fn real_run_report_satisfies_the_schema() {
         redundant,
         r.stats.io_reexecutions + r.stats.dma_reexecutions
     );
+}
+
+/// One document per report kind with every optional block filled, paired
+/// with its body table.
+fn full_documents() -> Vec<(Value, &'static [Field])> {
+    let mut profile = build_profile(&synthetic_events());
+    profile.faults_by_kind.insert("radio_nack", 3);
+    profile.degraded_by_mode.insert("fallback", 1);
+    profile.retries_by_site.insert((1, 0), 3);
+    let fault_spec = Some(FaultSpecDoc {
+        seed: 11,
+        rate_permille: 80,
+        max_retries: 3,
+        backoff_base_us: 200,
+    });
+    let sweep = SweepInputs {
+        runtime: "EaseIO".into(),
+        app: "dma".into(),
+        seed: 7,
+        off_us: 50_000,
+        mode: "boundary".into(),
+        oracle_boundaries: 120,
+        strict_memory: true,
+        injections: 1,
+        violations: vec![SweepViolation {
+            boundary: 17,
+            kind: "single_redundant".into(),
+            detail: "site 2 re-executed".into(),
+        }],
+        fault_spec: fault_spec.clone(),
+        waste: Some(SweepWasteDoc::from_series(
+            &[40],
+            vec![("progress".into(), 40)],
+        )),
+        timing: Some(SweepTimingDoc {
+            jobs: 1,
+            wall_us: 90,
+            injections_per_sec_milli: Some(11_111),
+            oracle_us: 5,
+            classify_us: 4,
+            inject_us: 80,
+            merge_us: 6,
+            injections_per_worker: vec![1],
+            busy_us_per_worker: vec![80],
+            prune: Some(SweepPruneDoc {
+                enabled: true,
+                injections_executed: 1,
+                injections_pruned: 0,
+                classes: 1,
+                time_observed: false,
+            }),
+        }),
+    };
+    let fleet = FleetInputs {
+        fault_spec: fault_spec.clone(),
+        rollout: Some(FleetRolloutDoc {
+            target_seq: 2,
+            wave_size: 4,
+            waves: 2,
+            waves_rolled_out: 2,
+            aborted: false,
+            offered: 8,
+            updated: 7,
+            update_failed: 0,
+            stragglers: 1,
+            stale: 0,
+            downlink_chunks_sent: 20,
+            downlink_chunks_lost: 3,
+            duplicate_activations: 0,
+            version_torn: 0,
+        }),
+        timing: Some(FleetTimingDoc {
+            jobs: 2,
+            wall_us: 300,
+            devices_per_worker: vec![4, 4],
+            busy_us_per_worker: vec![140, 150],
+            peak_rss_bytes: Some(8 << 20),
+            streamed_records: Some(8),
+        }),
+        ..sample_fleet_inputs()
+    };
+    let mut metrics = sample_metrics_inputs();
+    metrics.skipped.push(SkippedApp {
+        app: "fir-long".into(),
+        reason: "chunk task exceeds the timer supply's max on-period".into(),
+    });
+    let forensics = ForensicsInputs {
+        source: "sweep".into(),
+        runtime: "Naive".into(),
+        app: "ota-update".into(),
+        seed: 7,
+        violation: ForensicsViolationDoc {
+            kind: "version_torn".into(),
+            detail: "sealed header vouches for a torn payload".into(),
+            boundary: Some(27),
+            spend_seq: Some(340),
+            device: Some(3),
+            wave: Some(1),
+        },
+        fault_spec,
+        context: vec![("injections".into(), 34)],
+        fram_diff: Some(FramDiffDoc {
+            divergent_bytes: 2,
+            first: vec![FramDiffByte {
+                addr: 0x180,
+                oracle: 0xAA,
+                observed: 0,
+            }],
+        }),
+        repro_command: "easeio-sim sweep --app ota-update --boundary 27".into(),
+    };
+    let docs = vec![
+        (
+            build_report(&sample_inputs(), &profile),
+            RunReportDoc::SCHEMA,
+        ),
+        (build_sweep_report(&sweep), SweepInputs::SCHEMA),
+        (build_fleet_report(&fleet), FleetInputs::SCHEMA),
+        (build_metrics_report(&metrics), MetricsInputs::SCHEMA),
+        (build_forensics_report(&forensics), ForensicsInputs::SCHEMA),
+    ];
+    for (doc, _) in &docs {
+        validate_any_report(doc).expect("every full document is valid");
+    }
+    docs
+}
+
+/// One step of a path into a document.
+#[derive(Debug, Clone)]
+enum Step {
+    Key(String),
+    Index(usize),
+}
+
+/// The path of every node below `v`, parents before children.
+fn node_paths(v: &Value, at: &mut Vec<Step>, out: &mut Vec<Vec<Step>>) {
+    let children: Vec<(Step, &Value)> = match v {
+        Value::Obj(pairs) => pairs
+            .iter()
+            .map(|(k, x)| (Step::Key(k.clone()), x))
+            .collect(),
+        Value::Arr(items) => items
+            .iter()
+            .enumerate()
+            .map(|(i, x)| (Step::Index(i), x))
+            .collect(),
+        _ => Vec::new(),
+    };
+    for (step, x) in children {
+        at.push(step);
+        out.push(at.clone());
+        node_paths(x, at, out);
+        at.pop();
+    }
+}
+
+/// The path of every key present in `v` that `ty` marks required.
+fn required_paths(v: &Value, ty: Ty, at: &mut Vec<Step>, out: &mut Vec<Vec<Step>>) {
+    match ty {
+        Ty::Obj(fields) => {
+            for f in fields {
+                if let Some(x) = v.get(f.key) {
+                    at.push(Step::Key(f.key.into()));
+                    if f.required {
+                        out.push(at.clone());
+                    }
+                    required_paths(x, f.ty, at, out);
+                    at.pop();
+                }
+            }
+        }
+        Ty::Arr(elem) => {
+            for (i, x) in v.as_arr().unwrap_or_default().iter().enumerate() {
+                at.push(Step::Index(i));
+                required_paths(x, *elem, at, out);
+                at.pop();
+            }
+        }
+        Ty::Map(value) => {
+            for (k, x) in v.as_obj().unwrap_or_default() {
+                at.push(Step::Key(k.clone()));
+                required_paths(x, *value, at, out);
+                at.pop();
+            }
+        }
+        _ => {}
+    }
+}
+
+fn node_mut<'a>(v: &'a mut Value, path: &[Step]) -> &'a mut Value {
+    path.iter().fold(v, |v, step| match (v, step) {
+        (Value::Obj(pairs), Step::Key(k)) => {
+            &mut pairs.iter_mut().find(|(key, _)| key == k).unwrap().1
+        }
+        (Value::Arr(items), Step::Index(i)) => &mut items[*i],
+        _ => unreachable!("paths come from the document itself"),
+    })
+}
+
+/// Deletes the node at `path` (an object key or an array element).
+fn delete(v: &mut Value, path: &[Step]) {
+    let (last, parent) = path.split_last().unwrap();
+    match (node_mut(v, parent), last) {
+        (Value::Obj(pairs), Step::Key(k)) => pairs.retain(|(key, _)| key != k),
+        (Value::Arr(items), Step::Index(i)) => {
+            items.remove(*i);
+        }
+        _ => unreachable!("paths come from the document itself"),
+    }
+}
+
+/// A value of each JSON type, extremes included.
+fn replacements() -> [Value; 8] {
+    [
+        Value::Null,
+        Value::Bool(true),
+        Value::Num(-1.5),
+        Value::Num(u64::MAX as f64),
+        Value::Str(String::new()),
+        Value::str("easeio-sim"),
+        Value::Arr(vec![Value::Null]),
+        Value::Obj(vec![("x".into(), Value::u64(1))]),
+    ]
+}
+
+fn same_type(a: &Value, b: &Value) -> bool {
+    std::mem::discriminant(a) == std::mem::discriminant(b)
+}
+
+/// Validation of `doc` (and, for metrics documents, the comparison gate
+/// in both directions against the intact original) returns.
+fn validate_all(original: &Value, doc: &Value) {
+    let _ = validate_any_report(doc);
+    if original.get("kind").and_then(Value::as_str) == Some("metrics") {
+        let _ = compare_metrics(original, doc, 5.0);
+        let _ = compare_metrics(doc, original, 5.0);
+    }
+}
+
+#[test]
+fn deleting_any_required_key_is_rejected() {
+    for (doc, table) in full_documents() {
+        let mut required: Vec<Vec<Step>> = ["schema_version", "kind", "tool", "report"]
+            .map(|k| vec![Step::Key(k.into())])
+            .into();
+        let mut at = vec![Step::Key("report".into())];
+        required_paths(
+            doc.get("report").unwrap(),
+            Ty::Obj(table),
+            &mut at,
+            &mut required,
+        );
+        assert!(required.len() > 10, "{required:?}");
+        for path in required {
+            let mut broken = doc.clone();
+            delete(&mut broken, &path);
+            assert!(
+                validate_any_report(&broken).is_err(),
+                "deleting {path:?} from a {} document was accepted",
+                doc.get("kind").and_then(Value::as_str).unwrap()
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The validator entry point never panics on arbitrary text.
+    #[test]
+    fn validators_never_panic_on_arbitrary_text(input in "\\PC{0,200}") {
+        if let Ok(doc) = parse_json(&input) {
+            let _ = validate_any_report(&doc);
+        }
+    }
+
+    /// JSON-shaped token soup — closer to near-miss documents than raw
+    /// text — parses often and must validate without panicking.
+    #[test]
+    fn validators_never_panic_on_json_soup(
+        tokens in proptest::collection::vec(
+            prop_oneof![
+                Just("{"), Just("}"), Just("["), Just("]"), Just(","), Just(":"),
+                Just("\"schema_version\""), Just("2"), Just("\"kind\""),
+                Just("\"sweep\""), Just("\"metrics\""), Just("\"fleet\""),
+                Just("\"report\""), Just("\"entries\""), Just("null"),
+                Just("true"), Just("-1"), Just("1e999"), Just("18446744073709551615"),
+            ],
+            0..40,
+        )
+    ) {
+        if let Ok(doc) = parse_json(&tokens.join(" ")) {
+            let _ = validate_any_report(&doc);
+        }
+    }
+
+    /// Every kind's full document with one key deleted, one value (leaf
+    /// or container) replaced by a value of another JSON type, or one
+    /// number blown up to the largest count: validation (and the metrics
+    /// gate) returns without panicking.
+    #[test]
+    fn validators_never_panic_on_mutated_documents(
+        pick in any::<usize>(),
+        how in 0u8..3,
+        with in 0usize..8,
+    ) {
+        for (original, _) in full_documents() {
+            let mut paths = Vec::new();
+            node_paths(&original, &mut Vec::new(), &mut paths);
+            let path = &paths[pick % paths.len()];
+            let mut doc = original.clone();
+            let node = node_mut(&mut doc, path);
+            match how {
+                0 => delete(&mut doc, path),
+                1 => {
+                    let mut pool = replacements().into_iter().cycle().skip(with);
+                    *node = pool.find(|r| !same_type(r, node)).unwrap();
+                }
+                _ => {
+                    if let Value::Num(n) = node {
+                        *n = u64::MAX as f64;
+                    }
+                }
+            }
+            validate_all(&original, &doc);
+        }
+    }
 }

@@ -12,8 +12,8 @@ use easeio_exec::{run_grid, run_sweep, GridSpec, SweepOptions, SweepTiming};
 use easeio_repro::apps::dma_app;
 use easeio_repro::apps::harness::KernelKind;
 use easeio_repro::easeio_trace::{
-    build_sweep_report, identity_document, validate_any_report, FaultSpecDoc, ReportKind,
-    SweepInputs, SweepPruneDoc, SweepTimingDoc, SweepViolation, SweepWasteDoc, CATEGORY_NAMES,
+    build_sweep_report, identity_document, validate_any_report, ReportKind, SweepInputs,
+    SweepPruneDoc, SweepTimingDoc, SweepViolation, SweepWasteDoc, CATEGORY_NAMES,
 };
 use easeio_repro::kernel::{App, FaultSpec};
 use easeio_repro::mcu_emu::Mcu;
@@ -50,12 +50,7 @@ fn report_for(out: &SweepOutcome, plan: &SweepPlan, timing: &SweepTiming) -> Str
                 detail: v.detail.clone(),
             })
             .collect(),
-        fault_spec: plan.fault.plan.map(|p| FaultSpecDoc {
-            seed: p.seed,
-            rate_permille: p.rate_permille as u64,
-            max_retries: plan.fault.retry.max_retries as u64,
-            backoff_base_us: plan.fault.retry.backoff_base_us,
-        }),
+        fault_spec: plan.fault.doc(),
         // The per-boundary energy-attribution fold is part of report
         // identity: waste means and cause totals must merge canonically.
         waste: Some(SweepWasteDoc::from_series(
