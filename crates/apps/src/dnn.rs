@@ -138,25 +138,14 @@ mod tests {
     #[test]
     fn reference_matches_lea_hardware_path() {
         // Run the same layers through the simulated LEA and compare.
-        use mcu_emu::{AllocTag, Memory, Region};
+        use mcu_emu::{read_scalars, write_scalars, AllocTag, Memory, Region};
         let img = scene(7);
         let mut mem = Memory::new();
         let lin = mem.alloc(Region::LeaRam, IMG * IMG * 2, AllocTag::App);
         let lw = mem.alloc(Region::LeaRam, FC_IN * CLASSES * 2, AllocTag::App);
         let lout = mem.alloc(Region::LeaRam, C1 * C1 * 2, AllocTag::App);
-        let w = |mem: &mut Memory, base: mcu_emu::Addr, data: &[i16]| {
-            for (i, v) in data.iter().enumerate() {
-                mem.write_bytes(base.add(i as u32 * 2), &v.to_le_bytes());
-            }
-        };
-        let r = |mem: &Memory, base: mcu_emu::Addr, n: u32| -> Vec<i16> {
-            (0..n)
-                .map(|i| {
-                    let b = mem.read_bytes(base.add(i * 2), 2);
-                    i16::from_le_bytes([b[0], b[1]])
-                })
-                .collect()
-        };
+        let w = write_scalars::<i16>;
+        let r = read_scalars::<i16>;
         // conv1
         w(&mut mem, lin, &img);
         let k1: Vec<i16> = (0..K * K).map(kernel1).collect();

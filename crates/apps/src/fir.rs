@@ -84,14 +84,20 @@ fn fir_chunk(input: &[i16], h: &[i16], n_out: u32) -> Vec<i16> {
 /// not-yet-filtered next chunk, the last chunk into the padding) and writes
 /// `chunk` filtered samples back in place.
 pub fn reference(cfg: &FirCfg) -> Vec<i16> {
-    let total = CHUNKS * cfg.chunk + cfg.taps - 1;
+    chunked_reference(CHUNKS, cfg.chunk, cfg.taps)
+}
+
+/// [`reference`] for any chunk count and shape; the long-burst FIR
+/// ([`crate::fir_long`]) runs the same filter at a larger scale.
+pub(crate) fn chunked_reference(chunks: u32, chunk: u32, taps: u32) -> Vec<i16> {
+    let total = chunks * chunk + taps - 1;
     let mut s: Vec<i16> = (0..total).map(sample).collect();
-    let h: Vec<i16> = (0..cfg.taps).map(|k| coeff(k, cfg.taps)).collect();
-    for c in 0..CHUNKS {
-        let base = (c * cfg.chunk) as usize;
-        let end = base + (cfg.chunk + cfg.taps - 1) as usize;
-        let out = fir_chunk(&s[base..end], &h, cfg.chunk);
-        s[base..base + cfg.chunk as usize].copy_from_slice(&out);
+    let h: Vec<i16> = (0..taps).map(|k| coeff(k, taps)).collect();
+    for c in 0..chunks {
+        let base = (c * chunk) as usize;
+        let end = base + (chunk + taps - 1) as usize;
+        let out = fir_chunk(&s[base..end], &h, chunk);
+        s[base..base + chunk as usize].copy_from_slice(&out);
     }
     s
 }

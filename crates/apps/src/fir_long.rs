@@ -16,13 +16,12 @@
 //! WAR-through-DMA hazard of the small FIR is preserved: the chunk task
 //! writes its filtered output back over its own input region.
 
-use crate::fir::{coeff, sample};
+use crate::fir::{chunked_reference, coeff, sample};
 use kernel::{
     App, DmaAnnotation, Inventory, IoOp, ReexecSemantics, TaskCtx, TaskDef, TaskId, TaskResult,
     Transition, Verdict,
 };
 use mcu_emu::{Mcu, NvBuf, NvVar, Region};
-use periph::lea::ACC_SHIFT;
 use std::rc::Rc;
 
 /// Chunks per round (walked by one task via the progress variable).
@@ -59,31 +58,10 @@ impl Default for FirLongCfg {
     }
 }
 
-fn fir_chunk(input: &[i16], h: &[i16], n_out: u32) -> Vec<i16> {
-    (0..n_out as usize)
-        .map(|i| {
-            let mut acc: i32 = 0;
-            for (k, c) in h.iter().enumerate() {
-                acc += *c as i32 * input[i + k] as i32;
-            }
-            (acc >> ACC_SHIFT).clamp(i16::MIN as i32, i16::MAX as i32) as i16
-        })
-        .collect()
-}
-
 /// Software reference of one full round (identical for every round, since a
 /// round starts from the pristine signal).
 pub fn reference(cfg: &FirLongCfg) -> Vec<i16> {
-    let total = CHUNKS * cfg.chunk + cfg.taps - 1;
-    let mut s: Vec<i16> = (0..total).map(sample).collect();
-    let h: Vec<i16> = (0..cfg.taps).map(|k| coeff(k, cfg.taps)).collect();
-    for c in 0..CHUNKS {
-        let base = (c * cfg.chunk) as usize;
-        let end = base + (cfg.chunk + cfg.taps - 1) as usize;
-        let out = fir_chunk(&s[base..end], &h, cfg.chunk);
-        s[base..base + cfg.chunk as usize].copy_from_slice(&out);
-    }
-    s
+    chunked_reference(CHUNKS, cfg.chunk, cfg.taps)
 }
 
 /// Builds the long-FIR application on `mcu`.

@@ -19,7 +19,7 @@ use kernel::{
     App, DmaAnnotation, Inventory, IoOp, ReexecSemantics, TaskCtx, TaskDef, TaskId, TaskResult,
     Transition, Verdict,
 };
-use mcu_emu::{Addr, Mcu, NvBuf, NvVar, Region};
+use mcu_emu::{read_scalars, Addr, Mcu, NvBuf, NvVar, Region};
 use periph::Sensor;
 use std::rc::Rc;
 
@@ -310,13 +310,7 @@ pub fn build(mcu: &mut Mcu, cfg: &WeatherCfg) -> App {
                 class.get(&mcu.mem)
             ));
         }
-        let got: Vec<i16> = (0..CLASSES)
-            .map(|i| {
-                let b = mcu.mem.read_bytes(fc_loc.add(i * 2), 2);
-                i16::from_le_bytes([b[0], b[1]])
-            })
-            .collect();
-        if got != fc_ref {
+        if read_scalars::<i16>(&mcu.mem, fc_loc, CLASSES) != fc_ref {
             return Verdict::Incorrect("fully-connected activations corrupted".into());
         }
         if p.radio.count() == 0 {

@@ -330,11 +330,8 @@ mod tests {
             0,
         )
         .unwrap();
-        let mut sum = 0i32;
-        for i in 0..16u32 {
-            let b = mcu.mem.read_bytes(dst.add(i * 2), 2);
-            sum = sum.wrapping_add(i16::from_le_bytes([b[0], b[1]]) as i32);
-        }
+        let pixels: Vec<i16> = mcu_emu::read_scalars(&mcu.mem, dst, 16);
+        let sum = pixels.iter().fold(0i32, |s, p| s.wrapping_add(*p as i32));
         assert_eq!(v, sum);
     }
 

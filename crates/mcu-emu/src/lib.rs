@@ -27,7 +27,7 @@ pub use easeio_trace::TraceSink;
 pub use energy::{Capacitor, Cost, CostTable};
 pub use mcu::{Mcu, McuSnapshot, PowerFailure, SpendBoundary};
 pub use memory::{Addr, AllocRecord, AllocTag, MemSnapshot, Memory, Region, PAGE_BYTES};
-pub use nvstore::{NvBuf, NvVar, RawVar, Scalar};
+pub use nvstore::{read_scalars, write_scalars, NvBuf, NvVar, RawVar, Scalar};
 pub use power::{RfHarvestConfig, Supply, TimerResetConfig};
 pub use stats::{
     current_rss_bytes, peak_rss_bytes, CauseMarks, CauseSample, EnergyCause, RunStats, WorkKind,

@@ -26,7 +26,7 @@ impl Region {
     }
 
     /// Size of the region in bytes.
-    pub fn size(self) -> usize {
+    pub const fn size(self) -> usize {
         match self {
             Region::Fram => 256 * 1024,
             Region::Sram => 4 * 1024,
@@ -284,9 +284,38 @@ impl Memory {
     ///
     /// This is the raw memory effect of a DMA transfer: it does *not* pass
     /// through any runtime privatization layer.
+    ///
+    /// Overlapping spans within one region behave like `memmove`: the
+    /// destination receives the source bytes as they were before the copy.
     pub fn copy(&mut self, src: Addr, dst: Addr, len: u32) {
-        let data: Vec<u8> = self.read_bytes(src, len).to_vec();
-        self.write_bytes(dst, &data);
+        let (s, d, n) = (src.offset as usize, dst.offset as usize, len as usize);
+        if src.region == dst.region {
+            self.slab_mut(src.region).copy_within(s..s + n, d);
+        } else {
+            let (from, to) = self.slab_pair(src.region, dst.region);
+            to[d..d + n].copy_from_slice(&from[s..s + n]);
+        }
+        self.mark_dirty(dst.region, dst.offset, len);
+    }
+
+    /// Borrows the slab of `src` shared and the slab of `dst` mutably; the
+    /// two regions must differ.
+    fn slab_pair(&mut self, src: Region, dst: Region) -> (&[u8], &mut [u8]) {
+        let Self {
+            fram,
+            sram,
+            lea_ram,
+            ..
+        } = self;
+        match (src, dst) {
+            (Region::Fram, Region::Sram) => (fram, sram),
+            (Region::Fram, Region::LeaRam) => (fram, lea_ram),
+            (Region::Sram, Region::Fram) => (sram, fram),
+            (Region::Sram, Region::LeaRam) => (sram, lea_ram),
+            (Region::LeaRam, Region::Fram) => (lea_ram, fram),
+            (Region::LeaRam, Region::Sram) => (lea_ram, sram),
+            _ => unreachable!("same-region copies go through copy_within"),
+        }
     }
 
     /// Reads a little-endian scalar of `N` bytes.
@@ -504,6 +533,50 @@ mod tests {
         assert_eq!(m.dirty_pages(Region::LeaRam), 1);
         m.restore(&snap);
         assert_eq!(m.read_bytes(Addr::new(Region::Sram, 0), 2), &[0, 0]);
+    }
+
+    /// `copy` against the allocating memmove it replaced: read the source
+    /// into a buffer, then write it out. Bytes and dirty pages must match for
+    /// overlapping copies in both directions, page-crossing spans and every
+    /// cross-region pair.
+    #[test]
+    fn copy_matches_buffered_memmove() {
+        let fram = |o| Addr::new(Region::Fram, o);
+        let sram = |o| Addr::new(Region::Sram, o);
+        let lea = |o| Addr::new(Region::LeaRam, o);
+        let cases = [
+            (fram(100), fram(103), 64),
+            (fram(103), fram(100), 64),
+            (fram(PAGE_BYTES - 10), fram(PAGE_BYTES - 4), 40),
+            (fram(3 * PAGE_BYTES + 8), fram(3 * PAGE_BYTES - 8), 30),
+            (fram(7), fram(7), 12),
+            (fram(PAGE_BYTES - 6), sram(5), 20),
+            (sram(9), fram(PAGE_BYTES - 2), 8),
+            (sram(1), lea(2), 33),
+            (lea(40), sram(0), 16),
+            (lea(0), fram(2 * PAGE_BYTES - 1), 4),
+            (fram(0), lea(100), 0),
+        ];
+        let mut got = Memory::new();
+        for region in [Region::Fram, Region::Sram, Region::LeaRam] {
+            let pattern: Vec<u8> = (0..region.size()).map(|i| (i * 7 % 251) as u8).collect();
+            got.write_bytes(Addr::new(region, 0), &pattern);
+        }
+        let snap = got.snapshot();
+        let mut want = got.clone();
+        for (src, dst, len) in cases {
+            got.restore(&snap);
+            want.restore(&snap);
+            got.copy(src, dst, len);
+            let buffered = want.read_bytes(src, len).to_vec();
+            want.write_bytes(dst, &buffered);
+            for region in [Region::Fram, Region::Sram, Region::LeaRam] {
+                let whole = Addr::new(region, 0);
+                let size = region.size() as u32;
+                assert_eq!(got.read_bytes(whole, size), want.read_bytes(whole, size));
+                assert_eq!(got.dirty_pages(region), want.dirty_pages(region));
+            }
+        }
     }
 
     #[test]

@@ -223,16 +223,35 @@ impl<T: Scalar> NvBuf<T> {
 
     /// Reads the whole buffer (verification only).
     pub fn to_vec(&self, mem: &Memory) -> Vec<T> {
-        (0..self.len).map(|i| self.get(mem, i)).collect()
+        read_scalars(mem, self.base, self.len)
     }
 
     /// Writes the whole buffer (setup only).
     pub fn fill_from(&self, mem: &mut Memory, data: &[T]) {
         assert!(data.len() as u32 <= self.len, "data longer than buffer");
-        for (i, v) in data.iter().enumerate() {
-            self.set(mem, i as u32, *v);
-        }
+        write_scalars(mem, self.base, data);
     }
+}
+
+/// Decodes `n` consecutive little-endian scalars starting at `addr` with one
+/// block read (no cost accounting; callers charge).
+pub fn read_scalars<T: Scalar>(mem: &Memory, addr: Addr, n: u32) -> Vec<T> {
+    mem.read_bytes(addr, n * T::WIDTH)
+        .chunks_exact(T::WIDTH as usize)
+        .map(|b| T::from_raw(b.iter().rev().fold(0, |raw, byte| raw << 8 | *byte as u64)))
+        .collect()
+}
+
+/// Encodes `data` little-endian and stores it at `addr` with one block write,
+/// dirtying exactly the pages element-wise stores would (no cost accounting;
+/// callers charge).
+pub fn write_scalars<T: Scalar>(mem: &mut Memory, addr: Addr, data: &[T]) {
+    let width = T::WIDTH as usize;
+    let mut bytes = Vec::with_capacity(data.len() * width);
+    for v in data {
+        bytes.extend_from_slice(&v.to_raw().to_le_bytes()[..width]);
+    }
+    mem.write_bytes(addr, &bytes);
 }
 
 #[cfg(test)]
@@ -275,6 +294,37 @@ mod tests {
         assert_eq!(b.to_vec(&mem), vec![1, -2, 3, -4]);
         b.set(&mut mem, 2, 99);
         assert_eq!(b.to_vec(&mem), vec![1, -2, 99, -4]);
+    }
+
+    /// The block `fill_from`/`to_vec` agree with element-wise `set`/`get`
+    /// for every width, and a fill across a page edge dirties both pages.
+    #[test]
+    fn block_fill_and_read_match_element_access() {
+        fn check<T: Scalar>(data: &[T]) {
+            let mut block = Memory::new();
+            block.alloc(Region::Fram, crate::PAGE_BYTES - 2, AllocTag::App);
+            let b: NvBuf<T> = NvBuf::alloc(&mut block, Region::Fram, data.len() as u32);
+            block.snapshot();
+            let mut elementwise = block.clone();
+            b.fill_from(&mut block, data);
+            for (i, v) in data.iter().enumerate() {
+                b.set(&mut elementwise, i as u32, *v);
+            }
+            assert_eq!(b.to_vec(&block), data);
+            assert_eq!(
+                b.to_vec(&block),
+                (0..b.len())
+                    .map(|i| b.get(&elementwise, i))
+                    .collect::<Vec<T>>()
+            );
+            assert_eq!(block.dirty_pages(Region::Fram), 0b11);
+            assert_eq!(elementwise.dirty_pages(Region::Fram), 0b11);
+        }
+        check::<i8>(&[-128, 127, -1]);
+        check::<u16>(&[0, 65535, 258]);
+        check::<i32>(&[i32::MIN, -1, 7]);
+        check::<u64>(&[u64::MAX, 1 << 40]);
+        check::<i64>(&[i64::MIN, -2]);
     }
 
     #[test]

@@ -459,8 +459,10 @@ mod tests {
     #[test]
     fn host_rss_counters_read_on_linux() {
         if cfg!(target_os = "linux") {
-            let peak = peak_rss_bytes().expect("VmHWM in /proc/self/status");
+            // Current first: concurrent tests may grow the RSS between the
+            // two reads, and only the high-water mark read later covers that.
             let cur = current_rss_bytes().expect("VmRSS in /proc/self/status");
+            let peak = peak_rss_bytes().expect("VmHWM in /proc/self/status");
             assert!(cur > 0);
             assert!(peak >= cur, "high-water {peak} below current {cur}");
         }

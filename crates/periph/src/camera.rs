@@ -6,7 +6,7 @@
 //! downstream DNN computes real arithmetic whose result can be checked
 //! against a golden run (Table 5 correctness).
 
-use mcu_emu::{Addr, Cost, CostTable, Memory};
+use mcu_emu::{write_scalars, Addr, Cost, CostTable, Memory};
 
 /// Generates the `i`-th pixel of the deterministic test scene.
 ///
@@ -29,10 +29,10 @@ pub fn scene_pixel(seed: u64, width: u32, i: u32) -> i16 {
 /// caller charges [`capture_cost`] *before* calling, mirroring the
 /// spend-then-mutate atomicity rule.
 pub fn capture(mem: &mut Memory, dst: Addr, width: u32, height: u32, seed: u64) {
-    for i in 0..width * height {
-        let px = scene_pixel(seed, width, i);
-        mem.write_bytes(dst.add(i * 2), &px.to_le_bytes());
-    }
+    let pixels: Vec<i16> = (0..width * height)
+        .map(|i| scene_pixel(seed, width, i))
+        .collect();
+    write_scalars(mem, dst, &pixels);
 }
 
 /// Cost of one capture (delay-loop model, per the paper).
