@@ -290,10 +290,8 @@ impl Runtime for EaseIoRuntime {
     }
 
     fn read_var(&mut self, mcu: &mut Mcu, task: TaskId, var: RawVar) -> Result<u64, PowerFailure> {
-        if var.addr.is_nonvolatile() {
-            self.regional
-                .snap_before_access(mcu, task, self.current_region, var)?;
-        }
+        self.regional
+            .snap_before_access(mcu, task, self.current_region, var)?;
         mcu.load_var(WorkKind::App, var)
     }
 
@@ -304,11 +302,9 @@ impl Runtime for EaseIoRuntime {
         var: RawVar,
         raw: u64,
     ) -> Result<(), PowerFailure> {
-        if var.addr.is_nonvolatile() {
-            self.regional
-                .snap_before_access(mcu, task, self.current_region, var)?;
-            self.written_this_attempt.insert(var);
-        }
+        self.regional
+            .snap_before_access(mcu, task, self.current_region, var)?;
+        self.written_this_attempt.insert(var);
         mcu.store_var(WorkKind::App, var, raw)
     }
 

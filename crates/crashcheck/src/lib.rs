@@ -344,8 +344,8 @@ pub const PROBE_COUNTERS: [&str; 6] = [
 pub const UPDATE_WINDOW_COUNTERS: [&str; 2] = ["update_window_enter", "update_window_exit"];
 
 /// Per-boundary record of one reference run under the sweep's fault plan on
-/// continuous power: which spend call each boundary's slice belongs to,
-/// plus the cumulative ledger prefix right before it.
+/// continuous power: which spend call and effect epoch each boundary's
+/// slice belongs to, plus the cumulative ledger prefix right before it.
 #[derive(Debug, Clone)]
 pub struct BoundaryTrace {
     /// One record per energy-spend boundary, index = boundary.
@@ -423,18 +423,24 @@ pub struct PruneClasses {
     pub time_observed: bool,
 }
 
-/// Groups chosen boundaries into equivalence classes by the spend *call*
-/// their slice interrupts.
+/// Groups chosen boundaries into equivalence classes by the *effect epoch*
+/// their slice falls in ([`SpendBoundary::epoch`]).
 ///
-/// Soundness: every layer of the simulator obeys spend-then-mutate, so no
-/// simulator or host state changes between two slices of one spend call —
-/// an injection at either boundary clears the same volatile state over the
-/// same persistent state and replays the identical continuation. The only
-/// distinguishing observable is the wall clock (later slices fail later),
-/// which is why a time-observing run ([`BoundaryTrace::time_observed`])
-/// gets singleton classes. Fault-plan position needs no key component:
-/// peripheral attempt counters tick between spend calls, so two attempts
-/// of one site are distinct spend calls and never share a class.
+/// Soundness: a power failure clears volatile memory and restarts the
+/// interrupted task, so only what survives it decides the continuation
+/// (Surbatovich et al.: equal non-volatile state, equal continuation). One
+/// epoch is either the slices of one spend call — spend-then-mutate means
+/// nothing changes between them — or a run of *pure* ops (computation and
+/// volatile loads/stores) with no FRAM write, no non-pure spend and no
+/// runtime, tracker, peripheral or executor step in between. Either way an
+/// injection at any boundary of the epoch reboots over the same FRAM, with
+/// the same host-side state and the same executor position, and replays
+/// the identical continuation. The only distinguishing observable is the
+/// wall clock (later boundaries fail later), which is why a time-observing
+/// run ([`BoundaryTrace::time_observed`]) gets singleton classes.
+/// Fault-plan position needs no key component: peripheral attempt counters
+/// tick only inside non-pure ops, so two attempts of one site are always in
+/// different epochs.
 ///
 /// Boundaries at or past the reference run's last slice form one extra
 /// class: the injection never fires there, so every such run *is* the
@@ -455,7 +461,7 @@ pub fn classify_boundaries(chosen: &[u64], trace: &BoundaryTrace) -> PruneClasse
     }
     let mut by_key: HashMap<Option<u64>, usize> = HashMap::new();
     for &b in chosen {
-        let key = trace.slices.get(b as usize).map(|s| s.spend_seq);
+        let key = trace.slices.get(b as usize).map(|s| s.epoch);
         let id = *by_key.entry(key).or_insert_with(|| {
             reps.push(b);
             reps.len() - 1
@@ -476,10 +482,12 @@ pub fn classify_boundaries(chosen: &[u64], trace: &BoundaryTrace) -> PruneClasse
 /// (outcome, verdict, final FRAM, balance flag) or corrected additively:
 /// cumulative totals differ between class members exactly by the difference
 /// of their pre-failure ledger prefixes, which the reference trace recorded.
-/// The probe counters cannot change within one spend call, so their
-/// correction is the identity — kept in the same additive form for
-/// uniformity. `waste_nj` is re-derived from the corrected cause ledger,
-/// matching how [`run_from`] derives it.
+/// The probe counters get the same additive correction, and merging across
+/// spend calls depends on it: a task body may bump a counter directly
+/// (through `ctx.mcu.stats`) between two pure ops of one epoch, with no
+/// spend and no FRAM write, so members of one class can see different
+/// counter prefixes. `waste_nj` is re-derived from the corrected cause
+/// ledger, matching how [`run_from`] derives it.
 pub fn materialize_record(
     trace: &BoundaryTrace,
     rep: &RunRecord,
@@ -1249,6 +1257,52 @@ mod tests {
         )
     }
 
+    /// Materializes every chosen boundary of an exhaustive sweep from its
+    /// class representative and checks it against a real injected run.
+    fn assert_materialized_records_match(
+        build: &dyn Fn(&mut Mcu) -> App,
+        kind: KernelKind,
+        plan: &SweepPlan,
+    ) -> (BoundaryTrace, PruneClasses) {
+        let mut mcu = Mcu::new(Supply::continuous());
+        let app = build(&mut mcu);
+        let oracle = prepare_oracle(build, kind, plan.env_seed);
+        mcu.restore(&oracle.snapshot);
+        let trace = reference_trace(
+            &app,
+            kind,
+            &mut mcu,
+            &oracle.snapshot,
+            plan.env_seed,
+            &plan.fault,
+        );
+        let chosen = select_boundaries(oracle.boundaries, plan.mode, plan.seed);
+        let classes = classify_boundaries(&chosen, &trace);
+        let run = |mcu: &mut Mcu, b: u64| {
+            run_from(
+                &app,
+                kind,
+                mcu,
+                &oracle.snapshot,
+                Supply::injected(b, plan.off_us),
+                plan.env_seed,
+                &plan.fault,
+            )
+        };
+        let reps: Vec<RunRecord> = classes.reps.iter().map(|&b| run(&mut mcu, b)).collect();
+        for (i, &b) in chosen.iter().enumerate() {
+            let class = classes.class_of[i];
+            let rep = classes.reps[class];
+            let materialized = materialize_record(&trace, &reps[class], rep, b);
+            let real = run(&mut mcu, b);
+            assert!(
+                records_equal(&materialized, &real),
+                "{kind:?} boundary {b} (rep {rep}): materialized {materialized:?} != real {real:?}",
+            );
+        }
+        (trace, classes)
+    }
+
     /// The pruning soundness core, checked at the record level: for every
     /// boundary of an exhaustive sweep, the record materialized from its
     /// class representative must equal the record of a *real* injected run
@@ -1265,59 +1319,80 @@ mod tests {
                 fault,
                 ..SweepPlan::with_env_seed(5)
             };
-            let mut mcu = Mcu::new(Supply::continuous());
-            let app = chunky_dma(&mut mcu);
-            let oracle = prepare_oracle(&chunky_dma, kind, plan.env_seed);
-            mcu.restore(&oracle.snapshot);
-            let trace = reference_trace(
-                &app,
-                kind,
-                &mut mcu,
-                &oracle.snapshot,
-                plan.env_seed,
-                &plan.fault,
-            );
+            let (trace, classes) = assert_materialized_records_match(&chunky_dma, kind, &plan);
             assert!(!trace.time_observed, "the DMA app never observes time");
-            let chosen = select_boundaries(oracle.boundaries, plan.mode, plan.seed);
-            let classes = classify_boundaries(&chosen, &trace);
             assert!(
-                classes.reps.len() < chosen.len(),
+                classes.reps.len() < classes.class_of.len(),
                 "multi-slice DMA bursts must yield mergeable boundaries"
             );
-            let rep_records: Vec<RunRecord> = classes
-                .reps
-                .iter()
-                .map(|&b| {
-                    run_from(
-                        &app,
-                        kind,
-                        &mut mcu,
-                        &oracle.snapshot,
-                        Supply::injected(b, plan.off_us),
-                        plan.env_seed,
-                        &plan.fault,
-                    )
-                })
-                .collect();
-            for (i, &b) in chosen.iter().enumerate() {
-                let class = classes.class_of[i];
-                let materialized =
-                    materialize_record(&trace, &rep_records[class], classes.reps[class], b);
-                let real = run_from(
-                    &app,
-                    kind,
-                    &mut mcu,
-                    &oracle.snapshot,
-                    Supply::injected(b, plan.off_us),
-                    plan.env_seed,
-                    &plan.fault,
-                );
-                assert!(
-                    records_equal(&materialized, &real),
-                    "{kind:?} boundary {b} (rep {}): materialized {materialized:?} != real {real:?}",
-                    classes.reps[class],
-                );
+        }
+    }
+
+    /// Regression (DMA retry attribution): a DMA request the fault plan
+    /// aborts still pays for its burst, and that energy is retry waste. It
+    /// used to be spent as progress and relabeled only after the spend, so
+    /// the reference ledger recorded the burst's slices as progress while a
+    /// real run interrupted mid-burst relabeled them as retry — every
+    /// boundary inside an aborted multi-slice burst materialized with the
+    /// wrong retry total. The burst is now charged to retry as it is spent.
+    #[test]
+    fn materialized_records_match_real_runs_inside_aborted_dma_bursts() {
+        use periph::{FaultPlan, PeriphClass};
+
+        // A seed whose first request at the copy task's DMA site 0 faults
+        // and whose retry goes through.
+        let seed = (0..u64::MAX)
+            .find(|&s| {
+                let p = FaultPlan::new(s, 500);
+                p.decide(PeriphClass::Dma, 1, 0, 0).is_some()
+                    && p.decide(PeriphClass::Dma, 1, 0, 1).is_none()
+            })
+            .unwrap();
+        let plan = SweepPlan {
+            fault: FaultSpec::with_rate(seed, 500),
+            ..SweepPlan::with_env_seed(5)
+        };
+        for kind in [KernelKind::EaseIo, KernelKind::Naive] {
+            let (trace, _) = assert_materialized_records_match(&chunky_dma, kind, &plan);
+            // Not vacuous: the reference run has a multi-slice spend call
+            // charged to retry, i.e. an aborted burst pruning merged.
+            let retry = mcu_emu::EnergyCause::Retry.index();
+            assert!(
+                trace
+                    .slices
+                    .windows(2)
+                    .any(|w| w[0].spend_seq == w[1].spend_seq
+                        && w[1].cause_energy_nj[retry] > w[0].cause_energy_nj[retry]),
+                "{kind:?}: no aborted multi-slice DMA burst on the reference run"
+            );
+        }
+    }
+
+    /// Effect-epoch pruning on `lea`: its `filter` task stages every input
+    /// sample and coefficient into volatile LEA-RAM, one spend call each,
+    /// and nothing that survives a power failure changes in between — the
+    /// whole staging loop is one class under every kernel, and materialized
+    /// records still equal real injected runs.
+    #[test]
+    fn lea_staging_loop_forms_one_class() {
+        use apps::lea_app::{self, LeaAppCfg};
+
+        let cfg = LeaAppCfg { n_out: 16, taps: 4 };
+        let staged = (cfg.n_out + cfg.taps - 1 + cfg.taps) as usize;
+        let build = move |m: &mut Mcu| lea_app::build(m, &cfg);
+        for kind in KernelKind::ALL {
+            let (trace, classes) =
+                assert_materialized_records_match(&build, kind, &SweepPlan::with_env_seed(5));
+            assert!(!trace.time_observed);
+            let mut sizes = vec![0usize; classes.reps.len()];
+            for &c in &classes.class_of {
+                sizes[c] += 1;
             }
+            // The staging loop's slices, plus the attempt's pure prologue.
+            assert!(
+                sizes.iter().any(|&n| n >= staged),
+                "{kind:?}: no class spans the {staged}-store staging loop: {sizes:?}"
+            );
         }
     }
 

@@ -10,11 +10,11 @@
 //! classification, representative execution, materialization, batching, or
 //! merge order were wrong for some input, the outcomes would diverge here.
 
-use apps::dma_app;
 use apps::harness::KernelKind;
+use apps::{dma_app, fir_long, lea_app};
 use crashcheck::{sweep, SweepOutcome, SweepPlan};
 use easeio_exec::{run_sweep, SweepOptions};
-use kernel::FaultSpec;
+use kernel::{App, FaultSpec};
 use mcu_emu::Mcu;
 use proptest::prelude::*;
 
@@ -84,5 +84,68 @@ proptest! {
         // off — the pure thread-parallel path.
         let (unpruned, _) = run_sweep(&build, kind, &plan, &SweepOptions { jobs, prune: false });
         assert_identical(&serial, &unpruned);
+    }
+}
+
+type Builder = dyn Fn(&mut Mcu) -> App + Sync;
+
+/// `lea` at a reduced size: effect-epoch pruning merges its whole
+/// volatile staging loop into one class.
+fn small_lea(m: &mut Mcu) -> App {
+    lea_app::build(m, &lea_app::LeaAppCfg { n_out: 64, taps: 8 })
+}
+
+/// `fir-long` cut down to a few hundred boundaries, keeping its shape: a
+/// multi-slice LEA burst and a pure post-filter burst per chunk, and a
+/// sample DMA of 487 words — two slices, so when the fault plan
+/// `FaultSpec::with_rate(3, 60)` aborts it (its fifth request, in round
+/// two) the aborted burst spans a slice boundary.
+fn small_fir_long(kind: KernelKind) -> impl Fn(&mut Mcu) -> App + Sync {
+    move |m: &mut Mcu| {
+        fir_long::build(
+            m,
+            &fir_long::FirLongCfg {
+                chunk: 8,
+                taps: 480,
+                rounds: 2,
+                post_cycles: 3_000,
+                exclude_const_dma: kind.excludes_const_dma(),
+            },
+        )
+    }
+}
+
+/// The identity contract on the apps effect-epoch pruning changes most,
+/// under every kernel, at one and four workers: `lea` with and without
+/// faults, and `fir-long` under the peripheral-fault plan that once split
+/// pruned from unpruned reports (an aborted DMA burst relabeled as retry
+/// only after it was spent).
+#[test]
+fn pruned_sweep_matches_unpruned_serial_on_lea_and_fir_long() {
+    let faulted = FaultSpec::with_rate(3, 60);
+    for kind in KernelKind::ALL {
+        let fir_long = small_fir_long(kind);
+        let cases: [(&str, &Builder, FaultSpec); 3] = [
+            ("lea", &small_lea, FaultSpec::none()),
+            ("lea", &small_lea, faulted),
+            ("fir-long", &fir_long, faulted),
+        ];
+        for (name, build, fault) in cases {
+            let plan = SweepPlan {
+                strict_memory: true,
+                fault,
+                ..SweepPlan::with_env_seed(7)
+            };
+            let serial = sweep(build, kind, &plan);
+            for jobs in [1, 4] {
+                let (pruned, timing) =
+                    run_sweep(build, kind, &plan, &SweepOptions { jobs, prune: true });
+                assert_identical(&serial, &pruned);
+                assert!(
+                    timing.prune.injections_pruned > 0,
+                    "{name} under {kind:?}: nothing pruned"
+                );
+            }
+        }
     }
 }

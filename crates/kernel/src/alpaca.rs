@@ -122,7 +122,7 @@ impl Runtime for AlpacaRuntime {
         if let Some(slot) = self.redirect.get(&var).copied() {
             return mcu.store_var(WorkKind::App, slot, raw);
         }
-        if var.addr.is_nonvolatile() && self.read_set.contains(&var) {
+        if self.read_set.contains(&var) {
             // WAR detected: privatize. Initialize the private from the
             // master (overhead), then apply the application's write to it.
             let slot = self.slot_for(mcu, var);

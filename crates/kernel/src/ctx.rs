@@ -22,17 +22,63 @@ use crate::retry::RetryPolicy;
 use crate::runtime::Runtime;
 use crate::semantics::{DmaAnnotation, ReexecSemantics, TaskId};
 use easeio_trace::{ActivationTracker, Event, EventKind, InstantKind, SpanKind, Status};
-use mcu_emu::{Addr, EnergyCause, Mcu, NvBuf, NvVar, Scalar, WorkKind, DMA_SITE_BASE};
+use mcu_emu::{
+    Addr, EnergyCause, Mcu, NvBuf, NvVar, PowerFailure, RawVar, Scalar, WorkKind, DMA_SITE_BASE,
+};
 use periph::{PeriphClass, Peripherals};
+
+/// The host-side state a task body can change that survives a power
+/// failure besides FRAM: the runtime, the activation tracker, and the
+/// peripherals (fault-plan position, radio log). Its fields are private to
+/// this module so [`Host::enter`] is the only way to reach them.
+mod host {
+    use super::*;
+
+    pub(super) struct Host<'a> {
+        rt: &'a mut dyn Runtime,
+        tracker: &'a mut ActivationTracker,
+        periph: &'a mut Peripherals,
+    }
+
+    /// Borrowed access to the host state for one effectful step.
+    pub(super) struct Reach<'r, 'a> {
+        pub rt: &'r mut (dyn Runtime + 'a),
+        pub tracker: &'r mut ActivationTracker,
+        pub periph: &'r mut Peripherals,
+    }
+
+    impl<'a> Host<'a> {
+        pub(super) fn new(
+            rt: &'a mut dyn Runtime,
+            tracker: &'a mut ActivationTracker,
+            periph: &'a mut Peripherals,
+        ) -> Self {
+            Self {
+                rt,
+                tracker,
+                periph,
+            }
+        }
+
+        /// Ends the MCU's effect epoch, then lends out the host state. A
+        /// change here that spends nothing can therefore never sit between
+        /// two pure ops of one epoch (see `mcu_emu::SpendBoundary`).
+        pub(super) fn enter(&mut self, mcu: &mut Mcu) -> Reach<'_, 'a> {
+            mcu.advance_epoch();
+            Reach {
+                rt: &mut *self.rt,
+                tracker: &mut *self.tracker,
+                periph: &mut *self.periph,
+            }
+        }
+    }
+}
 
 /// The execution context passed to task bodies.
 pub struct TaskCtx<'a> {
     /// The simulated MCU.
     pub mcu: &'a mut Mcu,
-    /// The simulated peripherals.
-    pub periph: &'a mut Peripherals,
-    rt: &'a mut dyn Runtime,
-    tracker: &'a mut ActivationTracker,
+    host: host::Host<'a>,
     task: TaskId,
     retry: RetryPolicy,
     io_seq: u16,
@@ -56,9 +102,7 @@ impl<'a> TaskCtx<'a> {
     ) -> Self {
         Self {
             mcu,
-            periph,
-            rt,
-            tracker,
+            host: host::Host::new(rt, tracker, periph),
             task,
             retry,
             io_seq: 0,
@@ -94,45 +138,61 @@ impl<'a> TaskCtx<'a> {
         self.io_seq
     }
 
-    /// Performs `cycles` cycles of application computation.
+    /// Performs `cycles` cycles of application computation. A pure op.
     pub fn compute(&mut self, cycles: u64) -> Result<(), Fault> {
         debug_assert_eq!(
             self.block_depth, 0,
             "EaseIO I/O blocks contain only I/O operations (paper §3.2)"
         );
         let c = self.mcu.cost.cpu_cycle.times(cycles);
-        Ok(self.mcu.spend(WorkKind::App, c)?)
+        Ok(self.mcu.pure_op(|m| m.spend(WorkKind::App, c))?)
     }
 
-    /// Reads a task-shared variable through the runtime.
+    /// Reads a task-shared variable. A volatile (SRAM/LEA-RAM) variable is
+    /// a pure load; a non-volatile one goes through the runtime.
     pub fn read<T: Scalar>(&mut self, var: NvVar<T>) -> Result<T, Fault> {
-        let raw = self.rt.read_var(self.mcu, self.task, var.raw())?;
-        Ok(T::from_raw(raw))
+        Ok(T::from_raw(self.load(var.raw())?))
     }
 
-    /// Writes a task-shared variable through the runtime.
+    /// Writes a task-shared variable: a pure store when volatile, through
+    /// the runtime when non-volatile.
     pub fn write<T: Scalar>(&mut self, var: NvVar<T>, value: T) -> Result<(), Fault> {
         debug_assert_eq!(
             self.block_depth, 0,
             "EaseIO I/O blocks contain only I/O operations (paper §3.2)"
         );
-        Ok(self
-            .rt
-            .write_var(self.mcu, self.task, var.raw(), value.to_raw())?)
+        self.store(var.raw(), value.to_raw())
     }
 
-    /// Reads one element of a task-shared buffer through the runtime.
+    /// Reads one element of a task-shared buffer, as [`TaskCtx::read`].
     pub fn buf_read<T: Scalar>(&mut self, buf: NvBuf<T>, i: u32) -> Result<T, Fault> {
-        let raw = self.rt.read_var(self.mcu, self.task, buf.slot(i))?;
-        Ok(T::from_raw(raw))
+        Ok(T::from_raw(self.load(buf.slot(i))?))
     }
 
-    /// Writes one element of a task-shared buffer through the runtime.
+    /// Writes one element of a task-shared buffer, as [`TaskCtx::write`].
     pub fn buf_write<T: Scalar>(&mut self, buf: NvBuf<T>, i: u32, value: T) -> Result<(), Fault> {
         debug_assert_eq!(self.block_depth, 0, "no buffer writes inside I/O blocks");
-        Ok(self
-            .rt
-            .write_var(self.mcu, self.task, buf.slot(i), value.to_raw())?)
+        self.store(buf.slot(i), value.to_raw())
+    }
+
+    /// Volatile memory is lost on failure and never privatized, so its
+    /// accesses skip the runtime and run as pure ops.
+    fn load(&mut self, var: RawVar) -> Result<u64, PowerFailure> {
+        if var.addr.is_nonvolatile() {
+            let host = self.host.enter(self.mcu);
+            host.rt.read_var(self.mcu, self.task, var)
+        } else {
+            self.mcu.pure_op(|m| m.load_var(WorkKind::App, var))
+        }
+    }
+
+    fn store(&mut self, var: RawVar, raw: u64) -> Result<(), Fault> {
+        if var.addr.is_nonvolatile() {
+            let host = self.host.enter(self.mcu);
+            Ok(host.rt.write_var(self.mcu, self.task, var, raw)?)
+        } else {
+            Ok(self.mcu.pure_op(|m| m.store_var(WorkKind::App, var, raw))?)
+        }
     }
 
     /// Reads the persistent timekeeper (application-level `GetTime()`).
@@ -172,9 +232,10 @@ impl<'a> TaskCtx<'a> {
         // that turns out redundant is re-labeled redundant I/O below.
         let mut marks = self.mcu.stats.cause_marks();
         let out = loop {
-            match self
+            let host = self.host.enter(self.mcu);
+            match host
                 .rt
-                .io_call(self.mcu, self.periph, self.task, site, &op, sem, deps)
+                .io_call(self.mcu, host.periph, self.task, site, &op, sem, deps)
             {
                 Ok(out) => break out,
                 Err(IoFailure::Power(p)) => {
@@ -229,9 +290,9 @@ impl<'a> TaskCtx<'a> {
         };
         let status = if out.executed {
             let ts = self.mcu.now_us();
-            self.tracker
-                .record_io_value(self.task.0, site, out.value, ts);
-            if self.tracker.first_io(self.task.0, site) {
+            let tracker = self.host.enter(self.mcu).tracker;
+            tracker.record_io_value(self.task.0, site, out.value, ts);
+            if tracker.first_io(self.task.0, site) {
                 Status::Executed
             } else {
                 // The site had already completed in an earlier attempt of
@@ -311,11 +372,12 @@ impl<'a> TaskCtx<'a> {
                 // equivalence classification must know about.
                 self.mcu.note_time_observed();
                 let now = self.mcu.now_us();
-                let last = self
+                let host = self.host.enter(self.mcu);
+                let last = host
                     .tracker
                     .last_io_value(self.task.0, site)
                     .map(|(v, ts)| (v, now.saturating_sub(ts)));
-                match self
+                match host
                     .rt
                     .degraded_fallback(self.mcu, self.task, site, window_us, last)
                 {
@@ -380,12 +442,14 @@ impl<'a> TaskCtx<'a> {
         self.block_seq += 1;
         self.span(block, "block", EventKind::SpanBegin(SpanKind::IoBlock));
         let attempt = (|| {
-            self.rt.io_block_begin(self.mcu, self.task, block, sem)?;
+            let host = self.host.enter(self.mcu);
+            host.rt.io_block_begin(self.mcu, self.task, block, sem)?;
             self.block_depth += 1;
             let r = f(self);
             self.block_depth -= 1;
             let value = r?;
-            self.rt.io_block_end(self.mcu, self.task)?;
+            let host = self.host.enter(self.mcu);
+            host.rt.io_block_end(self.mcu, self.task)?;
             Ok(value)
         })();
         let status = match &attempt {
@@ -424,20 +488,20 @@ impl<'a> TaskCtx<'a> {
         // the programmed burst before the runtime's skip/privatization
         // logic ever sees it. A faulted burst still paid for the transfer.
         let mut faulted: u32 = 0;
-        while let Some(kind) = self
-            .periph
-            .faults
-            .next_fault(PeriphClass::Dma, self.task.0, site)
+        while let Some(kind) =
+            self.host
+                .enter(self.mcu)
+                .periph
+                .faults
+                .next_fault(PeriphClass::Dma, self.task.0, site)
         {
             faulted += 1;
             let wasted = periph::dma::transfer_cost(&self.mcu.cost, bytes);
-            // The aborted burst paid for the transfer without delivering it:
-            // retry waste, even if a power failure lands mid-burst.
-            let marks = self.mcu.stats.cause_marks();
-            let spent = self.mcu.spend(WorkKind::App, wasted);
-            self.mcu
-                .stats
-                .reattribute_since(&marks, EnergyCause::Retry, self.task.0);
+            // The fault is decided before the burst runs, so the burst is
+            // charged to retry waste as it is spent: a power failure landing
+            // mid-burst leaves every slice already paid labeled as retry,
+            // exactly as the per-boundary ledger recorded it.
+            let spent = self.mcu.spend_as(WorkKind::App, EnergyCause::Retry, wasted);
             self.mcu.stats.bump("dma_faults");
             self.span(
                 site,
@@ -484,7 +548,8 @@ impl<'a> TaskCtx<'a> {
             self.span(site, "dma", EventKind::Instant(InstantKind::IoRetry));
         }
         let marks = self.mcu.stats.cause_marks();
-        let out = match self.rt.dma_copy(
+        let host = self.host.enter(self.mcu);
+        let out = match host.rt.dma_copy(
             self.mcu, self.task, site, src, dst, bytes, annotation, related,
         ) {
             Ok(out) => out,
@@ -498,7 +563,12 @@ impl<'a> TaskCtx<'a> {
             }
         };
         let status = if out.executed {
-            if self.tracker.first_dma(self.task.0, site) {
+            if self
+                .host
+                .enter(self.mcu)
+                .tracker
+                .first_dma(self.task.0, site)
+            {
                 Status::Executed
             } else {
                 self.mcu.stats.dma_reexecutions += 1;
@@ -641,6 +711,88 @@ mod tests {
         let t1 = ctx.now().unwrap();
         let t2 = ctx.now().unwrap();
         assert!(t2 > t1, "each timer read advances virtual time");
+    }
+
+    /// Handles the effect-epoch tests place between two pure ops.
+    struct Vars {
+        sram: NvVar<i16>,
+        lea: NvBuf<i16>,
+        fram: NvVar<i16>,
+        src: Addr,
+        dst: Addr,
+    }
+
+    /// Runs two pure ops (compute, volatile write), then `between`, then two
+    /// more (volatile read, compute) with the boundary recorder on, and
+    /// says whether the recorded effect epochs split the span.
+    fn splits_the_epoch(between: impl FnOnce(&mut TaskCtx<'_>, &Vars)) -> bool {
+        let (mut mcu, mut p, mut rt, mut tel) = setup();
+        let v = Vars {
+            sram: NvVar::alloc(&mut mcu.mem, Region::Sram),
+            lea: NvBuf::alloc(&mut mcu.mem, Region::LeaRam, 4),
+            fram: NvVar::alloc(&mut mcu.mem, Region::Fram),
+            src: mcu.mem.alloc(Region::Fram, 64, mcu_emu::AllocTag::App),
+            dst: mcu.mem.alloc(Region::Fram, 64, mcu_emu::AllocTag::App),
+        };
+        mcu.record_boundaries(vec![]);
+        {
+            let mut ctx = TaskCtx::new(
+                &mut mcu,
+                &mut p,
+                &mut rt,
+                &mut tel,
+                TaskId(0),
+                RetryPolicy::default(),
+            );
+            ctx.compute(10).unwrap();
+            ctx.write(v.sram, 1).unwrap();
+            between(&mut ctx, &v);
+            ctx.read(v.sram).unwrap();
+            ctx.compute(10).unwrap();
+        }
+        let (recs, _) = mcu.take_boundary_recording().unwrap();
+        let n = recs.len();
+        assert_eq!(recs[0].epoch, recs[1].epoch, "leading pure ops share");
+        assert_eq!(
+            recs[n - 2].epoch,
+            recs[n - 1].epoch,
+            "trailing pure ops share"
+        );
+        recs[0].epoch != recs[n - 1].epoch
+    }
+
+    /// Pure ops — computation and volatile loads/stores — form one effect
+    /// epoch when only host-local work separates them.
+    #[test]
+    fn pure_ops_with_nothing_between_share_an_epoch() {
+        assert!(!splits_the_epoch(|_, _| {}));
+        assert!(!splits_the_epoch(|ctx, v| {
+            let _ = (ctx.task(), ctx.next_io_site());
+            ctx.buf_write(v.lea, 2, 4).unwrap();
+            ctx.buf_read(v.lea, 1).unwrap();
+        }));
+    }
+
+    /// Each kind of effect splits the span, including those that spend
+    /// nothing (a direct FRAM write, an empty I/O block under a runtime
+    /// whose block hooks are free).
+    #[test]
+    fn every_effect_between_pure_ops_splits_the_epoch() {
+        assert!(splits_the_epoch(|ctx, v| v.fram.set(&mut ctx.mcu.mem, 5)));
+        assert!(splits_the_epoch(|ctx, _| {
+            ctx.call_io(IoOp::Sense(Sensor::Temp), ReexecSemantics::Always)
+                .unwrap();
+        }));
+        assert!(splits_the_epoch(|ctx, v| ctx
+            .dma_copy(v.src, v.dst, 16)
+            .unwrap()));
+        assert!(splits_the_epoch(|ctx, v| {
+            ctx.read(v.fram).unwrap();
+        }));
+        assert!(splits_the_epoch(|ctx, v| ctx.write(v.fram, 3).unwrap()));
+        assert!(splits_the_epoch(|ctx, _| {
+            ctx.io_block(ReexecSemantics::Always, |_| Ok(())).unwrap();
+        }));
     }
 
     #[test]

@@ -137,6 +137,9 @@ pub fn run_app(
             mcu.reset_attribution();
             mcu.set_attr_task(task_id.0);
             mcu.set_replay_base(reexecution);
+            // Boots, attempt starts and commits move host-side executor
+            // state; each ends the MCU's effect epoch (see `TaskCtx`).
+            mcu.advance_epoch();
             let task_name = app.task(task_id).name;
             // The attempt span's begin carries the attempt index within the
             // activation in `site` (> 0 means re-execution).
@@ -182,6 +185,7 @@ pub fn run_app(
                     );
                     return Err(e.into());
                 }
+                mcu.advance_epoch();
                 rt.commit_apply(mcu, task_id);
                 cur.raw().store(&mut mcu.mem, next as u64);
                 emit_span(
@@ -292,6 +296,7 @@ fn boot(
     // Boot overhead is kernel work outside any task; clear whatever
     // attribution state the interrupted attempt left behind.
     mcu.reset_attribution();
+    mcu.advance_epoch();
     mcu.spend(WorkKind::Overhead, rt.boot_cost())?;
     let raw = mcu.load_var(WorkKind::Overhead, cur.raw())?;
     Ok(raw as u16)

@@ -114,9 +114,6 @@ impl Runtime for InkRuntime {
     }
 
     fn read_var(&mut self, mcu: &mut Mcu, _task: TaskId, var: RawVar) -> Result<u64, PowerFailure> {
-        if !var.addr.is_nonvolatile() {
-            return mcu.load_var(WorkKind::App, var);
-        }
         let slot = self.working_copy(mcu, var)?;
         mcu.load_var(WorkKind::App, slot)
     }
@@ -128,9 +125,6 @@ impl Runtime for InkRuntime {
         var: RawVar,
         raw: u64,
     ) -> Result<(), PowerFailure> {
-        if !var.addr.is_nonvolatile() {
-            return mcu.store_var(WorkKind::App, var, raw);
-        }
         let slot = self.working_copy(mcu, var)?;
         mcu.store_var(WorkKind::App, slot, raw)
     }
@@ -250,6 +244,8 @@ mod tests {
         assert_eq!(alp.slot_count(), 0);
     }
 
+    /// Volatile variables never reach the runtime: the task context stores
+    /// them directly, so InK buffers nothing for them.
     #[test]
     fn volatile_vars_not_buffered() {
         let mut m = mcu();
@@ -257,8 +253,20 @@ mod tests {
         let t = TaskId(0);
         let v: NvVar<i32> = NvVar::alloc(&mut m.mem, Region::Sram);
         rt.on_task_entry(&mut m, t, false).unwrap();
-        rt.write_var(&mut m, t, v.raw(), 3i32.to_raw()).unwrap();
+        let mut periph = periph::Peripherals::new(1);
+        let mut tracker = easeio_trace::ActivationTracker::new();
+        let mut ctx = crate::TaskCtx::new(
+            &mut m,
+            &mut periph,
+            &mut rt,
+            &mut tracker,
+            t,
+            crate::RetryPolicy::default(),
+        );
+        ctx.write(v, 3).unwrap();
+        assert_eq!(ctx.read(v).unwrap(), 3);
         assert_eq!(v.get(&m.mem), 3);
         assert_eq!(rt.slot_count(), 0);
+        assert_eq!(m.stats.counter("ink_buffered_vars"), 0);
     }
 }

@@ -5,7 +5,7 @@
 //! task context route every observable action through this trait:
 //!
 //! * CPU accesses to non-volatile variables (`read_var` / `write_var`) so
-//!   the runtime can privatize;
+//!   the runtime can privatize (volatile accesses bypass it);
 //! * task lifecycle events (`on_task_entry` / `on_task_commit`) so it can
 //!   restore and commit;
 //! * `_call_IO`, `_IO_block_begin/end`, and `_DMA_copy` so it can apply
@@ -75,10 +75,14 @@ pub trait Runtime {
         Ok(())
     }
 
-    /// CPU read of a non-volatile application variable.
+    /// CPU read of a non-volatile application variable. Volatile
+    /// (SRAM/LEA-RAM) accesses never reach the runtime: they are lost on
+    /// failure and never privatized, so the task context performs them
+    /// directly as pure ops.
     fn read_var(&mut self, mcu: &mut Mcu, task: TaskId, var: RawVar) -> Result<u64, PowerFailure>;
 
-    /// CPU write of a non-volatile application variable.
+    /// CPU write of a non-volatile application variable (volatile writes
+    /// bypass the runtime, as for [`Runtime::read_var`]).
     fn write_var(
         &mut self,
         mcu: &mut Mcu,

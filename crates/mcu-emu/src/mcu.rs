@@ -54,18 +54,26 @@ pub struct PowerFailure;
 
 /// One energy-spend boundary of a recorded reference run.
 ///
+/// `epoch` is the pruning key: two boundaries share an epoch only if
+/// nothing that survives a power failure changed between them. Every
+/// `spend` call opens a new epoch, except a spend made inside a *pure* op
+/// ([`Mcu::pure_op`]) right after another pure spend, with no FRAM write
+/// and no [`Mcu::advance_epoch`] in between. A failure anywhere in one
+/// epoch clears the same volatile state over the same FRAM, with the same
+/// host-side state (runtime, tracker, peripherals, executor position), so
+/// injections at any two of its boundaries run the identical continuation
+/// and differ only in these additive ledger prefixes.
+///
 /// `spend_seq` identifies the [`Mcu::spend`] *call* the boundary's slice
-/// belongs to; everything else is the cumulative ledger prefix captured
-/// just before the boundary was counted. Two boundaries with equal
-/// `spend_seq` interrupt the same primitive operation: because every layer
-/// obeys spend-then-mutate, no simulator or host state changes between two
-/// slices of one call, so an injection at either boundary resumes from the
-/// *identical* machine state and runs the identical continuation — they
-/// differ only in these additive ledger prefixes.
+/// belongs to, for forensics; every slice of one call shares its epoch.
+/// Everything else is the cumulative ledger prefix captured just before
+/// the boundary was counted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpendBoundary {
     /// 1-based sequence number of the enclosing `spend` call.
     pub spend_seq: u64,
+    /// 1-based effect epoch the boundary falls in (the pruning key).
+    pub epoch: u64,
     /// `stats.boundaries` before this boundary was counted.
     pub boundaries: u64,
     /// Cumulative application energy before this boundary.
@@ -86,6 +94,11 @@ pub struct SpendBoundary {
 struct BoundaryRecorder {
     tracked: Vec<&'static str>,
     spend_seq: u64,
+    epoch: u64,
+    /// `Some(fram_writes)` while the epoch may still grow: the last spend
+    /// was pure, and this was the FRAM write count at it. `None` once a
+    /// non-pure spend or an [`Mcu::advance_epoch`] ended the epoch.
+    pure_tail: Option<u64>,
     time_observed: bool,
     records: Vec<SpendBoundary>,
 }
@@ -115,6 +128,9 @@ pub struct Mcu {
     /// Per-boundary recorder for crash-sweep equivalence classification
     /// (disabled by default; untracked runs pay one branch per slice).
     recorder: Option<BoundaryRecorder>,
+    /// Whether a pure op ([`Mcu::pure_op`]) is running. Host-side
+    /// bookkeeping for the recorder's effect epochs, not machine state.
+    pure: bool,
 }
 
 impl Mcu {
@@ -130,6 +146,7 @@ impl Mcu {
             attr: AttributionCtx::default(),
             samples: Vec::new(),
             recorder: None,
+            pure: false,
         }
     }
 
@@ -163,6 +180,37 @@ impl Mcu {
     pub fn note_time_observed(&mut self) {
         if let Some(rec) = self.recorder.as_mut() {
             rec.time_observed = true;
+        }
+    }
+
+    /// Runs `op` as a *pure* op: work that can change nothing a power
+    /// failure leaves behind — CPU computation and volatile (SRAM/LEA-RAM)
+    /// loads and stores. Consecutive pure spends with nothing in between
+    /// share one effect epoch (see [`SpendBoundary`]). Debug builds assert
+    /// that `op` wrote no FRAM and reached no [`Mcu::advance_epoch`].
+    pub fn pure_op<R>(&mut self, op: impl FnOnce(&mut Mcu) -> R) -> R {
+        debug_assert!(!self.pure, "pure ops do not nest");
+        let writes = self.mem.fram_writes();
+        self.pure = true;
+        let r = op(self);
+        self.pure = false;
+        debug_assert_eq!(
+            self.mem.fram_writes(),
+            writes,
+            "a pure op wrote non-volatile memory"
+        );
+        r
+    }
+
+    /// Ends the current effect epoch: the next spend opens a new one. Every
+    /// change that survives a power failure without spending — host-side
+    /// runtime, tracker or peripheral state, executor progress — must call
+    /// this before it happens. No-op unless a recording is active (debug
+    /// builds still assert it is not reached from a pure op).
+    pub fn advance_epoch(&mut self) {
+        debug_assert!(!self.pure, "a pure op reached an effect");
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.pure_tail = None;
         }
     }
 
@@ -232,7 +280,6 @@ impl Mcu {
     /// the clock has been advanced across the recharge period, and
     /// `Err(PowerFailure)` is returned.
     pub fn spend(&mut self, kind: WorkKind, cost: Cost) -> Result<(), PowerFailure> {
-        const SLICE_US: u64 = 1_000;
         // Attribution is resolved once per spend: the base cause for app
         // work, the innermost scope (or the residual category) for overhead.
         let cause = match kind {
@@ -244,9 +291,32 @@ impl Mcu {
                 .copied()
                 .unwrap_or(EnergyCause::RuntimeMisc),
         };
+        self.spend_as(kind, cause, cost)
+    }
+
+    /// [`Mcu::spend`] with the cause fixed by the caller instead of the
+    /// attribution context — for work whose cause is known before it runs
+    /// (a DMA burst the controller is about to abort is retry waste). The
+    /// ledger then holds the right cause at every slice boundary, which
+    /// per-boundary records depend on: relabeling after the spend would
+    /// leave the slices before an interrupting failure under the old cause.
+    pub fn spend_as(
+        &mut self,
+        kind: WorkKind,
+        cause: EnergyCause,
+        cost: Cost,
+    ) -> Result<(), PowerFailure> {
+        const SLICE_US: u64 = 1_000;
         let task = self.attr.task;
         if let Some(rec) = self.recorder.as_mut() {
             rec.spend_seq += 1;
+            // A pure spend joins the epoch of the pure spend before it when
+            // no FRAM write happened since; anything else opens a new one.
+            let writes = self.mem.fram_writes();
+            if !(self.pure && rec.pure_tail == Some(writes)) {
+                rec.epoch += 1;
+            }
+            rec.pure_tail = self.pure.then_some(writes);
         }
         let mut remaining = cost;
         loop {
@@ -266,6 +336,7 @@ impl Mcu {
             if let Some(rec) = self.recorder.as_mut() {
                 rec.records.push(SpendBoundary {
                     spend_seq: rec.spend_seq,
+                    epoch: rec.epoch,
                     boundaries: self.stats.boundaries,
                     app_energy_nj: self.stats.app_energy_nj,
                     overhead_energy_nj: self.stats.overhead_energy_nj,
@@ -652,10 +723,68 @@ mod tests {
         assert!(!time, "no timestamp was read");
         let seqs: Vec<u64> = recs.iter().map(|r| r.spend_seq).collect();
         assert_eq!(seqs, [1, 2, 2, 2]);
+        let epochs: Vec<u64> = recs.iter().map(|r| r.epoch).collect();
+        assert_eq!(epochs, seqs, "non-pure spends each open an epoch");
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(r.boundaries, i as u64);
         }
         assert!(recs[3].app_energy_nj > recs[1].app_energy_nj);
+    }
+
+    /// Effect epochs: consecutive pure spends share one; a non-pure spend,
+    /// a FRAM write or an `advance_epoch` between two pure spends splits
+    /// them, and a pure spend right after a non-pure one opens a new one.
+    #[test]
+    fn pure_spends_share_an_epoch_until_an_effect_intervenes() {
+        let mut m = continuous();
+        let s = RawVar {
+            addr: m.mem.alloc(Region::Sram, 2, AllocTag::App),
+            width: 2,
+        };
+        let f = RawVar {
+            addr: m.mem.alloc(Region::Fram, 2, AllocTag::App),
+            width: 2,
+        };
+        let pure = |m: &mut Mcu| {
+            m.pure_op(|m| m.store_var(WorkKind::App, s, 1)).unwrap();
+        };
+        m.record_boundaries(vec![]);
+        m.spend(WorkKind::App, Cost::new(1, 1)).unwrap(); // 1
+        pure(&mut m); // 2: follows a non-pure spend
+        m.pure_op(|m| m.spend(WorkKind::App, Cost::new(2_500, 30)))
+            .unwrap(); // 2 (three slices)
+        pure(&mut m); // 2
+        f.store(&mut m.mem, 7); // FRAM write, no spend
+        pure(&mut m); // 3
+        m.advance_epoch();
+        pure(&mut m); // 4
+        m.spend(WorkKind::Overhead, Cost::new(1, 1)).unwrap(); // 5
+        pure(&mut m); // 6
+        let (recs, _) = m.take_boundary_recording().unwrap();
+        let epochs: Vec<u64> = recs.iter().map(|r| r.epoch).collect();
+        assert_eq!(epochs, [1, 2, 2, 2, 2, 2, 3, 4, 5, 6]);
+        let seqs: Vec<u64> = recs.iter().map(|r| r.spend_seq).collect();
+        assert_eq!(seqs, [1, 2, 3, 3, 3, 4, 5, 6, 7, 8]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a pure op wrote non-volatile memory")]
+    fn pure_op_writing_fram_is_caught_in_debug() {
+        let mut m = continuous();
+        let f = RawVar {
+            addr: m.mem.alloc(Region::Fram, 2, AllocTag::App),
+            width: 2,
+        };
+        let _ = m.pure_op(|m| m.store_var(WorkKind::App, f, 1));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a pure op reached an effect")]
+    fn pure_op_reaching_an_effect_is_caught_in_debug() {
+        let mut m = continuous();
+        m.pure_op(|m| m.advance_epoch());
     }
 
     #[test]

@@ -128,6 +128,8 @@ pub struct Memory {
     base: Option<u64>,
     /// One dirty bit per [`PAGE_BYTES`] page, per region.
     dirty: [u64; 3],
+    /// Program writes to FRAM so far (see [`Memory::fram_writes`]).
+    fram_writes: u64,
 }
 
 impl Default for Memory {
@@ -147,6 +149,7 @@ impl Memory {
             allocs: Vec::new(),
             base: None,
             dirty: [0; 3],
+            fram_writes: 0,
         }
     }
 
@@ -196,6 +199,9 @@ impl Memory {
         let first = (offset / PAGE_BYTES) as u64;
         let last = (offset as u64 + len as u64 - 1) / PAGE_BYTES as u64;
         let i = Self::idx(region);
+        if region == Region::Fram {
+            self.fram_writes += 1;
+        }
         if last >= u64::BITS as u64 {
             self.dirty[i] = !0;
             return;
@@ -203,6 +209,16 @@ impl Memory {
         for page in first..=last {
             self.dirty[i] |= 1u64 << page;
         }
+    }
+
+    /// Number of program writes to FRAM so far: every `write_bytes` or
+    /// `copy` into FRAM counts one, whatever layer issued it. A monotone
+    /// host-side counter, not machine state — snapshot and restore leave it
+    /// alone — so only differences between two readings mean anything: the
+    /// boundary recorder uses them to tell whether non-volatile state may
+    /// have changed between two spend calls.
+    pub fn fram_writes(&self) -> u64 {
+        self.fram_writes
     }
 
     /// Pages of `region` written since the last snapshot (one bit per
