@@ -142,7 +142,7 @@ static FLAGS: &[Flag] = &[
     switch("--strict-memory", &[Sweep], "byte-exact FRAM compare (auto for deterministic apps)"),
     switch("--update-window", &[Sweep], "inject only inside the app's OTA update window"),
     switch("--all-apps", &[Sweep], "sweep every built-in app over one shared pool"),
-    switch("--no-prune", &[Sweep], "execute every boundary instead of pruning equivalent ones"),
+    switch("--no-prune", &[Sweep], "run every chosen boundary from boot"),
     val("--bench-out", "FILE", &[Sweep], "write wall-clock, prune counts and speedup vs serial"),
     val("--utilization-out", "FILE", &[Sweep], "write per-worker busy time and injection counts"),
     switch("--allow-violations", &[Sweep], "exit 0 even if violations are found"),

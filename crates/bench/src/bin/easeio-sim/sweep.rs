@@ -14,8 +14,7 @@ use easeio_exec::{
 };
 use easeio_trace::{
     build_forensics_report, build_sweep_report, ForensicsInputs, ForensicsViolationDoc,
-    FramDiffByte, FramDiffDoc, SweepInputs, SweepPruneDoc, SweepTimingDoc, SweepViolation,
-    SweepWasteDoc, Value, CATEGORY_NAMES,
+    FramDiffByte, FramDiffDoc, SweepInputs, SweepViolation, SweepWasteDoc, Value, CATEGORY_NAMES,
 };
 use kernel::App;
 use mcu_emu::Mcu;
@@ -93,24 +92,7 @@ fn sweep_report_inputs(out: &SweepOutcome, plan: &SweepPlan, timing: &SweepTimin
                 .map(|(name, nj)| ((*name).to_string(), nj))
                 .collect(),
         )),
-        timing: Some(SweepTimingDoc {
-            jobs: timing.jobs as u64,
-            wall_us: timing.wall_us,
-            injections_per_sec_milli: timing.injections_per_sec_milli,
-            oracle_us: timing.oracle_us,
-            classify_us: timing.classify_us,
-            inject_us: timing.inject_us,
-            merge_us: timing.merge_us,
-            injections_per_worker: timing.injections_per_worker.clone(),
-            busy_us_per_worker: timing.busy_us_per_worker.clone(),
-            prune: Some(SweepPruneDoc {
-                enabled: timing.prune.enabled,
-                injections_executed: timing.prune.injections_executed,
-                injections_pruned: timing.prune.injections_pruned,
-                classes: timing.prune.classes,
-                time_observed: timing.prune.time_observed,
-            }),
-        }),
+        timing: Some(timing.doc()),
     }
 }
 
@@ -233,7 +215,8 @@ pub fn main(a: &Args) -> ExitCode {
         });
         println!(
             "sweep: {} under {} — {} boundaries, {} injections ({}), seed {}, outage {} µs{}{}, \
-             {} job(s), {:.2} ms wall ({} inj/s), {} run / {} pruned",
+             {} job(s), {:.2} ms wall ({} inj/s), {} run / {} pruned, \
+             {} spend boundaries per run, {} rejoined",
             out.app,
             out.runtime,
             out.oracle_boundaries,
@@ -255,6 +238,11 @@ pub fn main(a: &Args) -> ExitCode {
                 .unwrap_or_else(|| "unmeasured".into()),
             timing.prune.injections_executed,
             timing.prune.injections_pruned,
+            timing
+                .boundaries_simulated
+                .checked_div(timing.prune.injections_executed)
+                .unwrap_or(0),
+            timing.rejoined,
         );
         for v in &out.violations {
             println!(

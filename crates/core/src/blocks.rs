@@ -32,7 +32,7 @@ pub enum BlockState {
 }
 
 /// FRAM control block of one `_IO_block`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockSlot {
     /// Block completion flag (`flag_block`).
     pub done: RawVar,
@@ -42,7 +42,7 @@ pub struct BlockSlot {
 
 /// One open block on the nesting stack (host-side mirror of the program
 /// counter position; carries no charged state of its own).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpenBlock {
     /// The block's index within the task body.
     pub block: u16,
@@ -53,7 +53,7 @@ pub struct OpenBlock {
 }
 
 /// Table of block control slots plus the live nesting stack.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct BlockTable {
     slots: HashMap<(TaskId, u16), BlockSlot>,
     stack: Vec<OpenBlock>,

@@ -11,7 +11,7 @@
 use std::collections::HashSet;
 
 /// Execution record of the current attempt.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct DepTracker {
     executed: HashSet<u16>,
 }

@@ -45,7 +45,7 @@ pub fn resolve(src: Addr, dst: Addr, annotation: DmaAnnotation) -> ResolvedDma {
 }
 
 /// FRAM control state of one `_DMA_copy` site.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct DmaSlot {
     /// Completion flag for `Single` transfers.
     done: RawVar,
@@ -75,7 +75,7 @@ pub enum BufferMode {
 }
 
 /// Table of DMA control slots plus the privatization-buffer pool.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DmaTable {
     slots: HashMap<(TaskId, u16), DmaSlot>,
     pool_limit: u32,

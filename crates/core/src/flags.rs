@@ -15,7 +15,7 @@ use mcu_emu::{AllocTag, Cost, EnergyCause, Mcu, PowerFailure, RawVar, Region, Wo
 use std::collections::{HashMap, HashSet};
 
 /// The FRAM control block of one `_call_IO` site.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IoSlot {
     /// Completion lock flag (`lock_##fn##task##num`).
     pub lock: RawVar,
@@ -29,7 +29,7 @@ pub struct IoSlot {
 }
 
 /// Table of control blocks, lazily allocated like the compiler's statics.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct IoSlotTable {
     slots: HashMap<(TaskId, u16), IoSlot>,
     /// Sites whose lock was set during the current activation of each task.

@@ -22,7 +22,7 @@ use mcu_emu::{AllocTag, EnergyCause, Mcu, PowerFailure, RawVar, Region, WorkKind
 use std::collections::{HashMap, HashSet};
 
 /// Regional privatization state.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct Regional {
     /// Persistent snapshot slots, reused across activations.
     slots: HashMap<(TaskId, u16, RawVar), RawVar>,

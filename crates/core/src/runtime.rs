@@ -59,7 +59,7 @@ impl Default for EaseIoConfig {
 }
 
 /// The EaseIO runtime.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EaseIoRuntime {
     io: IoSlotTable,
     blocks: BlockTable,

@@ -26,18 +26,26 @@
 //! Every run restores the machine from a snapshot taken after the app was
 //! built — including the allocator cursors, so runtime-allocated control
 //! blocks land at identical addresses — which makes any violation
-//! reproducible from (app, runtime, seed, boundary index) alone.
+//! reproducible from (app, runtime, seed, boundary index) alone. The
+//! serial [`sweep`] runs every injection from boot; a [`Reference`] run
+//! with checkpoints lets the pruning engine resume the same runs at their
+//! task attempt and stop them where they rejoin it (DESIGN.md §17).
 //!
 //! Exhaustive below a threshold; above it, boundaries are sampled without
 //! replacement from a seeded [`StdRng`].
 
 use apps::harness::{KernelKind, MakeRuntime};
-use kernel::{run_app, App, ExecConfig, FaultSpec, Outcome, Verdict};
-use mcu_emu::{AllocTag, Mcu, McuSnapshot, Region, SpendBoundary, Supply, CAUSE_COUNT};
+use kernel::{
+    run_app, App, ExecConfig, ExecState, Executor, FaultSpec, Outcome, RunResult, Runtime, Verdict,
+};
+use mcu_emu::{
+    AllocTag, Mcu, McuCheckpoint, McuSnapshot, Region, RunStats, SpendBoundary, Supply, CAUSE_COUNT,
+};
 use periph::Peripherals;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// How boundaries are chosen from `0..oracle_boundaries`.
@@ -251,7 +259,7 @@ pub fn app_fram(mcu: &Mcu) -> Vec<u8> {
 }
 
 /// Everything the invariant checks need from one run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
     /// How the executor finished.
     pub outcome: Outcome,
@@ -296,26 +304,45 @@ pub fn run_from(
     env_seed: u64,
     fault: &FaultSpec,
 ) -> RunRecord {
+    let (mut rt, mut periph, cfg) = fresh_run(kind, mcu, snap, supply, env_seed, fault);
+    let r = run_app(app, rt.as_mut(), mcu, &mut periph, &cfg);
+    record_of(r, mcu)
+}
+
+/// The shared start of every run: restored machine, `supply` installed,
+/// fresh peripherals under the fault plan, fresh kernel.
+fn fresh_run(
+    kind: KernelKind,
+    mcu: &mut Mcu,
+    snap: &McuSnapshot,
+    supply: Supply,
+    env_seed: u64,
+    fault: &FaultSpec,
+) -> (Box<dyn Runtime>, Peripherals, ExecConfig) {
     mcu.restore(snap);
     mcu.supply = supply;
     let mut periph = Peripherals::new(env_seed);
     fault.apply(&mut periph);
-    let mut rt = kind.make();
     let cfg = ExecConfig {
         retry: fault.retry,
         ..ExecConfig::default()
     };
-    let r = run_app(app, rt.as_mut(), mcu, &mut periph, &cfg);
+    (kind.make(), periph, cfg)
+}
+
+/// The record of a finished run.
+fn record_of(r: RunResult, mcu: &Mcu) -> RunRecord {
+    let probes = PROBE_COUNTERS.map(|n| r.stats.counter(n));
     RunRecord {
         outcome: r.outcome,
         verdict: r.verdict,
         boundaries: r.stats.boundaries,
-        single_redundant: r.stats.counter("probe_single_redundant"),
-        timely_stale: r.stats.counter("probe_timely_stale"),
-        commit_overpriced: r.stats.counter("probe_commit_overpriced"),
-        retry_duplicated_effect: r.stats.counter("probe_retry_duplicated_effect"),
-        degraded_staleness_exceeded: r.stats.counter("probe_degraded_staleness_exceeded"),
-        version_torn: r.stats.counter("probe_version_torn"),
+        single_redundant: probes[0],
+        timely_stale: probes[1],
+        commit_overpriced: probes[2],
+        retry_duplicated_effect: probes[3],
+        degraded_staleness_exceeded: probes[4],
+        version_torn: probes[5],
         cause_energy_nj: r.stats.cause_energy_nj,
         total_energy_nj: r.stats.app_energy_nj + r.stats.overhead_energy_nj,
         waste_nj: r.stats.waste_energy_nj(),
@@ -374,16 +401,201 @@ pub fn reference_trace(
     env_seed: u64,
     fault: &FaultSpec,
 ) -> BoundaryTrace {
+    reference_run(app, kind, mcu, snap, env_seed, fault).trace
+}
+
+/// The reference run kept whole: its [`BoundaryTrace`], its final record,
+/// and one checkpoint per task-attempt start (plus one at boot), so an
+/// injected run can start at the attempt its failure falls in and stop
+/// where it rejoins this run (DESIGN.md §17). Shared read-only by every
+/// sweep worker.
+pub struct Reference {
+    /// The per-boundary trace, as [`reference_trace`] records it.
+    pub trace: BoundaryTrace,
+    /// The reference run's own record. It is also the record of every
+    /// injection at or past the trace's end, which never fires.
+    pub record: RunRecord,
+    checkpoints: Vec<Checkpoint>,
+    /// The snapshot the reference ran from, which checkpoints are relative
+    /// to.
+    snap: McuSnapshot,
+    cfg: ExecConfig,
+}
+
+/// The whole run state at one task-attempt start of the reference run.
+struct Checkpoint {
+    /// Spend boundaries crossed before it: where the injected supply's
+    /// counter resumes.
+    boundaries: u64,
+    mcu: McuCheckpoint,
+    exec: ExecState,
+    rt: Box<dyn Runtime + Send + Sync>,
+    periph: Peripherals,
+}
+
+impl Checkpoint {
+    fn capture(exec: &Executor<'_>, mcu: &Mcu, snap: &McuSnapshot, base: u64) -> Self {
+        Self {
+            boundaries: mcu.stats.boundaries - base,
+            mcu: mcu.checkpoint(snap),
+            exec: exec.state().clone(),
+            rt: exec.runtime().clone_state(),
+            periph: exec.periph().clone(),
+        }
+    }
+
+    /// Whether a run at an attempt start is in exactly this state, clock,
+    /// ledger and tracker timestamps aside: executor position, runtime,
+    /// peripherals with their fault counters, and all of memory.
+    fn matches(&self, exec: &Executor<'_>, mcu: &Mcu, snap: &McuSnapshot) -> bool {
+        self.exec.same_untimed(exec.state())
+            && self.periph == *exec.periph()
+            && self.rt.state_eq(exec.runtime())
+            && mcu.memory_matches(snap, &self.mcu)
+    }
+}
+
+/// What one checkpointed injection simulated.
+#[derive(Debug, Clone, Copy)]
+pub struct InjectionWork {
+    /// Spend boundaries simulated, from the resumed checkpoint to the end
+    /// of the run or to its rejoin.
+    pub boundaries: u64,
+    /// Whether the run stopped where it rejoined the reference run.
+    pub rejoined: bool,
+}
+
+/// Runs the sweep's reference run (the recipe [`reference_trace`]
+/// describes) and keeps it whole as a [`Reference`].
+pub fn reference_run(
+    app: &App,
+    kind: KernelKind,
+    mcu: &mut Mcu,
+    snap: &McuSnapshot,
+    env_seed: u64,
+    fault: &FaultSpec,
+) -> Reference {
     let mut tracked = PROBE_COUNTERS.to_vec();
     tracked.extend(UPDATE_WINDOW_COUNTERS);
     mcu.record_boundaries(tracked);
-    let _ = run_from(app, kind, mcu, snap, Supply::continuous(), env_seed, fault);
+    let (mut rt, mut periph, cfg) =
+        fresh_run(kind, mcu, snap, Supply::continuous(), env_seed, fault);
+    let base = mcu.stats.boundaries;
+    let mut exec = Executor::new(app, rt.as_mut(), mcu, &mut periph, &cfg);
+    let mut checkpoints = vec![Checkpoint::capture(&exec, mcu, snap, base)];
+    exec.run(mcu, |exec, mcu| {
+        checkpoints.push(Checkpoint::capture(exec, mcu, snap, base));
+        ControlFlow::Continue(())
+    });
+    let record = record_of(exec.finish(mcu), mcu);
     let (slices, time_observed) = mcu
         .take_boundary_recording()
         .expect("recorder was installed above");
-    BoundaryTrace {
-        slices,
-        time_observed,
+    Reference {
+        trace: BoundaryTrace {
+            slices,
+            time_observed,
+        },
+        record,
+        checkpoints,
+        snap: snap.clone(),
+        cfg,
+    }
+}
+
+impl Reference {
+    /// The injected run at `boundary`, the same run as [`run_from`] under
+    /// `Supply::injected(boundary, off_us)` on the reference's snapshot,
+    /// executed from the checkpoint of the attempt the boundary falls in. On a time-blind reference it stops at the
+    /// first attempt start after the failure whose state equals the
+    /// reference checkpoint of the same activation, and its record is the
+    /// reference's final record shifted by the ledger difference. Debug
+    /// builds run every rejoined injection to its end anyway and assert
+    /// the shifted record equals the real one.
+    pub fn run_injected(
+        &self,
+        app: &App,
+        mcu: &mut Mcu,
+        boundary: u64,
+        off_us: u64,
+    ) -> (RunRecord, InjectionWork) {
+        // The boot checkpoint has boundary count 0, so one always applies.
+        let cp = &self.checkpoints[self
+            .checkpoints
+            .partition_point(|c| c.boundaries <= boundary)
+            - 1];
+        mcu.restore_checkpoint(&self.snap, &cp.mcu);
+        mcu.supply = Supply::injected_after(boundary, off_us, cp.boundaries);
+        let mut rt = cp.rt.clone_state();
+        let mut periph = cp.periph.clone();
+        let mut exec = Executor::resume(app, rt.as_mut(), &mut periph, &self.cfg, cp.exec.clone());
+        let seek = !self.trace.time_observed;
+        let check = cfg!(debug_assertions);
+        let mut rejoin = None;
+        exec.run(mcu, |exec, mcu| {
+            if seek && rejoin.is_none() && mcu.supply.injection_fired() {
+                rejoin = self.rejoin_at(exec, mcu).map(|j| (j, mcu.stats.clone()));
+                if rejoin.is_some() && !check {
+                    return ControlFlow::Break(());
+                }
+            }
+            ControlFlow::Continue(())
+        });
+        let end = rejoin.as_ref().map_or(&mcu.stats, |(_, at)| at);
+        let work = InjectionWork {
+            boundaries: end.boundaries - cp.mcu.stats.boundaries,
+            rejoined: rejoin.is_some(),
+        };
+        let Some((j, at)) = rejoin else {
+            return (record_of(exec.finish(mcu), mcu), work);
+        };
+        let mut shifted = shift_record(
+            &self.record,
+            &Ledger::of_stats(&self.checkpoints[j].mcu.stats),
+            &Ledger::of_stats(&at),
+        );
+        shifted.attribution_balanced &= at.attribution_balanced();
+        if check {
+            let real = record_of(exec.finish(mcu), mcu);
+            assert_eq!(
+                shifted, real,
+                "boundary {boundary}: the record shifted at its rejoin differs from the real run"
+            );
+        }
+        (shifted, work)
+    }
+
+    /// The reference checkpoint the run at this attempt start has rejoined,
+    /// if any: one of the same activation (task commits so far) in exactly
+    /// the same state.
+    fn rejoin_at(&self, exec: &Executor<'_>, mcu: &Mcu) -> Option<usize> {
+        let commits = mcu.stats.task_commits;
+        let lo = self
+            .checkpoints
+            .partition_point(|c| c.mcu.stats.task_commits < commits);
+        self.checkpoints[lo..]
+            .iter()
+            .take_while(|c| c.mcu.stats.task_commits == commits)
+            .position(|c| c.matches(exec, mcu, &self.snap))
+            .map(|k| lo + k)
+    }
+
+    /// Whether an injection at `boundary` fires: only boundaries before the
+    /// trace's end do.
+    pub fn fires(&self, boundary: u64) -> bool {
+        boundary < self.trace.slices.len() as u64
+    }
+
+    /// Task-attempt checkpoints recorded (the boot checkpoint excluded).
+    #[cfg(test)]
+    fn attempt_checkpoints(&self) -> usize {
+        self.checkpoints.len() - 1
+    }
+
+    /// Memory pages the checkpoints hold, summed.
+    #[cfg(test)]
+    fn checkpoint_pages(&self) -> usize {
+        self.checkpoints.iter().map(|c| c.mcu.pages()).sum()
     }
 }
 
@@ -502,39 +714,72 @@ pub fn materialize_record(
         // fires: the run is the reference run, byte for byte.
         return rep.clone();
     };
+    shift_record(rep, &Ledger::of_slice(rp), &Ledger::of_slice(tp))
+}
+
+/// The additive part of a run's ledger at one point: what two runs with
+/// the same continuation still differ in.
+struct Ledger {
+    boundaries: u64,
+    energy_nj: u64,
+    cause_energy_nj: [u64; CAUSE_COUNT],
+    probes: [u64; PROBE_COUNTERS.len()],
+}
+
+impl Ledger {
+    /// The prefix a reference-trace slice recorded.
+    fn of_slice(s: &SpendBoundary) -> Self {
+        Self {
+            boundaries: s.boundaries,
+            energy_nj: s.app_energy_nj + s.overhead_energy_nj,
+            cause_energy_nj: s.cause_energy_nj,
+            probes: std::array::from_fn(|i| s.counters[i]),
+        }
+    }
+
+    /// The ledger of a live run.
+    fn of_stats(s: &RunStats) -> Self {
+        Self {
+            boundaries: s.boundaries,
+            energy_nj: s.app_energy_nj + s.overhead_energy_nj,
+            cause_energy_nj: s.cause_energy_nj,
+            probes: PROBE_COUNTERS.map(|n| s.counter(n)),
+        }
+    }
+}
+
+/// `rec`, the record of a run that was at ledger `from` at some point,
+/// moved to a run with the identical continuation that was at `to` there:
+/// every cumulative total shifts by `to - from`, `waste_nj` is re-derived
+/// from the shifted cause ledger as [`run_from`] derives it, and the rest
+/// (outcome, verdict, balance flag, final FRAM) is copied.
+fn shift_record(rec: &RunRecord, from: &Ledger, to: &Ledger) -> RunRecord {
     let shift = |total: u64, from: u64, to: u64| total - from + to;
-    let mut cause_energy_nj = rep.cause_energy_nj;
+    let mut cause_energy_nj = rec.cause_energy_nj;
     for (i, c) in cause_energy_nj.iter_mut().enumerate() {
-        *c = shift(*c, rp.cause_energy_nj[i], tp.cause_energy_nj[i]);
+        *c = shift(*c, from.cause_energy_nj[i], to.cause_energy_nj[i]);
     }
     let waste_nj = mcu_emu::EnergyCause::ALL
         .iter()
         .filter(|c| c.is_waste())
         .map(|c| cause_energy_nj[c.index()])
         .sum();
+    let probe = |total: u64, i: usize| shift(total, from.probes[i], to.probes[i]);
     RunRecord {
-        outcome: rep.outcome,
-        verdict: rep.verdict.clone(),
-        boundaries: shift(rep.boundaries, rp.boundaries, tp.boundaries),
-        single_redundant: shift(rep.single_redundant, rp.counters[0], tp.counters[0]),
-        timely_stale: shift(rep.timely_stale, rp.counters[1], tp.counters[1]),
-        commit_overpriced: shift(rep.commit_overpriced, rp.counters[2], tp.counters[2]),
-        retry_duplicated_effect: shift(rep.retry_duplicated_effect, rp.counters[3], tp.counters[3]),
-        degraded_staleness_exceeded: shift(
-            rep.degraded_staleness_exceeded,
-            rp.counters[4],
-            tp.counters[4],
-        ),
-        version_torn: shift(rep.version_torn, rp.counters[5], tp.counters[5]),
+        outcome: rec.outcome,
+        verdict: rec.verdict.clone(),
+        boundaries: shift(rec.boundaries, from.boundaries, to.boundaries),
+        single_redundant: probe(rec.single_redundant, 0),
+        timely_stale: probe(rec.timely_stale, 1),
+        commit_overpriced: probe(rec.commit_overpriced, 2),
+        retry_duplicated_effect: probe(rec.retry_duplicated_effect, 3),
+        degraded_staleness_exceeded: probe(rec.degraded_staleness_exceeded, 4),
+        version_torn: probe(rec.version_torn, 5),
         cause_energy_nj,
-        total_energy_nj: shift(
-            rep.total_energy_nj,
-            rp.app_energy_nj + rp.overhead_energy_nj,
-            tp.app_energy_nj + tp.overhead_energy_nj,
-        ),
+        total_energy_nj: shift(rec.total_energy_nj, from.energy_nj, to.energy_nj),
         waste_nj,
-        attribution_balanced: rep.attribution_balanced,
-        fram: rep.fram.clone(),
+        attribution_balanced: rec.attribution_balanced,
+        fram: rec.fram.clone(),
     }
 }
 
@@ -1224,23 +1469,6 @@ mod tests {
         assert_eq!(all, (0..10).collect::<Vec<_>>());
     }
 
-    fn records_equal(a: &RunRecord, b: &RunRecord) -> bool {
-        a.outcome == b.outcome
-            && a.verdict == b.verdict
-            && a.boundaries == b.boundaries
-            && a.single_redundant == b.single_redundant
-            && a.timely_stale == b.timely_stale
-            && a.commit_overpriced == b.commit_overpriced
-            && a.retry_duplicated_effect == b.retry_duplicated_effect
-            && a.degraded_staleness_exceeded == b.degraded_staleness_exceeded
-            && a.version_torn == b.version_torn
-            && a.cause_energy_nj == b.cause_energy_nj
-            && a.total_energy_nj == b.total_energy_nj
-            && a.waste_nj == b.waste_nj
-            && a.attribution_balanced == b.attribution_balanced
-            && a.fram == b.fram
-    }
-
     /// Multi-millisecond DMA bursts and compute blocks: spend calls that
     /// span several ≤1 ms slices, giving classification real runs of
     /// equivalent boundaries to merge.
@@ -1295,10 +1523,7 @@ mod tests {
             let rep = classes.reps[class];
             let materialized = materialize_record(&trace, &reps[class], rep, b);
             let real = run(&mut mcu, b);
-            assert!(
-                records_equal(&materialized, &real),
-                "{kind:?} boundary {b} (rep {rep}): materialized {materialized:?} != real {real:?}",
-            );
+            assert_eq!(materialized, real, "{kind:?} boundary {b} (rep {rep})");
         }
         (trace, classes)
     }
@@ -1454,6 +1679,183 @@ mod tests {
             first, last,
             "attempt 0 and attempt 1 differ only in fault-plan position and must not merge"
         );
+    }
+
+    /// Checks every chosen boundary's checkpointed injection (resumed at
+    /// its attempt's checkpoint, stopped where it rejoins the reference)
+    /// against the from-boot [`run_from`] record, field by field. Returns
+    /// the reference time-observation flag and the rejoin count.
+    fn assert_checkpointed_records_match(
+        build: &dyn Fn(&mut Mcu) -> App,
+        kind: KernelKind,
+        plan: &SweepPlan,
+    ) -> (bool, u64) {
+        let mut mcu = Mcu::new(Supply::continuous());
+        let app = build(&mut mcu);
+        let oracle = prepare_oracle(build, kind, plan.env_seed);
+        mcu.restore(&oracle.snapshot);
+        let reference = reference_run(
+            &app,
+            kind,
+            &mut mcu,
+            &oracle.snapshot,
+            plan.env_seed,
+            &plan.fault,
+        );
+        let mut chosen = select_boundaries(oracle.boundaries, plan.mode, plan.seed);
+        if plan.update_window {
+            chosen = filter_update_window(&chosen, &reference.trace);
+        }
+        assert!(!chosen.is_empty());
+        let mut rejoined = 0;
+        for b in chosen {
+            let (resumed, work) = reference.run_injected(&app, &mut mcu, b, plan.off_us);
+            let real = run_from(
+                &app,
+                kind,
+                &mut mcu,
+                &oracle.snapshot,
+                Supply::injected(b, plan.off_us),
+                plan.env_seed,
+                &plan.fault,
+            );
+            assert_eq!(resumed, real, "{kind:?} boundary {b}");
+            assert!(work.boundaries <= real.boundaries);
+            rejoined += work.rejoined as u64;
+        }
+        // Checkpoints hold the pages that differ from the root — a few
+        // each — never the 66-page image.
+        let checkpoints = reference.attempt_checkpoints() + 1;
+        assert!(reference.checkpoint_pages() <= 4 * checkpoints);
+        (reference.trace.time_observed, rejoined)
+    }
+
+    /// A program that hands a volatile value from one task to a later one:
+    /// `produce` leaves 7 in SRAM, `work` computes, `consume` stores the
+    /// SRAM value to FRAM. A failure in `work` wipes the value, so the
+    /// resumed run reaches `consume` with FRAM, runtime and peripherals
+    /// equal to the reference run but SRAM not — it must not rejoin there.
+    fn volatile_handoff(m: &mut Mcu) -> App {
+        use kernel::{Inventory, TaskCtx, TaskDef, TaskId, TaskResult, Transition};
+        use mcu_emu::NvVar;
+        use std::rc::Rc;
+
+        let staged: NvVar<u16> = NvVar::alloc(&mut m.mem, Region::Sram);
+        let out: NvVar<u16> = NvVar::alloc(&mut m.mem, Region::Fram);
+        let produce = move |ctx: &mut TaskCtx<'_>| -> TaskResult {
+            ctx.write(staged, 7)?;
+            Ok(Transition::To(TaskId(1)))
+        };
+        let work = |ctx: &mut TaskCtx<'_>| -> TaskResult {
+            ctx.compute(2_500)?;
+            Ok(Transition::To(TaskId(2)))
+        };
+        let consume = move |ctx: &mut TaskCtx<'_>| -> TaskResult {
+            let v = ctx.read(staged)?;
+            ctx.write(out, v)?;
+            Ok(Transition::Done)
+        };
+        let task = |name, body: Rc<dyn Fn(&mut TaskCtx<'_>) -> TaskResult>| TaskDef { name, body };
+        App {
+            name: "volatile-handoff",
+            tasks: vec![
+                task("produce", Rc::new(produce)),
+                task("work", Rc::new(work)),
+                task("consume", Rc::new(consume)),
+            ],
+            entry: TaskId(0),
+            inventory: Inventory {
+                tasks: 3,
+                ..Default::default()
+            },
+            verify: None,
+        }
+    }
+
+    /// Checkpoint soundness at the record level: for every boundary, the
+    /// injected run resumed at the checkpoint of the attempt its failure
+    /// falls in — and, on a time-blind reference, stopped where it rejoins
+    /// the reference run — yields the from-boot record field by field.
+    /// Cut-down `dma`, `fir` and `fir-long`, the time-observing `temp`,
+    /// `ota-update` over its update window and a volatile hand-off across
+    /// tasks, under every kernel, with and without a fault plan.
+    #[test]
+    fn checkpointed_records_match_from_boot_runs() {
+        use apps::fir_long::{self, FirLongCfg};
+        use apps::ota_update::{self, OtaUpdateCfg};
+        use apps::{fir, temp_app};
+
+        for kind in KernelKind::ALL {
+            let op = kind.excludes_const_dma();
+            let fir_small = move |m: &mut Mcu| {
+                fir::build(
+                    m,
+                    &fir::FirCfg {
+                        chunk: 16,
+                        taps: 8,
+                        exclude_const_dma: op,
+                        rounds: 2,
+                    },
+                )
+            };
+            let fir_long_small = move |m: &mut Mcu| {
+                fir_long::build(
+                    m,
+                    &FirLongCfg {
+                        chunk: 8,
+                        taps: 480,
+                        rounds: 2,
+                        post_cycles: 3_000,
+                        exclude_const_dma: op,
+                    },
+                )
+            };
+            let temp = |m: &mut Mcu| {
+                temp_app::build(
+                    m,
+                    &temp_app::TempAppCfg {
+                        rounds: 2,
+                        ..Default::default()
+                    },
+                )
+            };
+            let ota = move |m: &mut Mcu| {
+                ota_update::build(
+                    m,
+                    &OtaUpdateCfg {
+                        two_phase: kind.two_phase_update(),
+                        ..OtaUpdateCfg::default()
+                    },
+                )
+                .0
+            };
+            type Build<'a> = &'a dyn Fn(&mut Mcu) -> App;
+            let apps: [(&str, Build, bool); 6] = [
+                ("dma", &small_dma, false),
+                ("fir", &fir_small, false),
+                ("fir-long", &fir_long_small, false),
+                ("temp", &temp, false),
+                ("ota-update", &ota, true),
+                ("volatile-handoff", &volatile_handoff, false),
+            ];
+            for (name, build, update_window) in apps {
+                for fault in [FaultSpec::none(), FaultSpec::with_rate(3, 60)] {
+                    let plan = SweepPlan {
+                        fault,
+                        update_window,
+                        ..SweepPlan::with_env_seed(5)
+                    };
+                    let (time_observed, rejoined) =
+                        assert_checkpointed_records_match(build, kind, &plan);
+                    if name == "temp" {
+                        assert!(time_observed, "temp senses");
+                        assert_eq!(rejoined, 0, "{kind:?}: a time-observing run rejoined");
+                    } else if fault.plan.is_none() && name != "volatile-handoff" {
+                        assert!(rejoined > 0, "{name} under {kind:?}: nothing rejoined");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,14 +9,20 @@
 //!   entry and selects boundaries with the same `select_boundaries(total,
 //!   mode, seed)` call the serial sweep makes — worker count and pruning
 //!   never enter the selection.
-//! * **Same per-boundary run.** Every *executed* injected run starts from
-//!   the shared post-construction snapshot via `crashcheck::run_from`:
-//!   restored machine, fresh peripherals seeded from `env_seed`, fresh
-//!   kernel. A run's record is a function of (snapshot, boundary, plan)
-//!   alone. Workers build their own `App` on their own machine — task
-//!   bodies are `Rc` closures and cannot cross threads — but the allocator
-//!   cursors in the snapshot are deterministic, so every worker's app binds
-//!   identical addresses.
+//! * **Same per-boundary run.** With pruning off, every injected run starts
+//!   from boot on the shared post-construction snapshot via
+//!   `crashcheck::run_from`: restored machine, fresh peripherals seeded
+//!   from `env_seed`, fresh kernel. With pruning on, each executed run is
+//!   `crashcheck::Reference::run_injected`: it resumes at the reference
+//!   run's checkpoint of the task attempt its boundary falls in — the
+//!   from-boot run is that same run up to there — and, on a time-blind
+//!   reference, stops at the first later attempt start whose whole state
+//!   equals the reference's, its record shifted from the reference's final
+//!   one (DESIGN.md §17). Either way a run's record is a function of
+//!   (snapshot, boundary, plan) alone. Workers build their own `App` on
+//!   their own machine — task bodies are `Rc` closures and cannot cross
+//!   threads — but the allocator cursors in the snapshot are
+//!   deterministic, so every worker's app binds identical addresses.
 //! * **Pruning preserves records.** With pruning on, only one boundary per
 //!   equivalence class (`crashcheck::classify_boundaries`) is executed; the
 //!   rest are materialized by `crashcheck::materialize_record`, which is
@@ -42,10 +48,10 @@
 use apps::harness::KernelKind;
 use crashcheck::{
     check_record, classify_boundaries, filter_update_window, materialize_record, prepare_oracle,
-    reference_trace, run_from, select_boundaries, BoundaryTrace, PruneClasses, RunRecord,
-    SweepOracle, SweepOutcome, SweepPlan, Violation,
+    reference_run, reference_trace, run_from, select_boundaries, InjectionWork, PruneClasses,
+    Reference, RunRecord, SweepOracle, SweepOutcome, SweepPlan, Violation,
 };
-use easeio_trace::Progress;
+use easeio_trace::{Progress, SweepPruneDoc, SweepTimingDoc};
 use kernel::App;
 use mcu_emu::{Mcu, Supply, CAUSE_COUNT};
 use std::collections::HashMap;
@@ -107,7 +113,10 @@ pub struct SweepTiming {
     /// Oracle preparation µs (outside `wall_us`, identical work at any
     /// width — kept separate so speedups compare the parallelizable part).
     pub oracle_us: u64,
-    /// Reference-trace run + classification µs (0 with pruning off).
+    /// Reference run + classification µs: the reference run records the
+    /// boundary trace and, with pruning, one checkpoint per task-attempt
+    /// start. 0 only when neither pruning nor the update window asks for a
+    /// reference run.
     pub classify_us: u64,
     /// Injection-phase µs: busy time of this sweep's batches.
     pub inject_us: u64,
@@ -124,6 +133,39 @@ pub struct SweepTiming {
     pub busy_us_per_worker: Vec<u64>,
     /// What pruning did.
     pub prune: PruneStats,
+    /// Spend boundaries simulated across the executed injections: from
+    /// boot to the end of each run with pruning off; with pruning, from the
+    /// checkpoint each run resumed at to its end or its rejoin.
+    pub boundaries_simulated: u64,
+    /// Executed injections that stopped where they rejoined the reference
+    /// run.
+    pub rejoined: u64,
+}
+
+impl SweepTiming {
+    /// The report's `timing` block.
+    pub fn doc(&self) -> SweepTimingDoc {
+        SweepTimingDoc {
+            jobs: self.jobs as u64,
+            wall_us: self.wall_us,
+            injections_per_sec_milli: self.injections_per_sec_milli,
+            oracle_us: self.oracle_us,
+            classify_us: self.classify_us,
+            inject_us: self.inject_us,
+            merge_us: self.merge_us,
+            injections_per_worker: self.injections_per_worker.clone(),
+            busy_us_per_worker: self.busy_us_per_worker.clone(),
+            prune: Some(SweepPruneDoc {
+                enabled: self.prune.enabled,
+                injections_executed: self.prune.injections_executed,
+                injections_pruned: self.prune.injections_pruned,
+                classes: self.prune.classes,
+                time_observed: self.prune.time_observed,
+            }),
+            boundaries_simulated: self.boundaries_simulated,
+            rejoined: self.rejoined,
+        }
+    }
 }
 
 /// One sweep of an app×runtime matrix.
@@ -145,14 +187,15 @@ fn batch(boundaries: &[u64], per_batch: usize) -> Vec<Vec<u64>> {
 }
 
 /// Coordinator-side preparation of one entry: oracle, boundary selection,
-/// and (with pruning) the reference trace and equivalence classes.
+/// and (with pruning) the reference run and equivalence classes.
 struct EntryPrep {
     oracle: SweepOracle,
     chosen: Vec<u64>,
-    trace: Option<BoundaryTrace>,
-    classes: Option<PruneClasses>,
-    /// Boundaries to actually execute: class representatives when pruning,
-    /// every chosen boundary otherwise.
+    pruned: Option<(Reference, PruneClasses)>,
+    /// Whether the reference run, if there was one, observed time.
+    time_observed: bool,
+    /// Boundaries to actually execute: the class representatives that
+    /// fire when pruning, every chosen boundary otherwise.
     exec: Vec<u64>,
     /// This entry's item range `[start, end)` in the global batch list.
     items: (usize, usize),
@@ -199,13 +242,44 @@ pub fn sweep_matrix_observed(
         let oracle_us = t0.elapsed().as_micros() as u64;
         let t1 = Instant::now();
         let mut chosen = select_boundaries(oracle.boundaries, entry.plan.mode, entry.plan.seed);
-        let (trace, classes, exec) = if opts.prune || entry.plan.update_window {
-            // The reference run replays the injected runs' shared prefix on
-            // continuous power with the recorder on: same fault plan, same
-            // env seed — one extra run per entry, amortized over every
-            // boundary it prunes (and reused for the update-window filter).
+        // The reference run replays the injected runs' shared prefix on
+        // continuous power with the recorder on: same fault plan, same env
+        // seed — one extra run per entry, amortized over every boundary it
+        // prunes (and reused for the update-window filter). Same order as
+        // the serial sweep: window filter first, then classification over
+        // the surviving boundaries.
+        let machine = || {
             let mut mcu = Mcu::new(Supply::continuous());
             let app = (entry.builder)(&mut mcu);
+            (mcu, app)
+        };
+        let (pruned, time_observed, exec) = if opts.prune {
+            let (mut mcu, app) = machine();
+            let reference = reference_run(
+                &app,
+                entry.kind,
+                &mut mcu,
+                &oracle.snapshot,
+                entry.plan.env_seed,
+                &entry.plan.fault,
+            );
+            let trace = &reference.trace;
+            if entry.plan.update_window {
+                chosen = filter_update_window(&chosen, trace);
+            }
+            let classes = classify_boundaries(&chosen, trace);
+            // A class at or past the trace's end never fires: its record
+            // is the reference run's own, so it is not executed.
+            let exec = classes
+                .reps
+                .iter()
+                .copied()
+                .filter(|&b| reference.fires(b))
+                .collect();
+            let time_observed = trace.time_observed;
+            (Some((reference, classes)), time_observed, exec)
+        } else if entry.plan.update_window {
+            let (mut mcu, app) = machine();
             let trace = reference_trace(
                 &app,
                 entry.kind,
@@ -214,20 +288,10 @@ pub fn sweep_matrix_observed(
                 entry.plan.env_seed,
                 &entry.plan.fault,
             );
-            // Same order as the serial sweep: window filter first, then
-            // classification over the surviving boundaries.
-            if entry.plan.update_window {
-                chosen = filter_update_window(&chosen, &trace);
-            }
-            if opts.prune {
-                let classes = classify_boundaries(&chosen, &trace);
-                let exec = classes.reps.clone();
-                (Some(trace), Some(classes), exec)
-            } else {
-                (Some(trace), None, chosen.clone())
-            }
+            chosen = filter_update_window(&chosen, &trace);
+            (None, trace.time_observed, chosen.clone())
         } else {
-            (None, None, chosen.clone())
+            (None, false, chosen.clone())
         };
         let classify_us = t1.elapsed().as_micros() as u64;
         // ~4 batches per worker per entry balances cursor traffic against
@@ -243,8 +307,8 @@ pub fn sweep_matrix_observed(
         preps.push(EntryPrep {
             oracle,
             chosen,
-            trace,
-            classes,
+            pruned,
+            time_observed,
             exec,
             items: (start, items.len()),
             oracle_us,
@@ -277,19 +341,27 @@ pub fn sweep_matrix_observed(
                 let app = (entry.builder)(&mut mcu);
                 (mcu, app)
             });
-            let records: Vec<RunRecord> = item
+            let records: Vec<(RunRecord, InjectionWork)> = item
                 .boundaries
                 .iter()
-                .map(|&b| {
-                    run_from(
-                        app,
-                        entry.kind,
-                        mcu,
-                        &prep.oracle.snapshot,
-                        Supply::injected(b, entry.plan.off_us),
-                        entry.plan.env_seed,
-                        &entry.plan.fault,
-                    )
+                .map(|&b| match &prep.pruned {
+                    Some((reference, _)) => reference.run_injected(app, mcu, b, entry.plan.off_us),
+                    None => {
+                        let r = run_from(
+                            app,
+                            entry.kind,
+                            mcu,
+                            &prep.oracle.snapshot,
+                            Supply::injected(b, entry.plan.off_us),
+                            entry.plan.env_seed,
+                            &entry.plan.fault,
+                        );
+                        let work = InjectionWork {
+                            boundaries: r.boundaries,
+                            rejoined: false,
+                        };
+                        (r, work)
+                    }
                 })
                 .collect();
             if let Some(p) = progress {
@@ -311,8 +383,12 @@ pub fn sweep_matrix_observed(
         let prep = &preps[e];
         let t0 = Instant::now();
         let (start, end) = prep.items;
-        let recs: Vec<&RunRecord> = (start..end).flat_map(|i| results[i].0.iter()).collect();
-        debug_assert_eq!(recs.len(), prep.exec.len());
+        let runs: Vec<&(RunRecord, InjectionWork)> =
+            (start..end).flat_map(|i| results[i].0.iter()).collect();
+        debug_assert_eq!(runs.len(), prep.exec.len());
+        let boundaries_simulated = runs.iter().map(|(_, w)| w.boundaries).sum();
+        let rejoined = runs.iter().filter(|(_, w)| w.rejoined).count() as u64;
+        let mut recs = runs.iter().map(|(r, _)| r);
         let mut violations: Vec<Violation> = Vec::new();
         let mut boundary_waste_nj = Vec::with_capacity(prep.chosen.len());
         let mut cause_energy_nj = [0u64; CAUSE_COUNT];
@@ -328,22 +404,33 @@ pub fn sweep_matrix_observed(
                 *total += c;
             }
         };
-        match (&prep.classes, &prep.trace) {
-            (Some(classes), Some(trace)) => {
+        match &prep.pruned {
+            Some((reference, classes)) => {
+                // Executed records arrive in representative order; the
+                // class past the trace's end takes the reference record.
+                let class_recs: Vec<&RunRecord> = classes
+                    .reps
+                    .iter()
+                    .map(|&b| match reference.fires(b) {
+                        true => recs.next().expect("one record per fired class"),
+                        false => &reference.record,
+                    })
+                    .collect();
                 for (j, &b) in prep.chosen.iter().enumerate() {
                     let c = classes.class_of[j];
                     let rep_b = classes.reps[c];
                     if b == rep_b {
-                        fold(recs[c], b);
+                        fold(class_recs[c], b);
                     } else {
-                        let materialized = materialize_record(trace, recs[c], rep_b, b);
+                        let materialized =
+                            materialize_record(&reference.trace, class_recs[c], rep_b, b);
                         fold(&materialized, b);
                     }
                 }
             }
-            _ => {
-                for (j, &b) in prep.chosen.iter().enumerate() {
-                    fold(recs[j], b);
+            None => {
+                for (&b, r) in prep.chosen.iter().zip(recs) {
+                    fold(r, b);
                 }
             }
         }
@@ -368,15 +455,11 @@ pub fn sweep_matrix_observed(
             injections_executed: prep.exec.len() as u64,
             injections_pruned: injections - prep.exec.len() as u64,
             classes: prep
-                .classes
+                .pruned
                 .as_ref()
-                .map(|c| c.reps.len() as u64)
+                .map(|(_, c)| c.reps.len() as u64)
                 .unwrap_or(0),
-            time_observed: prep
-                .trace
-                .as_ref()
-                .map(|t| t.time_observed)
-                .unwrap_or(false),
+            time_observed: prep.time_observed,
         };
         let timing = SweepTiming {
             jobs: stats.jobs,
@@ -390,6 +473,8 @@ pub fn sweep_matrix_observed(
             injections_per_worker,
             busy_us_per_worker,
             prune,
+            boundaries_simulated,
+            rejoined,
         };
         let outcome = SweepOutcome {
             runtime: entry.kind.name(),

@@ -6,9 +6,10 @@
 //!
 //! This is the sweep-level closure over the record-level proofs in
 //! `crashcheck` (materialized records equal real injected runs; boundaries
-//! differing only in fault-plan position never merge): if any part of
-//! classification, representative execution, materialization, batching, or
-//! merge order were wrong for some input, the outcomes would diverge here.
+//! differing only in fault-plan position never merge; checkpointed runs
+//! equal from-boot runs): if any part of classification, checkpoint resume,
+//! rejoin, materialization, batching, or merge order were wrong for some
+//! input, the outcomes would diverge here.
 
 use apps::harness::KernelKind;
 use apps::{dma_app, fir_long, lea_app};
@@ -89,6 +90,10 @@ proptest! {
 
 type Builder = dyn Fn(&mut Mcu) -> App + Sync;
 
+fn prune_on(jobs: usize) -> SweepOptions {
+    SweepOptions { jobs, prune: true }
+}
+
 /// `lea` at a reduced size: effect-epoch pruning merges its whole
 /// volatile staging loop into one class.
 fn small_lea(m: &mut Mcu) -> App {
@@ -148,4 +153,90 @@ fn pruned_sweep_matches_unpruned_serial_on_lea_and_fir_long() {
             }
         }
     }
+}
+
+/// Checkpointed injections (each run resumes at the task attempt its
+/// failure falls in and stops where it rejoins the reference run) against
+/// the from-boot serial sweep, on the inputs where resuming and rejoining
+/// behave differently:
+///
+/// * `temp` observes time, so only the prefix is cut: nothing rejoins;
+/// * `ota-update` over its update window, under every kernel;
+/// * `dma` under a fault plan that aborts the reference run early;
+/// * `fir-long` rejoins; under a fault plan a re-executed I/O consumes
+///   fault attempts the reference run never did, so the peripheral state
+///   stays apart and those runs go to completion.
+#[test]
+fn checkpointed_sweep_matches_from_boot_serial() {
+    use apps::{ota_update, temp_app};
+
+    let temp = |m: &mut Mcu| temp_app::build(m, &temp_app::TempAppCfg::default());
+    let plan = SweepPlan::with_env_seed(7);
+    let serial = sweep(&temp, KernelKind::EaseIo, &plan);
+    for jobs in [1, 4] {
+        let (pruned, timing) = run_sweep(&temp, KernelKind::EaseIo, &plan, &prune_on(jobs));
+        assert_identical(&serial, &pruned);
+        assert!(timing.prune.time_observed);
+        assert_eq!(timing.rejoined, 0, "a time-observing run rejoined");
+    }
+
+    for kind in KernelKind::ALL {
+        let ota = move |m: &mut Mcu| {
+            ota_update::build(
+                m,
+                &ota_update::OtaUpdateCfg {
+                    two_phase: kind.two_phase_update(),
+                    ..Default::default()
+                },
+            )
+            .0
+        };
+        let plan = SweepPlan {
+            strict_memory: true,
+            update_window: true,
+            ..SweepPlan::with_env_seed(7)
+        };
+        let serial = sweep(&ota, kind, &plan);
+        let (pruned, _) = run_sweep(&ota, kind, &plan, &prune_on(4));
+        assert_identical(&serial, &pruned);
+    }
+
+    // A fault plan that aborts the reference run early: boundaries past
+    // its last slice never fire, and their class takes the reference
+    // run's own record instead of executing.
+    let dma = |m: &mut Mcu| dma_app::build(m, &dma_app::DmaAppCfg::default());
+    let plan = SweepPlan {
+        strict_memory: true,
+        fault: FaultSpec::with_rate(3, 800),
+        ..SweepPlan::with_env_seed(7)
+    };
+    let serial = sweep(&dma, KernelKind::EaseIo, &plan);
+    let (pruned, timing) = run_sweep(&dma, KernelKind::EaseIo, &plan, &prune_on(1));
+    assert_identical(&serial, &pruned);
+    assert!(
+        timing.prune.injections_executed < timing.prune.classes,
+        "the class past the reference run's end must not execute"
+    );
+
+    let fir_long = small_fir_long(KernelKind::EaseIo);
+    let mut rejoined = Vec::new();
+    for fault in [FaultSpec::none(), FaultSpec::with_rate(3, 60)] {
+        let plan = SweepPlan {
+            strict_memory: true,
+            fault,
+            ..SweepPlan::with_env_seed(7)
+        };
+        let serial = sweep(&fir_long, KernelKind::EaseIo, &plan);
+        let (pruned, timing) = run_sweep(&fir_long, KernelKind::EaseIo, &plan, &prune_on(1));
+        assert_identical(&serial, &pruned);
+        rejoined.push((timing.rejoined, timing.prune.injections_executed));
+    }
+    let [(clean, _), (faulted, executed)] = rejoined[..] else {
+        unreachable!("two plans")
+    };
+    assert!(clean > 0, "fir-long must rejoin without faults");
+    assert!(
+        faulted < clean && faulted < executed,
+        "re-executed I/O under the fault plan must keep runs apart: {faulted} of {executed} rejoined"
+    );
 }

@@ -25,7 +25,7 @@ use periph::Peripherals;
 use std::collections::{HashMap, HashSet};
 
 /// The Alpaca runtime.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct AlpacaRuntime {
     /// Variables read so far in the current activation.
     read_set: HashSet<RawVar>,

@@ -18,6 +18,7 @@ use crate::task::{App, Transition, Verdict};
 use easeio_trace::{ActivationTracker, Event, EventKind, InstantKind, SpanKind, Status, NO_SITE};
 use mcu_emu::{AllocTag, EnergyCause, Mcu, NvVar, Region, RunStats, WorkKind};
 use periph::Peripherals;
+use std::ops::ControlFlow;
 
 /// Executor configuration.
 #[derive(Debug, Clone)]
@@ -75,6 +76,317 @@ pub struct RunResult {
     pub cause_samples: Vec<mcu_emu::CauseSample>,
 }
 
+/// Where the boot/attempt loop stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Power just came on: boot next.
+    Boot,
+    /// Start an attempt of this task next.
+    Attempt(TaskId),
+    /// The run ended.
+    Done(Outcome),
+}
+
+/// The resumable position of the executor's boot/attempt loop: the
+/// execution pointer, what runs next, the failed attempts of the current
+/// activation and the activation tracker. Together with the MCU, the
+/// runtime and the peripherals it is everything a run continues from.
+#[derive(Debug, Clone)]
+pub struct ExecState {
+    cur: NvVar<u16>,
+    phase: Phase,
+    /// Failed attempts of the activation in progress (survives the boot
+    /// loop so the non-termination guard covers boot-loop livelock too).
+    attempts: u64,
+    tracker: ActivationTracker,
+}
+
+impl ExecState {
+    /// Whether `other` continues exactly like this state on a run that
+    /// never observes the clock: equal in everything, with the tracker's
+    /// timestamps left out ([`ActivationTracker::same_untimed`]).
+    pub fn same_untimed(&self, other: &Self) -> bool {
+        self.cur == other.cur
+            && self.phase == other.phase
+            && self.attempts == other.attempts
+            && self.tracker.same_untimed(&other.tracker)
+    }
+}
+
+/// The intermittent executor as a value: a run that can stop at any
+/// task-attempt start and be resumed from a saved [`ExecState`].
+pub struct Executor<'a> {
+    app: &'a App,
+    rt: &'a mut dyn Runtime,
+    periph: &'a mut Peripherals,
+    cfg: &'a ExecConfig,
+    state: ExecState,
+}
+
+impl<'a> Executor<'a> {
+    /// Starts a run of `app`: allocates the FRAM execution pointer and
+    /// points it at the entry task. The MCU should be freshly constructed
+    /// (or restored); the app's buffers must already be allocated in
+    /// `mcu.mem` (apps do this in their builders).
+    pub fn new(
+        app: &'a App,
+        rt: &'a mut dyn Runtime,
+        mcu: &mut Mcu,
+        periph: &'a mut Peripherals,
+        cfg: &'a ExecConfig,
+    ) -> Self {
+        // The execution pointer lives in FRAM, restored on every boot.
+        let cur: NvVar<u16> = NvVar::alloc_tagged(&mut mcu.mem, Region::Fram, AllocTag::Runtime);
+        cur.set(&mut mcu.mem, app.entry.0);
+        let state = ExecState {
+            cur,
+            phase: Phase::Boot,
+            attempts: 0,
+            tracker: ActivationTracker::new(),
+        };
+        Self::resume(app, rt, periph, cfg, state)
+    }
+
+    /// Continues a run from `state`, over a runtime, peripherals and MCU
+    /// restored to where that state was taken.
+    pub fn resume(
+        app: &'a App,
+        rt: &'a mut dyn Runtime,
+        periph: &'a mut Peripherals,
+        cfg: &'a ExecConfig,
+        state: ExecState,
+    ) -> Self {
+        Self {
+            app,
+            rt,
+            periph,
+            cfg,
+            state,
+        }
+    }
+
+    /// The loop position.
+    pub fn state(&self) -> &ExecState {
+        &self.state
+    }
+
+    /// The runtime.
+    pub fn runtime(&self) -> &dyn Runtime {
+        &*self.rt
+    }
+
+    /// The peripherals.
+    pub fn periph(&self) -> &Peripherals {
+        self.periph
+    }
+
+    /// Runs until the app ends or `at_attempt`, called at every
+    /// task-attempt start before anything of the attempt happens, breaks.
+    /// After a break, calling `run` again starts that same attempt.
+    pub fn run(
+        &mut self,
+        mcu: &mut Mcu,
+        mut at_attempt: impl FnMut(&Self, &Mcu) -> ControlFlow<()>,
+    ) {
+        loop {
+            match self.state.phase {
+                Phase::Done(_) => return,
+                Phase::Boot => self.state.phase = self.boot(mcu),
+                Phase::Attempt(task_id) => {
+                    if at_attempt(self, mcu).is_break() {
+                        return;
+                    }
+                    self.state.phase = self.attempt(mcu, task_id);
+                }
+            }
+        }
+    }
+
+    /// One boot: pay the boot overhead and restore the execution pointer.
+    fn boot(&mut self, mcu: &mut Mcu) -> Phase {
+        emit_instant(mcu, InstantKind::Boot, "boot");
+        match boot(&mut *self.rt, mcu, self.state.cur) {
+            // The app had already finished.
+            Ok(u16::MAX) => Phase::Done(Outcome::Completed),
+            Ok(raw) => Phase::Attempt(TaskId(raw)),
+            Err(_) => {
+                // Failure during boot itself: reboot again.
+                self.state.attempts += 1;
+                if self.state.attempts > self.cfg.max_attempts_per_task {
+                    emit_instant(mcu, InstantKind::GiveUp, "boot");
+                    Phase::Done(Outcome::NonTermination)
+                } else {
+                    Phase::Boot
+                }
+            }
+        }
+    }
+
+    /// One attempt of `task_id`, through its commit; returns what runs
+    /// next.
+    fn attempt(&mut self, mcu: &mut Mcu, task_id: TaskId) -> Phase {
+        let Self {
+            app,
+            rt,
+            periph,
+            cfg,
+            state,
+        } = self;
+        let reexecution = state.attempts > 0;
+        state.attempts += 1;
+        if state.attempts > cfg.max_attempts_per_task {
+            emit_instant(mcu, InstantKind::GiveUp, app.task(task_id).name);
+            return Phase::Done(Outcome::NonTermination);
+        }
+        mcu.stats.task_attempts += 1;
+        // Energy attribution: every spend in this attempt is charged to
+        // this task; application work counts as forward progress on the
+        // first attempt of an activation and as re-executed compute on
+        // every replay after a failure. `reset_attribution` also clears
+        // any cause scope a crashed attempt left open.
+        mcu.reset_attribution();
+        mcu.set_attr_task(task_id.0);
+        mcu.set_replay_base(reexecution);
+        // Boots, attempt starts and commits move host-side executor
+        // state; each ends the MCU's effect epoch (see `TaskCtx`).
+        mcu.advance_epoch();
+        let task_name = app.task(task_id).name;
+        // The attempt span's begin carries the attempt index within the
+        // activation in `site` (> 0 means re-execution).
+        let attempt_idx = (state.attempts - 1).min(NO_SITE as u64 - 1) as u16;
+        emit_span(
+            mcu,
+            task_id.0,
+            attempt_idx,
+            task_name,
+            EventKind::SpanBegin(SpanKind::TaskAttempt),
+        );
+        let cur = state.cur;
+        let attempt = (|| {
+            rt.on_task_entry(mcu, task_id, reexecution)?;
+            let body = app.task(task_id).body.clone();
+            let mut ctx = TaskCtx::new(
+                mcu,
+                periph,
+                &mut **rt,
+                &mut state.tracker,
+                task_id,
+                cfg.retry,
+            );
+            let transition = body(&mut ctx)?;
+            // Commit: the runtime's flag/privatization publication and
+            // the execution-pointer update are ONE atomic step. If the
+            // energy for the whole commit is not there, nothing is
+            // applied and the task re-executes with its flags intact.
+            let next = match transition {
+                Transition::To(t) => t.0,
+                Transition::Done => u16::MAX,
+            };
+            let cost =
+                rt.commit_cost(mcu, task_id) + mcu.cost.fram_write_word.times(cur.raw().words());
+            emit_span(
+                mcu,
+                task_id.0,
+                NO_SITE,
+                task_name,
+                EventKind::SpanBegin(SpanKind::Commit),
+            );
+            if let Err(e) =
+                mcu.with_cause(EnergyCause::Commit, |m| m.spend(WorkKind::Overhead, cost))
+            {
+                emit_span(
+                    mcu,
+                    task_id.0,
+                    NO_SITE,
+                    task_name,
+                    EventKind::SpanEnd(SpanKind::Commit, Status::Failed),
+                );
+                return Err(e.into());
+            }
+            mcu.advance_epoch();
+            rt.commit_apply(mcu, task_id);
+            cur.raw().store(&mut mcu.mem, next as u64);
+            emit_span(
+                mcu,
+                task_id.0,
+                NO_SITE,
+                task_name,
+                EventKind::SpanEnd(SpanKind::Commit, Status::Committed),
+            );
+            Ok::<Transition, Fault>(transition)
+        })();
+        match attempt {
+            Ok(transition) => {
+                mcu.stats.task_commits += 1;
+                emit_span(
+                    mcu,
+                    task_id.0,
+                    NO_SITE,
+                    task_name,
+                    EventKind::SpanEnd(SpanKind::TaskAttempt, Status::Committed),
+                );
+                state.tracker.commit(task_id.0);
+                state.attempts = 0;
+                match transition {
+                    Transition::Done => Phase::Done(Outcome::Completed),
+                    Transition::To(t) => Phase::Attempt(t),
+                }
+            }
+            Err(Fault::Power(_)) => {
+                // The MCU already cleared volatile memory and advanced
+                // across the dead period; go back to the boot loop. The
+                // span end lands after the dead period — profile
+                // builders clip it back to the failure instant.
+                emit_span(
+                    mcu,
+                    task_id.0,
+                    NO_SITE,
+                    task_name,
+                    EventKind::SpanEnd(SpanKind::TaskAttempt, Status::Failed),
+                );
+                Phase::Boot
+            }
+            Err(f @ (Fault::Dma(_) | Fault::Io(_))) => {
+                // Re-executing cannot clear a resource fault or refill
+                // an exhausted retry budget mid-schedule: abort.
+                emit_span(
+                    mcu,
+                    task_id.0,
+                    NO_SITE,
+                    task_name,
+                    EventKind::SpanEnd(SpanKind::TaskAttempt, Status::Failed),
+                );
+                emit_instant(mcu, InstantKind::GiveUp, task_name);
+                Phase::Done(Outcome::Fault(f))
+            }
+        }
+    }
+
+    /// Ends the run: the app's verdict if it completed, the ledger, and the
+    /// drained trace. Panics if the run has not ended.
+    pub fn finish(self, mcu: &mut Mcu) -> RunResult {
+        let Phase::Done(outcome) = self.state.phase else {
+            panic!("finish on a run that has not ended");
+        };
+        let verdict = if outcome == Outcome::Completed {
+            self.app.verify.as_ref().map(|v| v(mcu, self.periph))
+        } else {
+            None
+        };
+        let events_dropped = mcu.trace.dropped();
+        RunResult {
+            outcome,
+            stats: mcu.stats.clone(),
+            wall_us: mcu.clock.now_us(),
+            on_us: mcu.clock.on_us(),
+            verdict,
+            events: mcu.trace.take(),
+            events_dropped,
+            cause_samples: mcu.cause_samples().to_vec(),
+        }
+    }
+}
+
 /// Runs `app` under `rt` on `mcu`/`periph` until completion or give-up.
 ///
 /// The MCU should be freshly constructed; the app's buffers must already be
@@ -86,182 +398,9 @@ pub fn run_app(
     periph: &mut Peripherals,
     cfg: &ExecConfig,
 ) -> RunResult {
-    // The execution pointer lives in FRAM, restored on every boot.
-    let cur: NvVar<u16> = NvVar::alloc_tagged(&mut mcu.mem, Region::Fram, AllocTag::Runtime);
-    cur.set(&mut mcu.mem, app.entry.0);
-
-    let mut tracker = ActivationTracker::new();
-    let mut outcome = Outcome::Completed;
-    // Failed attempts of the activation currently in progress (survives the
-    // boot loop so the non-termination guard covers boot-loop livelock too).
-    let mut attempts_this_activation: u64 = 0;
-
-    // Boot loop: one iteration per power-on period.
-    'run: loop {
-        // Boot: pay the boot overhead and restore the execution pointer.
-        emit_instant(mcu, InstantKind::Boot, "boot");
-        let mut task_id = match boot(rt, mcu, cur) {
-            Ok(raw) => {
-                if raw == u16::MAX {
-                    break 'run; // the app had already finished
-                }
-                TaskId(raw)
-            }
-            Err(_) => {
-                // Failure during boot itself: reboot again.
-                attempts_this_activation += 1;
-                if attempts_this_activation > cfg.max_attempts_per_task {
-                    outcome = Outcome::NonTermination;
-                    emit_instant(mcu, InstantKind::GiveUp, "boot");
-                    break 'run;
-                }
-                continue 'run;
-            }
-        };
-
-        // Powered: execute tasks back-to-back until a failure or completion.
-        loop {
-            let reexecution = attempts_this_activation > 0;
-            attempts_this_activation += 1;
-            if attempts_this_activation > cfg.max_attempts_per_task {
-                outcome = Outcome::NonTermination;
-                emit_instant(mcu, InstantKind::GiveUp, app.task(task_id).name);
-                break 'run;
-            }
-            mcu.stats.task_attempts += 1;
-            // Energy attribution: every spend in this attempt is charged to
-            // this task; application work counts as forward progress on the
-            // first attempt of an activation and as re-executed compute on
-            // every replay after a failure. `reset_attribution` also clears
-            // any cause scope a crashed attempt left open.
-            mcu.reset_attribution();
-            mcu.set_attr_task(task_id.0);
-            mcu.set_replay_base(reexecution);
-            // Boots, attempt starts and commits move host-side executor
-            // state; each ends the MCU's effect epoch (see `TaskCtx`).
-            mcu.advance_epoch();
-            let task_name = app.task(task_id).name;
-            // The attempt span's begin carries the attempt index within the
-            // activation in `site` (> 0 means re-execution).
-            let attempt_idx = (attempts_this_activation - 1).min(NO_SITE as u64 - 1) as u16;
-            emit_span(
-                mcu,
-                task_id.0,
-                attempt_idx,
-                task_name,
-                EventKind::SpanBegin(SpanKind::TaskAttempt),
-            );
-            let attempt = (|| {
-                rt.on_task_entry(mcu, task_id, reexecution)?;
-                let body = app.task(task_id).body.clone();
-                let mut ctx = TaskCtx::new(mcu, periph, rt, &mut tracker, task_id, cfg.retry);
-                let transition = body(&mut ctx)?;
-                // Commit: the runtime's flag/privatization publication and
-                // the execution-pointer update are ONE atomic step. If the
-                // energy for the whole commit is not there, nothing is
-                // applied and the task re-executes with its flags intact.
-                let next = match transition {
-                    Transition::To(t) => t.0,
-                    Transition::Done => u16::MAX,
-                };
-                let cost = rt.commit_cost(mcu, task_id)
-                    + mcu.cost.fram_write_word.times(cur.raw().words());
-                emit_span(
-                    mcu,
-                    task_id.0,
-                    NO_SITE,
-                    task_name,
-                    EventKind::SpanBegin(SpanKind::Commit),
-                );
-                if let Err(e) =
-                    mcu.with_cause(EnergyCause::Commit, |m| m.spend(WorkKind::Overhead, cost))
-                {
-                    emit_span(
-                        mcu,
-                        task_id.0,
-                        NO_SITE,
-                        task_name,
-                        EventKind::SpanEnd(SpanKind::Commit, Status::Failed),
-                    );
-                    return Err(e.into());
-                }
-                mcu.advance_epoch();
-                rt.commit_apply(mcu, task_id);
-                cur.raw().store(&mut mcu.mem, next as u64);
-                emit_span(
-                    mcu,
-                    task_id.0,
-                    NO_SITE,
-                    task_name,
-                    EventKind::SpanEnd(SpanKind::Commit, Status::Committed),
-                );
-                Ok::<Transition, Fault>(transition)
-            })();
-            match attempt {
-                Ok(transition) => {
-                    mcu.stats.task_commits += 1;
-                    emit_span(
-                        mcu,
-                        task_id.0,
-                        NO_SITE,
-                        task_name,
-                        EventKind::SpanEnd(SpanKind::TaskAttempt, Status::Committed),
-                    );
-                    tracker.commit(task_id.0);
-                    attempts_this_activation = 0;
-                    match transition {
-                        Transition::Done => break 'run,
-                        Transition::To(t) => task_id = t,
-                    }
-                }
-                Err(Fault::Power(_)) => {
-                    // The MCU already cleared volatile memory and advanced
-                    // across the dead period; go back to the boot loop. The
-                    // span end lands after the dead period — profile
-                    // builders clip it back to the failure instant.
-                    emit_span(
-                        mcu,
-                        task_id.0,
-                        NO_SITE,
-                        task_name,
-                        EventKind::SpanEnd(SpanKind::TaskAttempt, Status::Failed),
-                    );
-                    continue 'run;
-                }
-                Err(f @ (Fault::Dma(_) | Fault::Io(_))) => {
-                    // Re-executing cannot clear a resource fault or refill
-                    // an exhausted retry budget mid-schedule: abort.
-                    emit_span(
-                        mcu,
-                        task_id.0,
-                        NO_SITE,
-                        task_name,
-                        EventKind::SpanEnd(SpanKind::TaskAttempt, Status::Failed),
-                    );
-                    emit_instant(mcu, InstantKind::GiveUp, task_name);
-                    outcome = Outcome::Fault(f);
-                    break 'run;
-                }
-            }
-        }
-    }
-
-    let verdict = if outcome == Outcome::Completed {
-        app.verify.as_ref().map(|v| v(mcu, periph))
-    } else {
-        None
-    };
-    let events_dropped = mcu.trace.dropped();
-    RunResult {
-        outcome,
-        stats: mcu.stats.clone(),
-        wall_us: mcu.clock.now_us(),
-        on_us: mcu.clock.on_us(),
-        verdict,
-        events: mcu.trace.take(),
-        events_dropped,
-        cause_samples: mcu.cause_samples().to_vec(),
-    }
+    let mut exec = Executor::new(app, rt, mcu, periph, cfg);
+    exec.run(mcu, |_, _| ControlFlow::Continue(()));
+    exec.finish(mcu)
 }
 
 /// Records an unattributed instant at the current time/energy.

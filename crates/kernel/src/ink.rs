@@ -20,7 +20,7 @@ use periph::Peripherals;
 use std::collections::HashMap;
 
 /// The InK runtime.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct InkRuntime {
     /// Working-copy redirection for the current activation, in first-touch
     /// order (the commit list).

@@ -38,10 +38,10 @@ pub mod update;
 pub use builder::{KernelBuilder, KernelFactory, KernelKind};
 pub use ctx::TaskCtx;
 pub use error::{DmaError, Fault, IoError, IoFailure, IoFault};
-pub use executor::{run_app, ExecConfig, Outcome, RunResult};
+pub use executor::{run_app, ExecConfig, ExecState, Executor, Outcome, RunResult};
 pub use io::IoOp;
 pub use retry::{FaultSpec, RetryPolicy};
-pub use runtime::{DmaOutcome, IoOutcome, Runtime};
+pub use runtime::{DmaOutcome, IoOutcome, Runtime, RuntimeState};
 pub use semantics::{DmaAnnotation, ReexecSemantics, TaskId};
 pub use task::{App, Inventory, TaskDef, TaskResult, Transition, Verdict};
 pub use update::{graph_hash, TaskGraphVersion, UpdateStore};

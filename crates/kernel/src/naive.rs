@@ -13,7 +13,7 @@ use mcu_emu::{Addr, Mcu, PowerFailure, RawVar, WorkKind};
 use periph::Peripherals;
 
 /// The no-op runtime.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct NaiveRuntime;
 
 impl NaiveRuntime {

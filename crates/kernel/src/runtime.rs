@@ -21,6 +21,7 @@ use crate::io::IoOp;
 use crate::semantics::{DmaAnnotation, ReexecSemantics, TaskId};
 use mcu_emu::{Addr, Mcu, PowerFailure, RawVar};
 use periph::Peripherals;
+use std::any::Any;
 
 /// Result of a `_call_IO` invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,8 +40,38 @@ pub struct DmaOutcome {
     pub executed: bool,
 }
 
+/// The checkpoint hook of a runtime: a clone of its host-side state and an
+/// exact comparison against another runtime's. Every `Runtime` that is
+/// `Clone + PartialEq + Send + Sync` gets it from the blanket impl below;
+/// crash sweeps use it to resume injected runs at a task-attempt start of
+/// their reference run and to detect when one rejoins it.
+pub trait RuntimeState {
+    /// A copy of this runtime's state, shareable across sweep workers.
+    fn clone_state(&self) -> Box<dyn Runtime + Send + Sync>;
+
+    /// Whether `other` is the same runtime in the same state.
+    fn state_eq(&self, other: &dyn Runtime) -> bool;
+
+    /// Upcast for [`RuntimeState::state_eq`]'s downcast.
+    fn as_any(&self) -> &dyn Any;
+}
+
+impl<T: Runtime + Clone + PartialEq + Send + Sync + 'static> RuntimeState for T {
+    fn clone_state(&self) -> Box<dyn Runtime + Send + Sync> {
+        Box::new(self.clone())
+    }
+
+    fn state_eq(&self, other: &dyn Runtime) -> bool {
+        other.as_any().downcast_ref::<T>() == Some(self)
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
 /// An intermittent-computing runtime.
-pub trait Runtime {
+pub trait Runtime: RuntimeState {
     /// Runtime name for reports ("Alpaca", "InK", "EaseIO", ...).
     fn name(&self) -> &'static str;
 

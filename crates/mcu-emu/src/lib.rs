@@ -25,8 +25,8 @@ pub mod stats;
 pub use clock::Clock;
 pub use easeio_trace::TraceSink;
 pub use energy::{Capacitor, Cost, CostTable};
-pub use mcu::{Mcu, McuSnapshot, PowerFailure, SpendBoundary};
-pub use memory::{Addr, AllocRecord, AllocTag, MemSnapshot, Memory, Region, PAGE_BYTES};
+pub use mcu::{Mcu, McuCheckpoint, McuSnapshot, PowerFailure, SpendBoundary};
+pub use memory::{Addr, AllocRecord, AllocTag, MemDelta, MemSnapshot, Memory, Region, PAGE_BYTES};
 pub use nvstore::{read_scalars, write_scalars, NvBuf, NvVar, RawVar, Scalar};
 pub use power::{RfHarvestConfig, Supply, TimerResetConfig};
 pub use stats::{

@@ -499,6 +499,56 @@ impl Mcu {
         self.attr = AttributionCtx::default();
         self.samples.clear();
     }
+
+    /// Captures the machine mid-run against `root`, the snapshot this run
+    /// was restored from: the clock, the ledger, and the memory pages that
+    /// differ from the root ([`crate::MemDelta`]). The cost table is the
+    /// root's and is not copied.
+    pub fn checkpoint(&self, root: &McuSnapshot) -> McuCheckpoint {
+        McuCheckpoint {
+            clock: self.clock.clone(),
+            mem: self.mem.delta(&root.inner.mem),
+            stats: self.stats.clone(),
+        }
+    }
+
+    /// Restores a checkpoint taken with [`Mcu::checkpoint`] against `root`.
+    /// Like [`Mcu::restore`] it resets the attribution context and counter
+    /// samples, and it stays copy-on-write: only the pages dirtied since
+    /// the last restore, plus the checkpoint's own, are copied.
+    pub fn restore_checkpoint(&mut self, root: &McuSnapshot, cp: &McuCheckpoint) {
+        self.clock = cp.clock.clone();
+        self.mem.restore_delta(&root.inner.mem, &cp.mem);
+        self.stats = cp.stats.clone();
+        self.cost = root.inner.cost.clone();
+        self.attr = AttributionCtx::default();
+        self.samples.clear();
+    }
+
+    /// Whether this machine's memory — all three regions, allocator cursors
+    /// and allocation records — equals the checkpoint's. The clock and the
+    /// ledger are not compared: they are what two runs that rejoin still
+    /// differ in.
+    pub fn memory_matches(&self, root: &McuSnapshot, cp: &McuCheckpoint) -> bool {
+        self.mem.matches_delta(&root.inner.mem, &cp.mem)
+    }
+}
+
+/// A mid-run machine state relative to a root [`McuSnapshot`], taken with
+/// [`Mcu::checkpoint`].
+#[derive(Debug, Clone)]
+pub struct McuCheckpoint {
+    clock: Clock,
+    mem: crate::memory::MemDelta,
+    /// The ledger at the checkpoint.
+    pub stats: RunStats,
+}
+
+impl McuCheckpoint {
+    /// Memory pages that differ from the root.
+    pub fn pages(&self) -> usize {
+        self.mem.page_count()
+    }
 }
 
 /// Full machine state captured by [`Mcu::snapshot`]: a cheaply clonable,

@@ -77,7 +77,7 @@ pub enum AllocTag {
 }
 
 /// One recorded allocation, for footprint accounting.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocRecord {
     /// Region allocated from.
     pub region: Region,
@@ -111,6 +111,30 @@ pub struct MemSnapshot {
     next: [u32; 3],
     allocs: Vec<AllocRecord>,
 }
+
+/// The memory map expressed against a root [`MemSnapshot`]: only the pages
+/// whose bytes differ from the root, plus the allocator state. A crash
+/// sweep keeps one per task-attempt start of its reference run, so a
+/// checkpoint costs the pages the run has changed, not a 264 KB image.
+#[derive(Debug, Clone)]
+pub struct MemDelta {
+    /// Identity of the root snapshot the pages are relative to.
+    root: u64,
+    /// `(region index, page, bytes)` of every page differing from the
+    /// root, in region-then-page order.
+    pages: Vec<(usize, u32, Box<[u8]>)>,
+    next: [u32; 3],
+    allocs: Vec<AllocRecord>,
+}
+
+impl MemDelta {
+    /// Number of pages that differ from the root.
+    pub fn page_count(&self) -> usize {
+        self.pages.len()
+    }
+}
+
+const REGIONS: [Region; 3] = [Region::Fram, Region::Sram, Region::LeaRam];
 
 /// The simulated memory: three byte arrays plus bump allocators.
 ///
@@ -384,9 +408,8 @@ impl Memory {
                 while bits != 0 {
                     let page = bits.trailing_zeros();
                     bits &= bits - 1;
-                    let lo = (page * PAGE_BYTES) as usize;
-                    let hi = (lo + PAGE_BYTES as usize).min(region.size());
-                    self.slab_mut(region)[lo..hi].copy_from_slice(&src[lo..hi]);
+                    let span = page_span(region, page);
+                    self.slab_mut(region)[span.clone()].copy_from_slice(&src[span]);
                 }
             }
         } else {
@@ -398,6 +421,98 @@ impl Memory {
         self.dirty = [0; 3];
         self.next = snap.next;
         self.allocs.clone_from(&snap.allocs);
+    }
+
+    /// Captures this memory as a delta against `root`, which must be the
+    /// snapshot the dirty map is relative to: a page not written since
+    /// cannot differ from it. Dirty pages whose bytes equal the root's are
+    /// left out, so equal memories give equal deltas.
+    pub fn delta(&self, root: &MemSnapshot) -> MemDelta {
+        assert_eq!(self.base, Some(root.id), "delta against a foreign root");
+        let mut pages = Vec::new();
+        for (i, &region) in REGIONS.iter().enumerate() {
+            let (now, was) = (self.slab(region), root.slab(i));
+            let mut bits = self.dirty[i];
+            while bits != 0 {
+                let page = bits.trailing_zeros();
+                bits &= bits - 1;
+                let span = page_span(region, page);
+                if now[span.clone()] != was[span.clone()] {
+                    pages.push((i, page, now[span].into()));
+                }
+            }
+        }
+        MemDelta {
+            root: root.id,
+            pages,
+            next: self.next,
+            allocs: self.allocs.clone(),
+        }
+    }
+
+    /// Restores `root` with `delta` applied on top. The delta's pages stay
+    /// marked dirty relative to `root`, so the next restore of `root`, or
+    /// of any delta against it, is still page-wise copy-on-write.
+    pub fn restore_delta(&mut self, root: &MemSnapshot, delta: &MemDelta) {
+        assert_eq!(delta.root, root.id, "delta restored over a foreign root");
+        self.restore(root);
+        for (i, page, bytes) in &delta.pages {
+            let span = page_span(REGIONS[*i], *page);
+            self.slab_mut(REGIONS[*i])[span].copy_from_slice(bytes);
+            self.dirty[*i] |= 1u64 << page;
+        }
+        self.next = delta.next;
+        self.allocs.clone_from(&delta.allocs);
+    }
+
+    /// Whether this memory equals `root` with `delta` applied: every byte
+    /// of all three regions, the allocator cursors and the allocation
+    /// records. Only pages dirty on either side are compared; every other
+    /// page equals the root on both.
+    pub fn matches_delta(&self, root: &MemSnapshot, delta: &MemDelta) -> bool {
+        assert_eq!(self.base, Some(root.id), "compare against a foreign root");
+        assert_eq!(delta.root, root.id, "delta of a foreign root");
+        if self.next != delta.next || self.allocs != delta.allocs {
+            return false;
+        }
+        for (i, &region) in REGIONS.iter().enumerate() {
+            let lo = delta.pages.partition_point(|p| p.0 < i);
+            let hi = delta.pages.partition_point(|p| p.0 <= i);
+            let theirs = &delta.pages[lo..hi];
+            let mut bits = theirs
+                .iter()
+                .fold(self.dirty[i], |bits, p| bits | 1u64 << p.1);
+            while bits != 0 {
+                let page = bits.trailing_zeros();
+                bits &= bits - 1;
+                let span = page_span(region, page);
+                let expected = match theirs.binary_search_by_key(&page, |p| p.1) {
+                    Ok(k) => &theirs[k].2[..],
+                    Err(_) => &root.slab(i)[span.clone()],
+                };
+                if self.slab(region)[span] != *expected {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+}
+
+/// Byte range of `page` within `region`.
+fn page_span(region: Region, page: u32) -> std::ops::Range<usize> {
+    let lo = (page * PAGE_BYTES) as usize;
+    lo..(lo + PAGE_BYTES as usize).min(region.size())
+}
+
+impl MemSnapshot {
+    /// The image of region number `i` (in [`REGIONS`] order).
+    fn slab(&self, i: usize) -> &[u8] {
+        match REGIONS[i] {
+            Region::Fram => &self.fram,
+            Region::Sram => &self.sram,
+            Region::LeaRam => &self.lea_ram,
+        }
     }
 }
 
@@ -593,6 +708,51 @@ mod tests {
                 assert_eq!(got.dirty_pages(region), want.dirty_pages(region));
             }
         }
+    }
+
+    /// A delta holds only the pages that differ from its root, restores
+    /// over any state of a machine based on that root, and compares equal
+    /// exactly when every byte, cursor and allocation record does.
+    #[test]
+    fn delta_round_trips_against_its_root() {
+        let mut m = Memory::new();
+        let f = m.alloc(Region::Fram, 8, AllocTag::App);
+        let root = m.snapshot();
+        // Written back to the root's bytes: dirty, but no difference.
+        m.write_bytes(f, &[0; 8]);
+        let far = Addr::new(Region::Fram, 20 * PAGE_BYTES);
+        m.write_bytes(far, &[3; 4]);
+        let s = m.alloc(Region::Sram, 2, AllocTag::Runtime);
+        m.write_bytes(s, &[9, 9]);
+        let delta = m.delta(&root);
+        assert_eq!(delta.page_count(), 2, "FRAM page 20 and SRAM page 0");
+        assert!(m.matches_delta(&root, &delta));
+
+        // Diverge in every way the compare must see, one at a time.
+        let diverge: [&dyn Fn(&mut Memory); 4] = [
+            &|m| m.write_bytes(far, &[4]),
+            &|m| m.write_bytes(Addr::new(Region::LeaRam, 100), &[1]),
+            &|m| m.power_failure(),
+            &|m| {
+                m.alloc(Region::Fram, 2, AllocTag::Runtime);
+            },
+        ];
+        for d in diverge {
+            m.restore_delta(&root, &delta);
+            assert!(m.matches_delta(&root, &delta));
+            d(&mut m);
+            assert!(!m.matches_delta(&root, &delta));
+        }
+        m.restore_delta(&root, &delta);
+        assert_eq!(m.read_bytes(far, 4), &[3; 4]);
+        assert_eq!(m.read_bytes(s, 2), &[9, 9]);
+        assert_eq!(m.allocated(Region::Sram), 2);
+        // The delta's pages stay dirty, so restoring the root copies them
+        // back page-wise.
+        assert_eq!(m.dirty_pages(Region::Fram), 1 << 20);
+        m.restore(&root);
+        assert_eq!(m.read_bytes(far, 4), &[0; 4]);
+        assert_eq!(m.delta(&root).page_count(), 0);
     }
 
     #[test]

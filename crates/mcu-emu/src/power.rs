@@ -186,12 +186,25 @@ impl Supply {
     /// `fail_at`-th spend boundary, stays off for `off_us`, then never fails
     /// again.
     pub fn injected(fail_at: u64, off_us: u64) -> Self {
+        Self::injected_after(fail_at, off_us, 0)
+    }
+
+    /// [`Supply::injected`] for a run resumed mid-way: `seen` spend
+    /// boundaries have already passed, so the failure fires at the
+    /// `fail_at - seen`-th boundary from here.
+    pub fn injected_after(fail_at: u64, off_us: u64, seen: u64) -> Self {
         Supply::Injected {
             fail_at,
             off_us,
-            seen: 0,
+            seen,
             fired: false,
         }
+    }
+
+    /// Whether this is an injection supply whose failure has fired. From
+    /// then on it behaves exactly like [`Supply::Continuous`].
+    pub fn injection_fired(&self) -> bool {
+        matches!(self, Supply::Injected { fired: true, .. })
     }
 
     /// Pushes `cost` through the supply, advancing `clock` accordingly.

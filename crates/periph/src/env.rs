@@ -26,7 +26,7 @@ fn triangle_ppm(t_us: u64, period_us: u64) -> i64 {
 }
 
 /// The simulated physical environment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Environment {
     seed: u64,
 }

@@ -158,7 +158,7 @@ impl FaultPlan {
 /// the MCU) but are per *run*: a fresh [`Peripherals`](crate::Peripherals)
 /// starts them at zero, which is what makes a sweep's injected runs
 /// mutually independent.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultState {
     plan: Option<FaultPlan>,
     attempts: HashMap<(PeriphClass, u16, u16), u32>,

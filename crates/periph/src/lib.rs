@@ -31,7 +31,7 @@ pub use radio::{Packet, RadioLog};
 pub use sensors::Sensor;
 
 /// Bundle of peripheral state threaded through task execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Peripherals {
     /// The physical environment sensors sample.
     pub env: Environment,

@@ -20,7 +20,7 @@ pub struct Packet {
 }
 
 /// Append-only log of everything the radio sent.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RadioLog {
     sent: Vec<Packet>,
 }

@@ -47,7 +47,8 @@ pub struct SweepTimingDoc {
     pub injections_per_sec_milli: Option<u64>,
     /// Oracle preparation µs (outside `wall_us`).
     pub oracle_us: u64,
-    /// Reference-trace + boundary-classification µs (0 with pruning off).
+    /// Reference run + boundary-classification µs, checkpoint capture
+    /// included (0 when neither pruning nor the update window runs one).
     pub classify_us: u64,
     /// Injection-phase worker busy µs.
     pub inject_us: u64,
@@ -62,6 +63,11 @@ pub struct SweepTimingDoc {
     /// purpose: pruning changes how the sweep was *computed*, never what it
     /// found, so identity stripping must drop it along with the clocks.
     pub prune: Option<SweepPruneDoc>,
+    /// Spend boundaries simulated across the executed injections.
+    pub boundaries_simulated: u64,
+    /// Executed injections that stopped where they rejoined the reference
+    /// run.
+    pub rejoined: u64,
 }
 
 /// What injection-point equivalence pruning did to one sweep.
@@ -275,6 +281,11 @@ fn sweep_body(inp: &SweepInputs) -> Value {
                 "busy_us_per_worker".into(),
                 Value::u64_arr(&t.busy_us_per_worker),
             ),
+            (
+                "boundaries_simulated".into(),
+                Value::u64(t.boundaries_simulated),
+            ),
+            ("rejoined".into(), Value::u64(t.rejoined)),
         ]);
         if let Some(p) = &t.prune {
             timing.push((
@@ -354,6 +365,9 @@ const TIMING: &[Field] = &[
     req("injections_per_worker", Ty::Arr(&Ty::U64)),
     req("busy_us_per_worker", Ty::Arr(&Ty::U64)),
     opt("prune", Ty::Obj(PRUNE)),
+    // Absent from documents written before checkpointed injections.
+    opt("boundaries_simulated", Ty::U64),
+    opt("rejoined", Ty::U64),
 ];
 
 const PRUNE: &[Field] = &[
@@ -421,6 +435,8 @@ mod tests {
                     classes: 12,
                     time_observed: false,
                 }),
+                boundaries_simulated: 900,
+                rejoined: 10,
             }),
             ..inputs()
         }
@@ -590,6 +606,8 @@ mod tests {
                 classes: 12,
                 time_observed: false,
             }),
+            boundaries_simulated: 3_400,
+            rejoined: 9,
         });
         let doc = build_sweep_report(&inp);
         validate_sweep_report(&doc).unwrap();
@@ -633,6 +651,8 @@ mod tests {
             injections_per_worker: vec![42],
             busy_us_per_worker: vec![0],
             prune: None,
+            boundaries_simulated: 4_200,
+            rejoined: 0,
         });
         let doc = build_sweep_report(&inp);
         validate_sweep_report(&doc).unwrap();

@@ -9,7 +9,7 @@
 use std::collections::{HashMap, HashSet};
 
 /// Tracks first completions of I/O and DMA sites per task activation.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ActivationTracker {
     io_done: HashSet<(u16, u16)>,
     dma_done: HashSet<(u16, u16)>,
@@ -47,6 +47,22 @@ impl ActivationTracker {
     /// `(task, site)`, if any. Survives commits.
     pub fn last_io_value(&self, task: u16, site: u16) -> Option<(i32, u64)> {
         self.last_io.get(&(task, site)).copied()
+    }
+
+    /// Whether `other` holds the same completions and the same last values,
+    /// ignoring *when* each value was produced. The timestamps feed only
+    /// the degraded `Timely` path, which marks its run as time-observing,
+    /// so a run that never observes time never reads them: crash sweeps
+    /// compare trackers this way to find two runs whose clocks differ but
+    /// whose continuations are identical.
+    pub fn same_untimed(&self, other: &Self) -> bool {
+        self.io_done == other.io_done
+            && self.dma_done == other.dma_done
+            && self.last_io.len() == other.last_io.len()
+            && self
+                .last_io
+                .iter()
+                .all(|(k, (v, _))| other.last_io.get(k).is_some_and(|(w, _)| v == w))
     }
 
     /// Clears `task`'s per-activation state after it commits.

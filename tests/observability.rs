@@ -642,6 +642,8 @@ fn full_documents() -> Vec<(Value, &'static [Field])> {
                 classes: 1,
                 time_observed: false,
             }),
+            boundaries_simulated: 40,
+            rejoined: 0,
         }),
     };
     let fleet = FleetInputs {

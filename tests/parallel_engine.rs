@@ -13,7 +13,7 @@ use easeio_repro::apps::dma_app;
 use easeio_repro::apps::harness::KernelKind;
 use easeio_repro::easeio_trace::{
     build_sweep_report, identity_document, validate_any_report, ReportKind, SweepInputs,
-    SweepPruneDoc, SweepTimingDoc, SweepViolation, SweepWasteDoc, CATEGORY_NAMES,
+    SweepViolation, SweepWasteDoc, CATEGORY_NAMES,
 };
 use easeio_repro::kernel::{App, FaultSpec};
 use easeio_repro::mcu_emu::Mcu;
@@ -61,24 +61,7 @@ fn report_for(out: &SweepOutcome, plan: &SweepPlan, timing: &SweepTiming) -> Str
                 .map(|(name, nj)| ((*name).to_string(), nj))
                 .collect(),
         )),
-        timing: Some(SweepTimingDoc {
-            jobs: timing.jobs as u64,
-            wall_us: timing.wall_us,
-            injections_per_sec_milli: timing.injections_per_sec_milli,
-            oracle_us: timing.oracle_us,
-            classify_us: timing.classify_us,
-            inject_us: timing.inject_us,
-            merge_us: timing.merge_us,
-            injections_per_worker: timing.injections_per_worker.clone(),
-            busy_us_per_worker: timing.busy_us_per_worker.clone(),
-            prune: Some(SweepPruneDoc {
-                enabled: timing.prune.enabled,
-                injections_executed: timing.prune.injections_executed,
-                injections_pruned: timing.prune.injections_pruned,
-                classes: timing.prune.classes,
-                time_observed: timing.prune.time_observed,
-            }),
-        }),
+        timing: Some(timing.doc()),
     };
     let doc = build_sweep_report(&inputs);
     assert_eq!(validate_any_report(&doc), Ok(ReportKind::Sweep));
