@@ -42,7 +42,7 @@ pub fn metrics_entry(
             .cause_energy_by_task
             .iter()
             .map(|(task, energy)| TaskWasteRow {
-                task: *task,
+                task,
                 energy_nj: *energy,
             })
             .collect(),

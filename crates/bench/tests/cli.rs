@@ -194,6 +194,33 @@ fn compare_exit_codes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn deeply_nested_json_is_malformed_input_not_an_abort() {
+    let dir = scratch("deep-json");
+    let deep = dir.join("deep.json");
+    std::fs::write(
+        &deep,
+        format!("{}{}", "[".repeat(200_000), "]".repeat(200_000)),
+    )
+    .unwrap();
+    let deep = path_str(&deep);
+    let base = baseline();
+    for args in [
+        vec!["--validate-report", deep],
+        vec!["compare", deep, &base],
+        vec!["compare", &base, deep],
+    ] {
+        let out = sim(&args);
+        assert_eq!(code(&out), 2, "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("nesting deeper than 128 levels"),
+            "{args:?}: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Runs `args`, expects exit 0, and returns the first stdout line that
 /// starts with `headline`.
 fn headline(args: &[&str], headline: &str) -> String {

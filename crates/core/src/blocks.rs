@@ -14,8 +14,7 @@
 //!   done-flag is cleared so the whole block repeats.
 
 use kernel::{ReexecSemantics, TaskId};
-use mcu_emu::{AllocTag, EnergyCause, Mcu, PowerFailure, RawVar, Region, WorkKind};
-use std::collections::HashMap;
+use mcu_emu::{AllocTag, EnergyCause, IntMap, Mcu, PowerFailure, RawVar, Region, WorkKind};
 
 /// State a block contributes to the precedence decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +54,7 @@ pub struct OpenBlock {
 /// Table of block control slots plus the live nesting stack.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct BlockTable {
-    slots: HashMap<(TaskId, u16), BlockSlot>,
+    slots: IntMap<(TaskId, u16), BlockSlot>,
     stack: Vec<OpenBlock>,
     dirty: Vec<(TaskId, u16)>,
     /// Without a persistent timekeeper, `Timely` freshness cannot be

@@ -8,12 +8,12 @@
 //! the equivalent: the set of call sites that physically executed during the
 //! current attempt.
 
-use std::collections::HashSet;
+use mcu_emu::IntSet;
 
 /// Execution record of the current attempt.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct DepTracker {
-    executed: HashSet<u16>,
+    executed: IntSet<u16>,
 }
 
 impl DepTracker {

@@ -17,9 +17,8 @@
 //! error, mirroring the buffer-limit discussion in the paper's §6.
 
 use kernel::{DmaAnnotation, DmaError, Fault, TaskId};
-use mcu_emu::{Addr, AllocTag, EnergyCause, Mcu, RawVar, Region, WorkKind};
+use mcu_emu::{Addr, AllocTag, EnergyCause, IntMap, IntSet, Mcu, RawVar, Region, WorkKind};
 use periph::dma::{classify, DmaClass};
-use std::collections::{HashMap, HashSet};
 
 /// Re-execution policy resolved for one transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,12 +76,12 @@ pub enum BufferMode {
 /// Table of DMA control slots plus the privatization-buffer pool.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DmaTable {
-    slots: HashMap<(TaskId, u16), DmaSlot>,
+    slots: IntMap<(TaskId, u16), DmaSlot>,
     pool_limit: u32,
     pool_used: u32,
     mode: BufferMode,
     /// Shared slots (BufferMode::Shared): site index → buffer.
-    shared: HashMap<u16, Addr>,
+    shared: IntMap<u16, Addr>,
     dirty: Vec<(TaskId, u16)>,
 }
 
@@ -96,11 +95,11 @@ impl DmaTable {
     /// Creates a table with an explicit buffer-assignment mode.
     pub fn with_mode(pool_limit: u32, mode: BufferMode) -> Self {
         Self {
-            slots: HashMap::new(),
+            slots: IntMap::default(),
             pool_limit,
             pool_used: 0,
             mode,
-            shared: HashMap::new(),
+            shared: IntMap::default(),
             dirty: Vec::new(),
         }
     }
@@ -256,7 +255,7 @@ impl DmaTable {
         self.dirty
             .iter()
             .filter(|(t, _)| *t == task)
-            .collect::<HashSet<_>>()
+            .collect::<IntSet<_>>()
             .len() as u64
     }
 

@@ -11,8 +11,9 @@
 //! the same flag traffic the real system pays.
 
 use kernel::TaskId;
-use mcu_emu::{AllocTag, Cost, EnergyCause, Mcu, PowerFailure, RawVar, Region, WorkKind};
-use std::collections::{HashMap, HashSet};
+use mcu_emu::{
+    AllocTag, Cost, EnergyCause, IntMap, IntSet, Mcu, PowerFailure, RawVar, Region, WorkKind,
+};
 
 /// The FRAM control block of one `_call_IO` site.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,12 +32,12 @@ pub struct IoSlot {
 /// Table of control blocks, lazily allocated like the compiler's statics.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct IoSlotTable {
-    slots: HashMap<(TaskId, u16), IoSlot>,
+    slots: IntMap<(TaskId, u16), IoSlot>,
     /// Sites whose lock was set during the current activation of each task.
     dirty: Vec<(TaskId, u16)>,
     /// Sites whose private output holds a value from the current activation
     /// (host mirror of an out-valid bit; used for divergence detection).
-    recorded: HashSet<(TaskId, u16)>,
+    recorded: IntSet<(TaskId, u16)>,
 }
 
 impl IoSlotTable {
@@ -266,7 +267,7 @@ impl IoSlotTable {
         self.dirty
             .iter()
             .filter(|(t, _)| *t == task)
-            .collect::<HashSet<_>>()
+            .collect::<IntSet<_>>()
             .len() as u64
     }
 

@@ -18,19 +18,18 @@
 //! each variable's snapshot flag is persisted before the access proceeds.
 
 use kernel::TaskId;
-use mcu_emu::{AllocTag, EnergyCause, Mcu, PowerFailure, RawVar, Region, WorkKind};
-use std::collections::{HashMap, HashSet};
+use mcu_emu::{AllocTag, EnergyCause, IntMap, IntSet, Mcu, PowerFailure, RawVar, Region, WorkKind};
 
 /// Regional privatization state.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct Regional {
     /// Persistent snapshot slots, reused across activations.
-    slots: HashMap<(TaskId, u16, RawVar), RawVar>,
+    slots: IntMap<(TaskId, u16, RawVar), RawVar>,
     /// Per-activation snapshot lists: (task, region) → [(master, slot)].
-    snaps: HashMap<(TaskId, u16), Vec<(RawVar, RawVar)>>,
+    snaps: IntMap<(TaskId, u16), Vec<(RawVar, RawVar)>>,
     /// Which (task, region, var) triples are snapshotted this activation
     /// (host mirror of the per-variable `regionalPriveFlag`s in FRAM).
-    snapped: HashSet<(TaskId, u16, RawVar)>,
+    snapped: IntSet<(TaskId, u16, RawVar)>,
 }
 
 impl Regional {

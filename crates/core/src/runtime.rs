@@ -26,9 +26,8 @@ use kernel::io::perform_io;
 use kernel::{
     DmaAnnotation, DmaOutcome, Fault, IoFailure, IoOp, IoOutcome, ReexecSemantics, Runtime, TaskId,
 };
-use mcu_emu::{Addr, Cost, EnergyCause, Mcu, PowerFailure, RawVar, WorkKind};
+use mcu_emu::{Addr, Cost, EnergyCause, IntSet, Mcu, PowerFailure, RawVar, WorkKind};
 use periph::Peripherals;
-use std::collections::HashSet;
 
 /// EaseIO configuration.
 #[derive(Debug, Clone)]
@@ -74,7 +73,7 @@ pub struct EaseIoRuntime {
     /// restored, and downstream DMA completion flags are untrusted.
     diverged: bool,
     /// Variables the CPU wrote during the current attempt.
-    written_this_attempt: HashSet<RawVar>,
+    written_this_attempt: IntSet<RawVar>,
     /// Destination ranges of DMA transfers performed this attempt.
     dma_written: Vec<(Addr, u32)>,
     /// Destination ranges holding data derived from diverged values
@@ -105,7 +104,7 @@ impl EaseIoRuntime {
             current_region: 0,
             persistent_timekeeper: cfg.persistent_timekeeper,
             diverged: false,
-            written_this_attempt: HashSet::new(),
+            written_this_attempt: IntSet::default(),
             dma_written: Vec::new(),
             tainted_dma: Vec::new(),
         }

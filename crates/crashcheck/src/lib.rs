@@ -249,13 +249,42 @@ pub fn select_boundaries(total: u64, mode: SweepMode, seed: u64) -> Vec<u64> {
     }
 }
 
-/// Final contents of all app-tagged FRAM allocations, in allocation order.
-pub fn app_fram(mcu: &Mcu) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    for (addr, len) in mcu.mem.tagged_ranges(Region::Fram, AllocTag::App) {
-        bytes.extend_from_slice(mcu.mem.read_bytes(addr, len));
+/// Final contents of all app-tagged FRAM allocations, in allocation order,
+/// as one image allocated at its final size.
+pub fn app_fram(mcu: &Mcu) -> Arc<[u8]> {
+    let ranges = || mcu.mem.tagged_ranges(Region::Fram, AllocTag::App);
+    let len = ranges().map(|(_, n)| n as usize).sum();
+    let mut image: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+    let bytes = Arc::get_mut(&mut image).expect("a fresh image is unshared");
+    let mut at = 0;
+    for (addr, n) in ranges() {
+        let n = n as usize;
+        bytes[at..at + n].copy_from_slice(mcu.mem.read_bytes(addr, n as u32));
+        at += n;
     }
-    bytes
+    image
+}
+
+/// The machine's app-tagged FRAM as an image: `image` itself, shared, when
+/// the bytes equal it (compared in place, nothing is copied), else a fresh
+/// [`app_fram`].
+fn app_fram_sharing(mcu: &Mcu, image: &Arc<[u8]>) -> Arc<[u8]> {
+    let mut rest: &[u8] = image;
+    let same = mcu
+        .mem
+        .tagged_ranges(Region::Fram, AllocTag::App)
+        .all(|(addr, n)| match rest.split_at_checked(n as usize) {
+            Some((head, tail)) if head == mcu.mem.read_bytes(addr, n) => {
+                rest = tail;
+                true
+            }
+            _ => false,
+        });
+    if same && rest.is_empty() {
+        Arc::clone(image)
+    } else {
+        app_fram(mcu)
+    }
 }
 
 /// Everything the invariant checks need from one run.
@@ -288,8 +317,10 @@ pub struct RunRecord {
     pub waste_nj: u64,
     /// Whether the cause ledgers summed to the energy totals.
     pub attribution_balanced: bool,
-    /// Final app-tagged FRAM bytes.
-    pub fram: Vec<u8>,
+    /// Final app-tagged FRAM bytes. Records with equal images often share
+    /// one allocation (the oracle's, the reference's, a representative's),
+    /// which [`check_record`] recognizes without comparing bytes.
+    pub fram: Arc<[u8]>,
 }
 
 /// One run from the snapshot under `supply`: fresh peripherals, fresh
@@ -332,6 +363,11 @@ fn fresh_run(
 
 /// The record of a finished run.
 fn record_of(r: RunResult, mcu: &Mcu) -> RunRecord {
+    record_with(r, app_fram(mcu))
+}
+
+/// The record of a finished run whose final image is `fram`.
+fn record_with(r: RunResult, fram: Arc<[u8]>) -> RunRecord {
     let probes = PROBE_COUNTERS.map(|n| r.stats.counter(n));
     RunRecord {
         outcome: r.outcome,
@@ -347,7 +383,7 @@ fn record_of(r: RunResult, mcu: &Mcu) -> RunRecord {
         total_energy_nj: r.stats.app_energy_nj + r.stats.overhead_energy_nj,
         waste_nj: r.stats.waste_energy_nj(),
         attribution_balanced: r.stats.attribution_balanced(),
-        fram: app_fram(mcu),
+        fram,
     }
 }
 
@@ -547,7 +583,7 @@ impl Reference {
             rejoined: rejoin.is_some(),
         };
         let Some((j, at)) = rejoin else {
-            return (record_of(exec.finish(mcu), mcu), work);
+            return (self.record_at_end(exec.finish(mcu), mcu), work);
         };
         let mut shifted = shift_record(
             &self.record,
@@ -556,13 +592,19 @@ impl Reference {
         );
         shifted.attribution_balanced &= at.attribution_balanced();
         if check {
-            let real = record_of(exec.finish(mcu), mcu);
+            let real = self.record_at_end(exec.finish(mcu), mcu);
             assert_eq!(
                 shifted, real,
                 "boundary {boundary}: the record shifted at its rejoin differs from the real run"
             );
         }
         (shifted, work)
+    }
+
+    /// The record of an injected run that ran to its end, sharing the
+    /// reference's final image when its own is byte-equal.
+    fn record_at_end(&self, r: RunResult, mcu: &Mcu) -> RunRecord {
+        record_with(r, app_fram_sharing(mcu, &self.record.fram))
     }
 
     /// The reference checkpoint the run at this attempt start has rejoined,
@@ -779,15 +821,14 @@ fn shift_record(rec: &RunRecord, from: &Ledger, to: &Ledger) -> RunRecord {
         total_energy_nj: shift(rec.total_energy_nj, from.energy_nj, to.energy_nj),
         waste_nj,
         attribution_balanced: rec.attribution_balanced,
-        fram: rec.fram.clone(),
+        fram: Arc::clone(&rec.fram),
     }
 }
 
 /// The shared prefix of every sweep: the post-construction machine snapshot
-/// and the continuous-power oracle record. The snapshot is an `Arc` under
-/// the hood and `oracle_fram` is `Arc`-wrapped here, so cloning a
-/// `SweepOracle` to N worker threads shares the 256 KB FRAM image instead
-/// of copying it per worker.
+/// and the continuous-power oracle record. The snapshot and the final app
+/// FRAM image are both `Arc`s, so cloning a `SweepOracle` to N worker
+/// threads shares them instead of copying them per worker.
 #[derive(Clone)]
 pub struct SweepOracle {
     /// Machine state right after app construction (allocator cursors
@@ -796,7 +837,7 @@ pub struct SweepOracle {
     /// Energy-spend boundaries the oracle run crossed.
     pub boundaries: u64,
     /// App-tagged FRAM at oracle completion, for `strict_memory` compares.
-    pub fram: Arc<Vec<u8>>,
+    pub fram: Arc<[u8]>,
     /// App display name.
     pub app: &'static str,
 }
@@ -829,7 +870,7 @@ pub fn prepare_oracle(
     SweepOracle {
         snapshot: snap,
         boundaries: oracle.boundaries,
-        fram: Arc::new(oracle.fram),
+        fram: oracle.fram,
         app: app.name,
     }
 }
@@ -921,7 +962,8 @@ pub fn check_record(
             format!("probe_version_torn = {}", r.version_torn),
         );
     }
-    if strict_memory && r.fram != oracle_fram {
+    // A record sharing the oracle's image is equal without a byte compare.
+    if strict_memory && !std::ptr::eq(&*r.fram, oracle_fram) && *r.fram != *oracle_fram {
         let first = r
             .fram
             .iter()
@@ -1856,6 +1898,92 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `check_record`'s pointer shortcut never changes a verdict: a record
+    /// sharing the oracle's image, an equal copy and a differing copy are
+    /// judged as a byte compare would judge them. And a checkpointed run
+    /// that does not rejoin shares the reference's final image exactly
+    /// when its own bytes equal it.
+    #[test]
+    fn shared_fram_images_judge_like_copies() {
+        let judged = |r: &RunRecord, oracle: &[u8]| -> Vec<(ViolationKind, String)> {
+            check_record(r, oracle, 3, true)
+                .into_iter()
+                .map(|v| (v.kind, v.detail))
+                .collect()
+        };
+        let oracle = prepare_oracle(&small_dma, KernelKind::EaseIo, 5);
+        let mut mcu = Mcu::new(Supply::continuous());
+        let app = small_dma(&mut mcu);
+        let rec = run_from(
+            &app,
+            KernelKind::EaseIo,
+            &mut mcu,
+            &oracle.snapshot,
+            Supply::continuous(),
+            5,
+            &FaultSpec::none(),
+        );
+        assert!(oracle.fram.len() > 8);
+        let with = |fram: Arc<[u8]>| RunRecord {
+            fram,
+            ..rec.clone()
+        };
+        let shared = with(Arc::clone(&oracle.fram));
+        let copy = with(oracle.fram.to_vec().into());
+        assert!(std::ptr::eq(&*shared.fram, &*oracle.fram));
+        assert!(!std::ptr::eq(&*copy.fram, &*oracle.fram));
+        assert_eq!(judged(&shared, &oracle.fram), Vec::new());
+        assert_eq!(judged(&copy, &oracle.fram), Vec::new());
+        let mut bytes = oracle.fram.to_vec();
+        bytes[5] ^= 0xff;
+        bytes[7] ^= 0x01;
+        let differing = with(bytes.into());
+        let divergence = |first: usize| {
+            vec![(
+                ViolationKind::MemoryDivergence,
+                format!(
+                    "app FRAM diverges from the oracle at byte {first} of {}",
+                    oracle.fram.len()
+                ),
+            )]
+        };
+        assert_eq!(judged(&differing, &oracle.fram), divergence(5));
+        let short = with(oracle.fram[..4].to_vec().into());
+        assert_eq!(judged(&short, &oracle.fram), divergence(4));
+
+        let (mut shares, mut copies) = (0, 0);
+        for kind in [KernelKind::Naive, KernelKind::EaseIo] {
+            mcu.restore(&oracle.snapshot);
+            let reference = reference_run(
+                &app,
+                kind,
+                &mut mcu,
+                &oracle.snapshot,
+                5,
+                &FaultSpec::none(),
+            );
+            for b in 0..reference.trace.slices.len() as u64 {
+                let (r, work) = reference.run_injected(&app, &mut mcu, b, 100_000);
+                if work.rejoined {
+                    continue;
+                }
+                let same_bytes = *r.fram == *reference.record.fram;
+                assert_eq!(
+                    Arc::ptr_eq(&r.fram, &reference.record.fram),
+                    same_bytes,
+                    "{kind:?} boundary {b}"
+                );
+                assert_eq!(*r.fram, *app_fram(&mcu), "{kind:?} boundary {b}");
+                if same_bytes {
+                    shares += 1;
+                } else {
+                    copies += 1;
+                }
+            }
+        }
+        assert!(shares > 0 && copies > 0, "{shares} shared, {copies} copied");
     }
 
     #[test]

@@ -55,6 +55,7 @@ use easeio_trace::{Progress, SweepPruneDoc, SweepTimingDoc};
 use kernel::App;
 use mcu_emu::{Mcu, Supply, CAUSE_COUNT};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::pool::run_indexed;
@@ -255,7 +256,7 @@ pub fn sweep_matrix_observed(
         };
         let (pruned, time_observed, exec) = if opts.prune {
             let (mut mcu, app) = machine();
-            let reference = reference_run(
+            let mut reference = reference_run(
                 &app,
                 entry.kind,
                 &mut mcu,
@@ -263,6 +264,12 @@ pub fn sweep_matrix_observed(
                 entry.plan.env_seed,
                 &entry.plan.fault,
             );
+            // Share the oracle's final image: injected runs that end on the
+            // same bytes then share it too, and judging them compares a
+            // pointer instead of the whole image.
+            if reference.record.fram == oracle.fram {
+                reference.record.fram = Arc::clone(&oracle.fram);
+            }
             let trace = &reference.trace;
             if entry.plan.update_window {
                 chosen = filter_update_window(&chosen, trace);

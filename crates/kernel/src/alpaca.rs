@@ -20,23 +20,22 @@ use crate::error::{Fault, IoFailure};
 use crate::io::{perform_dma, perform_io, IoOp};
 use crate::runtime::{DmaOutcome, IoOutcome, Runtime};
 use crate::semantics::{DmaAnnotation, ReexecSemantics, TaskId};
-use mcu_emu::{Addr, AllocTag, Cost, Mcu, PowerFailure, RawVar, Region, WorkKind};
+use mcu_emu::{Addr, AllocTag, Cost, IntMap, IntSet, Mcu, PowerFailure, RawVar, Region, WorkKind};
 use periph::Peripherals;
-use std::collections::{HashMap, HashSet};
 
 /// The Alpaca runtime.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct AlpacaRuntime {
     /// Variables read so far in the current activation.
-    read_set: HashSet<RawVar>,
+    read_set: IntSet<RawVar>,
     /// WAR variables privatized in the current activation, in privatization
     /// order (the commit list).
     active: Vec<RawVar>,
     /// Redirection map for the current activation.
-    redirect: HashMap<RawVar, RawVar>,
+    redirect: IntMap<RawVar, RawVar>,
     /// Persistent private slots, reused across activations (the compiler
     /// allocates these statically).
-    slots: HashMap<RawVar, RawVar>,
+    slots: IntMap<RawVar, RawVar>,
 }
 
 impl AlpacaRuntime {

@@ -15,9 +15,8 @@ use crate::error::{Fault, IoFailure};
 use crate::io::{perform_dma, perform_io, IoOp};
 use crate::runtime::{DmaOutcome, IoOutcome, Runtime};
 use crate::semantics::{DmaAnnotation, ReexecSemantics, TaskId};
-use mcu_emu::{Addr, AllocTag, Cost, Mcu, PowerFailure, RawVar, Region, WorkKind};
+use mcu_emu::{Addr, AllocTag, Cost, IntMap, Mcu, PowerFailure, RawVar, Region, WorkKind};
 use periph::Peripherals;
-use std::collections::HashMap;
 
 /// The InK runtime.
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -25,10 +24,10 @@ pub struct InkRuntime {
     /// Working-copy redirection for the current activation, in first-touch
     /// order (the commit list).
     active: Vec<RawVar>,
-    redirect: HashMap<RawVar, RawVar>,
+    redirect: IntMap<RawVar, RawVar>,
     /// Persistent working-copy slots (the second halves of the double
     /// buffers), reused across activations.
-    slots: HashMap<RawVar, RawVar>,
+    slots: IntMap<RawVar, RawVar>,
 }
 
 impl InkRuntime {

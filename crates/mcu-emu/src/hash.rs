@@ -1,0 +1,96 @@
+//! A small deterministic hasher for the runtimes' per-access maps.
+//!
+//! Runtime bookkeeping keys are short tuples of integers (task ids, site
+//! indices, addresses), looked up on every non-volatile access. SipHash's
+//! DoS resistance buys nothing for keys a simulated program chooses, and
+//! its per-lookup cost shows in every injected run. [`IntHasher`] folds each
+//! integer into the state with one rotate, xor and multiply (the FxHash
+//! step), and has no random seed, so iteration order is a pure function of
+//! the insertion history.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiplier of the FxHash step: an odd constant with well-spread bits.
+const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// Hasher folding integer writes with one multiply each.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IntHasher {
+    hash: u64,
+}
+
+impl IntHasher {
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(SEED);
+    }
+}
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// `HashMap` keyed through [`IntHasher`].
+pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+/// `HashSet` keyed through [`IntHasher`].
+pub type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::hash::{BuildHasher, Hash};
+
+    fn hash_of<T: Hash>(v: &T) -> u64 {
+        BuildHasherDefault::<IntHasher>::default().hash_one(v)
+    }
+
+    #[test]
+    fn equal_keys_hash_equal_and_order_matters() {
+        assert_eq!(hash_of(&(1u16, 2u16)), hash_of(&(1u16, 2u16)));
+        assert_ne!(hash_of(&(1u16, 2u16)), hash_of(&(2u16, 1u16)));
+        assert_ne!(hash_of(&0u32), hash_of(&1u32));
+    }
+
+    #[test]
+    fn maps_behave_like_std_maps() {
+        let mut m: IntMap<(u16, u32), u64> = IntMap::default();
+        for i in 0..1_000u32 {
+            m.insert((i as u16 % 7, i), u64::from(i) * 3);
+        }
+        assert_eq!(m.len(), 1_000);
+        assert_eq!(m.get(&(5, 12)), Some(&36));
+        let s: IntSet<u16> = (0..100).collect();
+        assert!(s.contains(&42) && !s.contains(&100));
+    }
+}

@@ -276,6 +276,15 @@ impl Mcu {
     /// atomicity — it only lets an operation whose average draw is
     /// sustainable run from a capacitor smaller than its total energy.
     ///
+    /// Each slice is one energy-spend boundary. When no boundary recorder
+    /// is on and the supply provably interrupts none of the slices
+    /// ([`Supply::charge_uninterruptible`]: always on continuous power, on
+    /// the timer when the spend ends before the next reset, on an
+    /// injection whose boundary lies outside the spend), the spend is
+    /// charged in one step instead. Slices only add up, so the clock, the
+    /// boundary count, the supply state and every ledger end exactly where
+    /// the slice loop leaves them; the harvester always takes the loop.
+    ///
     /// On power failure: volatile memory is cleared, the failure is counted,
     /// the clock has been advanced across the recharge period, and
     /// `Err(PowerFailure)` is returned.
@@ -317,6 +326,20 @@ impl Mcu {
                 rec.epoch += 1;
             }
             rec.pure_tail = self.pure.then_some(writes);
+        } else if cost.time_us > SLICE_US {
+            // Nothing observes the individual slices, so when the supply
+            // cannot interrupt any of them the spend is charged at once.
+            let slices = cost.time_us.div_ceil(SLICE_US);
+            if self
+                .supply
+                .charge_uninterruptible(&mut self.clock, cost, slices)
+            {
+                self.stats.boundaries += slices;
+                self.stats
+                    .record_attributed(kind, cause, task, cost.time_us, cost.energy_nj);
+                self.sample_causes();
+                return Ok(());
+            }
         }
         let mut remaining = cost;
         loop {
@@ -725,7 +748,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(m.stats.cause_energy(EnergyCause::DmaPriv), 0);
-        let row = m.stats.cause_energy_by_task[&3];
+        let row = *m.stats.cause_energy_by_task.get(3).unwrap();
         assert_eq!(row.iter().sum::<u64>(), m.stats.total_energy_nj());
         assert!(m.stats.attribution_balanced());
     }

@@ -298,12 +298,15 @@ impl Memory {
     /// Byte ranges allocated in `region` under `tag`, as `(addr, len)`
     /// pairs. A crash sweep uses this to compare the application-visible
     /// non-volatile state of two runs without touching runtime metadata.
-    pub fn tagged_ranges(&self, region: Region, tag: AllocTag) -> Vec<(Addr, u32)> {
+    pub fn tagged_ranges(
+        &self,
+        region: Region,
+        tag: AllocTag,
+    ) -> impl Iterator<Item = (Addr, u32)> + '_ {
         self.allocs
             .iter()
-            .filter(|a| a.region == region && a.tag == tag)
+            .filter(move |a| a.region == region && a.tag == tag)
             .map(|a| (a.addr, a.bytes))
-            .collect()
     }
 
     /// Reads `len` bytes starting at `addr`.

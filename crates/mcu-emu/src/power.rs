@@ -331,6 +331,44 @@ impl Supply {
         }
     }
 
+    /// Charges `cost` in one step when the caller would otherwise push it
+    /// through [`Supply::spend`] as `slices` consecutive slices and this
+    /// supply provably interrupts none of them. Leaves the clock and the
+    /// supply exactly as that slice loop would, and returns `true`; returns
+    /// `false` and changes nothing when a slice might be interrupted, so
+    /// the caller runs the loop instead.
+    ///
+    /// Continuous power never fails; the timer fails inside the spend only
+    /// if its total on-time reaches the next reset; an injection fails only
+    /// if its boundary lies in `[seen, seen + slices)` and has not fired
+    /// yet. The harvester's capacitor state depends on the clock at every
+    /// slice, so it always takes the loop.
+    pub fn charge_uninterruptible(&mut self, clock: &mut Clock, cost: Cost, slices: u64) -> bool {
+        match self {
+            Supply::Continuous => {}
+            Supply::Timer { remaining_us, .. } => {
+                if cost.time_us >= *remaining_us {
+                    return false;
+                }
+                *remaining_us -= cost.time_us;
+            }
+            Supply::Harvester { .. } => return false,
+            Supply::Injected {
+                fail_at,
+                seen,
+                fired,
+                ..
+            } => {
+                if !*fired && (*seen..*seen + slices).contains(fail_at) {
+                    return false;
+                }
+                *seen += slices;
+            }
+        }
+        clock.advance_on(cost.time_us);
+        true
+    }
+
     /// Whether this supply can ever interrupt execution.
     pub fn can_fail(&self) -> bool {
         !matches!(self, Supply::Continuous)

@@ -156,8 +156,58 @@ pub struct CauseSample {
     pub energy_nj: [u64; CAUSE_COUNT],
 }
 
+/// Per-task slice of the energy ledger: one per-cause row per task that
+/// had energy recorded or reattributed, indexed by task id, with the
+/// [`KERNEL_TASK`] row kept apart. Iteration runs in ascending task id with
+/// the kernel row last, so reports list rows in one stable order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TaskRows {
+    rows: Vec<Option<[u64; CAUSE_COUNT]>>,
+    kernel: Option<[u64; CAUSE_COUNT]>,
+}
+
+impl TaskRows {
+    /// `task`'s row, created zeroed on first use.
+    pub fn row_mut(&mut self, task: u16) -> &mut [u64; CAUSE_COUNT] {
+        let slot = if task == KERNEL_TASK {
+            &mut self.kernel
+        } else {
+            let i = usize::from(task);
+            if i >= self.rows.len() {
+                self.rows.resize(i + 1, None);
+            }
+            &mut self.rows[i]
+        };
+        slot.get_or_insert([0; CAUSE_COUNT])
+    }
+
+    /// `task`'s row, if it has one.
+    pub fn get(&self, task: u16) -> Option<&[u64; CAUSE_COUNT]> {
+        if task == KERNEL_TASK {
+            self.kernel.as_ref()
+        } else {
+            self.rows.get(usize::from(task))?.as_ref()
+        }
+    }
+
+    /// Every present row with its task id, ascending, the kernel row last.
+    pub fn iter(&self) -> impl Iterator<Item = (u16, &[u64; CAUSE_COUNT])> {
+        let tasks = self
+            .rows
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| Some((i as u16, r.as_ref()?)));
+        tasks.chain(self.kernel.as_ref().map(|r| (KERNEL_TASK, r)))
+    }
+
+    /// Every present row, in [`TaskRows::iter`] order.
+    pub fn values(&self) -> impl Iterator<Item = &[u64; CAUSE_COUNT]> {
+        self.iter().map(|(_, r)| r)
+    }
+}
+
 /// Counters and ledgers collected over one simulated run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// On-time spent on application work (µs), across all attempts.
     pub app_time_us: u64,
@@ -197,7 +247,7 @@ pub struct RunStats {
     pub cause_energy_nj: [u64; CAUSE_COUNT],
     /// Per-task slice of the energy ledger; [`KERNEL_TASK`] collects spends
     /// outside any task. Each row sums across tasks to `cause_energy_nj`.
-    pub cause_energy_by_task: BTreeMap<u16, [u64; CAUSE_COUNT]>,
+    pub cause_energy_by_task: TaskRows,
     /// Energy reattributed to [`EnergyCause::RedundantIo`] per I/O site
     /// (nJ) — the per-site waste breakdown.
     pub redundant_energy_by_site: BTreeMap<u16, u64>,
@@ -247,7 +297,7 @@ impl RunStats {
         let i = cause.index();
         self.cause_time_us[i] += time_us;
         self.cause_energy_nj[i] += energy_nj;
-        self.cause_energy_by_task.entry(task).or_default()[i] += energy_nj;
+        self.cause_energy_by_task.row_mut(task)[i] += energy_nj;
     }
 
     /// A point-in-time copy of the cause ledgers, for delta accounting
@@ -272,7 +322,7 @@ impl RunStats {
         let ti = to.index();
         let mut moved_t = 0u64;
         let mut moved_e = 0u64;
-        let row = self.cause_energy_by_task.entry(task).or_default();
+        let row = self.cause_energy_by_task.row_mut(task);
         for cause in EnergyCause::ALL {
             let i = cause.index();
             if i == ti {
@@ -378,8 +428,8 @@ impl RunStats {
             self.cause_time_us[i] += other.cause_time_us[i];
             self.cause_energy_nj[i] += other.cause_energy_nj[i];
         }
-        for (task, row) in &other.cause_energy_by_task {
-            let mine = self.cause_energy_by_task.entry(*task).or_default();
+        for (task, row) in other.cause_energy_by_task.iter() {
+            let mine = self.cause_energy_by_task.row_mut(task);
             for i in 0..CAUSE_COUNT {
                 mine[i] += row[i];
             }
@@ -521,7 +571,10 @@ mod tests {
         s.record_attributed(WorkKind::Overhead, EnergyCause::Commit, 2, 5, 7);
         assert_eq!(s.cause_energy(EnergyCause::ReexecCompute), 30);
         assert_eq!(s.cause_energy(EnergyCause::Commit), 7);
-        assert_eq!(s.cause_energy_by_task[&2][EnergyCause::Commit.index()], 7);
+        assert_eq!(
+            s.cause_energy_by_task.get(2).unwrap()[EnergyCause::Commit.index()],
+            7
+        );
         assert_eq!(s.waste_energy_nj(), 30);
         assert!(s.attribution_balanced());
     }

@@ -14,7 +14,7 @@
 //! attempt on the peripheral, so a skipped/restored operation never
 //! advances the schedule.
 
-use std::collections::HashMap;
+use mcu_emu::IntMap;
 
 /// Peripheral class a fault plan schedules over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -161,7 +161,7 @@ impl FaultPlan {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultState {
     plan: Option<FaultPlan>,
-    attempts: HashMap<(PeriphClass, u16, u16), u32>,
+    attempts: IntMap<(PeriphClass, u16, u16), u32>,
 }
 
 impl FaultState {

@@ -207,17 +207,62 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a document of a few hundred thousand
+/// `[` overflows the stack; every document this workspace writes nests
+/// fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`parse`] rejected a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonError {
+    /// Malformed JSON; the message names the byte offset.
+    Syntax(String),
+    /// Arrays/objects nest deeper than [`MAX_DEPTH`]; `at` is the byte
+    /// offset of the first bracket past the limit.
+    TooDeep {
+        /// Byte offset of the offending `[` or `{`.
+        at: usize,
+    },
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonError::Syntax(msg) => f.write_str(msg),
+            JsonError::TooDeep { at } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} levels at byte {at}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+impl From<String> for JsonError {
+    fn from(msg: String) -> Self {
+        JsonError::Syntax(msg)
+    }
+}
+
+impl From<&str> for JsonError {
+    fn from(msg: &str) -> Self {
+        JsonError::Syntax(msg.into())
+    }
+}
+
 /// Parses a JSON document. Errors carry a byte offset and message.
-pub fn parse(input: &str) -> Result<Value, String> {
+pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
+        return Err(format!("trailing data at byte {}", p.pos).into());
     }
     Ok(v)
 }
@@ -225,6 +270,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -242,38 +289,53 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
+            Err(format!("expected '{}' at byte {}", b as char, self.pos).into())
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
+    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, JsonError> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
-            Err(format!("invalid literal at byte {}", self.pos))
+            Err(format!("invalid literal at byte {}", self.pos).into())
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Value::Null),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected byte at {}", self.pos)),
+            _ => Err(format!("unexpected byte at {}", self.pos).into()),
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    /// Parses one array or object, refusing to open more than
+    /// [`MAX_DEPTH`] levels.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::TooDeep { at: self.pos });
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn array(&mut self) -> Result<Value, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -291,12 +353,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(Value::Arr(items));
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos).into()),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self) -> Result<Value, JsonError> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -319,12 +381,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(Value::Obj(pairs));
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos).into()),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -360,7 +422,7 @@ impl<'a> Parser<'a> {
                             out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                             self.pos += 4;
                         }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
+                        _ => return Err(format!("bad escape at byte {}", self.pos).into()),
                     }
                     self.pos += 1;
                 }
@@ -376,7 +438,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    fn number(&mut self) -> Result<Value, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -390,7 +452,7 @@ impl<'a> Parser<'a> {
         let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
         s.parse::<f64>()
             .map(Value::Num)
-            .map_err(|_| format!("bad number at byte {start}"))
+            .map_err(|_| format!("bad number at byte {start}").into())
     }
 }
 
@@ -423,6 +485,20 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_typed_error() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&nest(MAX_DEPTH + 1)),
+            Err(JsonError::TooDeep { at: MAX_DEPTH })
+        );
+        // Deep enough to overflow the stack without the bound.
+        let deep = format!("{}{}", "[{\"k\":".repeat(100_000), "0}]".repeat(100_000));
+        // Two levels per 6-byte `[{"k":`: level 129 opens at unit 65.
+        assert_eq!(parse(&deep), Err(JsonError::TooDeep { at: 64 * 6 }));
     }
 
     #[test]

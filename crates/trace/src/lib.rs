@@ -55,7 +55,7 @@ pub use forensics::{
     build_forensics_report, validate_forensics_report, ForensicsInputs, ForensicsViolationDoc,
     FramDiffByte, FramDiffDoc, FRAM_DIFF_CAP,
 };
-pub use json::{parse as parse_json, Value};
+pub use json::{parse as parse_json, JsonError, Value};
 pub use jsonl::jsonl;
 pub use metrics::{
     build_metrics_report, compare_metrics, flamegraph, validate_metrics_report, MetricsEntry,
