@@ -29,6 +29,7 @@ use kernel::{
 use mcu_emu::{Mcu, NvVar, Region};
 use periph::Sensor;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Configuration of the flaky-radio relay.
 #[derive(Debug, Clone)]
@@ -82,7 +83,7 @@ pub fn build(mcu: &mut Mcu, cfg: &FlakyRadioCfg) -> (App, NvVar<u32>) {
         ctx.compute(300)?;
         ctx.call_io(
             IoOp::Send {
-                payload: vec![r as i32, t],
+                payload: Arc::from([r as i32, t]),
             },
             ReexecSemantics::Single,
         )?;

@@ -23,6 +23,7 @@ use kernel::{
 use mcu_emu::{Mcu, NvBuf, NvVar, Region};
 use periph::Sensor;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Configuration of the motion sentinel.
 #[derive(Debug, Clone)]
@@ -93,7 +94,7 @@ pub fn build(mcu: &mut Mcu, cfg: &MotionCfg) -> (App, NvVar<u32>) {
             // Exactly-once alert: window id + magnitude on the air.
             ctx.call_io(
                 IoOp::Send {
-                    payload: vec![w as i32, mad],
+                    payload: Arc::from([w as i32, mad]),
                 },
                 ReexecSemantics::Single,
             )?;

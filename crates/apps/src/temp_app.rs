@@ -122,7 +122,7 @@ mod tests {
     use super::*;
     use easeio_core::EaseIoRuntime;
     use kernel::{ink::InkRuntime, run_app, ExecConfig, Outcome};
-    use mcu_emu::{Supply, TimerResetConfig};
+    use mcu_emu::{Counter, Supply, TimerResetConfig};
     use periph::Peripherals;
 
     #[test]
@@ -209,7 +209,7 @@ mod tests {
         let mut rt = EaseIoRuntime::default();
         let r = run_app(&app, &mut rt, &mut mcu, &mut p, &ExecConfig::default());
         assert_eq!(r.outcome, Outcome::Completed);
-        if r.stats.power_failures > 0 && r.stats.counter("easeio_timely_expired") > 0 {
+        if r.stats.power_failures > 0 && r.stats.counter(Counter::EaseioTimelyExpired) > 0 {
             assert!(r.stats.io_executed > 1);
         }
     }

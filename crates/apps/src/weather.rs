@@ -22,6 +22,7 @@ use kernel::{
 use mcu_emu::{read_scalars, Addr, Mcu, NvBuf, NvVar, Region};
 use periph::Sensor;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Configuration of the weather-classifier benchmark.
 #[derive(Debug, Clone)]
@@ -279,7 +280,7 @@ pub fn build(mcu: &mut Mcu, cfg: &WeatherCfg) -> App {
         ctx.compute(700)?;
         ctx.call_io(
             IoOp::Send {
-                payload: vec![t, h, c as i32],
+                payload: Arc::from([t, h, c as i32]),
             },
             ReexecSemantics::Single,
         )?;

@@ -14,7 +14,9 @@
 //!   done-flag is cleared so the whole block repeats.
 
 use kernel::{ReexecSemantics, TaskId};
-use mcu_emu::{AllocTag, EnergyCause, IntMap, Mcu, PowerFailure, RawVar, Region, WorkKind};
+use mcu_emu::{
+    AllocTag, Counter, EnergyCause, IntMap, Mcu, PowerFailure, RawVar, Region, WorkKind,
+};
 
 /// State a block contributes to the precedence decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,7 +157,7 @@ impl BlockTable {
                         let c = mcu.cost.flag_write;
                         mcu.with_cause(EnergyCause::Commit, |m| m.spend(WorkKind::Overhead, c))?;
                         slot.done.store(&mut mcu.mem, 0);
-                        mcu.stats.bump("easeio_block_violations");
+                        mcu.stats.bump(Counter::EaseioBlockViolations);
                         BlockState::Violated
                     }
                 } else {
@@ -299,7 +301,7 @@ mod tests {
             .unwrap();
         assert_eq!(t.enclosing_decision(), BlockState::Satisfied);
         // The inner flag state was not disturbed (no violation counted).
-        assert_eq!(m.stats.counter("easeio_block_violations"), 0);
+        assert_eq!(m.stats.counter(Counter::EaseioBlockViolations), 0);
         t.end(&mut m, task).unwrap();
         t.end(&mut m, task).unwrap();
     }

@@ -17,7 +17,7 @@
 //! error, mirroring the buffer-limit discussion in the paper's §6.
 
 use kernel::{DmaAnnotation, DmaError, Fault, TaskId};
-use mcu_emu::{Addr, AllocTag, EnergyCause, IntMap, IntSet, Mcu, RawVar, Region, WorkKind};
+use mcu_emu::{Addr, AllocTag, Counter, EnergyCause, IntMap, Mcu, RawVar, Region, WorkKind};
 use periph::dma::{classify, DmaClass};
 
 /// Re-execution policy resolved for one transfer.
@@ -187,7 +187,7 @@ impl DmaTable {
             ResolvedDma::Always => {
                 // `Exclude` (or volatile→volatile): no flags, no buffers.
                 kernel::io::perform_dma(mcu, src, dst, bytes, WorkKind::App)?;
-                mcu.stats.bump("easeio_dma_always");
+                mcu.stats.bump(Counter::EaseioDmaAlways);
                 Ok(true)
             }
             ResolvedDma::Single => {
@@ -195,7 +195,7 @@ impl DmaTable {
                 let c = mcu.cost.flag_check;
                 mcu.with_cause(EnergyCause::DmaPriv, |m| m.spend(WorkKind::Overhead, c))?;
                 if slot.done.load(&mcu.mem) != 0 && !dep_forced {
-                    mcu.stats.bump("easeio_dma_single_skipped");
+                    mcu.stats.bump(Counter::EaseioDmaSingleSkipped);
                     return Ok(false);
                 }
                 kernel::io::perform_dma(mcu, src, dst, bytes, WorkKind::App)?;
@@ -207,7 +207,7 @@ impl DmaTable {
                 if !self.dirty.contains(&(task, site)) {
                     self.dirty.push((task, site));
                 }
-                mcu.stats.bump("easeio_dma_single_executed");
+                mcu.stats.bump(Counter::EaseioDmaSingleExecuted);
                 Ok(true)
             }
             ResolvedDma::Private => {
@@ -232,12 +232,12 @@ impl DmaTable {
                     if !self.dirty.contains(&(task, site)) {
                         self.dirty.push((task, site));
                     }
-                    mcu.stats.bump("easeio_dma_privatizations");
+                    mcu.stats.bump(Counter::EaseioDmaPrivatizations);
                 }
                 // Phase 2: buffer → destination, every attempt (the
                 // destination is volatile and was lost at the failure).
                 kernel::io::perform_dma(mcu, priv_buf, dst, bytes, WorkKind::App)?;
-                mcu.stats.bump("easeio_dma_private_executed");
+                mcu.stats.bump(Counter::EaseioDmaPrivateExecuted);
                 Ok(true)
             }
         }
@@ -252,11 +252,7 @@ impl DmaTable {
     /// `clear_task` resets each site's flags exactly once — and the crash
     /// sweep's pricing probe compares the two.
     pub fn distinct_dirty_for(&self, task: TaskId) -> u64 {
-        self.dirty
-            .iter()
-            .filter(|(t, _)| *t == task)
-            .collect::<IntSet<_>>()
-            .len() as u64
+        crate::flags::distinct_for(&self.dirty, task)
     }
 
     /// Clears `task`'s DMA flags at commit (caller priced it).
@@ -371,7 +367,7 @@ mod tests {
             )
             .unwrap();
         assert!(!ran);
-        assert_eq!(m.stats.counter("easeio_dma_single_skipped"), 1);
+        assert_eq!(m.stats.counter(Counter::EaseioDmaSingleSkipped), 1);
     }
 
     #[test]
@@ -439,8 +435,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(m.mem.read_bytes(dst, 4), &[5, 5, 5, 5]);
-        assert_eq!(m.stats.counter("easeio_dma_privatizations"), 1);
-        assert_eq!(m.stats.counter("easeio_dma_private_executed"), 2);
+        assert_eq!(m.stats.counter(Counter::EaseioDmaPrivatizations), 1);
+        assert_eq!(m.stats.counter(Counter::EaseioDmaPrivateExecuted), 2);
     }
 
     #[test]
@@ -461,8 +457,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(t.pool_used(), 0);
-        assert_eq!(m.stats.counter("easeio_dma_privatizations"), 0);
-        assert_eq!(m.stats.counter("easeio_dma_always"), 1);
+        assert_eq!(m.stats.counter(Counter::EaseioDmaPrivatizations), 0);
+        assert_eq!(m.stats.counter(Counter::EaseioDmaAlways), 1);
     }
 
     #[test]

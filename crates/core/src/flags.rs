@@ -12,7 +12,8 @@
 
 use kernel::TaskId;
 use mcu_emu::{
-    AllocTag, Cost, EnergyCause, IntMap, IntSet, Mcu, PowerFailure, RawVar, Region, WorkKind,
+    AllocTag, Cost, Counter, EnergyCause, IntMap, IntSet, Mcu, PowerFailure, RawVar, Region,
+    WorkKind,
 };
 
 /// The FRAM control block of one `_call_IO` site.
@@ -97,7 +98,7 @@ impl IoSlotTable {
         let raw = mcu.with_cause(EnergyCause::Commit, |m| {
             m.load_var(WorkKind::Overhead, slot.out)
         })?;
-        mcu.stats.bump("easeio_outputs_restored");
+        mcu.stats.bump(Counter::EaseioOutputsRestored);
         Ok(raw as u32 as i32)
     }
 
@@ -264,17 +265,24 @@ impl IoSlotTable {
     /// this (each lock clears in exactly one flag write); the crash sweep's
     /// pricing probe compares the two.
     pub fn distinct_dirty_for(&self, task: TaskId) -> u64 {
-        self.dirty
-            .iter()
-            .filter(|(t, _)| *t == task)
-            .collect::<IntSet<_>>()
-            .len() as u64
+        distinct_for(&self.dirty, task)
     }
 
     /// Total slots allocated (footprint reporting).
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }
+}
+
+/// Distinct `(task, _)` entries of a dirty list, counted without
+/// allocating: an entry counts where it first occurs. Dirty lists hold a
+/// handful of sites, so the quadratic scan is cheaper than a set.
+pub(crate) fn distinct_for(dirty: &[(TaskId, u16)], task: TaskId) -> u64 {
+    dirty
+        .iter()
+        .enumerate()
+        .filter(|&(i, e)| e.0 == task && !dirty[..i].contains(e))
+        .count() as u64
 }
 
 #[cfg(test)]
@@ -348,6 +356,15 @@ mod tests {
         assert_eq!(t.dirty_for(task), 1, "one site, one commit flag write");
         assert_eq!(t.dirty_count(), 1);
         assert_eq!(t.clear_task(&mut m, task), 1);
+    }
+
+    #[test]
+    fn distinct_count_ignores_repeats_and_other_tasks() {
+        let (a, b) = (TaskId(0), TaskId(1));
+        let dirty = [(a, 0), (b, 0), (a, 1), (a, 0), (b, 0), (a, 1), (a, 2)];
+        assert_eq!(distinct_for(&dirty, a), 3);
+        assert_eq!(distinct_for(&dirty, b), 1);
+        assert_eq!(distinct_for(&dirty, TaskId(2)), 0);
     }
 
     #[test]

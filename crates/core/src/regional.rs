@@ -18,14 +18,22 @@
 //! each variable's snapshot flag is persisted before the access proceeds.
 
 use kernel::TaskId;
-use mcu_emu::{AllocTag, EnergyCause, IntMap, IntSet, Mcu, PowerFailure, RawVar, Region, WorkKind};
+use mcu_emu::{
+    AllocTag, Counter, EnergyCause, IntMap, IntSet, Mcu, PowerFailure, RawVar, Region, WorkKind,
+};
 
 /// Regional privatization state.
-#[derive(Debug, Default, Clone, PartialEq)]
+///
+/// Equality is logical: a snapshot list emptied at commit equals one that
+/// never existed, so two runtimes compare equal whatever activations they
+/// have already committed.
+#[derive(Debug, Default, Clone)]
 pub struct Regional {
     /// Persistent snapshot slots, reused across activations.
     slots: IntMap<(TaskId, u16, RawVar), RawVar>,
     /// Per-activation snapshot lists: (task, region) → [(master, slot)].
+    /// Commit empties a task's lists but keeps them, so the next
+    /// activation reuses their buffers.
     snaps: IntMap<(TaskId, u16), Vec<(RawVar, RawVar)>>,
     /// Which (task, region, var) triples are snapshotted this activation
     /// (host mirror of the per-variable `regionalPriveFlag`s in FRAM).
@@ -71,7 +79,7 @@ impl Regional {
             .entry((task, region))
             .or_default()
             .push((var, slot));
-        mcu.stats.bump("easeio_regional_snapshots");
+        mcu.stats.bump(Counter::EaseioRegionalSnapshots);
         let (ts, e) = (mcu.now_us(), mcu.stats.total_energy_nj());
         mcu.trace.emit_with(|| {
             easeio_trace::Event::task_instant(
@@ -113,11 +121,11 @@ impl Regional {
         // Restores are priced and applied one variable at a time; each
         // slot→master copy is idempotent, so a failure mid-restore simply
         // redoes the restore on the next attempt.
-        for (master, slot) in entries.clone() {
+        for &(master, slot) in entries {
             mcu.with_cause(EnergyCause::DmaPriv, |m| {
                 m.copy_var(WorkKind::Overhead, slot, master)
             })?;
-            mcu.stats.bump("easeio_regional_restores");
+            mcu.stats.bump(Counter::EaseioRegionalRestores);
         }
         Ok(())
     }
@@ -156,17 +164,17 @@ impl Regional {
         let Some(entries) = self.snaps.get(&(task, region)) else {
             return Ok(());
         };
-        for (master, slot) in entries.clone() {
+        for &(master, slot) in entries {
             if fresh(master) {
                 mcu.with_cause(EnergyCause::DmaPriv, |m| {
                     m.copy_var(WorkKind::Overhead, master, slot)
                 })?;
-                mcu.stats.bump("easeio_regional_refreshes");
+                mcu.stats.bump(Counter::EaseioRegionalRefreshes);
             } else {
                 mcu.with_cause(EnergyCause::DmaPriv, |m| {
                     m.copy_var(WorkKind::Overhead, slot, master)
                 })?;
-                mcu.stats.bump("easeio_regional_restores");
+                mcu.stats.bump(Counter::EaseioRegionalRestores);
             }
         }
         Ok(())
@@ -182,14 +190,35 @@ impl Regional {
     }
 
     /// Drops all of `task`'s snapshots at commit (caller has priced it).
+    /// The lists are emptied in place, keeping their buffers.
     pub fn clear_task(&mut self, task: TaskId) {
-        self.snaps.retain(|(t, _), _| *t != task);
+        for ((t, _), list) in self.snaps.iter_mut() {
+            if *t == task {
+                list.clear();
+            }
+        }
         self.snapped.retain(|(t, _, _)| *t != task);
     }
 
     /// Total snapshot slots ever allocated (footprint reporting).
     pub fn slot_count(&self) -> usize {
         self.slots.len()
+    }
+
+    /// The snapshot lists that hold entries.
+    fn live_snaps(&self) -> impl Iterator<Item = (&(TaskId, u16), &Vec<(RawVar, RawVar)>)> {
+        self.snaps.iter().filter(|(_, list)| !list.is_empty())
+    }
+}
+
+impl PartialEq for Regional {
+    fn eq(&self, other: &Self) -> bool {
+        self.slots == other.slots
+            && self.snapped == other.snapped
+            && self.live_snaps().count() == other.live_snaps().count()
+            && self
+                .live_snaps()
+                .all(|(key, list)| other.snaps.get(key) == Some(list))
     }
 }
 
@@ -255,10 +284,10 @@ mod tests {
         let v: NvVar<i32> = NvVar::alloc(&mut m.mem, Region::Fram);
         r.snap_before_access(&mut m, TaskId(0), 0, v.raw()).unwrap();
         r.snap_before_access(&mut m, TaskId(0), 0, v.raw()).unwrap();
-        assert_eq!(m.stats.counter("easeio_regional_snapshots"), 1);
+        assert_eq!(m.stats.counter(Counter::EaseioRegionalSnapshots), 1);
         // Same var in a different region is a separate snapshot.
         r.snap_before_access(&mut m, TaskId(0), 1, v.raw()).unwrap();
-        assert_eq!(m.stats.counter("easeio_regional_snapshots"), 2);
+        assert_eq!(m.stats.counter(Counter::EaseioRegionalSnapshots), 2);
         assert_eq!(r.snapshot_count(TaskId(0)), 2);
     }
 
@@ -297,6 +326,29 @@ mod tests {
         v.set(&mut m.mem, 1);
         r.enter_region(&mut m, task, 0).unwrap();
         assert_eq!(v.get(&m.mem), 42);
+    }
+
+    #[test]
+    fn emptied_snapshot_lists_equal_absent_ones() {
+        let mut m = mcu();
+        let v: NvVar<i32> = NvVar::alloc(&mut m.mem, Region::Fram);
+        let mut committed = Regional::new();
+        committed
+            .snap_before_access(&mut m, TaskId(1), 0, v.raw())
+            .unwrap();
+        committed.clear_task(TaskId(1));
+        // Drop the emptied list: it carries no state, so equality must not
+        // see whether it is kept.
+        let mut absent = committed.clone();
+        absent.snaps.clear();
+        assert_eq!(committed, absent);
+        // A live entry still counts.
+        absent
+            .snap_before_access(&mut m, TaskId(1), 0, v.raw())
+            .unwrap();
+        assert_ne!(committed, absent);
+        absent.clear_task(TaskId(1));
+        assert_eq!(committed, absent);
     }
 
     #[test]

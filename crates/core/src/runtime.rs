@@ -26,7 +26,7 @@ use kernel::io::perform_io;
 use kernel::{
     DmaAnnotation, DmaOutcome, Fault, IoFailure, IoOp, IoOutcome, ReexecSemantics, Runtime, TaskId,
 };
-use mcu_emu::{Addr, Cost, EnergyCause, IntSet, Mcu, PowerFailure, RawVar, WorkKind};
+use mcu_emu::{Addr, Cost, Counter, EnergyCause, IntSet, Mcu, PowerFailure, RawVar, WorkKind};
 use periph::Peripherals;
 
 /// EaseIO configuration.
@@ -172,7 +172,7 @@ impl EaseIoRuntime {
                 // value and never re-run the operation. This is what keeps
                 // `Single` effect-idempotent under the retry loop.
                 Err(IoFailure::Fault(f)) if f.effect_done => {
-                    mcu.stats.bump("easeio_effect_fault_absorbed");
+                    mcu.stats.bump(Counter::EaseioEffectFaultAbsorbed);
                     f.value
                 }
                 Err(e) => return Err(e),
@@ -194,7 +194,7 @@ impl EaseIoRuntime {
         if let Some(old) = prev {
             if old != value {
                 self.diverged = true;
-                mcu.stats.bump("easeio_divergences");
+                mcu.stats.bump(Counter::EaseioDivergences);
             }
         }
         Ok(IoOutcome {
@@ -280,7 +280,7 @@ impl Runtime for EaseIoRuntime {
         if self.io.dirty_for(task) != self.io.distinct_dirty_for(task)
             || self.dma.dirty_for(task) != self.dma.distinct_dirty_for(task)
         {
-            mcu.stats.bump("probe_commit_overpriced");
+            mcu.stats.bump(Counter::ProbeCommitOverpriced);
         }
         self.io.clear_task(mcu, task);
         self.blocks.clear_task(mcu, task);
@@ -379,7 +379,7 @@ impl Runtime for EaseIoRuntime {
                             // value through.
                             let age = mcu.now_us().saturating_sub(ts);
                             if age > window_us + 50 {
-                                mcu.stats.bump("probe_timely_stale");
+                                mcu.stats.bump(Counter::ProbeTimelyStale);
                             }
                             let value = self.io.restore_out(mcu, slot)?;
                             return Ok(IoOutcome {
@@ -387,7 +387,7 @@ impl Runtime for EaseIoRuntime {
                                 executed: false,
                             });
                         }
-                        mcu.stats.bump("easeio_timely_expired");
+                        mcu.stats.bump(Counter::EaseioTimelyExpired);
                     }
                     self.execute_io(mcu, periph, task, site, op, sem, in_block)
                 }
@@ -419,7 +419,7 @@ impl Runtime for EaseIoRuntime {
         }
         let now = mcu.read_timestamp(WorkKind::Overhead)?;
         if now.saturating_sub(ts) > window_us {
-            mcu.stats.bump("easeio_fallback_refused_stale");
+            mcu.stats.bump(Counter::EaseioFallbackRefusedStale);
             return Ok(None);
         }
         let value = self.io.restore_out(mcu, slot)?;
@@ -514,6 +514,7 @@ mod tests {
     use mcu_emu::{NvVar, Region, Supply, TimerResetConfig};
     use periph::Sensor;
     use std::rc::Rc;
+    use std::sync::Arc;
 
     fn continuous() -> (Mcu, Peripherals) {
         (Mcu::new(Supply::continuous()), Peripherals::new(5))
@@ -560,7 +561,7 @@ mod tests {
         rt.on_task_entry(&mut mcu, t, true).unwrap();
         let r3 = rt.io_call(&mut mcu, &mut p, t, 0, &op, sem, &[]).unwrap();
         assert!(r3.executed);
-        assert_eq!(mcu.stats.counter("easeio_timely_expired"), 1);
+        assert_eq!(mcu.stats.counter(Counter::EaseioTimelyExpired), 1);
     }
 
     #[test]
@@ -597,7 +598,7 @@ mod tests {
             .io_call(&mut mcu, &mut p, t, 0, &temp, timely, &[])
             .unwrap();
         let send = IoOp::Send {
-            payload: vec![v1.value],
+            payload: Arc::from([v1.value]),
         };
         rt.io_call(&mut mcu, &mut p, t, 1, &send, ReexecSemantics::Single, &[0])
             .unwrap();
@@ -610,7 +611,7 @@ mod tests {
             .unwrap();
         assert!(v2.executed);
         let send2 = IoOp::Send {
-            payload: vec![v2.value],
+            payload: Arc::from([v2.value]),
         };
         let r = rt
             .io_call(
@@ -625,7 +626,7 @@ mod tests {
             .unwrap();
         assert!(r.executed, "dependent Single must re-execute");
         assert_eq!(p.radio.count(), 2);
-        assert_eq!(p.radio.packets()[1].payload, vec![v2.value]);
+        assert_eq!(*p.radio.packets()[1].payload, [v2.value]);
     }
 
     #[test]
@@ -882,7 +883,7 @@ mod divergence_tests {
         rt.on_task_entry(&mut mcu, t, true).unwrap();
         rt.io_call(&mut mcu, &mut p, t, 0, &op, ReexecSemantics::Always, &[])
             .unwrap();
-        assert_eq!(mcu.stats.counter("easeio_divergences"), 0);
+        assert_eq!(mcu.stats.counter(Counter::EaseioDivergences), 0);
     }
 
     /// A sensor whose reading changes across attempts does diverge.
@@ -903,6 +904,6 @@ mod divergence_tests {
             .io_call(&mut mcu, &mut p, t, 0, &op, ReexecSemantics::Always, &[])
             .unwrap();
         assert_ne!(a.value, b.value, "environment must have drifted");
-        assert_eq!(mcu.stats.counter("easeio_divergences"), 1);
+        assert_eq!(mcu.stats.counter(Counter::EaseioDivergences), 1);
     }
 }

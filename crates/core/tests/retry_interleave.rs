@@ -18,6 +18,7 @@
 //! table operation to a whole kernel run.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use easeio_core::runtime::EaseIoRuntime;
 use kernel::{
@@ -38,7 +39,7 @@ fn reporter(pre_us: u64, post_us: u64) -> App {
         ctx.compute(pre_us)?;
         ctx.call_io(
             IoOp::Send {
-                payload: vec![0x5E17],
+                payload: Arc::from([0x5E17]),
             },
             ReexecSemantics::Single,
         )?;

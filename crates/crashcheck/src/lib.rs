@@ -35,11 +35,13 @@
 //! replacement from a seeded [`StdRng`].
 
 use apps::harness::{KernelKind, MakeRuntime};
+use kernel::update::{PROBE_VERSION_TORN, UPDATE_WINDOW_ENTER, UPDATE_WINDOW_EXIT};
 use kernel::{
     run_app, App, ExecConfig, ExecState, Executor, FaultSpec, Outcome, RunResult, Runtime, Verdict,
 };
 use mcu_emu::{
-    AllocTag, Mcu, McuCheckpoint, McuSnapshot, Region, RunStats, SpendBoundary, Supply, CAUSE_COUNT,
+    AllocTag, Counter, Mcu, McuCheckpoint, McuSnapshot, Region, RunStats, SpendBoundary, Supply,
+    CAUSE_COUNT,
 };
 use periph::Peripherals;
 use rand::rngs::StdRng;
@@ -390,13 +392,13 @@ fn record_with(r: RunResult, fram: Arc<[u8]>) -> RunRecord {
 /// The [`mcu_emu::RunStats`] counters a [`RunRecord`] exposes, in field
 /// order — the counters a boundary trace must capture per slice so skipped
 /// boundaries' records can be materialized from their representative.
-pub const PROBE_COUNTERS: [&str; 6] = [
-    "probe_single_redundant",
-    "probe_timely_stale",
-    "probe_commit_overpriced",
-    "probe_retry_duplicated_effect",
-    "probe_degraded_staleness_exceeded",
-    "probe_version_torn",
+pub const PROBE_COUNTERS: [Counter; 6] = [
+    Counter::ProbeSingleRedundant,
+    Counter::ProbeTimelyStale,
+    Counter::ProbeCommitOverpriced,
+    Counter::ProbeRetryDuplicatedEffect,
+    Counter::ProbeDegradedStalenessExceeded,
+    PROBE_VERSION_TORN,
 ];
 
 /// The OTA window marker counters, recorded on the reference trace right
@@ -404,7 +406,7 @@ pub const PROBE_COUNTERS: [&str; 6] = [
 /// `PROBE_COUNTERS.len() + 1`). Not probes: they never materialize into a
 /// [`RunRecord`]; [`filter_update_window`] reads them to find which
 /// boundaries fall inside the stage→flip→activate span.
-pub const UPDATE_WINDOW_COUNTERS: [&str; 2] = ["update_window_enter", "update_window_exit"];
+pub const UPDATE_WINDOW_COUNTERS: [Counter; 2] = [UPDATE_WINDOW_ENTER, UPDATE_WINDOW_EXIT];
 
 /// Per-boundary record of one reference run under the sweep's fault plan on
 /// continuous power: which spend call and effect epoch each boundary's
@@ -511,9 +513,7 @@ pub fn reference_run(
     env_seed: u64,
     fault: &FaultSpec,
 ) -> Reference {
-    let mut tracked = PROBE_COUNTERS.to_vec();
-    tracked.extend(UPDATE_WINDOW_COUNTERS);
-    mcu.record_boundaries(tracked);
+    mcu.record_boundaries(&[PROBE_COUNTERS.as_slice(), &UPDATE_WINDOW_COUNTERS].concat());
     let (mut rt, mut periph, cfg) =
         fresh_run(kind, mcu, snap, Supply::continuous(), env_seed, fault);
     let base = mcu.stats.boundaries;
@@ -1696,7 +1696,7 @@ mod tests {
             taps: 64,
         };
         let mut periph = Peripherals::with_fault_plan(1, FaultPlan::new(seed, 500));
-        mcu.record_boundaries(PROBE_COUNTERS.to_vec());
+        mcu.record_boundaries(&PROBE_COUNTERS);
         // Attempt 0: full cost charged (64·64 µs ≈ 5 slices), LeaStall, no
         // memory effect. Attempt 1: identical burst, succeeds.
         assert!(perform_io(&mut mcu, &mut periph, &op, TaskId(0), 0).is_err());

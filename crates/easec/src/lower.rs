@@ -215,7 +215,9 @@ impl Interp {
                 for a in &call.args {
                     payload.push(self.eval(ctx, frame, a)? as i32);
                 }
-                IoOp::Send { payload }
+                IoOp::Send {
+                    payload: payload.into(),
+                }
             }
             IoFunc::Capture => {
                 // Analysis validated: (array, w, h, seed) with constants.

@@ -66,8 +66,16 @@ struct AirEvent {
     device: u32,
     /// Per-device packet index (the loss-draw key).
     index: u32,
-    /// Packet identity: (device, first payload word).
-    identity: (u32, i64),
+    /// Packet identity, (device, first payload word), packed into one
+    /// word: the device in the high half, the word's bits in the low.
+    identity: u64,
+}
+
+/// The packed identity of packet `index` of `device`: its sequence is the
+/// first payload word, or the index for an empty payload.
+fn identity(device: u32, index: usize, pkt: &Packet) -> u64 {
+    let seq = pkt.payload.first().copied().unwrap_or(index as i32);
+    (u64::from(device) << 32) | u64::from(seq as u32)
 }
 
 /// Merges every device's `(device, radio log)` pair over the medium and
@@ -84,13 +92,12 @@ pub fn reconcile_logs<'a>(
     for (device, packets) in logs {
         for (k, pkt) in packets.iter().enumerate() {
             let (start, end) = medium.window(pkt);
-            let seq = pkt.payload.first().copied().unwrap_or(k as i32) as i64;
             events.push(AirEvent {
                 start,
                 end,
                 device,
                 index: k as u32,
-                identity: (device, seq),
+                identity: identity(device, k, pkt),
             });
         }
     }
@@ -119,24 +126,31 @@ pub fn reconcile_logs<'a>(
         i = j;
     }
 
-    let mut sent_by_identity: BTreeMap<(u32, i64), u64> = BTreeMap::new();
-    let mut received_by_identity: BTreeMap<(u32, i64), u64> = BTreeMap::new();
+    // Every transmission's identity with whether it arrived; sorted, each
+    // identity is one run, and it was delivered if any of its run was.
     let mut stats = GatewayStats::default();
+    let mut arrivals: Vec<(u64, bool)> = Vec::with_capacity(events.len());
     for (e, &lost) in events.iter().zip(&collided) {
         stats.transmissions += 1;
-        *sent_by_identity.entry(e.identity).or_insert(0) += 1;
-        if lost {
+        let delivered = if lost {
             stats.lost_collision += 1;
+            false
         } else if medium.drops(e.device, e.index) {
             stats.lost_channel += 1;
+            false
         } else {
             stats.delivered += 1;
-            *received_by_identity.entry(e.identity).or_insert(0) += 1;
-        }
+            true
+        };
+        arrivals.push((e.identity, delivered));
     }
-    stats.unique_sent = sent_by_identity.len() as u64;
+    arrivals.sort_unstable();
+    for run in arrivals.chunk_by(|a, b| a.0 == b.0) {
+        stats.unique_sent += 1;
+        // `true` sorts last within a run.
+        stats.delivered_unique += u64::from(run[run.len() - 1].1);
+    }
     stats.air_duplicates = stats.transmissions - stats.unique_sent;
-    stats.delivered_unique = received_by_identity.len() as u64;
     stats.gateway_duplicates = stats.delivered - stats.delivered_unique;
     stats
 }
@@ -184,6 +198,91 @@ pub fn find_air_duplicate<'a>(
 mod tests {
     use super::*;
     use periph::Packet;
+    use proptest::prelude::*;
+
+    /// The map-based reconcile the packed-key sort replaced, kept as the
+    /// reference the proptest below holds `reconcile_logs` to.
+    fn reconcile_with_maps(devices: &[Log], medium: &MediumSpec) -> GatewayStats {
+        let mut events = Vec::new();
+        for (device, packets) in devices {
+            for (k, pkt) in packets.iter().enumerate() {
+                let (start, end) = medium.window(pkt);
+                let seq = pkt.payload.first().copied().unwrap_or(k as i32) as i64;
+                events.push((start, end, *device, k as u32, (*device, seq)));
+            }
+        }
+        events.sort_by_key(|e| (e.0, e.2, e.3));
+        let mut collided = vec![false; events.len()];
+        let mut i = 0;
+        while i < events.len() {
+            let mut j = i + 1;
+            let mut chain_end = events[i].1;
+            while j < events.len() && events[j].0 < chain_end {
+                chain_end = chain_end.max(events[j].1);
+                j += 1;
+            }
+            if j - i > 1 {
+                for c in collided.iter_mut().take(j).skip(i) {
+                    *c = true;
+                }
+            }
+            i = j;
+        }
+        let mut sent_by_identity: BTreeMap<(u32, i64), u64> = BTreeMap::new();
+        let mut received_by_identity: BTreeMap<(u32, i64), u64> = BTreeMap::new();
+        let mut stats = GatewayStats::default();
+        for (e, &lost) in events.iter().zip(&collided) {
+            stats.transmissions += 1;
+            *sent_by_identity.entry(e.4).or_insert(0) += 1;
+            if lost {
+                stats.lost_collision += 1;
+            } else if medium.drops(e.2, e.3) {
+                stats.lost_channel += 1;
+            } else {
+                stats.delivered += 1;
+                *received_by_identity.entry(e.4).or_insert(0) += 1;
+            }
+        }
+        stats.unique_sent = sent_by_identity.len() as u64;
+        stats.air_duplicates = stats.transmissions - stats.unique_sent;
+        stats.delivered_unique = received_by_identity.len() as u64;
+        stats.gateway_duplicates = stats.delivered - stats.delivered_unique;
+        stats
+    }
+
+    /// Radio logs of up to 12 devices with up to 8 packets each: send
+    /// times within 3 ms so 40 µs windows overlap often, sequences from a
+    /// small range (negative ones included) so identities repeat, and
+    /// some empty payloads, whose identity is the packet index.
+    fn logs() -> impl Strategy<Value = Vec<Log>> {
+        let packet = (0u64..3_000, -2i32..4, 0usize..4).prop_map(|(t, seq, words)| Packet {
+            time_us: t,
+            payload: (0..words).map(|w| if w == 0 { seq } else { 99 }).collect(),
+        });
+        proptest::collection::vec(proptest::collection::vec(packet, 0..8), 1..12).prop_map(
+            |devices| {
+                devices
+                    .into_iter()
+                    .enumerate()
+                    .map(|(d, p)| (d as u32, p))
+                    .collect()
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn packed_key_reconcile_equals_the_map_based_one(
+            devices in logs(),
+            seed in 0u64..1_000,
+            loss in 0u32..1_001,
+        ) {
+            let medium = MediumSpec::lossy(seed, loss);
+            prop_assert_eq!(reconcile(&devices, &medium), reconcile_with_maps(&devices, &medium));
+        }
+    }
 
     /// One device's radio log.
     type Log = (u32, Vec<Packet>);
@@ -195,7 +294,7 @@ mod tests {
     fn pkt(time_us: u64, seq: i32) -> Packet {
         Packet {
             time_us,
-            payload: vec![seq, 99],
+            payload: [seq, 99].into(),
         }
     }
 

@@ -54,8 +54,9 @@ pub use telemetry::FleetAgg;
 
 use easeio_exec::{run_indexed_collect, PoolStats, ScenarioSpec};
 use easeio_trace::fleet::{FleetDeliveryDoc, FleetInputs, FleetMediumDoc, FleetTimingDoc};
+use easeio_trace::json::write_u64;
 use easeio_trace::stream::{JsonlWriter, ShardedSink, StreamStats};
-use easeio_trace::{Progress, Value};
+use easeio_trace::Progress;
 use kernel::{run_app, App, ExecConfig, Outcome, Verdict};
 use mcu_emu::{Mcu, McuSnapshot, RunStats, Supply};
 use periph::{MediumSpec, Packet, Peripherals};
@@ -85,7 +86,8 @@ pub struct DeviceResult {
 impl DeviceResult {
     /// The device's `--stream-out` JSONL record (compact, canonical key
     /// order). Pure in the result, so the merged stream is byte-identical
-    /// at any `--jobs` width.
+    /// at any `--jobs` width. Written field by field into one buffer, with
+    /// numbers formatted as [`Value::to_compact`] formats them.
     pub fn record_line(&self) -> String {
         let outcome = match self.outcome {
             Outcome::Completed => "completed",
@@ -93,25 +95,29 @@ impl DeviceResult {
             Outcome::Fault(_) => "fault",
         };
         let verdict = match &self.verdict {
-            Some(Verdict::Correct) => Value::str("correct"),
-            Some(Verdict::Incorrect(_)) => Value::str("incorrect"),
-            None => Value::Null,
+            Some(Verdict::Correct) => "\"correct\"",
+            Some(Verdict::Incorrect(_)) => "\"incorrect\"",
+            None => "null",
         };
-        Value::Obj(vec![
-            ("device".into(), Value::u64(self.device as u64)),
-            ("seed".into(), Value::u64(self.seed)),
-            ("outcome".into(), Value::str(outcome)),
-            ("verdict".into(), verdict),
-            ("wall_us".into(), Value::u64(self.wall_us)),
-            ("on_us".into(), Value::u64(self.on_us)),
-            ("energy_nj".into(), Value::u64(self.stats.total_energy_nj())),
-            (
-                "power_failures".into(),
-                Value::u64(self.stats.power_failures),
-            ),
-            ("packets".into(), Value::u64(self.packets.len() as u64)),
-        ])
-        .to_compact()
+        // One allocation: a record stays well under 192 bytes.
+        let mut line = String::with_capacity(192);
+        let num = |line: &mut String, key: &str, n: u64| {
+            line.push_str(key);
+            write_u64(line, n);
+        };
+        num(&mut line, "{\"device\":", u64::from(self.device));
+        num(&mut line, ",\"seed\":", self.seed);
+        line.push_str(",\"outcome\":\"");
+        line.push_str(outcome);
+        line.push_str("\",\"verdict\":");
+        line.push_str(verdict);
+        num(&mut line, ",\"wall_us\":", self.wall_us);
+        num(&mut line, ",\"on_us\":", self.on_us);
+        num(&mut line, ",\"energy_nj\":", self.stats.total_energy_nj());
+        num(&mut line, ",\"power_failures\":", self.stats.power_failures);
+        num(&mut line, ",\"packets\":", self.packets.len() as u64);
+        line.push('}');
+        line
     }
 }
 
@@ -190,7 +196,7 @@ fn run_device(
         wall_us: r.wall_us,
         on_us: r.on_us,
         stats: r.stats,
-        packets: periph.radio.packets().to_vec(),
+        packets: periph.radio.into_packets(),
     }
 }
 
@@ -415,7 +421,7 @@ mod tests {
     use super::*;
     use easeio_exec::{AppSpec, DeviceSpec};
     use easeio_trace::fleet::build_fleet_report;
-    use easeio_trace::validate_any_report;
+    use easeio_trace::{validate_any_report, Value};
     use kernel::KernelKind;
 
     fn radio_fleet(count: u32, kernel: KernelKind) -> ScenarioSpec {
@@ -428,6 +434,52 @@ mod tests {
             count,
             ..ScenarioSpec::default()
         }
+    }
+
+    /// The record as a JSON value, rendered by the generic writer: what
+    /// `record_line` must equal byte for byte.
+    fn record_value(r: &DeviceResult) -> Value {
+        let outcome = match r.outcome {
+            Outcome::Completed => "completed",
+            Outcome::NonTermination => "non_termination",
+            Outcome::Fault(_) => "fault",
+        };
+        let verdict = match &r.verdict {
+            Some(Verdict::Correct) => Value::str("correct"),
+            Some(Verdict::Incorrect(_)) => Value::str("incorrect"),
+            None => Value::Null,
+        };
+        Value::Obj(vec![
+            ("device".into(), Value::u64(r.device as u64)),
+            ("seed".into(), Value::u64(r.seed)),
+            ("outcome".into(), Value::str(outcome)),
+            ("verdict".into(), verdict),
+            ("wall_us".into(), Value::u64(r.wall_us)),
+            ("on_us".into(), Value::u64(r.on_us)),
+            ("energy_nj".into(), Value::u64(r.stats.total_energy_nj())),
+            ("power_failures".into(), Value::u64(r.stats.power_failures)),
+            ("packets".into(), Value::u64(r.packets.len() as u64)),
+        ])
+    }
+
+    #[test]
+    fn record_line_equals_the_generic_json_rendering() {
+        let fleet_spec = radio_fleet(3, KernelKind::Naive);
+        let template = Template::new(|mcu| fleet_spec.build_app(mcu)).unwrap();
+        let mut cache = None;
+        let mut r = run_device(&fleet_spec, &template, &mut cache, 2);
+        assert_eq!(r.record_line(), record_value(&r).to_compact());
+        // Every outcome and verdict shape, and numbers past 2^53 (which the
+        // generic writer renders through f64).
+        r.outcome = Outcome::NonTermination;
+        r.verdict = None;
+        r.seed = u64::MAX;
+        r.wall_us = (1 << 53) + 1;
+        r.on_us = 9_000_000_000_000_001;
+        assert_eq!(r.record_line(), record_value(&r).to_compact());
+        r.verdict = Some(Verdict::Incorrect("x".into()));
+        r.outcome = Outcome::Fault(kernel::Fault::Power(mcu_emu::PowerFailure));
+        assert_eq!(r.record_line(), record_value(&r).to_compact());
     }
 
     #[test]

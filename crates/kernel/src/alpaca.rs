@@ -20,7 +20,9 @@ use crate::error::{Fault, IoFailure};
 use crate::io::{perform_dma, perform_io, IoOp};
 use crate::runtime::{DmaOutcome, IoOutcome, Runtime};
 use crate::semantics::{DmaAnnotation, ReexecSemantics, TaskId};
-use mcu_emu::{Addr, AllocTag, Cost, IntMap, IntSet, Mcu, PowerFailure, RawVar, Region, WorkKind};
+use mcu_emu::{
+    Addr, AllocTag, Cost, Counter, IntMap, IntSet, Mcu, PowerFailure, RawVar, Region, WorkKind,
+};
 use periph::Peripherals;
 
 /// The Alpaca runtime.
@@ -99,7 +101,7 @@ impl Runtime for AlpacaRuntime {
             let slot = self.redirect[&var];
             let raw = slot.load(&mcu.mem);
             var.store(&mut mcu.mem, raw);
-            mcu.stats.bump("alpaca_commit_copies");
+            mcu.stats.bump(Counter::AlpacaCommitCopies);
         }
         self.read_set.clear();
         self.redirect.clear();
@@ -130,7 +132,7 @@ impl Runtime for AlpacaRuntime {
             })?;
             self.redirect.insert(var, slot);
             self.active.push(var);
-            mcu.stats.bump("alpaca_privatizations");
+            mcu.stats.bump(Counter::AlpacaPrivatizations);
             let (ts, e) = (mcu.now_us(), mcu.stats.total_energy_nj());
             mcu.trace.emit_with(|| {
                 easeio_trace::Event::task_instant(
@@ -223,7 +225,7 @@ mod tests {
         assert_eq!(i32::from_raw(r), 11);
         rt.on_task_commit(&mut m, t).unwrap();
         assert_eq!(v.get(&m.mem), 11);
-        assert_eq!(m.stats.counter("alpaca_privatizations"), 1);
+        assert_eq!(m.stats.counter(Counter::AlpacaPrivatizations), 1);
     }
 
     #[test]
@@ -235,7 +237,7 @@ mod tests {
         rt.on_task_entry(&mut m, t, false).unwrap();
         rt.write_var(&mut m, t, v.raw(), 7i32.to_raw()).unwrap();
         assert_eq!(v.get(&m.mem), 7);
-        assert_eq!(m.stats.counter("alpaca_privatizations"), 0);
+        assert_eq!(m.stats.counter(Counter::AlpacaPrivatizations), 0);
     }
 
     #[test]

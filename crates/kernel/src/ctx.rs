@@ -23,7 +23,8 @@ use crate::runtime::Runtime;
 use crate::semantics::{DmaAnnotation, ReexecSemantics, TaskId};
 use easeio_trace::{ActivationTracker, Event, EventKind, InstantKind, SpanKind, Status};
 use mcu_emu::{
-    Addr, EnergyCause, Mcu, NvBuf, NvVar, PowerFailure, RawVar, Scalar, WorkKind, DMA_SITE_BASE,
+    Addr, Counter, EnergyCause, Mcu, NvBuf, NvVar, PowerFailure, RawVar, Scalar, WorkKind,
+    DMA_SITE_BASE,
 };
 use periph::{PeriphClass, Peripherals};
 
@@ -268,7 +269,7 @@ impl<'a> TaskCtx<'a> {
                     // `io_call` (the completion record was pre-charged) and
                     // never reaches this point; baselines do.
                     if f.effect_done && matches!(sem, ReexecSemantics::Single) {
-                        self.mcu.stats.bump("probe_retry_duplicated_effect");
+                        self.mcu.stats.bump(Counter::ProbeRetryDuplicatedEffect);
                     }
                     let backoff = self.retry.backoff_cost(faulted);
                     if let Err(p) = self
@@ -282,7 +283,7 @@ impl<'a> TaskCtx<'a> {
                         );
                         return Err(p.into());
                     }
-                    self.mcu.stats.bump("io_retries");
+                    self.mcu.stats.bump(Counter::IoRetries);
                     self.span(site, name, EventKind::Instant(InstantKind::IoRetry));
                     marks = self.mcu.stats.cause_marks();
                 }
@@ -320,7 +321,7 @@ impl<'a> TaskCtx<'a> {
                     && deps.is_empty()
                     && self.block_depth == 0
                 {
-                    self.mcu.stats.bump("probe_single_redundant");
+                    self.mcu.stats.bump(Counter::ProbeSingleRedundant);
                 }
                 Status::Redundant
             }
@@ -357,7 +358,7 @@ impl<'a> TaskCtx<'a> {
         };
         match sem {
             ReexecSemantics::Always => {
-                self.mcu.stats.bump("io_degraded_skips");
+                self.mcu.stats.bump(Counter::IoDegradedSkips);
                 self.span(site, "skip", EventKind::Instant(InstantKind::Degraded));
                 self.span(
                     site,
@@ -390,7 +391,7 @@ impl<'a> TaskCtx<'a> {
                         Err(p.into())
                     }
                     Ok(Some(v)) => {
-                        self.mcu.stats.bump("io_degraded_fallbacks");
+                        self.mcu.stats.bump(Counter::IoDegradedFallbacks);
                         // Invariant probe: serving a fallback older than the
                         // `Timely` window (plus slack for the time the check
                         // itself consumes) violates the freshness contract.
@@ -398,7 +399,7 @@ impl<'a> TaskCtx<'a> {
                         // default does not.
                         if let Some((_, age_us)) = last {
                             if age_us > window_us + 100 {
-                                self.mcu.stats.bump("probe_degraded_staleness_exceeded");
+                                self.mcu.stats.bump(Counter::ProbeDegradedStalenessExceeded);
                             }
                         }
                         self.span(site, "fallback", EventKind::Instant(InstantKind::Degraded));
@@ -502,7 +503,7 @@ impl<'a> TaskCtx<'a> {
             // mid-burst leaves every slice already paid labeled as retry,
             // exactly as the per-boundary ledger recorded it.
             let spent = self.mcu.spend_as(WorkKind::App, EnergyCause::Retry, wasted);
-            self.mcu.stats.bump("dma_faults");
+            self.mcu.stats.bump(Counter::DmaFaults);
             self.span(
                 site,
                 kind.name(),
@@ -544,7 +545,7 @@ impl<'a> TaskCtx<'a> {
                 );
                 return Err(p.into());
             }
-            self.mcu.stats.bump("io_retries");
+            self.mcu.stats.bump(Counter::IoRetries);
             self.span(site, "dma", EventKind::Instant(InstantKind::IoRetry));
         }
         let marks = self.mcu.stats.cause_marks();
@@ -734,7 +735,7 @@ mod tests {
             src: mcu.mem.alloc(Region::Fram, 64, mcu_emu::AllocTag::App),
             dst: mcu.mem.alloc(Region::Fram, 64, mcu_emu::AllocTag::App),
         };
-        mcu.record_boundaries(vec![]);
+        mcu.record_boundaries(&[]);
         {
             let mut ctx = TaskCtx::new(
                 &mut mcu,

@@ -15,7 +15,7 @@ use crate::error::{Fault, IoFailure};
 use crate::io::{perform_dma, perform_io, IoOp};
 use crate::runtime::{DmaOutcome, IoOutcome, Runtime};
 use crate::semantics::{DmaAnnotation, ReexecSemantics, TaskId};
-use mcu_emu::{Addr, AllocTag, Cost, IntMap, Mcu, PowerFailure, RawVar, Region, WorkKind};
+use mcu_emu::{Addr, AllocTag, Cost, Counter, IntMap, Mcu, PowerFailure, RawVar, Region, WorkKind};
 use periph::Peripherals;
 
 /// The InK runtime.
@@ -51,7 +51,7 @@ impl InkRuntime {
         })?;
         self.redirect.insert(var, slot);
         self.active.push(var);
-        mcu.stats.bump("ink_buffered_vars");
+        mcu.stats.bump(Counter::InkBufferedVars);
         let (ts, e) = (mcu.now_us(), mcu.stats.total_energy_nj());
         mcu.trace.emit_with(|| {
             easeio_trace::Event::instant(
@@ -107,7 +107,7 @@ impl Runtime for InkRuntime {
             let slot = self.redirect[&var];
             let raw = slot.load(&mcu.mem);
             var.store(&mut mcu.mem, raw);
-            mcu.stats.bump("ink_commit_copies");
+            mcu.stats.bump(Counter::InkCommitCopies);
         }
         self.redirect.clear();
     }
@@ -199,12 +199,12 @@ mod tests {
         // A read-only variable still gets a working copy (unlike Alpaca).
         rt.read_var(&mut m, t, a.raw()).unwrap();
         rt.write_var(&mut m, t, b.raw(), 9i32.to_raw()).unwrap();
-        assert_eq!(m.stats.counter("ink_buffered_vars"), 2);
+        assert_eq!(m.stats.counter(Counter::InkBufferedVars), 2);
         // Committed buffer of b untouched until commit.
         assert_eq!(b.get(&m.mem), 0);
         rt.on_task_commit(&mut m, t).unwrap();
         assert_eq!(b.get(&m.mem), 9);
-        assert_eq!(m.stats.counter("ink_commit_copies"), 2);
+        assert_eq!(m.stats.counter(Counter::InkCommitCopies), 2);
     }
 
     #[test]
@@ -266,6 +266,6 @@ mod tests {
         assert_eq!(ctx.read(v).unwrap(), 3);
         assert_eq!(v.get(&m.mem), 3);
         assert_eq!(rt.slot_count(), 0);
-        assert_eq!(m.stats.counter("ink_buffered_vars"), 0);
+        assert_eq!(m.stats.counter(Counter::InkBufferedVars), 0);
     }
 }

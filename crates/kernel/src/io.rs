@@ -10,8 +10,9 @@
 
 use crate::error::{IoFailure, IoFault};
 use crate::semantics::TaskId;
-use mcu_emu::{Addr, Cost, Mcu, PowerFailure, WorkKind};
+use mcu_emu::{Addr, Cost, Counter, Mcu, PowerFailure, WorkKind};
 use periph::{camera, lea, radio, sensors::Sensor, PeriphClass, Peripherals};
+use std::sync::Arc;
 
 /// A peripheral operation invocable through `_call_IO`.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,8 +21,10 @@ pub enum IoOp {
     Sense(Sensor),
     /// Transmit a payload over the radio; returns the byte count.
     Send {
-        /// Payload words captured at call time.
-        payload: Vec<i32>,
+        /// Payload words captured at call time. The radio log shares them
+        /// rather than copying: each transmission of this op logs the same
+        /// words.
+        payload: Arc<[i32]>,
     },
     /// Capture a deterministic image into `dst`; returns a checksum.
     Capture {
@@ -178,13 +181,13 @@ pub fn perform_io(
     }
     if let Some(class) = op.periph_class() {
         if let Some(kind) = periph.faults.next_fault(class, task.0, site) {
-            mcu.stats.bump("io_faults");
-            mcu.stats.bump(kind.name());
+            mcu.stats.bump(Counter::IoFaults);
+            mcu.stats.bump(kind.counter());
             let fault = if kind.effect_done() {
                 // Post-effect fault (NACK): the external effect happens.
                 let value = match op {
                     IoOp::Send { payload } => {
-                        periph.radio.transmit(now, payload);
+                        periph.radio.transmit(now, Arc::clone(payload));
                         (payload.len() * 4) as i32
                     }
                     _ => unreachable!("only radio faults are post-effect"),
@@ -210,7 +213,7 @@ pub fn perform_io(
     let value = match op {
         IoOp::Sense(s) => s.sample(&periph.env, now),
         IoOp::Send { payload } => {
-            periph.radio.transmit(now, payload);
+            periph.radio.transmit(now, Arc::clone(payload));
             (payload.len() * 4) as i32
         }
         IoOp::Capture {
@@ -302,7 +305,7 @@ mod tests {
             &mut mcu,
             &mut p,
             &IoOp::Send {
-                payload: vec![1, 2, 3],
+                payload: Arc::from([1, 2, 3]),
             },
             TaskId(0),
             0,
@@ -310,7 +313,7 @@ mod tests {
         .unwrap();
         assert_eq!(v, 12);
         assert_eq!(p.radio.count(), 1);
-        assert_eq!(p.radio.packets()[0].payload, vec![1, 2, 3]);
+        assert_eq!(*p.radio.packets()[0].payload, [1, 2, 3]);
     }
 
     #[test]
@@ -376,7 +379,9 @@ mod tests {
         let r = perform_io(
             &mut mcu,
             &mut p,
-            &IoOp::Send { payload: vec![9] },
+            &IoOp::Send {
+                payload: Arc::from([9]),
+            },
             TaskId(0),
             0,
         );
@@ -391,7 +396,9 @@ mod tests {
         let a = Addr::new(Region::LeaRam, 0);
         let ops = [
             IoOp::Sense(Sensor::Humd),
-            IoOp::Send { payload: vec![0] },
+            IoOp::Send {
+                payload: Arc::from([0]),
+            },
             IoOp::Capture {
                 dst: a,
                 width: 2,
@@ -436,8 +443,8 @@ mod tests {
             mcu.stats.app_time_us >= mcu.cost.sense_temp.time_us,
             "the faulted attempt still drove the bus"
         );
-        assert_eq!(mcu.stats.counter("io_faults"), 1);
-        assert_eq!(mcu.stats.counter("sensor_timeout"), 1);
+        assert_eq!(mcu.stats.counter(Counter::IoFaults), 1);
+        assert_eq!(mcu.stats.counter(Counter::SensorTimeout), 1);
     }
 
     #[test]
@@ -449,7 +456,9 @@ mod tests {
             let r = perform_io(
                 &mut mcu,
                 &mut p,
-                &IoOp::Send { payload: vec![5] },
+                &IoOp::Send {
+                    payload: Arc::from([5]),
+                },
                 TaskId(0),
                 0,
             );

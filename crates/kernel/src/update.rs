@@ -32,24 +32,26 @@
 //! attribution scope, so the energy cost of evolving the firmware shows up
 //! as its own ledger entry rather than polluting runtime overhead.
 
-use mcu_emu::{AllocTag, EnergyCause, Mcu, Memory, NvBuf, NvVar, PowerFailure, Region, WorkKind};
+use mcu_emu::{
+    AllocTag, Counter, EnergyCause, Mcu, Memory, NvBuf, NvVar, PowerFailure, Region, WorkKind,
+};
 
 /// Counter bumped when recovery finds the active image incoherent (header
 /// hash does not match the payload). The crash sweep's `version_torn`
 /// invariant requires it to stay zero.
-pub const PROBE_VERSION_TORN: &str = "probe_version_torn";
+pub const PROBE_VERSION_TORN: Counter = Counter::ProbeVersionTorn;
 
 /// Counter bumped when the same sequence number is activation-notified
 /// twice — the observable a fleet rollout counts as a duplicate activation.
-pub const PROBE_DUPLICATE_ACTIVATION: &str = "probe_update_duplicate_activation";
+pub const PROBE_DUPLICATE_ACTIVATION: Counter = Counter::ProbeUpdateDuplicateActivation;
 
 /// Marker counter apps bump on entering the stage→flip→activate window.
 /// The update-aware sweep mode reads it from the boundary trace to select
 /// injection points inside the window.
-pub const UPDATE_WINDOW_ENTER: &str = "update_window_enter";
+pub const UPDATE_WINDOW_ENTER: Counter = Counter::UpdateWindowEnter;
 
 /// Marker counter apps bump after the activation step completes.
-pub const UPDATE_WINDOW_EXIT: &str = "update_window_exit";
+pub const UPDATE_WINDOW_EXIT: Counter = Counter::UpdateWindowExit;
 
 /// Identity of one task-graph image: monotone sequence number plus a hash
 /// binding the sequence number to the payload contents.

@@ -16,7 +16,6 @@
 
 pub mod clock;
 pub mod energy;
-pub mod hash;
 pub mod mcu;
 pub mod memory;
 pub mod nvstore;
@@ -24,14 +23,14 @@ pub mod power;
 pub mod stats;
 
 pub use clock::Clock;
+pub use easeio_trace::hash::{IntHasher, IntMap, IntSet};
 pub use easeio_trace::TraceSink;
 pub use energy::{Capacitor, Cost, CostTable};
-pub use hash::{IntHasher, IntMap, IntSet};
-pub use mcu::{Mcu, McuCheckpoint, McuSnapshot, PowerFailure, SpendBoundary};
+pub use mcu::{Mcu, McuCheckpoint, McuSnapshot, PowerFailure, SpendBoundary, MAX_TRACKED};
 pub use memory::{Addr, AllocRecord, AllocTag, MemDelta, MemSnapshot, Memory, Region, PAGE_BYTES};
 pub use nvstore::{read_scalars, write_scalars, NvBuf, NvVar, RawVar, Scalar};
 pub use power::{RfHarvestConfig, Supply, TimerResetConfig};
 pub use stats::{
-    current_rss_bytes, peak_rss_bytes, CauseMarks, CauseSample, EnergyCause, RunStats, TaskRows,
-    WorkKind, CAUSE_COUNT, DMA_SITE_BASE, KERNEL_TASK,
+    current_rss_bytes, peak_rss_bytes, CauseMarks, CauseSample, Counter, EnergyCause, RunStats,
+    TaskRows, WorkKind, CAUSE_COUNT, DMA_SITE_BASE, KERNEL_TASK,
 };

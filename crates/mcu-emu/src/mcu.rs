@@ -13,7 +13,7 @@ use crate::energy::{Cost, CostTable};
 use crate::memory::{MemSnapshot, Memory};
 use crate::nvstore::RawVar;
 use crate::power::Supply;
-use crate::stats::{CauseSample, EnergyCause, RunStats, WorkKind, KERNEL_TASK};
+use crate::stats::{CauseSample, Counter, EnergyCause, RunStats, WorkKind, KERNEL_TASK};
 use easeio_trace::{Event, EventKind, InstantKind, SpanKind, Status, TraceSink, NO_SITE, NO_TASK};
 
 /// Volatile energy-attribution context: which cause the machine is
@@ -44,6 +44,20 @@ impl Default for AttributionCtx {
         }
     }
 }
+
+impl AttributionCtx {
+    /// Back to the boot state, keeping the scope stack's buffer: every
+    /// attempt start resets, and the next attempt pushes again.
+    fn reset(&mut self) {
+        self.base = EnergyCause::Progress;
+        self.scope.clear();
+        self.task = KERNEL_TASK;
+    }
+}
+
+/// Most counters a boundary recording can track (the length of
+/// [`SpendBoundary::counters`]).
+pub const MAX_TRACKED: usize = 8;
 
 /// A power failure interrupted execution.
 ///
@@ -83,8 +97,9 @@ pub struct SpendBoundary {
     /// Cumulative per-cause energy ledger before this boundary.
     pub cause_energy_nj: [u64; crate::stats::CAUSE_COUNT],
     /// Values of the recorder's tracked counters before this boundary, in
-    /// the order the names were passed to [`Mcu::record_boundaries`].
-    pub counters: Vec<u64>,
+    /// the order they were passed to [`Mcu::record_boundaries`]; the slots
+    /// past the tracked ones stay 0.
+    pub counters: [u64; MAX_TRACKED],
 }
 
 /// Host-side instrumentation that captures a [`SpendBoundary`] per slice.
@@ -92,7 +107,7 @@ pub struct SpendBoundary {
 /// be recorded through the usual restore-then-run harness.
 #[derive(Debug, Default)]
 struct BoundaryRecorder {
-    tracked: Vec<&'static str>,
+    tracked: Vec<Counter>,
     spend_seq: u64,
     epoch: u64,
     /// `Some(fram_writes)` while the epoch may still grow: the last spend
@@ -151,14 +166,18 @@ impl Mcu {
     }
 
     /// Starts recording one [`SpendBoundary`] per energy-spend boundary,
-    /// additionally tracking the named [`RunStats`] counters in each
-    /// prefix. Replaces any active recording. The recorder is host-side
-    /// instrumentation, not machine state: it survives [`Mcu::restore`]
-    /// (so the restore-then-run harness can record a reference run) and
-    /// never influences execution.
-    pub fn record_boundaries(&mut self, tracked: Vec<&'static str>) {
+    /// additionally tracking up to [`MAX_TRACKED`] [`RunStats`] counters in
+    /// each prefix. Replaces any active recording. The recorder is
+    /// host-side instrumentation, not machine state: it survives
+    /// [`Mcu::restore`] (so the restore-then-run harness can record a
+    /// reference run) and never influences execution.
+    pub fn record_boundaries(&mut self, tracked: &[Counter]) {
+        assert!(
+            tracked.len() <= MAX_TRACKED,
+            "a boundary recording tracks at most {MAX_TRACKED} counters"
+        );
         self.recorder = Some(BoundaryRecorder {
-            tracked,
+            tracked: tracked.to_vec(),
             ..BoundaryRecorder::default()
         });
     }
@@ -256,9 +275,9 @@ impl Mcu {
     /// Resets the attribution context to its boot state: empty scope stack,
     /// `Progress` base, no task. The executor calls this at every boot so a
     /// scope leaked across a power failure cannot misattribute the next
-    /// attempt's spends.
+    /// attempt's spends. The scope stack keeps its buffer.
     pub fn reset_attribution(&mut self) {
-        self.attr = AttributionCtx::default();
+        self.attr.reset();
     }
 
     /// The per-cause energy samples collected so far (one per traced spend).
@@ -357,6 +376,10 @@ impl Mcu {
             );
             let off_before = self.clock.off_us();
             if let Some(rec) = self.recorder.as_mut() {
+                let mut counters = [0; MAX_TRACKED];
+                for (value, &c) in counters.iter_mut().zip(&rec.tracked) {
+                    *value = self.stats.counter(c);
+                }
                 rec.records.push(SpendBoundary {
                     spend_seq: rec.spend_seq,
                     epoch: rec.epoch,
@@ -364,7 +387,7 @@ impl Mcu {
                     app_energy_nj: self.stats.app_energy_nj,
                     overhead_energy_nj: self.stats.overhead_energy_nj,
                     cause_energy_nj: self.stats.cause_energy_nj,
-                    counters: rec.tracked.iter().map(|n| self.stats.counter(n)).collect(),
+                    counters,
                 });
             }
             self.stats.boundaries += 1;
@@ -519,7 +542,7 @@ impl Mcu {
         // accounting is a pure function of the snapshot — a leftover cause
         // scope or sample tail from a previous injection run must never
         // bleed into this one.
-        self.attr = AttributionCtx::default();
+        self.attr.reset();
         self.samples.clear();
     }
 
@@ -544,7 +567,7 @@ impl Mcu {
         self.mem.restore_delta(&root.inner.mem, &cp.mem);
         self.stats = cp.stats.clone();
         self.cost = root.inner.cost.clone();
-        self.attr = AttributionCtx::default();
+        self.attr.reset();
         self.samples.clear();
     }
 
@@ -789,7 +812,7 @@ mod tests {
     #[test]
     fn boundary_recording_groups_slices_by_spend_call() {
         let mut m = continuous();
-        m.record_boundaries(vec![]);
+        m.record_boundaries(&[]);
         m.spend(WorkKind::App, Cost::new(10, 10)).unwrap(); // one slice
         m.spend(WorkKind::App, Cost::new(2_500, 100)).unwrap(); // three slices
         let (recs, time) = m.take_boundary_recording().unwrap();
@@ -821,7 +844,7 @@ mod tests {
         let pure = |m: &mut Mcu| {
             m.pure_op(|m| m.store_var(WorkKind::App, s, 1)).unwrap();
         };
-        m.record_boundaries(vec![]);
+        m.record_boundaries(&[]);
         m.spend(WorkKind::App, Cost::new(1, 1)).unwrap(); // 1
         pure(&mut m); // 2: follows a non-pure spend
         m.pure_op(|m| m.spend(WorkKind::App, Cost::new(2_500, 30)))
@@ -863,7 +886,7 @@ mod tests {
     #[test]
     fn timestamp_read_marks_the_recording_time_observed() {
         let mut m = continuous();
-        m.record_boundaries(vec![]);
+        m.record_boundaries(&[]);
         m.spend(WorkKind::App, Cost::new(1, 1)).unwrap();
         m.read_timestamp(WorkKind::Overhead).unwrap();
         let (_, time) = m.take_boundary_recording().unwrap();
@@ -876,7 +899,7 @@ mod tests {
     fn boundary_recording_survives_restore() {
         let mut m = continuous();
         let snap = m.snapshot();
-        m.record_boundaries(vec![]);
+        m.record_boundaries(&[]);
         m.restore(&snap);
         m.spend(WorkKind::App, Cost::new(5, 5)).unwrap();
         let (recs, _) = m.take_boundary_recording().unwrap();

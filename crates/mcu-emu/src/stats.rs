@@ -20,6 +20,114 @@
 
 use std::collections::BTreeMap;
 
+/// Declares [`Counter`]: one variant per named event counter, its stable
+/// snake_case name, and the variant list.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])* $variant:ident => $name:literal,)*) => {
+        /// A named event counter of [`RunStats`]. Counters are plain array
+        /// slots indexed by the variant, so bumping one is an add; the
+        /// names exist only in [`Counter::name`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum Counter {
+            $($(#[doc = $doc])* $variant,)*
+        }
+
+        impl Counter {
+            /// Number of counters.
+            pub const COUNT: usize = [$($name),*].len();
+
+            /// Every counter, in index order.
+            pub const ALL: [Counter; Counter::COUNT] = [$(Counter::$variant),*];
+
+            /// Stable snake_case name for reports and diagnostics.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Peripheral operations that ended in a transient fault.
+    IoFaults => "io_faults",
+    /// DMA bursts that ended in a transient fault.
+    DmaFaults => "dma_faults",
+    /// Sensor-bus timeouts.
+    SensorTimeout => "sensor_timeout",
+    /// Radio packets transmitted whose acknowledgement was lost.
+    RadioNack => "radio_nack",
+    /// Radio packets dropped before the air interface.
+    PacketDrop => "packet_drop",
+    /// Camera captures aborted.
+    CameraAbort => "camera_abort",
+    /// LEA accelerator stalls.
+    LeaStall => "lea_stall",
+    /// DMA controller burst aborts.
+    DmaTransferError => "dma_transfer_error",
+    /// Faulted operations retried after backoff.
+    IoRetries => "io_retries",
+    /// `Always` operations skipped once their retry budget ran out.
+    IoDegradedSkips => "io_degraded_skips",
+    /// `Timely` operations served from a fallback once their budget ran out.
+    IoDegradedFallbacks => "io_degraded_fallbacks",
+    /// Probe: a `Single` op whose effect already happened was retried.
+    ProbeRetryDuplicatedEffect => "probe_retry_duplicated_effect",
+    /// Probe: a bare `Single` op ran twice within one activation.
+    ProbeSingleRedundant => "probe_single_redundant",
+    /// Probe: a degraded fallback served a value older than its window.
+    ProbeDegradedStalenessExceeded => "probe_degraded_staleness_exceeded",
+    /// Probe: a `Timely` value judged fresh was older than its window.
+    ProbeTimelyStale => "probe_timely_stale",
+    /// Probe: a commit was priced for more flags than it cleared.
+    ProbeCommitOverpriced => "probe_commit_overpriced",
+    /// Probe: an OTA image activated with a torn body or header.
+    ProbeVersionTorn => "probe_version_torn",
+    /// Probe: an OTA image activated twice.
+    ProbeUpdateDuplicateActivation => "probe_update_duplicate_activation",
+    /// Marker: the app entered its OTA update window.
+    UpdateWindowEnter => "update_window_enter",
+    /// Marker: the app left its OTA update window.
+    UpdateWindowExit => "update_window_exit",
+    /// Alpaca: privatized copies published at commit.
+    AlpacaCommitCopies => "alpaca_commit_copies",
+    /// Alpaca: variables privatized on first write.
+    AlpacaPrivatizations => "alpaca_privatizations",
+    /// InK: variables given a working-copy buffer.
+    InkBufferedVars => "ink_buffered_vars",
+    /// InK: working copies published at commit.
+    InkCommitCopies => "ink_commit_copies",
+    /// EaseIO: post-effect faults absorbed against a completion record.
+    EaseioEffectFaultAbsorbed => "easeio_effect_fault_absorbed",
+    /// EaseIO: re-executed I/O that returned a different value.
+    EaseioDivergences => "easeio_divergences",
+    /// EaseIO: `Timely` outputs whose window had expired.
+    EaseioTimelyExpired => "easeio_timely_expired",
+    /// EaseIO: degraded fallbacks refused because the value was stale.
+    EaseioFallbackRefusedStale => "easeio_fallback_refused_stale",
+    /// EaseIO: private outputs restored instead of re-executing.
+    EaseioOutputsRestored => "easeio_outputs_restored",
+    /// EaseIO: I/O blocks whose semantics were violated.
+    EaseioBlockViolations => "easeio_block_violations",
+    /// EaseIO: regional snapshots taken.
+    EaseioRegionalSnapshots => "easeio_regional_snapshots",
+    /// EaseIO: regional snapshots restored.
+    EaseioRegionalRestores => "easeio_regional_restores",
+    /// EaseIO: regional snapshots refreshed after a divergence.
+    EaseioRegionalRefreshes => "easeio_regional_refreshes",
+    /// EaseIO: `Always` DMA transfers.
+    EaseioDmaAlways => "easeio_dma_always",
+    /// EaseIO: `Single` DMA transfers skipped as complete.
+    EaseioDmaSingleSkipped => "easeio_dma_single_skipped",
+    /// EaseIO: `Single` DMA transfers executed.
+    EaseioDmaSingleExecuted => "easeio_dma_single_executed",
+    /// EaseIO: `Private` DMA sources staged into a private buffer.
+    EaseioDmaPrivatizations => "easeio_dma_privatizations",
+    /// EaseIO: `Private` DMA transfers executed.
+    EaseioDmaPrivateExecuted => "easeio_dma_private_executed",
+}
+
 /// Classification of a unit of spent work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkKind {
@@ -207,7 +315,7 @@ impl TaskRows {
 }
 
 /// Counters and ledgers collected over one simulated run.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     /// On-time spent on application work (µs), across all attempts.
     pub app_time_us: u64,
@@ -251,8 +359,34 @@ pub struct RunStats {
     /// Energy reattributed to [`EnergyCause::RedundantIo`] per I/O site
     /// (nJ) — the per-site waste breakdown.
     pub redundant_energy_by_site: BTreeMap<u16, u64>,
-    /// Free-form named counters for runtime-specific events.
-    pub counters: BTreeMap<&'static str, u64>,
+    /// Runtime-specific event counters, indexed by [`Counter`].
+    pub counters: [u64; Counter::COUNT],
+}
+
+impl Default for RunStats {
+    fn default() -> Self {
+        Self {
+            app_time_us: 0,
+            overhead_time_us: 0,
+            app_energy_nj: 0,
+            overhead_energy_nj: 0,
+            power_failures: 0,
+            task_attempts: 0,
+            task_commits: 0,
+            io_executed: 0,
+            io_skipped: 0,
+            io_reexecutions: 0,
+            dma_executed: 0,
+            dma_skipped: 0,
+            dma_reexecutions: 0,
+            boundaries: 0,
+            cause_time_us: [0; CAUSE_COUNT],
+            cause_energy_nj: [0; CAUSE_COUNT],
+            cause_energy_by_task: TaskRows::default(),
+            redundant_energy_by_site: BTreeMap::new(),
+            counters: [0; Counter::COUNT],
+        }
+    }
 }
 
 impl RunStats {
@@ -371,14 +505,14 @@ impl RunStats {
             .sum()
     }
 
-    /// Increments a named counter.
-    pub fn bump(&mut self, name: &'static str) {
-        *self.counters.entry(name).or_insert(0) += 1;
+    /// Increments a counter.
+    pub fn bump(&mut self, counter: Counter) {
+        self.counters[counter as usize] += 1;
     }
 
-    /// Reads a named counter.
-    pub fn counter(&self, name: &'static str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    /// Reads a counter.
+    pub fn counter(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize]
     }
 
     /// Total on-time (µs).
@@ -437,8 +571,8 @@ impl RunStats {
         for (site, e) in &other.redundant_energy_by_site {
             *self.redundant_energy_by_site.entry(*site).or_insert(0) += e;
         }
-        for (k, v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
+        for (mine, theirs) in self.counters.iter_mut().zip(&other.counters) {
+            *mine += theirs;
         }
     }
 
@@ -519,6 +653,15 @@ mod tests {
     }
 
     #[test]
+    fn counter_names_are_distinct_and_indexed_in_order() {
+        for (i, c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(*c as usize, i);
+        }
+        let names: std::collections::BTreeSet<_> = Counter::ALL.map(Counter::name).into();
+        assert_eq!(names.len(), Counter::COUNT);
+    }
+
+    #[test]
     fn record_splits_by_kind() {
         let mut s = RunStats::new();
         s.record(WorkKind::App, 10, 20);
@@ -547,19 +690,19 @@ mod tests {
         let mut a = RunStats::new();
         a.record(WorkKind::App, 5, 5);
         a.power_failures = 2;
-        a.bump("x");
+        a.bump(Counter::IoRetries);
         let mut b = RunStats::new();
         b.record(WorkKind::Overhead, 7, 7);
         b.power_failures = 1;
-        b.bump("x");
-        b.bump("y");
+        b.bump(Counter::IoRetries);
+        b.bump(Counter::IoFaults);
         b.note_redundant_site(3, 11);
         a.merge(&b);
         assert_eq!(a.total_time_us(), 12);
         assert_eq!(a.power_failures, 3);
-        assert_eq!(a.counter("x"), 2);
-        assert_eq!(a.counter("y"), 1);
-        assert_eq!(a.counter("z"), 0);
+        assert_eq!(a.counter(Counter::IoRetries), 2);
+        assert_eq!(a.counter(Counter::IoFaults), 1);
+        assert_eq!(a.counter(Counter::DmaFaults), 0);
         assert_eq!(a.redundant_energy_by_site.get(&3), Some(&11));
         assert!(a.attribution_balanced());
     }

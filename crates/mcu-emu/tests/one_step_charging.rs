@@ -63,7 +63,7 @@ fn run(
     mcu.restore(snap);
     mcu.supply = supply;
     if recorded {
-        mcu.record_boundaries(Vec::new());
+        mcu.record_boundaries(&[]);
     }
     let failures = ops
         .iter()

@@ -14,7 +14,7 @@
 //! attempt on the peripheral, so a skipped/restored operation never
 //! advances the schedule.
 
-use mcu_emu::IntMap;
+use mcu_emu::{Counter, IntMap};
 
 /// Peripheral class a fault plan schedules over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,6 +72,18 @@ impl FaultKind {
             FaultKind::CameraAbort => "camera_abort",
             FaultKind::LeaStall => "lea_stall",
             FaultKind::DmaTransferError => "dma_transfer_error",
+        }
+    }
+
+    /// The [`Counter`] that tallies faults of this kind.
+    pub fn counter(self) -> Counter {
+        match self {
+            FaultKind::SensorTimeout => Counter::SensorTimeout,
+            FaultKind::RadioNack => Counter::RadioNack,
+            FaultKind::PacketDrop => Counter::PacketDrop,
+            FaultKind::CameraAbort => Counter::CameraAbort,
+            FaultKind::LeaStall => Counter::LeaStall,
+            FaultKind::DmaTransferError => Counter::DmaTransferError,
         }
     }
 

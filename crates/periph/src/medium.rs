@@ -127,7 +127,7 @@ mod tests {
         let m = MediumSpec::ideal();
         let pkt = Packet {
             time_us: 1000,
-            payload: vec![1, 2],
+            payload: [1, 2].into(),
         };
         let (start, end) = m.window(&pkt);
         assert_eq!(end, 1000);
@@ -140,7 +140,7 @@ mod tests {
         let m = MediumSpec::ideal();
         let pkt = Packet {
             time_us: 1,
-            payload: vec![0; 100],
+            payload: vec![0; 100].into(),
         };
         assert_eq!(m.window(&pkt).0, 0);
     }

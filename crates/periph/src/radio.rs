@@ -9,14 +9,16 @@
 //! `Timely` sense ⇒ the value in memory differs from the value on the air).
 
 use mcu_emu::{Cost, CostTable};
+use std::sync::Arc;
 
 /// A transmitted packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Wall-clock time the transmission completed (µs).
     pub time_us: u64,
-    /// The payload words.
-    pub payload: Vec<i32>,
+    /// The payload words, shared with the send operation that carried
+    /// them: a packet is allocated once, when its payload is framed.
+    pub payload: Arc<[i32]>,
 }
 
 /// Append-only log of everything the radio sent.
@@ -32,16 +34,18 @@ impl RadioLog {
     }
 
     /// Records a completed transmission.
-    pub fn transmit(&mut self, time_us: u64, payload: &[i32]) {
-        self.sent.push(Packet {
-            time_us,
-            payload: payload.to_vec(),
-        });
+    pub fn transmit(&mut self, time_us: u64, payload: Arc<[i32]>) {
+        self.sent.push(Packet { time_us, payload });
     }
 
     /// All transmitted packets, in order.
     pub fn packets(&self) -> &[Packet] {
         &self.sent
+    }
+
+    /// The transmitted packets, in order, without copying them.
+    pub fn into_packets(self) -> Vec<Packet> {
+        self.sent
     }
 
     /// Number of transmissions.
@@ -71,21 +75,23 @@ mod tests {
     #[test]
     fn log_records_in_order() {
         let mut r = RadioLog::new();
-        r.transmit(10, &[1, 2]);
-        r.transmit(20, &[3]);
+        r.transmit(10, Arc::from([1, 2]));
+        r.transmit(20, Arc::from([3]));
         assert_eq!(r.count(), 2);
-        assert_eq!(r.packets()[0].payload, vec![1, 2]);
+        assert_eq!(*r.packets()[0].payload, [1, 2]);
         assert_eq!(r.packets()[1].time_us, 20);
+        assert_eq!(r.into_packets().len(), 2);
     }
 
     #[test]
     fn duplicate_detection() {
         let mut r = RadioLog::new();
-        r.transmit(1, &[7, 7]);
-        r.transmit(2, &[7, 7]); // redundant re-send
-        r.transmit(3, &[8, 8]);
-        r.transmit(4, &[8, 8]); // redundant re-send
-        r.transmit(5, &[8, 8]); // and again
+        let (a, b): (Arc<[i32]>, Arc<[i32]>) = (Arc::from([7, 7]), Arc::from([8, 8]));
+        r.transmit(1, a.clone());
+        r.transmit(2, a); // redundant re-send
+        r.transmit(3, b.clone());
+        r.transmit(4, b.clone()); // redundant re-send
+        r.transmit(5, b); // and again
         assert_eq!(r.duplicate_count(), 3);
     }
 

@@ -179,6 +179,12 @@ fn write_seq(
     out.push(close);
 }
 
+/// Appends `n` exactly as [`Value::u64`] renders in [`Value::to_compact`],
+/// for writers that build a record straight into one buffer.
+pub fn write_u64(out: &mut String, n: u64) {
+    write_num(out, n as f64);
+}
+
 fn write_num(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null"); // JSON has no NaN/Inf

@@ -29,6 +29,7 @@ pub mod envelope;
 pub mod event;
 pub mod fleet;
 pub mod forensics;
+pub mod hash;
 pub mod json;
 pub mod jsonl;
 pub mod metrics;

@@ -145,7 +145,8 @@ impl ShardedSink {
     /// line prefix and stripped again by the merge.
     pub fn write(&self, k: usize, key: u64, line: &str) {
         let mut w = self.shards[k].lock().unwrap();
-        w.write_line(&format!("{key}\t{line}"))
+        write!(w.w, "{key}\t")
+            .and_then(|()| w.write_line(line))
             .unwrap_or_else(|e| panic!("stream shard {}: {e}", w.path()));
         self.records.fetch_add(1, Ordering::Relaxed);
     }
@@ -157,29 +158,25 @@ impl ShardedSink {
         for shard in &self.shards {
             shard.lock().unwrap().flush()?;
         }
-        let mut heads: Vec<ShardCursor> = Vec::new();
+        let mut heads = Vec::with_capacity(self.paths.len());
         for path in &self.paths {
-            let mut lines = BufReader::new(File::open(path)?).lines();
-            let head = next_keyed(&mut lines)?;
-            heads.push((head, lines));
+            heads.push(ShardCursor::open(path)?);
         }
         let mut records = 0u64;
         loop {
             // Linear min-scan over at most `jobs` heads.
-            let mut best: Option<usize> = None;
-            for (i, (head, _)) in heads.iter().enumerate() {
-                if let Some((key, _)) = head {
-                    if best.is_none_or(|b| *key < heads[b].0.as_ref().unwrap().0) {
-                        best = Some(i);
+            let mut best: Option<(usize, u64)> = None;
+            for (i, head) in heads.iter().enumerate() {
+                if let Some(key) = head.key {
+                    if best.is_none_or(|(_, b)| key < b) {
+                        best = Some((i, key));
                     }
                 }
             }
-            let Some(i) = best else { break };
-            let (head, lines) = &mut heads[i];
-            let (_, line) = head.take().unwrap();
-            out.write_line(&line)?;
+            let Some((i, _)) = best else { break };
+            out.write_line(heads[i].record())?;
             records += 1;
-            *head = next_keyed(lines)?;
+            heads[i].advance()?;
         }
         out.flush()?;
         for path in &self.paths {
@@ -192,24 +189,54 @@ impl ShardedSink {
     }
 }
 
-/// One shard's merge cursor: the buffered head record and the rest of the
-/// shard's lines.
-type ShardCursor = (Option<(u64, String)>, std::io::Lines<BufReader<File>>);
+/// One shard's merge cursor: the head line in a buffer every line of the
+/// shard is read into, and the head's key (`None` once the shard is
+/// drained).
+struct ShardCursor {
+    reader: BufReader<File>,
+    line: String,
+    /// Byte offset of the record in `line`, past the key prefix.
+    record_at: usize,
+    key: Option<u64>,
+}
 
-fn next_keyed(
-    lines: &mut std::io::Lines<BufReader<File>>,
-) -> std::io::Result<Option<(u64, String)>> {
-    let Some(line) = lines.next() else {
-        return Ok(None);
-    };
-    let line = line?;
-    let (key, rest) = line
-        .split_once('\t')
-        .ok_or_else(|| std::io::Error::other("shard line missing key prefix"))?;
-    let key = key
-        .parse::<u64>()
-        .map_err(|e| std::io::Error::other(format!("bad shard key: {e}")))?;
-    Ok(Some((key, rest.to_string())))
+impl ShardCursor {
+    fn open(path: &str) -> std::io::Result<Self> {
+        let mut cursor = Self {
+            reader: BufReader::new(File::open(path)?),
+            line: String::new(),
+            record_at: 0,
+            key: None,
+        };
+        cursor.advance()?;
+        Ok(cursor)
+    }
+
+    /// Reads the next line into the buffer and parses its key prefix.
+    fn advance(&mut self) -> std::io::Result<()> {
+        self.line.clear();
+        if self.reader.read_line(&mut self.line)? == 0 {
+            self.key = None;
+            return Ok(());
+        }
+        let tab = self
+            .line
+            .find('\t')
+            .ok_or_else(|| std::io::Error::other("shard line missing key prefix"))?;
+        let key = self.line[..tab]
+            .parse::<u64>()
+            .map_err(|e| std::io::Error::other(format!("bad shard key: {e}")))?;
+        self.key = Some(key);
+        self.record_at = tab + 1;
+        Ok(())
+    }
+
+    /// The head record, without its key prefix and line terminator.
+    fn record(&self) -> &str {
+        let line = &self.line[self.record_at..];
+        let line = line.strip_suffix('\n').unwrap_or(line);
+        line.strip_suffix('\r').unwrap_or(line)
+    }
 }
 
 #[cfg(test)]

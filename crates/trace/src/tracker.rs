@@ -6,17 +6,17 @@
 //! analyzer's view), not anything the MCU stores, so it lives here with the
 //! rest of the observability machinery rather than in the kernel.
 
-use std::collections::{HashMap, HashSet};
+use crate::hash::{IntMap, IntSet};
 
 /// Tracks first completions of I/O and DMA sites per task activation.
 #[derive(Debug, Clone, Default)]
 pub struct ActivationTracker {
-    io_done: HashSet<(u16, u16)>,
-    dma_done: HashSet<(u16, u16)>,
+    io_done: IntSet<(u16, u16)>,
+    dma_done: IntSet<(u16, u16)>,
     /// Last successfully executed value per I/O site: `(value, ts_us)`.
     /// Persistent across commits — it feeds the degraded fallback path,
     /// which by definition reaches back past the current activation.
-    last_io: HashMap<(u16, u16), (i32, u64)>,
+    last_io: IntMap<(u16, u16), (i32, u64)>,
 }
 
 impl ActivationTracker {

@@ -5,9 +5,10 @@ use easeio_repro::kernel::{
     run_app, App, ExecConfig, Inventory, IoOp, Outcome, ReexecSemantics, TaskCtx, TaskDef, TaskId,
     TaskResult, Transition,
 };
-use easeio_repro::mcu_emu::{Mcu, NvBuf, NvVar, Region, Supply, TimerResetConfig};
+use easeio_repro::mcu_emu::{Counter, Mcu, NvBuf, NvVar, Region, Supply, TimerResetConfig};
 use easeio_repro::periph::{Peripherals, Sensor};
 use std::rc::Rc;
+use std::sync::Arc;
 
 fn failing_supply(seed: u64, off_ms: (u64, u64)) -> Supply {
     Supply::timer(
@@ -40,7 +41,7 @@ fn fig4_app(mcu: &mut Mcu) -> App {
             // either re-executed this attempt, the send repeats too.
             ctx.call_io_dep(
                 IoOp::Send {
-                    payload: vec![t, h],
+                    payload: Arc::from([t, h]),
                 },
                 ReexecSemantics::Single,
                 &[temp_site, humd_site],
@@ -198,6 +199,6 @@ fn timely_block_violation_forces_single_members_to_repeat() {
              (failures: {})",
             r.stats.power_failures
         );
-        assert!(r.stats.counter("easeio_block_violations") > 0);
+        assert!(r.stats.counter(Counter::EaseioBlockViolations) > 0);
     }
 }
