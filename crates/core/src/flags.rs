@@ -12,7 +12,7 @@
 
 use kernel::TaskId;
 use mcu_emu::{
-    AllocTag, Cost, Counter, EnergyCause, IntMap, IntSet, Mcu, PowerFailure, RawVar, Region,
+    AllocTag, Cost, Counter, EnergyCause, FlatSet, IntMap, Mcu, PowerFailure, RawVar, Region,
     WorkKind,
 };
 
@@ -38,7 +38,7 @@ pub struct IoSlotTable {
     dirty: Vec<(TaskId, u16)>,
     /// Sites whose private output holds a value from the current activation
     /// (host mirror of an out-valid bit; used for divergence detection).
-    recorded: IntSet<(TaskId, u16)>,
+    recorded: FlatSet<(TaskId, u16)>,
 }
 
 impl IoSlotTable {
@@ -304,6 +304,24 @@ mod tests {
         assert_eq!(a.lock.addr, b.lock.addr);
         assert_ne!(a.lock.addr, c.lock.addr);
         assert_eq!(t.slot_count(), 2);
+    }
+
+    #[test]
+    fn recorded_outputs_compare_as_a_set() {
+        let mut m = mcu();
+        let task = TaskId(0);
+        let mut base = IoSlotTable::new();
+        let s0 = base.ensure(&mut m, task, 0);
+        let s1 = base.ensure(&mut m, task, 1);
+        let mut a = base.clone();
+        a.store_out(&mut m, task, 0, s0, 5).unwrap();
+        a.store_out(&mut m, task, 1, s1, 6).unwrap();
+        let mut b = base.clone();
+        b.store_out(&mut m, task, 1, s1, 6).unwrap();
+        b.store_out(&mut m, task, 0, s0, 5).unwrap();
+        assert_eq!(a, b, "recording order must not matter");
+        b.clear_task(&mut m, task);
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -19,26 +19,28 @@
 
 use kernel::TaskId;
 use mcu_emu::{
-    AllocTag, Counter, EnergyCause, IntMap, IntSet, Mcu, PowerFailure, RawVar, Region, WorkKind,
+    AllocTag, Counter, EnergyCause, IntMap, Mcu, PowerFailure, RawVar, Region, WorkKind,
 };
 
 /// Regional privatization state.
 ///
-/// Equality is logical: a snapshot list emptied at commit equals one that
-/// never existed, so two runtimes compare equal whatever activations they
-/// have already committed.
+/// Equality is logical: two states are equal when they hold the same slots
+/// and, for every (task, region), the same snapshot list in the same order,
+/// however the lists of different regions interleave.
 #[derive(Debug, Default, Clone)]
 pub struct Regional {
     /// Persistent snapshot slots, reused across activations.
     slots: IntMap<(TaskId, u16, RawVar), RawVar>,
-    /// Per-activation snapshot lists: (task, region) → [(master, slot)].
-    /// Commit empties a task's lists but keeps them, so the next
-    /// activation reuses their buffers.
-    snaps: IntMap<(TaskId, u16), Vec<(RawVar, RawVar)>>,
-    /// Which (task, region, var) triples are snapshotted this activation
-    /// (host mirror of the per-variable `regionalPriveFlag`s in FRAM).
-    snapped: IntSet<(TaskId, u16, RawVar)>,
+    /// This activation's snapshots as (task, region, master, slot), in the
+    /// order taken: the host mirror of the per-variable
+    /// `regionalPriveFlag`s in FRAM. Commit clears a task's entries before
+    /// the next task runs, so the list holds only the in-flight task's and
+    /// stays short; a scan finds an entry faster than hashing its key.
+    snaps: Vec<Snap>,
 }
+
+/// One live snapshot: (task, region, master, slot).
+type Snap = (TaskId, u16, RawVar, RawVar);
 
 impl Regional {
     /// Creates empty state.
@@ -57,14 +59,20 @@ impl Regional {
         region: u16,
         var: RawVar,
     ) -> Result<(), PowerFailure> {
-        let key = (task, region, var);
-        if self.snapped.contains(&key) {
+        if self
+            .snaps
+            .iter()
+            .any(|&(t, r, master, _)| (t, r, master) == (task, region, var))
+        {
             return Ok(());
         }
-        let slot = *self.slots.entry(key).or_insert_with(|| RawVar {
-            addr: mcu.mem.alloc(Region::Fram, var.width, AllocTag::Runtime),
-            width: var.width,
-        });
+        let slot = *self
+            .slots
+            .entry((task, region, var))
+            .or_insert_with(|| RawVar {
+                addr: mcu.mem.alloc(Region::Fram, var.width, AllocTag::Runtime),
+                width: var.width,
+            });
         // Copy master → private, then set the flag; both are runtime
         // overhead. The copy must complete before the flag is set so a
         // failure between them re-snapshots (the master is still clean:
@@ -74,11 +82,7 @@ impl Regional {
         })?;
         let c = mcu.cost.flag_write;
         mcu.with_cause(EnergyCause::DmaPriv, |m| m.spend(WorkKind::Overhead, c))?;
-        self.snapped.insert(key);
-        self.snaps
-            .entry((task, region))
-            .or_default()
-            .push((var, slot));
+        self.snaps.push((task, region, var, slot));
         mcu.stats.bump(Counter::EaseioRegionalSnapshots);
         let (ts, e) = (mcu.now_us(), mcu.stats.total_energy_nj());
         mcu.trace.emit_with(|| {
@@ -115,13 +119,10 @@ impl Regional {
                 "region",
             )
         });
-        let Some(entries) = self.snaps.get(&(task, region)) else {
-            return Ok(());
-        };
         // Restores are priced and applied one variable at a time; each
         // slot→master copy is idempotent, so a failure mid-restore simply
         // redoes the restore on the next attempt.
-        for &(master, slot) in entries {
+        for (master, slot) in self.region_snaps(task, region) {
             mcu.with_cause(EnergyCause::DmaPriv, |m| {
                 m.copy_var(WorkKind::Overhead, slot, master)
             })?;
@@ -161,10 +162,7 @@ impl Regional {
                 "region",
             )
         });
-        let Some(entries) = self.snaps.get(&(task, region)) else {
-            return Ok(());
-        };
-        for &(master, slot) in entries {
+        for (master, slot) in self.region_snaps(task, region) {
             if fresh(master) {
                 mcu.with_cause(EnergyCause::DmaPriv, |m| {
                     m.copy_var(WorkKind::Overhead, master, slot)
@@ -182,22 +180,13 @@ impl Regional {
 
     /// Number of snapshots currently held for `task` (commit pricing).
     pub fn snapshot_count(&self, task: TaskId) -> u64 {
-        self.snaps
-            .iter()
-            .filter(|((t, _), _)| *t == task)
-            .map(|(_, v)| v.len() as u64)
-            .sum()
+        self.snaps.iter().filter(|s| s.0 == task).count() as u64
     }
 
     /// Drops all of `task`'s snapshots at commit (caller has priced it).
-    /// The lists are emptied in place, keeping their buffers.
+    /// The list keeps its buffer.
     pub fn clear_task(&mut self, task: TaskId) {
-        for ((t, _), list) in self.snaps.iter_mut() {
-            if *t == task {
-                list.clear();
-            }
-        }
-        self.snapped.retain(|(t, _, _)| *t != task);
+        self.snaps.retain(|s| s.0 != task);
     }
 
     /// Total snapshot slots ever allocated (footprint reporting).
@@ -205,20 +194,29 @@ impl Regional {
         self.slots.len()
     }
 
-    /// The snapshot lists that hold entries.
-    fn live_snaps(&self) -> impl Iterator<Item = (&(TaskId, u16), &Vec<(RawVar, RawVar)>)> {
-        self.snaps.iter().filter(|(_, list)| !list.is_empty())
+    /// `region`'s (master, slot) pairs for `task`, in the order taken.
+    fn region_snaps(
+        &self,
+        task: TaskId,
+        region: u16,
+    ) -> impl Iterator<Item = (RawVar, RawVar)> + '_ {
+        self.snaps
+            .iter()
+            .filter(move |s| (s.0, s.1) == (task, region))
+            .map(|s| (s.2, s.3))
     }
 }
 
 impl PartialEq for Regional {
     fn eq(&self, other: &Self) -> bool {
+        // Equal lengths plus every (task, region) list of `self` matching
+        // `other`'s in order covers all of `other`'s entries too.
         self.slots == other.slots
-            && self.snapped == other.snapped
-            && self.live_snaps().count() == other.live_snaps().count()
+            && self.snaps.len() == other.snaps.len()
             && self
-                .live_snaps()
-                .all(|(key, list)| other.snaps.get(key) == Some(list))
+                .snaps
+                .iter()
+                .all(|s| self.region_snaps(s.0, s.1).eq(other.region_snaps(s.0, s.1)))
     }
 }
 
@@ -337,10 +335,10 @@ mod tests {
             .snap_before_access(&mut m, TaskId(1), 0, v.raw())
             .unwrap();
         committed.clear_task(TaskId(1));
-        // Drop the emptied list: it carries no state, so equality must not
-        // see whether it is kept.
+        // Drop the emptied list's buffer: it carries no state, so equality
+        // must not see whether it is kept.
         let mut absent = committed.clone();
-        absent.snaps.clear();
+        absent.snaps = Vec::new();
         assert_eq!(committed, absent);
         // A live entry still counts.
         absent
@@ -349,6 +347,38 @@ mod tests {
         assert_ne!(committed, absent);
         absent.clear_task(TaskId(1));
         assert_eq!(committed, absent);
+    }
+
+    #[test]
+    fn equality_ignores_interleaving_across_regions_not_order_within_one() {
+        let mut m = mcu();
+        let task = TaskId(0);
+        let u = NvVar::<i32>::alloc(&mut m.mem, Region::Fram).raw();
+        let v = NvVar::<i32>::alloc(&mut m.mem, Region::Fram).raw();
+        // Allocate every slot up front so all variants share them.
+        let mut base = Regional::new();
+        for region in 0..2 {
+            for var in [u, v] {
+                base.snap_before_access(&mut m, task, region, var).unwrap();
+            }
+        }
+        base.clear_task(task);
+        let mut snap_in = |order: &[(u16, RawVar)]| {
+            let mut r = base.clone();
+            for &(region, var) in order {
+                r.snap_before_access(&mut m, task, region, var).unwrap();
+            }
+            r
+        };
+        let a = snap_in(&[(0, u), (0, v), (1, u), (1, v)]);
+        let b = snap_in(&[(1, u), (0, u), (1, v), (0, v)]);
+        assert_eq!(a, b, "the same per-region lists, interleaved differently");
+        // Region 0 restores in a different order: a different state.
+        let c = snap_in(&[(0, v), (0, u), (1, u), (1, v)]);
+        assert_ne!(a, c);
+        let d = snap_in(&[(0, u), (0, v), (1, u)]);
+        assert_ne!(a, d);
+        assert_ne!(d, a);
     }
 
     #[test]

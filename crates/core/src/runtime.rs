@@ -26,7 +26,7 @@ use kernel::io::perform_io;
 use kernel::{
     DmaAnnotation, DmaOutcome, Fault, IoFailure, IoOp, IoOutcome, ReexecSemantics, Runtime, TaskId,
 };
-use mcu_emu::{Addr, Cost, Counter, EnergyCause, IntSet, Mcu, PowerFailure, RawVar, WorkKind};
+use mcu_emu::{Addr, Cost, Counter, EnergyCause, FlatSet, Mcu, PowerFailure, RawVar, WorkKind};
 use periph::Peripherals;
 
 /// EaseIO configuration.
@@ -73,7 +73,7 @@ pub struct EaseIoRuntime {
     /// restored, and downstream DMA completion flags are untrusted.
     diverged: bool,
     /// Variables the CPU wrote during the current attempt.
-    written_this_attempt: IntSet<RawVar>,
+    written_this_attempt: FlatSet<RawVar>,
     /// Destination ranges of DMA transfers performed this attempt.
     dma_written: Vec<(Addr, u32)>,
     /// Destination ranges holding data derived from diverged values
@@ -104,7 +104,7 @@ impl EaseIoRuntime {
             current_region: 0,
             persistent_timekeeper: cfg.persistent_timekeeper,
             diverged: false,
-            written_this_attempt: IntSet::default(),
+            written_this_attempt: FlatSet::new(),
             dma_written: Vec::new(),
             tainted_dma: Vec::new(),
         }
@@ -744,6 +744,22 @@ mod tests {
             .io_call(&mut mcu, &mut p, t, 0, &op, ReexecSemantics::Single, &[])
             .unwrap();
         assert!(r.executed);
+    }
+
+    #[test]
+    fn written_variables_compare_as_a_set() {
+        let (mut mcu, _) = continuous();
+        let u = NvVar::<i32>::alloc(&mut mcu.mem, Region::Fram).raw();
+        let v = NvVar::<i32>::alloc(&mut mcu.mem, Region::Fram).raw();
+        let mut a = EaseIoRuntime::default();
+        let mut b = a.clone();
+        a.written_this_attempt.insert(u);
+        a.written_this_attempt.insert(v);
+        b.written_this_attempt.insert(v);
+        b.written_this_attempt.insert(u);
+        assert_eq!(a, b, "write order must not matter");
+        b.written_this_attempt.retain(|&w| w != u);
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -103,8 +103,8 @@ pub fn reconcile_logs<'a>(
     }
     // The canonical merge order: window start, then device, then index.
     // Total and input-order-independent, so any shard layout sorts the
-    // same way.
-    events.sort_by_key(|e| (e.start, e.device, e.index));
+    // same way; the key is unique, so an unstable sort yields that order.
+    events.sort_unstable_by_key(|e| (e.start, e.device, e.index));
 
     // Overlap chains destroy every member (unslotted ALOHA). Windows are
     // half-open, so a transmission starting exactly when another ends is

@@ -87,7 +87,7 @@ impl DeviceResult {
     /// The device's `--stream-out` JSONL record (compact, canonical key
     /// order). Pure in the result, so the merged stream is byte-identical
     /// at any `--jobs` width. Written field by field into one buffer, with
-    /// numbers formatted as [`Value::to_compact`] formats them.
+    /// numbers formatted as [`easeio_trace::Value::to_compact`] formats them.
     pub fn record_line(&self) -> String {
         let outcome = match self.outcome {
             Outcome::Completed => "completed",

@@ -19,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Most heap allocations one more device may add to a streamed fleet.
-const PER_DEVICE_BUDGET: u64 = 40;
+const PER_DEVICE_BUDGET: u64 = 26;
 
 struct Counting;
 
@@ -131,4 +131,24 @@ fn counter_bumps_and_an_unrecorded_spend_allocate_nothing() {
     assert_eq!(r, Ok(()));
     assert_eq!(n, 0, "a one-slice spend allocated");
     assert_eq!(mcu.stats.boundaries, 100);
+}
+
+#[test]
+fn restoring_a_snapshot_or_checkpoint_keeps_the_ledger_buffers() {
+    let mut mcu = Mcu::new(Supply::continuous());
+    mcu.set_attr_task(3);
+    mcu.spend(WorkKind::App, Cost::new(10, 10)).unwrap();
+    let snap = mcu.snapshot();
+    mcu.set_attr_task(5);
+    mcu.spend(WorkKind::App, Cost::new(10, 10)).unwrap();
+    let cp = mcu.checkpoint(&snap);
+    // Both restores copy per-task rows no longer than the ones held.
+    let (n, ()) = allocations(|| {
+        for _ in 0..10 {
+            mcu.restore(&snap);
+            mcu.restore_checkpoint(&snap, &cp);
+        }
+    });
+    assert_eq!(n, 0, "a restore reallocated the ledger");
+    assert_eq!(mcu.stats, cp.stats);
 }

@@ -42,6 +42,7 @@ impl Clock {
     }
 
     /// Advances the clock by `us` microseconds of powered execution.
+    #[inline]
     pub fn advance_on(&mut self, us: u64) {
         self.now_us += us;
         self.on_us += us;

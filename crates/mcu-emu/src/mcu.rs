@@ -16,6 +16,9 @@ use crate::power::Supply;
 use crate::stats::{CauseSample, Counter, EnergyCause, RunStats, WorkKind, KERNEL_TASK};
 use easeio_trace::{Event, EventKind, InstantKind, SpanKind, Status, TraceSink, NO_SITE, NO_TASK};
 
+/// Longest piece of a spend the supply is stepped through at once (µs).
+const SLICE_US: u64 = 1_000;
+
 /// Volatile energy-attribution context: which cause the machine is
 /// currently spending under. This is *not* part of the persistent machine
 /// state — it is derived control flow, reset by the executor at every boot
@@ -207,6 +210,7 @@ impl Mcu {
     /// loads and stores. Consecutive pure spends with nothing in between
     /// share one effect epoch (see [`SpendBoundary`]). Debug builds assert
     /// that `op` wrote no FRAM and reached no [`Mcu::advance_epoch`].
+    #[inline]
     pub fn pure_op<R>(&mut self, op: impl FnOnce(&mut Mcu) -> R) -> R {
         debug_assert!(!self.pure, "pure ops do not nest");
         let writes = self.mem.fram_writes();
@@ -253,12 +257,14 @@ impl Mcu {
     /// of the stack until the matching [`Mcu::pop_cause`]. A scope leaked by
     /// an early `?` return is cleaned up by the executor's per-attempt
     /// [`Mcu::reset_attribution`].
+    #[inline]
     pub fn push_cause(&mut self, cause: EnergyCause) {
         self.attr.scope.push(cause);
     }
 
     /// Pops the innermost cause scope (no-op on an empty stack, so cleanup
     /// paths may pop unconditionally).
+    #[inline]
     pub fn pop_cause(&mut self) {
         self.attr.scope.pop();
     }
@@ -296,17 +302,20 @@ impl Mcu {
     /// sustainable run from a capacitor smaller than its total energy.
     ///
     /// Each slice is one energy-spend boundary. When no boundary recorder
-    /// is on and the supply provably interrupts none of the slices
-    /// ([`Supply::charge_uninterruptible`]: always on continuous power, on
-    /// the timer when the spend ends before the next reset, on an
-    /// injection whose boundary lies outside the spend), the spend is
-    /// charged in one step instead. Slices only add up, so the clock, the
-    /// boundary count, the supply state and every ledger end exactly where
-    /// the slice loop leaves them; the harvester always takes the loop.
+    /// is on, every spend is first offered to
+    /// [`Supply::charge_uninterruptible`] as `max(1, ⌈time / 1 ms⌉)` slices
+    /// (a zero-time spend still crosses one boundary); when the supply
+    /// provably interrupts none of them (always on continuous power, on the
+    /// timer when the spend ends before the next reset, on an injection
+    /// whose boundary lies outside the spend) it is charged in one step.
+    /// Slices only add up, so the clock, the boundary count, the supply
+    /// state and every ledger end exactly where the slice loop leaves them;
+    /// the recorder, interrupting slices and the harvester take the loop.
     ///
     /// On power failure: volatile memory is cleared, the failure is counted,
     /// the clock has been advanced across the recharge period, and
     /// `Err(PowerFailure)` is returned.
+    #[inline]
     pub fn spend(&mut self, kind: WorkKind, cost: Cost) -> Result<(), PowerFailure> {
         // Attribution is resolved once per spend: the base cause for app
         // work, the innermost scope (or the residual category) for overhead.
@@ -328,13 +337,46 @@ impl Mcu {
     /// ledger then holds the right cause at every slice boundary, which
     /// per-boundary records depend on: relabeling after the spend would
     /// leave the slices before an interrupting failure under the old cause.
+    #[inline]
     pub fn spend_as(
         &mut self,
         kind: WorkKind,
         cause: EnergyCause,
         cost: Cost,
     ) -> Result<(), PowerFailure> {
-        const SLICE_US: u64 = 1_000;
+        if self.recorder.is_none() {
+            // Nothing observes the individual slices, so when the supply
+            // cannot interrupt any of them the spend is charged at once.
+            let slices = cost.time_us.div_ceil(SLICE_US).max(1);
+            if self
+                .supply
+                .charge_uninterruptible(&mut self.clock, cost, slices)
+            {
+                self.stats.boundaries += slices;
+                self.stats.record_attributed(
+                    kind,
+                    cause,
+                    self.attr.task,
+                    cost.time_us,
+                    cost.energy_nj,
+                );
+                self.sample_causes();
+                return Ok(());
+            }
+        }
+        self.spend_sliced(kind, cause, cost)
+    }
+
+    /// The slice loop behind [`Mcu::spend_as`]: one supply step per slice,
+    /// a boundary record per slice while recording, and the power-failure
+    /// path. Kept out of line so the one-step branch inlines into callers.
+    #[inline(never)]
+    fn spend_sliced(
+        &mut self,
+        kind: WorkKind,
+        cause: EnergyCause,
+        cost: Cost,
+    ) -> Result<(), PowerFailure> {
         let task = self.attr.task;
         if let Some(rec) = self.recorder.as_mut() {
             rec.spend_seq += 1;
@@ -345,20 +387,6 @@ impl Mcu {
                 rec.epoch += 1;
             }
             rec.pure_tail = self.pure.then_some(writes);
-        } else if cost.time_us > SLICE_US {
-            // Nothing observes the individual slices, so when the supply
-            // cannot interrupt any of them the spend is charged at once.
-            let slices = cost.time_us.div_ceil(SLICE_US);
-            if self
-                .supply
-                .charge_uninterruptible(&mut self.clock, cost, slices)
-            {
-                self.stats.boundaries += slices;
-                self.stats
-                    .record_attributed(kind, cause, task, cost.time_us, cost.energy_nj);
-                self.sample_causes();
-                return Ok(());
-            }
         }
         let mut remaining = cost;
         loop {
@@ -437,6 +465,7 @@ impl Mcu {
 
     /// Appends one per-cause energy sample (traced runs only; sweeps and
     /// untraced runs pay nothing).
+    #[inline]
     fn sample_causes(&mut self) {
         if self.trace.is_enabled() {
             self.samples.push(CauseSample {
@@ -461,6 +490,7 @@ impl Mcu {
     }
 
     /// Cost of one memory access to `var`'s region, scaled to its width.
+    #[inline]
     fn access_cost(&self, var: RawVar, write: bool) -> Cost {
         let per_word = if var.addr.is_nonvolatile() {
             if write {
@@ -475,6 +505,7 @@ impl Mcu {
     }
 
     /// Loads a variable, charging the access cost.
+    #[inline]
     pub fn load_var(&mut self, kind: WorkKind, var: RawVar) -> Result<u64, PowerFailure> {
         let c = self.access_cost(var, false);
         self.spend(kind, c)?;
@@ -483,6 +514,7 @@ impl Mcu {
 
     /// Stores a variable, charging the access cost. The store is applied
     /// only after the cost was paid (atomic with respect to failures).
+    #[inline]
     pub fn store_var(&mut self, kind: WorkKind, var: RawVar, raw: u64) -> Result<(), PowerFailure> {
         let c = self.access_cost(var, true);
         self.spend(kind, c)?;
@@ -491,6 +523,7 @@ impl Mcu {
     }
 
     /// Copies one variable-sized slot to another, charging read + write.
+    #[inline]
     pub fn copy_var(
         &mut self,
         kind: WorkKind,
@@ -535,7 +568,7 @@ impl Mcu {
     pub fn restore(&mut self, snap: &McuSnapshot) {
         self.clock = snap.inner.clock.clone();
         self.mem.restore(&snap.inner.mem);
-        self.stats = snap.inner.stats.clone();
+        self.stats.clone_from(&snap.inner.stats);
         self.cost = snap.inner.cost.clone();
         // The attribution context and counter samples are volatile control
         // state, not machine state: reset them so per-boundary energy
@@ -565,7 +598,7 @@ impl Mcu {
     pub fn restore_checkpoint(&mut self, root: &McuSnapshot, cp: &McuCheckpoint) {
         self.clock = cp.clock.clone();
         self.mem.restore_delta(&root.inner.mem, &cp.mem);
-        self.stats = cp.stats.clone();
+        self.stats.clone_from(&cp.stats);
         self.cost = root.inner.cost.clone();
         self.attr.reset();
         self.samples.clear();

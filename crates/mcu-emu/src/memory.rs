@@ -177,6 +177,7 @@ impl Memory {
         }
     }
 
+    #[inline]
     fn idx(region: Region) -> usize {
         match region {
             Region::Fram => 0,
@@ -185,6 +186,7 @@ impl Memory {
         }
     }
 
+    #[inline]
     fn slab(&self, region: Region) -> &[u8] {
         match region {
             Region::Fram => &self.fram,
@@ -193,6 +195,7 @@ impl Memory {
         }
     }
 
+    #[inline]
     fn slab_mut(&mut self, region: Region) -> &mut [u8] {
         match region {
             Region::Fram => &mut self.fram,
@@ -211,6 +214,7 @@ impl Memory {
     /// Debug builds assert on the bad span; release builds conservatively
     /// mark every page dirty, which degrades that restore to a full copy but
     /// can never restore stale data.
+    #[inline]
     fn mark_dirty(&mut self, region: Region, offset: u32, len: u32) {
         if len == 0 {
             return;
@@ -310,12 +314,14 @@ impl Memory {
     }
 
     /// Reads `len` bytes starting at `addr`.
+    #[inline]
     pub fn read_bytes(&self, addr: Addr, len: u32) -> &[u8] {
         let s = self.slab(addr.region);
         &s[addr.offset as usize..(addr.offset + len) as usize]
     }
 
     /// Writes `data` starting at `addr`.
+    #[inline]
     pub fn write_bytes(&mut self, addr: Addr, data: &[u8]) {
         self.mark_dirty(addr.region, addr.offset, data.len() as u32);
         let off = addr.offset as usize;

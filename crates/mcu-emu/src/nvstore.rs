@@ -75,6 +75,7 @@ pub struct RawVar {
 
 impl RawVar {
     /// Loads the raw value from memory (no cost accounting; callers charge).
+    #[inline]
     pub fn load(&self, mem: &Memory) -> u64 {
         let bytes = mem.read_bytes(self.addr, self.width);
         let mut raw = 0u64;
@@ -85,9 +86,18 @@ impl RawVar {
     }
 
     /// Stores the raw value to memory (no cost accounting; callers charge).
+    /// Each slot width gets a fixed-length copy, so a store is a few moves
+    /// rather than a call to `memcpy`.
+    #[inline]
     pub fn store(&self, mem: &mut Memory, raw: u64) {
         let bytes = raw.to_le_bytes();
-        mem.write_bytes(self.addr, &bytes[..self.width as usize]);
+        match self.width {
+            1 => mem.write_bytes(self.addr, &bytes[..1]),
+            2 => mem.write_bytes(self.addr, &bytes[..2]),
+            4 => mem.write_bytes(self.addr, &bytes[..4]),
+            8 => mem.write_bytes(self.addr, &bytes),
+            w => mem.write_bytes(self.addr, &bytes[..w as usize]),
+        }
     }
 
     /// Number of 16-bit words the slot occupies (for cost accounting).

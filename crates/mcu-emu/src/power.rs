@@ -343,6 +343,7 @@ impl Supply {
     /// if its boundary lies in `[seen, seen + slices)` and has not fired
     /// yet. The harvester's capacitor state depends on the clock at every
     /// slice, so it always takes the loop.
+    #[inline]
     pub fn charge_uninterruptible(&mut self, clock: &mut Clock, cost: Cost, slices: u64) -> bool {
         match self {
             Supply::Continuous => {}

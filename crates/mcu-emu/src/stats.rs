@@ -196,6 +196,7 @@ impl EnergyCause {
     ];
 
     /// Index into the per-cause ledgers.
+    #[inline]
     pub fn index(self) -> usize {
         match self {
             EnergyCause::Progress => 0,
@@ -268,14 +269,31 @@ pub struct CauseSample {
 /// had energy recorded or reattributed, indexed by task id, with the
 /// [`KERNEL_TASK`] row kept apart. Iteration runs in ascending task id with
 /// the kernel row last, so reports list rows in one stable order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct TaskRows {
     rows: Vec<Option<[u64; CAUSE_COUNT]>>,
     kernel: Option<[u64; CAUSE_COUNT]>,
 }
 
+impl Clone for TaskRows {
+    fn clone(&self) -> Self {
+        Self {
+            rows: self.rows.clone(),
+            kernel: self.kernel,
+        }
+    }
+
+    /// Copies `source`'s rows into this table's buffer (the derived
+    /// `clone_from` would allocate a fresh one).
+    fn clone_from(&mut self, source: &Self) {
+        self.rows.clone_from(&source.rows);
+        self.kernel = source.kernel;
+    }
+}
+
 impl TaskRows {
     /// `task`'s row, created zeroed on first use.
+    #[inline]
     pub fn row_mut(&mut self, task: u16) -> &mut [u64; CAUSE_COUNT] {
         let slot = if task == KERNEL_TASK {
             &mut self.kernel
@@ -315,7 +333,7 @@ impl TaskRows {
 }
 
 /// Counters and ledgers collected over one simulated run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct RunStats {
     /// On-time spent on application work (µs), across all attempts.
     pub app_time_us: u64,
@@ -389,6 +407,28 @@ impl Default for RunStats {
     }
 }
 
+impl Clone for RunStats {
+    fn clone(&self) -> Self {
+        Self {
+            cause_energy_by_task: self.cause_energy_by_task.clone(),
+            redundant_energy_by_site: self.redundant_energy_by_site.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies `source` into this ledger, keeping its per-task rows' buffer:
+    /// restoring a snapshot or checkpoint then allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        let mut rows = std::mem::take(&mut self.cause_energy_by_task);
+        rows.clone_from(&source.cause_energy_by_task);
+        *self = Self {
+            cause_energy_by_task: rows,
+            redundant_energy_by_site: source.redundant_energy_by_site.clone(),
+            ..*source
+        };
+    }
+}
+
 impl RunStats {
     /// Creates an empty ledger.
     pub fn new() -> Self {
@@ -410,6 +450,7 @@ impl RunStats {
     /// Records spent work under an explicit cause and task. This is the
     /// only write path into the cause ledgers, which keeps the attribution
     /// invariant (cause totals == app + overhead totals) structural.
+    #[inline]
     pub fn record_attributed(
         &mut self,
         kind: WorkKind,
@@ -506,6 +547,7 @@ impl RunStats {
     }
 
     /// Increments a counter.
+    #[inline]
     pub fn bump(&mut self, counter: Counter) {
         self.counters[counter as usize] += 1;
     }

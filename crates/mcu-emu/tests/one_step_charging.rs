@@ -4,7 +4,9 @@
 //! the same spend sequence on a recorded and an unrecorded machine must end
 //! with the same clock, ledgers, per-task rows, supply state and failure
 //! positions — under continuous power, a timer resetting inside long
-//! spends, and an injected failure at every boundary.
+//! spends, and an injected failure at every boundary. Single-slice spends
+//! (zero-time ones included) take the same one-step path, so their edges
+//! are pinned too.
 
 use mcu_emu::{
     Cost, EnergyCause, Mcu, McuSnapshot, PowerFailure, Supply, TimerResetConfig, WorkKind,
@@ -134,4 +136,51 @@ proptest! {
             assert_same(&mut looped, &mut direct, &snap, &supply, &ops)?;
         }
     }
+}
+
+/// Runs `ops` recorded and unrecorded from a fresh machine under `supply`;
+/// asserts identical ends and returns the failing spends' indices.
+fn both_ways(supply: Supply, ops: &[Op]) -> Vec<usize> {
+    let mut looped = Mcu::new(Supply::continuous());
+    let snap = looped.snapshot();
+    let mut direct = Mcu::new(Supply::continuous());
+    let a = run(&mut looped, &snap, supply.clone(), true, ops);
+    let b = run(&mut direct, &snap, supply, false, ops);
+    assert_eq!(a, b);
+    a.1
+}
+
+fn app(time_us: u64, energy_nj: u64) -> Op {
+    Op {
+        kind: WorkKind::App,
+        cause: EnergyCause::Progress,
+        task: 0,
+        cost: Cost::new(time_us, energy_nj),
+    }
+}
+
+#[test]
+fn single_slice_spend_ending_exactly_at_a_timer_reset_fails() {
+    // A fixed 500 µs on-period: the second spend's end is the reset.
+    let cfg = TimerResetConfig {
+        on_min_us: 500,
+        on_max_us: 500,
+        off_min_us: 50,
+        off_max_us: 50,
+    };
+    let ops = [app(300, 30), app(200, 20), app(100, 10)];
+    assert_eq!(both_ways(Supply::timer(cfg.clone(), 11), &ops), vec![1]);
+    // One microsecond shorter ends inside the on-period, and a zero-time
+    // spend still fits in the microsecond left.
+    let ops = [app(300, 30), app(199, 20), app(0, 0)];
+    assert_eq!(both_ways(Supply::timer(cfg, 11), &ops), vec![]);
+}
+
+#[test]
+fn zero_time_spend_crosses_one_injectable_boundary() {
+    let ops = [app(100, 10), app(0, 0), app(100, 10)];
+    // Boundaries 0, 1, 2: one per spend, the zero-time spend included.
+    assert_eq!(both_ways(Supply::injected(1, 700), &ops), vec![1]);
+    assert_eq!(both_ways(Supply::injected(2, 700), &ops), vec![2]);
+    assert_eq!(both_ways(Supply::injected(3, 700), &ops), vec![]);
 }

@@ -8,6 +8,11 @@
 //! integer into the state with one rotate, xor and multiply (the FxHash
 //! step), and has no random seed, so iteration order is a pure function of
 //! the insertion history.
+//!
+//! Per-activation bookkeeping (which sites completed, which variables were
+//! written this attempt) holds only the in-flight task's entries and stays
+//! a few entries long, so it lives in a [`FlatSet`] instead: a scan over a
+//! short `Vec` costs less than hashing the key.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -67,6 +72,76 @@ pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 /// `HashSet` keyed through [`IntHasher`].
 pub type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
 
+/// A set kept as a deduplicated `Vec` in insertion order, for sets that
+/// stay a few entries long. Membership is a linear scan; equality is set
+/// equality, so two sets built in different orders compare equal.
+#[derive(Debug, Clone)]
+pub struct FlatSet<T> {
+    items: Vec<T>,
+}
+
+impl<T> Default for FlatSet<T> {
+    fn default() -> Self {
+        Self { items: Vec::new() }
+    }
+}
+
+impl<T: PartialEq> FlatSet<T> {
+    /// Creates an empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds `item`; returns `true` if it was not present.
+    pub fn insert(&mut self, item: T) -> bool {
+        if self.contains(&item) {
+            return false;
+        }
+        self.items.push(item);
+        true
+    }
+
+    /// Whether `item` is present.
+    pub fn contains(&self, item: &T) -> bool {
+        self.items.contains(item)
+    }
+
+    /// Keeps only the items `keep` accepts, in their order.
+    pub fn retain(&mut self, keep: impl FnMut(&T) -> bool) {
+        self.items.retain(keep);
+    }
+
+    /// Removes every item, keeping the buffer.
+    pub fn clear(&mut self) {
+        self.items.clear();
+    }
+
+    /// The items in insertion order.
+    pub fn iter(&self) -> std::slice::Iter<'_, T> {
+        self.items.iter()
+    }
+
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+}
+
+impl<T: PartialEq> PartialEq for FlatSet<T> {
+    fn eq(&self, other: &Self) -> bool {
+        // Both sides are deduplicated, so equal lengths plus inclusion one
+        // way is set equality.
+        self.len() == other.len() && self.iter().all(|item| other.contains(item))
+    }
+}
+
+impl<T: Eq> Eq for FlatSet<T> {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,5 +168,24 @@ mod tests {
         assert_eq!(m.get(&(5, 12)), Some(&36));
         let s: IntSet<u16> = (0..100).collect();
         assert!(s.contains(&42) && !s.contains(&100));
+    }
+
+    #[test]
+    fn flat_sets_deduplicate_and_compare_as_sets() {
+        let mut a = FlatSet::new();
+        assert!(a.insert((1u16, 2u16)));
+        assert!(a.insert((0, 5)));
+        assert!(!a.insert((1, 2)), "a repeat is not added");
+        assert_eq!(a.len(), 2);
+        let mut b = FlatSet::new();
+        b.insert((0u16, 5u16));
+        b.insert((1, 2));
+        assert_eq!(a, b, "insertion order must not matter");
+        b.insert((3, 3));
+        assert_ne!(a, b);
+        b.retain(|&(t, _)| t != 3);
+        assert_eq!(a, b);
+        a.clear();
+        assert!(a.is_empty() && !a.contains(&(1, 2)));
     }
 }

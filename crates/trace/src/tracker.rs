@@ -6,13 +6,16 @@
 //! analyzer's view), not anything the MCU stores, so it lives here with the
 //! rest of the observability machinery rather than in the kernel.
 
-use crate::hash::{IntMap, IntSet};
+use crate::hash::{FlatSet, IntMap};
 
 /// Tracks first completions of I/O and DMA sites per task activation.
 #[derive(Debug, Clone, Default)]
 pub struct ActivationTracker {
-    io_done: IntSet<(u16, u16)>,
-    dma_done: IntSet<(u16, u16)>,
+    /// I/O sites completed in the current activations. Commit clears a
+    /// task's entries, so only the in-flight task has any.
+    io_done: FlatSet<(u16, u16)>,
+    /// DMA sites completed in the current activations.
+    dma_done: FlatSet<(u16, u16)>,
     /// Last successfully executed value per I/O site: `(value, ts_us)`.
     /// Persistent across commits — it feeds the degraded fallback path,
     /// which by definition reaches back past the current activation.
@@ -104,5 +107,22 @@ mod tests {
         t.commit(0);
         assert_eq!(t.last_io_value(0, 0), Some((22, 900)));
         assert_eq!(t.last_io_value(0, 1), None);
+    }
+
+    #[test]
+    fn completions_compare_as_sets() {
+        let mut a = ActivationTracker::new();
+        a.first_io(0, 0);
+        a.first_io(0, 1);
+        a.first_dma(0, 2);
+        a.first_dma(0, 3);
+        let mut b = ActivationTracker::new();
+        b.first_dma(0, 3);
+        b.first_io(0, 1);
+        b.first_dma(0, 2);
+        b.first_io(0, 0);
+        assert!(a.same_untimed(&b), "completion order must not matter");
+        b.first_io(0, 4);
+        assert!(!a.same_untimed(&b));
     }
 }
