@@ -143,8 +143,6 @@ static FLAGS: &[Flag] = &[
     switch("--update-window", &[Sweep], "inject only inside the app's OTA update window"),
     switch("--all-apps", &[Sweep], "sweep every built-in app over one shared pool"),
     switch("--no-prune", &[Sweep], "run every chosen boundary from boot"),
-    val("--bench-out", "FILE", &[Sweep], "write wall-clock, prune counts and speedup vs serial"),
-    val("--utilization-out", "FILE", &[Sweep], "write per-worker busy time and injection counts"),
     switch("--allow-violations", &[Sweep], "exit 0 even if violations are found"),
     switch("--expect-violations", &[Sweep], "exit 1 unless a violation is found"),
     val("--kernels", "A,B,..", &[Grid, Metrics], "kernels to compare (default grid alpaca,ink,easeio; \

@@ -5,64 +5,19 @@
 
 use crate::flags::Args;
 use crate::{
-    app_repro_flag, emit_json, emit_report, exit, fault_repro_flags, faults_suffix, observer,
-    probe_build, verdict, ExitCode, ProgressGuard,
+    app_repro_flag, die, emit_report, fault_repro_flags, faults_suffix, observer, probe_build,
+    verdict, ExitCode, ProgressGuard,
 };
 use crashcheck::{boundary_forensics, SweepMode, SweepOutcome, SweepPlan};
 use easeio_exec::{
-    sweep_matrix, sweep_matrix_observed, AppSpec, SweepEntry, SweepOptions, SweepTiming, APP_NAMES,
+    sweep_matrix_observed, AppSpec, SweepEntry, SweepOptions, SweepTiming, APP_NAMES,
 };
 use easeio_trace::{
     build_forensics_report, build_sweep_report, ForensicsInputs, ForensicsViolationDoc,
-    FramDiffByte, FramDiffDoc, SweepInputs, SweepViolation, SweepWasteDoc, Value, CATEGORY_NAMES,
+    FramDiffByte, FramDiffDoc, SweepInputs, SweepViolation, SweepWasteDoc, CATEGORY_NAMES,
 };
 use kernel::App;
 use mcu_emu::Mcu;
-
-/// The engine's determinism contract, checked at run time against the
-/// unpruned serial sweep: identical boundary bookkeeping, identical
-/// violations in identical order, and identical energy accounting — pruning
-/// must not perturb a single nanojoule.
-fn outcomes_diverge(a: &SweepOutcome, b: &SweepOutcome) -> Option<String> {
-    if a.oracle_boundaries != b.oracle_boundaries || a.injections != b.injections {
-        return Some(format!(
-            "boundary bookkeeping diverged: {}/{} vs {}/{} (oracle/injections)",
-            a.oracle_boundaries, a.injections, b.oracle_boundaries, b.injections
-        ));
-    }
-    if a.violations.len() != b.violations.len() {
-        return Some(format!(
-            "violation count diverged: {} vs {}",
-            a.violations.len(),
-            b.violations.len()
-        ));
-    }
-    for (x, y) in a.violations.iter().zip(&b.violations) {
-        if x.boundary != y.boundary || x.kind != y.kind || x.detail != y.detail {
-            return Some(format!(
-                "violation diverged at boundary {} vs {}: {:?} vs {:?}",
-                x.boundary, y.boundary, x.kind, y.kind
-            ));
-        }
-    }
-    if a.boundary_waste_nj != b.boundary_waste_nj {
-        let at = a
-            .boundary_waste_nj
-            .iter()
-            .zip(&b.boundary_waste_nj)
-            .position(|(x, y)| x != y);
-        return Some(format!(
-            "per-boundary waste diverged (first mismatch at injection index {at:?})"
-        ));
-    }
-    if a.cause_energy_nj != b.cause_energy_nj {
-        return Some(format!(
-            "per-cause energy diverged: {:?} vs {:?}",
-            a.cause_energy_nj, b.cause_energy_nj
-        ));
-    }
-    None
-}
 
 fn sweep_report_inputs(out: &SweepOutcome, plan: &SweepPlan, timing: &SweepTiming) -> SweepInputs {
     SweepInputs {
@@ -102,16 +57,18 @@ pub fn main(a: &Args) -> ExitCode {
     let sample = a.num("--sample");
     let boundary = a.num("--boundary");
     let prune = !a.switch("--no-prune");
-    let bench_out = a.opt("--bench-out");
     if sample.is_some() && boundary.is_some() {
         a.fail("--boundary and --sample are mutually exclusive");
     }
-    if sample.is_some() && a.switch("--exhaustive") {
-        a.fail("--exhaustive and --sample are mutually exclusive");
+    if a.switch("--exhaustive") && (sample.is_some() || boundary.is_some()) {
+        a.fail("--exhaustive excludes --sample and --boundary");
+    }
+    if sample == Some(0) {
+        a.fail("--sample 0 injects nowhere; sample at least one boundary");
     }
     let apps: Vec<AppSpec> = if a.switch("--all-apps") {
         if sc.report_out.is_some() {
-            a.fail("--report-out is per-app; use --bench-out with --all-apps");
+            a.fail("--report-out is per-app; sweep one --app to write a report");
         }
         APP_NAMES
             .iter()
@@ -165,54 +122,33 @@ pub fn main(a: &Args) -> ExitCode {
     // and keep a warm machine per app, instead of paying a pool spawn/join
     // and a cold snapshot adoption per app.
     let guard = ProgressGuard::start(a);
-    let started = std::time::Instant::now();
     let options = SweepOptions {
         jobs: sc.jobs,
         prune,
     };
     let results = sweep_matrix_observed(&entries, &options, observer(&guard));
-    let matrix_wall_us = (started.elapsed().as_micros() as u64).max(1);
     drop(guard);
 
-    // With --bench-out, any sweep that could differ from the unpruned serial
-    // loop (wider than one worker, or pruned) also runs that loop: it is the
-    // identity gate — the engine must merge to the exact same outcome,
-    // nanojoule for nanojoule — and the honest speedup baseline.
-    let serial_results = (bench_out.is_some() && (sc.jobs > 1 || prune)).then(|| {
-        let started = std::time::Instant::now();
-        let serial = sweep_matrix(
-            &entries,
-            &SweepOptions {
-                jobs: 1,
-                prune: false,
-            },
-        );
-        (serial, (started.elapsed().as_micros() as u64).max(1))
-    });
+    // A `--boundary` no injection reaches would pass as a clean verdict.
+    if let SweepMode::Boundary(b) = mode {
+        for (app, (out, _)) in apps.iter().zip(&results) {
+            if out.injections > 0 {
+                continue;
+            }
+            let (label, n) = (app.label(), out.oracle_boundaries);
+            die(&if b >= n {
+                format!(
+                    "--boundary {b} is out of range: {label} under {} has {n} boundaries",
+                    out.runtime
+                )
+            } else {
+                format!("--boundary {b} lies outside {label}'s update window")
+            });
+        }
+    }
 
     let mut total_violations = 0u64;
-    let mut total_injections = 0u64;
-    let mut total_executed = 0u64;
-    let mut total_pruned = 0u64;
-    let mut per_app = Vec::new();
-    let mut per_app_util = Vec::new();
-    let jobs_ran = results.first().map(|(_, t)| t.jobs).unwrap_or(1);
-    let mut busy_us_per_worker = vec![0u64; jobs_ran];
-    let mut injections_per_worker = vec![0u64; jobs_ran];
-    for (i, (out, timing)) in results.iter().enumerate() {
-        let plan = &plans[i];
-        let serial_wall_us = serial_results.as_ref().map(|(serial, _)| {
-            if let Some(why) = outcomes_diverge(&serial[i].0, out) {
-                eprintln!(
-                    "error: unpruned serial and --jobs {}{} sweeps of {} diverged: {why}",
-                    sc.jobs,
-                    if prune { " pruned" } else { "" },
-                    apps[i].label()
-                );
-                exit(ExitCode::VerdictFailure);
-            }
-            serial[i].1.wall_us
-        });
+    for ((out, timing), plan) in results.iter().zip(&plans) {
         println!(
             "sweep: {} under {} — {} boundaries, {} injections ({}), seed {}, outage {} µs{}{}, \
              {} job(s), {:.2} ms wall ({} inj/s), {} run / {} pruned, \
@@ -267,50 +203,6 @@ pub fn main(a: &Args) -> ExitCode {
             emit_report(path, &doc, "sweep report");
         }
         total_violations += out.violations.len() as u64;
-        total_injections += out.injections;
-        total_executed += timing.prune.injections_executed;
-        total_pruned += timing.prune.injections_pruned;
-        for w in 0..timing.jobs.min(jobs_ran) {
-            busy_us_per_worker[w] += timing.busy_us_per_worker[w];
-            injections_per_worker[w] += timing.injections_per_worker[w];
-        }
-        let mut entry = vec![
-            ("app".into(), Value::str(out.app)),
-            ("runtime".into(), Value::str(out.runtime)),
-            ("injections".into(), Value::u64(out.injections)),
-            (
-                "injections_executed".into(),
-                Value::u64(timing.prune.injections_executed),
-            ),
-            (
-                "injections_pruned".into(),
-                Value::u64(timing.prune.injections_pruned),
-            ),
-            ("violations".into(), Value::u64(out.violations.len() as u64)),
-            ("wall_us".into(), Value::u64(timing.wall_us)),
-        ];
-        if let Some(rate) = timing.injections_per_sec_milli {
-            entry.push(("injections_per_sec_milli".into(), Value::u64(rate)));
-        }
-        // Per-app wall sums worker busy spans, which preemption inflates
-        // when workers outnumber cores — so the honest speedup (elapsed vs
-        // elapsed) is reported only at the matrix level, never per app.
-        if let Some(serial) = serial_wall_us {
-            entry.push(("serial_wall_us".into(), Value::u64(serial)));
-        }
-        per_app.push(Value::Obj(entry));
-        per_app_util.push(Value::Obj(vec![
-            ("app".into(), Value::str(out.app)),
-            ("runtime".into(), Value::str(out.runtime)),
-            (
-                "injections_per_worker".into(),
-                Value::u64_arr(&timing.injections_per_worker),
-            ),
-            (
-                "busy_us_per_worker".into(),
-                Value::u64_arr(&timing.busy_us_per_worker),
-            ),
-        ]));
     }
 
     if let Some(path) = a.opt("--forensics-out") {
@@ -380,70 +272,6 @@ pub fn main(a: &Args) -> ExitCode {
             }
             None => println!("forensics: no violations — nothing written to {path}"),
         }
-    }
-
-    if let Some(path) = bench_out {
-        let mut fields = vec![
-            ("tool".into(), Value::str("easeio-sim sweep")),
-            ("jobs".into(), Value::u64(sc.jobs as u64)),
-            ("mode".into(), Value::str(mode.name())),
-            ("seed".into(), Value::u64(sc.seed)),
-            ("prune".into(), Value::Bool(prune)),
-            ("injections".into(), Value::u64(total_injections)),
-            ("injections_executed".into(), Value::u64(total_executed)),
-            ("injections_pruned".into(), Value::u64(total_pruned)),
-            ("violations".into(), Value::u64(total_violations)),
-            ("wall_us".into(), Value::u64(matrix_wall_us)),
-            (
-                "injections_per_sec_milli".into(),
-                Value::u64(
-                    (total_injections * 1_000_000_000)
-                        .checked_div(matrix_wall_us)
-                        .unwrap_or(0),
-                ),
-            ),
-        ];
-        if let Some((_, serial_wall_us)) = &serial_results {
-            fields.push(("serial_wall_us".into(), Value::u64(*serial_wall_us)));
-            fields.push((
-                "speedup_milli".into(),
-                Value::u64(
-                    (serial_wall_us * 1000)
-                        .checked_div(matrix_wall_us)
-                        .unwrap_or(0),
-                ),
-            ));
-            println!(
-                "sweep bench: --jobs {}{} is {:.2}x serial-unpruned ({:.1} ms vs {:.1} ms)",
-                sc.jobs,
-                if prune { " with pruning" } else { "" },
-                *serial_wall_us as f64 / matrix_wall_us as f64,
-                matrix_wall_us as f64 / 1000.0,
-                *serial_wall_us as f64 / 1000.0
-            );
-        }
-        fields.push(("apps".into(), Value::Arr(per_app)));
-        emit_json(path, &Value::Obj(fields), "sweep bench");
-    }
-
-    if let Some(path) = a.opt("--utilization-out") {
-        // Per-worker utilization of the shared pool, totalled and per app —
-        // the CI artifact that shows where --jobs N actually went.
-        let doc = Value::Obj(vec![
-            ("tool".into(), Value::str("easeio-sim sweep")),
-            ("jobs".into(), Value::u64(jobs_ran as u64)),
-            ("wall_us".into(), Value::u64(matrix_wall_us)),
-            (
-                "injections_per_worker".into(),
-                Value::u64_arr(&injections_per_worker),
-            ),
-            (
-                "busy_us_per_worker".into(),
-                Value::u64_arr(&busy_us_per_worker),
-            ),
-            ("apps".into(), Value::Arr(per_app_util)),
-        ]);
-        emit_json(path, &doc, "sweep utilization");
     }
 
     verdict(

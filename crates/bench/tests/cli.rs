@@ -83,10 +83,49 @@ fn usage_errors_exit_two_before_running() {
         &["fleet", "--rollout", "--app", "temp"],
         &["fleet", "--rollout", "--source", "never.eio"],
         &["sweep", "--app", "dma", "--sample", "5", "--exhaustive"],
+        &["sweep", "--app", "dma", "--boundary", "3", "--exhaustive"],
+        &["sweep", "--app", "dma", "--sample", "0"],
+        &[
+            "sweep",
+            "--app",
+            "ota-update",
+            "--update-window",
+            "--boundary",
+            "0",
+        ],
     ] {
         let out = sim(args);
         assert_eq!(code(&out), 2, "{args:?}");
         assert!(stdout(&out).is_empty(), "{args:?} ran: {}", stdout(&out));
+    }
+}
+
+/// A `--boundary` past the app's last boundary injects nowhere; it must
+/// not pass as a clean verdict.
+#[test]
+fn boundary_past_the_end_exits_two() {
+    let out = sim(&[
+        "sweep",
+        "--app",
+        "dma",
+        "--kernel",
+        "naive",
+        "--boundary",
+        "139",
+    ]);
+    assert_eq!(code(&out), 2);
+    assert!(stdout(&out).is_empty(), "ran: {}", stdout(&out));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("has 74 boundaries"), "{err}");
+}
+
+#[test]
+fn retired_sweep_outputs_are_unknown_flags() {
+    for flag in ["--bench-out", "--utilization-out"] {
+        let out = sim(&["sweep", "--app", "dma", flag, "never.json"]);
+        assert_eq!(code(&out), 2, "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
     }
 }
 

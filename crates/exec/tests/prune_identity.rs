@@ -13,31 +13,14 @@
 
 use apps::harness::KernelKind;
 use apps::{dma_app, fir_long, lea_app};
-use crashcheck::{sweep, SweepOutcome, SweepPlan};
+use crashcheck::{sweep, SweepPlan};
 use easeio_exec::{run_sweep, SweepOptions};
 use kernel::{App, FaultSpec};
 use mcu_emu::Mcu;
 use proptest::prelude::*;
 
-fn assert_identical(serial: &SweepOutcome, engine: &SweepOutcome) {
-    assert_eq!(serial.runtime, engine.runtime);
-    assert_eq!(serial.app, engine.app);
-    assert_eq!(serial.env_seed, engine.env_seed);
-    assert_eq!(serial.oracle_boundaries, engine.oracle_boundaries);
-    assert_eq!(serial.injections, engine.injections);
-    assert_eq!(
-        serial.violations.len(),
-        engine.violations.len(),
-        "violation count"
-    );
-    for (a, b) in serial.violations.iter().zip(&engine.violations) {
-        assert_eq!(a.boundary, b.boundary);
-        assert_eq!(a.kind, b.kind);
-        assert_eq!(a.detail, b.detail);
-    }
-    assert_eq!(serial.boundary_waste_nj, engine.boundary_waste_nj);
-    assert_eq!(serial.cause_energy_nj, engine.cause_energy_nj);
-}
+mod common;
+use common::assert_identical;
 
 proptest! {
     // Each case runs one serial sweep plus one engine sweep end to end, so
