@@ -151,7 +151,7 @@ pub fn main(a: &Args) -> ExitCode {
     for ((out, timing), plan) in results.iter().zip(&plans) {
         println!(
             "sweep: {} under {} — {} boundaries, {} injections ({}), seed {}, outage {} µs{}{}, \
-             {} job(s), {:.2} ms wall ({} inj/s), {} run / {} pruned, \
+             {} job(s), {:.2} ms busy ({} inj/s), {} run / {} pruned, \
              {} spend boundaries per run, {} rejoined",
             out.app,
             out.runtime,

@@ -286,6 +286,13 @@ fn one_small_run_per_mode() {
         "sweep result: ",
     );
     assert_eq!(line, "sweep result: 0 violation(s) in 5 injection(s)");
+    // A sweep's per-app time is its workers' summed busy time, which
+    // time-slicing inflates past the wall time: it is labelled as such.
+    let line = headline(&["sweep", "--app", "dma", "--sample", "5"], "sweep: ");
+    assert!(
+        line.contains(" ms busy (") && !line.contains("wall"),
+        "{line}"
+    );
     let line = headline(
         &[
             "grid",

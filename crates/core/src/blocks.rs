@@ -15,7 +15,8 @@
 
 use kernel::{ReexecSemantics, TaskId};
 use mcu_emu::{
-    AllocTag, Counter, EnergyCause, IntMap, Mcu, PowerFailure, RawVar, Region, WorkKind,
+    clone_map_from, AllocTag, Counter, EnergyCause, IntMap, Mcu, PowerFailure, RawVar, Region,
+    WorkKind,
 };
 
 /// State a block contributes to the precedence decision.
@@ -54,7 +55,7 @@ pub struct OpenBlock {
 }
 
 /// Table of block control slots plus the live nesting stack.
-#[derive(Debug, Default, Clone, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct BlockTable {
     slots: IntMap<(TaskId, u16), BlockSlot>,
     stack: Vec<OpenBlock>,
@@ -62,6 +63,31 @@ pub struct BlockTable {
     /// Without a persistent timekeeper, `Timely` freshness cannot be
     /// verified across reboots and must be treated as expired.
     no_persistent_timer: bool,
+}
+
+impl Clone for BlockTable {
+    fn clone(&self) -> Self {
+        Self {
+            slots: self.slots.clone(),
+            stack: self.stack.clone(),
+            dirty: self.dirty.clone(),
+            no_persistent_timer: self.no_persistent_timer,
+        }
+    }
+
+    /// Copies `source` into this table's buffers.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            slots,
+            stack,
+            dirty,
+            no_persistent_timer,
+        } = self;
+        clone_map_from(slots, &source.slots);
+        stack.clone_from(&source.stack);
+        dirty.clone_from(&source.dirty);
+        *no_persistent_timer = source.no_persistent_timer;
+    }
 }
 
 impl BlockTable {

@@ -8,12 +8,25 @@
 //! the equivalent: the set of call sites that physically executed during the
 //! current attempt.
 
-use mcu_emu::IntSet;
+use mcu_emu::{clone_set_from, IntSet};
 
 /// Execution record of the current attempt.
-#[derive(Debug, Default, Clone, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct DepTracker {
     executed: IntSet<u16>,
+}
+
+impl Clone for DepTracker {
+    fn clone(&self) -> Self {
+        Self {
+            executed: self.executed.clone(),
+        }
+    }
+
+    /// Copies `source` into this tracker's set.
+    fn clone_from(&mut self, source: &Self) {
+        clone_set_from(&mut self.executed, &source.executed);
+    }
 }
 
 impl DepTracker {

@@ -17,7 +17,9 @@
 //! error, mirroring the buffer-limit discussion in the paper's §6.
 
 use kernel::{DmaAnnotation, DmaError, Fault, TaskId};
-use mcu_emu::{Addr, AllocTag, Counter, EnergyCause, IntMap, Mcu, RawVar, Region, WorkKind};
+use mcu_emu::{
+    clone_map_from, Addr, AllocTag, Counter, EnergyCause, IntMap, Mcu, RawVar, Region, WorkKind,
+};
 use periph::dma::{classify, DmaClass};
 
 /// Re-execution policy resolved for one transfer.
@@ -74,7 +76,7 @@ pub enum BufferMode {
 }
 
 /// Table of DMA control slots plus the privatization-buffer pool.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct DmaTable {
     slots: IntMap<(TaskId, u16), DmaSlot>,
     pool_limit: u32,
@@ -83,6 +85,35 @@ pub struct DmaTable {
     /// Shared slots (BufferMode::Shared): site index → buffer.
     shared: IntMap<u16, Addr>,
     dirty: Vec<(TaskId, u16)>,
+}
+
+impl Clone for DmaTable {
+    fn clone(&self) -> Self {
+        Self {
+            slots: self.slots.clone(),
+            shared: self.shared.clone(),
+            dirty: self.dirty.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies `source` into this table's buffers.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            slots,
+            pool_limit,
+            pool_used,
+            mode,
+            shared,
+            dirty,
+        } = self;
+        clone_map_from(slots, &source.slots);
+        *pool_limit = source.pool_limit;
+        *pool_used = source.pool_used;
+        *mode = source.mode;
+        clone_map_from(shared, &source.shared);
+        dirty.clone_from(&source.dirty);
+    }
 }
 
 impl DmaTable {

@@ -12,8 +12,8 @@
 
 use kernel::TaskId;
 use mcu_emu::{
-    AllocTag, Cost, Counter, EnergyCause, FlatSet, IntMap, Mcu, PowerFailure, RawVar, Region,
-    WorkKind,
+    clone_map_from, AllocTag, Cost, Counter, EnergyCause, FlatSet, IntMap, Mcu, PowerFailure,
+    RawVar, Region, WorkKind,
 };
 
 /// The FRAM control block of one `_call_IO` site.
@@ -31,7 +31,7 @@ pub struct IoSlot {
 }
 
 /// Table of control blocks, lazily allocated like the compiler's statics.
-#[derive(Debug, Default, Clone, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct IoSlotTable {
     slots: IntMap<(TaskId, u16), IoSlot>,
     /// Sites whose lock was set during the current activation of each task.
@@ -39,6 +39,28 @@ pub struct IoSlotTable {
     /// Sites whose private output holds a value from the current activation
     /// (host mirror of an out-valid bit; used for divergence detection).
     recorded: FlatSet<(TaskId, u16)>,
+}
+
+impl Clone for IoSlotTable {
+    fn clone(&self) -> Self {
+        Self {
+            slots: self.slots.clone(),
+            dirty: self.dirty.clone(),
+            recorded: self.recorded.clone(),
+        }
+    }
+
+    /// Copies `source` into this table's buffers.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            slots,
+            dirty,
+            recorded,
+        } = self;
+        clone_map_from(slots, &source.slots);
+        dirty.clone_from(&source.dirty);
+        recorded.clone_from(&source.recorded);
+    }
 }
 
 impl IoSlotTable {

@@ -19,7 +19,8 @@
 
 use kernel::TaskId;
 use mcu_emu::{
-    AllocTag, Counter, EnergyCause, IntMap, Mcu, PowerFailure, RawVar, Region, WorkKind,
+    clone_map_from, AllocTag, Counter, EnergyCause, IntMap, Mcu, PowerFailure, RawVar, Region,
+    WorkKind,
 };
 
 /// Regional privatization state.
@@ -27,7 +28,7 @@ use mcu_emu::{
 /// Equality is logical: two states are equal when they hold the same slots
 /// and, for every (task, region), the same snapshot list in the same order,
 /// however the lists of different regions interleave.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct Regional {
     /// Persistent snapshot slots, reused across activations.
     slots: IntMap<(TaskId, u16, RawVar), RawVar>,
@@ -41,6 +42,22 @@ pub struct Regional {
 
 /// One live snapshot: (task, region, master, slot).
 type Snap = (TaskId, u16, RawVar, RawVar);
+
+impl Clone for Regional {
+    fn clone(&self) -> Self {
+        Self {
+            slots: self.slots.clone(),
+            snaps: self.snaps.clone(),
+        }
+    }
+
+    /// Copies `source` into this state's buffers.
+    fn clone_from(&mut self, source: &Self) {
+        let Self { slots, snaps } = self;
+        clone_map_from(slots, &source.slots);
+        snaps.clone_from(&source.snaps);
+    }
+}
 
 impl Regional {
     /// Creates empty state.

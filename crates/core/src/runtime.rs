@@ -58,7 +58,7 @@ impl Default for EaseIoConfig {
 }
 
 /// The EaseIO runtime.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct EaseIoRuntime {
     io: IoSlotTable,
     blocks: BlockTable,
@@ -79,6 +79,51 @@ pub struct EaseIoRuntime {
     /// Destination ranges holding data derived from diverged values
     /// (written by taint-forced or dependence-forced transfers).
     tainted_dma: Vec<(Addr, u32)>,
+}
+
+impl Clone for EaseIoRuntime {
+    fn clone(&self) -> Self {
+        Self {
+            io: self.io.clone(),
+            blocks: self.blocks.clone(),
+            dma: self.dma.clone(),
+            regional: self.regional.clone(),
+            deps: self.deps.clone(),
+            written_this_attempt: self.written_this_attempt.clone(),
+            dma_written: self.dma_written.clone(),
+            tainted_dma: self.tainted_dma.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies `source` into this runtime's tables, keeping their buffers:
+    /// what [`kernel::RuntimeState::reset_from`] runs.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            io,
+            blocks,
+            dma,
+            regional,
+            deps,
+            current_region,
+            persistent_timekeeper,
+            diverged,
+            written_this_attempt,
+            dma_written,
+            tainted_dma,
+        } = self;
+        io.clone_from(&source.io);
+        blocks.clone_from(&source.blocks);
+        dma.clone_from(&source.dma);
+        regional.clone_from(&source.regional);
+        deps.clone_from(&source.deps);
+        *current_region = source.current_region;
+        *persistent_timekeeper = source.persistent_timekeeper;
+        *diverged = source.diverged;
+        written_this_attempt.clone_from(&source.written_this_attempt);
+        dma_written.clone_from(&source.dma_written);
+        tainted_dma.clone_from(&source.tainted_dma);
+    }
 }
 
 impl Default for EaseIoRuntime {

@@ -37,7 +37,8 @@
 use apps::harness::{KernelKind, MakeRuntime};
 use kernel::update::{PROBE_VERSION_TORN, UPDATE_WINDOW_ENTER, UPDATE_WINDOW_EXIT};
 use kernel::{
-    run_app, App, ExecConfig, ExecState, Executor, FaultSpec, Outcome, RunResult, Runtime, Verdict,
+    reset_runtime, run_app, App, ExecConfig, ExecState, Executor, FaultSpec, Outcome, RunResult,
+    Runtime, Verdict,
 };
 use mcu_emu::{
     AllocTag, Counter, Mcu, McuCheckpoint, McuSnapshot, Region, RunStats, SpendBoundary, Supply,
@@ -467,8 +468,42 @@ struct Checkpoint {
     boundaries: u64,
     mcu: McuCheckpoint,
     exec: ExecState,
-    rt: Box<dyn Runtime + Send + Sync>,
+    rt: Box<dyn Runtime>,
     periph: Peripherals,
+}
+
+/// The run state a sweep worker holds across resumed injections. Each
+/// [`Reference::run_injected`] resets it from the checkpoint it resumes at
+/// instead of cloning the checkpoint's, so the runtime's tables, the radio
+/// log, the fault counters, the activation tracker and the rejoin ledger
+/// keep their buffers from one injection to the next — across entries,
+/// apps and kernels too (DESIGN.md §21).
+#[derive(Default)]
+pub struct HeldRun(Option<Held>);
+
+/// The parts of a [`HeldRun`], built on a worker's first injection.
+struct Held {
+    rt: Box<dyn Runtime>,
+    periph: Peripherals,
+    exec: ExecState,
+    /// The ledger where the run rejoined the reference.
+    rejoin_stats: RunStats,
+}
+
+impl HeldRun {
+    /// The held parts, each reset in place to `cp`'s.
+    fn reset_from(&mut self, cp: &Checkpoint) -> &mut Held {
+        let held = self.0.get_or_insert_with(|| Held {
+            rt: cp.rt.clone_state(),
+            periph: cp.periph.clone(),
+            exec: cp.exec.clone(),
+            rejoin_stats: RunStats::new(),
+        });
+        reset_runtime(&mut held.rt, &*cp.rt);
+        held.periph.clone_from(&cp.periph);
+        held.exec.clone_from(&cp.exec);
+        held
+    }
 }
 
 impl Checkpoint {
@@ -517,7 +552,8 @@ pub fn reference_run(
     let (mut rt, mut periph, cfg) =
         fresh_run(kind, mcu, snap, Supply::continuous(), env_seed, fault);
     let base = mcu.stats.boundaries;
-    let mut exec = Executor::new(app, rt.as_mut(), mcu, &mut periph, &cfg);
+    let mut state = ExecState::boot(app, mcu);
+    let mut exec = Executor::new(app, rt.as_mut(), &mut periph, &cfg, &mut state);
     let mut checkpoints = vec![Checkpoint::capture(&exec, mcu, snap, base)];
     exec.run(mcu, |exec, mcu| {
         checkpoints.push(Checkpoint::capture(exec, mcu, snap, base));
@@ -548,10 +584,15 @@ impl Reference {
     /// reference's final record shifted by the ledger difference. Debug
     /// builds run every rejoined injection to its end anyway and assert
     /// the shifted record equals the real one.
+    ///
+    /// The runtime, peripherals and executor state are `held`'s, reset to
+    /// the checkpoint's: the record is the same whatever `held` served
+    /// before.
     pub fn run_injected(
         &self,
         app: &App,
         mcu: &mut Mcu,
+        held: &mut HeldRun,
         boundary: u64,
         off_us: u64,
     ) -> (RunRecord, InjectionWork) {
@@ -562,35 +603,46 @@ impl Reference {
             - 1];
         mcu.restore_checkpoint(&self.snap, &cp.mcu);
         mcu.supply = Supply::injected_after(boundary, off_us, cp.boundaries);
-        let mut rt = cp.rt.clone_state();
-        let mut periph = cp.periph.clone();
-        let mut exec = Executor::resume(app, rt.as_mut(), &mut periph, &self.cfg, cp.exec.clone());
+        let Held {
+            rt,
+            periph,
+            exec: state,
+            rejoin_stats,
+        } = held.reset_from(cp);
+        let mut exec = Executor::new(app, rt.as_mut(), periph, &self.cfg, state);
         let seek = !self.trace.time_observed;
         let check = cfg!(debug_assertions);
         let mut rejoin = None;
         exec.run(mcu, |exec, mcu| {
             if seek && rejoin.is_none() && mcu.supply.injection_fired() {
-                rejoin = self.rejoin_at(exec, mcu).map(|j| (j, mcu.stats.clone()));
-                if rejoin.is_some() && !check {
-                    return ControlFlow::Break(());
+                rejoin = self.rejoin_at(exec, mcu);
+                if rejoin.is_some() {
+                    rejoin_stats.clone_from(&mcu.stats);
+                    if !check {
+                        return ControlFlow::Break(());
+                    }
                 }
             }
             ControlFlow::Continue(())
         });
-        let end = rejoin.as_ref().map_or(&mcu.stats, |(_, at)| at);
+        let end = if rejoin.is_some() {
+            &*rejoin_stats
+        } else {
+            &mcu.stats
+        };
         let work = InjectionWork {
             boundaries: end.boundaries - cp.mcu.stats.boundaries,
             rejoined: rejoin.is_some(),
         };
-        let Some((j, at)) = rejoin else {
+        let Some(j) = rejoin else {
             return (self.record_at_end(exec.finish(mcu), mcu), work);
         };
         let mut shifted = shift_record(
             &self.record,
             &Ledger::of_stats(&self.checkpoints[j].mcu.stats),
-            &Ledger::of_stats(&at),
+            &Ledger::of_stats(rejoin_stats),
         );
-        shifted.attribution_balanced &= at.attribution_balanced();
+        shifted.attribution_balanced &= rejoin_stats.attribution_balanced();
         if check {
             let real = self.record_at_end(exec.finish(mcu), mcu);
             assert_eq!(
@@ -1127,7 +1179,8 @@ pub fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apps::{dma_app, flaky_radio, motion, temp_app, unsafe_branch};
+    use apps::{dma_app, fir, flaky_radio, motion, temp_app, unsafe_branch};
+    use proptest::prelude::*;
 
     fn small_dma(m: &mut Mcu) -> App {
         dma_app::build(
@@ -1750,8 +1803,9 @@ mod tests {
         }
         assert!(!chosen.is_empty());
         let mut rejoined = 0;
+        let mut held = HeldRun::default();
         for b in chosen {
-            let (resumed, work) = reference.run_injected(&app, &mut mcu, b, plan.off_us);
+            let (resumed, work) = reference.run_injected(&app, &mut mcu, &mut held, b, plan.off_us);
             let real = run_from(
                 &app,
                 kind,
@@ -1954,6 +2008,7 @@ mod tests {
         assert_eq!(judged(&short, &oracle.fram), divergence(4));
 
         let (mut shares, mut copies) = (0, 0);
+        let mut held = HeldRun::default();
         for kind in [KernelKind::Naive, KernelKind::EaseIo] {
             mcu.restore(&oracle.snapshot);
             let reference = reference_run(
@@ -1965,7 +2020,7 @@ mod tests {
                 &FaultSpec::none(),
             );
             for b in 0..reference.trace.slices.len() as u64 {
-                let (r, work) = reference.run_injected(&app, &mut mcu, b, 100_000);
+                let (r, work) = reference.run_injected(&app, &mut mcu, &mut held, b, 100_000);
                 if work.rejoined {
                     continue;
                 }
@@ -1984,6 +2039,75 @@ mod tests {
             }
         }
         assert!(shares > 0 && copies > 0, "{shares} shared, {copies} copied");
+    }
+
+    /// The apps the reset property runs, each under every kernel.
+    const RESET_APPS: [fn(&mut Mcu) -> App; 5] = [
+        small_dma,
+        |m| temp_app::build(m, &temp_app::TempAppCfg::default()),
+        |m| fir::build(m, &fir::FirCfg::default()),
+        |m| flaky_radio::build(m, &flaky_radio::FlakyRadioCfg::default()).0,
+        |m| unsafe_branch::build(m, &unsafe_branch::BranchCfg::default()).0,
+    ];
+
+    thread_local! {
+        /// One reference per `RESET_APPS` entry and kernel, under a fault
+        /// plan so the peripherals' fault counters fill up too.
+        static RESET_REFERENCES: Vec<Vec<Reference>> = RESET_APPS
+            .iter()
+            .map(|build| {
+                KernelKind::ALL
+                    .iter()
+                    .map(|&kind| {
+                        let oracle = prepare_oracle(build, kind, 5);
+                        let mut mcu = Mcu::new(Supply::continuous());
+                        let app = build(&mut mcu);
+                        let fault = FaultSpec::with_rate(3, 80);
+                        reference_run(&app, kind, &mut mcu, &oracle.snapshot, 5, &fault)
+                    })
+                    .collect()
+            })
+            .collect();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A held run left dirty by an injection of some app under some
+        /// kernel, reset to a checkpoint of another (or the same) app and
+        /// kernel, equals a fresh copy of that checkpoint: runtime,
+        /// peripherals and executor state, and `Checkpoint::matches` over
+        /// the machine restored to it.
+        #[test]
+        fn a_reset_held_run_equals_a_fresh_copy_of_its_checkpoint(
+            dirty in (0..RESET_APPS.len(), 0..KernelKind::ALL.len(), any::<u64>()),
+            target in (0..RESET_APPS.len(), 0..KernelKind::ALL.len(), any::<u64>()),
+        ) {
+            RESET_REFERENCES.with(|refs| {
+                let mut held = HeldRun::default();
+                let (a, k, pick) = dirty;
+                let reference = &refs[a][k];
+                let mut mcu = Mcu::new(Supply::continuous());
+                let app = RESET_APPS[a](&mut mcu);
+                let b = pick % reference.trace.slices.len() as u64;
+                reference.run_injected(&app, &mut mcu, &mut held, b, 100_000);
+
+                let (a, k, pick) = target;
+                let reference = &refs[a][k];
+                let cp = &reference.checkpoints[pick as usize % reference.checkpoints.len()];
+                let mut mcu = Mcu::new(Supply::continuous());
+                let app = RESET_APPS[a](&mut mcu);
+                mcu.restore_checkpoint(&reference.snap, &cp.mcu);
+                let Held { rt, periph, exec, .. } = held.reset_from(cp);
+                prop_assert!(cp.rt.clone_state().state_eq(&**rt));
+                prop_assert!(rt.state_eq(&*cp.rt));
+                prop_assert_eq!(&*periph, &cp.periph.clone());
+                prop_assert_eq!(&*exec, &cp.exec.clone());
+                let exec = Executor::new(&app, rt.as_mut(), periph, &reference.cfg, exec);
+                prop_assert!(cp.matches(&exec, &mcu, &reference.snap));
+                Ok(())
+            })?;
+        }
     }
 
     #[test]

@@ -227,7 +227,9 @@ impl Default for DeviceSpec {
 
 impl DeviceSpec {
     /// The kernel builder for this device, standard factory installed and
-    /// the fault configuration attached.
+    /// the device's fault configuration attached. The kernel it builds is
+    /// the same with or without it: a run's faults come from
+    /// `FaultSpec::apply` on its peripherals and `ExecConfig::retry`.
     pub fn kernel_builder(&self) -> KernelBuilder {
         kernel_builder(self.kernel).with_faults(self.fault)
     }

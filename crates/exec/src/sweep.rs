@@ -48,13 +48,12 @@
 use apps::harness::KernelKind;
 use crashcheck::{
     check_record, classify_boundaries, filter_update_window, materialize_record, prepare_oracle,
-    reference_run, reference_trace, run_from, select_boundaries, InjectionWork, PruneClasses,
-    Reference, RunRecord, SweepOracle, SweepOutcome, SweepPlan, Violation,
+    reference_run, reference_trace, run_from, select_boundaries, HeldRun, InjectionWork,
+    PruneClasses, Reference, RunRecord, SweepOracle, SweepOutcome, SweepPlan, Violation,
 };
 use easeio_trace::{Progress, SweepPruneDoc, SweepTimingDoc};
 use kernel::App;
 use mcu_emu::{Mcu, Supply, CAUSE_COUNT};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -204,6 +203,14 @@ struct EntryPrep {
     classify_us: u64,
 }
 
+/// A Stage B worker's state: its one machine, the app built on it for the
+/// entry it serves, and the run state its resumed injections reset.
+struct Worker {
+    mcu: Mcu,
+    app: Option<(usize, App)>,
+    held: HeldRun,
+}
+
 /// One unit of pool work: a batch of boundaries of one entry.
 struct WorkItem {
     entry: usize,
@@ -331,28 +338,39 @@ pub fn sweep_matrix_observed(
         p.begin_phase("inject", total);
     }
 
-    // Stage B: one pool over every entry's batches. Workers hold one
-    // machine+app per entry they touch, built on first contact and reused
-    // across batches — and across *entries*: the pool is spawned once for
-    // the whole matrix.
+    // Stage B: one pool over every entry's batches, spawned once for the
+    // whole matrix. Each worker holds one machine and the app of the entry
+    // it serves; on an entry switch it resets the machine in place and
+    // runs that entry's builder, and the first restore then re-bases it on
+    // the entry's snapshot with one full copy. Resumed injections reset
+    // the worker's held run state (DESIGN.md §21).
     let (results, stats) = run_indexed(
         opts.jobs,
         &items,
-        HashMap::<usize, (Mcu, App)>::new,
-        |cache, _, item: &WorkItem| {
+        || Worker {
+            mcu: Mcu::new(Supply::continuous()),
+            app: None,
+            held: HeldRun::default(),
+        },
+        |worker, _, item: &WorkItem| {
             let t0 = Instant::now();
             let entry = &entries[item.entry];
             let prep = &preps[item.entry];
-            let (mcu, app) = cache.entry(item.entry).or_insert_with(|| {
-                let mut mcu = Mcu::new(Supply::continuous());
-                let app = (entry.builder)(&mut mcu);
-                (mcu, app)
-            });
+            let Worker { mcu, app, held } = worker;
+            let app = match app {
+                Some((e, app)) if *e == item.entry => app,
+                _ => {
+                    mcu.reset(Supply::continuous());
+                    &app.insert((item.entry, (entry.builder)(mcu))).1
+                }
+            };
             let records: Vec<(RunRecord, InjectionWork)> = item
                 .boundaries
                 .iter()
                 .map(|&b| match &prep.pruned {
-                    Some((reference, _)) => reference.run_injected(app, mcu, b, entry.plan.off_us),
+                    Some((reference, _)) => {
+                        reference.run_injected(app, mcu, held, b, entry.plan.off_us)
+                    }
                     None => {
                         let r = run_from(
                             app,

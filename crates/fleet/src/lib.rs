@@ -31,15 +31,16 @@
 //!
 //! Every fleet run and every rollout wave goes through one private
 //! device-batch routine. Each pool worker restores the shared template
-//! snapshot into its cached machine, runs the device, folds the result
-//! into its own [`FleetAgg`] and — when the caller passed a sink — appends
-//! the device's JSONL record to its own shard. Afterwards the shards
-//! k-way-merge into the sink in device order and the per-worker aggregates
-//! merge into one. Only the radio logs (needed by the gateway's collision
-//! merge) survive per device, so peak memory stays O(workers + sketches +
-//! radio logs) with or without a sink. The fold is commutative, so the
-//! report is byte-identical at any `--jobs` width, and a run with a sink
-//! differs from one without only in the records it wrote.
+//! snapshot into its cached machine, resets its cached runtime and
+//! peripherals to the template's boot state, runs the device, folds the
+//! result into its own [`FleetAgg`] and — when the caller passed a sink —
+//! appends the device's JSONL record to its own shard. Afterwards the
+//! shards k-way-merge into the sink in device order and the per-worker
+//! aggregates merge into one. Only the radio logs (needed by the gateway's
+//! collision merge) survive per device, so peak memory stays O(workers +
+//! sketches + radio logs) with or without a sink. The fold is commutative,
+//! so the report is byte-identical at any `--jobs` width, and a run with a
+//! sink differs from one without only in the records it wrote.
 
 pub mod gateway;
 pub mod rollout;
@@ -57,9 +58,9 @@ use easeio_trace::fleet::{FleetDeliveryDoc, FleetInputs, FleetMediumDoc, FleetTi
 use easeio_trace::json::write_u64;
 use easeio_trace::stream::{JsonlWriter, ShardedSink, StreamStats};
 use easeio_trace::Progress;
-use kernel::{run_app, App, ExecConfig, Outcome, Verdict};
+use kernel::{reset_runtime, run_app, App, ExecConfig, Outcome, Runtime, Verdict};
 use mcu_emu::{Mcu, McuSnapshot, RunStats, Supply};
-use periph::{MediumSpec, Packet, Peripherals};
+use periph::{Environment, MediumSpec, Packet, Peripherals};
 
 /// Everything one device's run produced: what the worker folds into its
 /// [`FleetAgg`] and streams as the device's record.
@@ -141,53 +142,84 @@ pub struct StreamedFleetOutcome {
 /// Builds a template's app on a machine.
 type BuildApp<'a> = dyn Fn(&mut Mcu) -> Result<App, String> + Sync + 'a;
 
-/// A device image a batch restores: the shared CoW snapshot, and how a
+/// A device image a batch restores: the shared CoW snapshot with the
+/// boot runtime and peripherals every device starts from, and how a
 /// worker builds the matching machine + app the first time it serves it.
 struct Template<'a> {
     snap: McuSnapshot,
+    rt: Box<dyn Runtime>,
+    periph: Peripherals,
     build: Box<BuildApp<'a>>,
 }
 
 impl<'a> Template<'a> {
     /// Builds the image once on the coordinator — so workers can't hit a
-    /// build error mid-pool — and snapshots it. Allocator addresses are
+    /// build error mid-pool — and snapshots it, next to a fresh `spec`
+    /// kernel and fault-free peripherals. Allocator addresses are
     /// deterministic, so every worker's lazily built machine matches.
-    fn new(build: impl Fn(&mut Mcu) -> Result<App, String> + Sync + 'a) -> Result<Self, String> {
+    fn new(
+        spec: &ScenarioSpec,
+        build: impl Fn(&mut Mcu) -> Result<App, String> + Sync + 'a,
+    ) -> Result<Self, String> {
         let mut template = Mcu::new(Supply::continuous());
         build(&mut template)?;
         Ok(Self {
             snap: template.snapshot(),
+            rt: spec.kernel_builder().build(),
+            periph: Peripherals::new(spec.seed),
             build: Box::new(build),
         })
     }
 }
 
-/// Runs one device on a worker's cached machine for `template`, restoring
-/// the shared snapshot first. The result is a function of `(spec,
-/// template, device)` alone — the determinism contract every `--jobs`
-/// width relies on.
+/// A worker's device state for one template: the machine and app, and
+/// the runtime and peripherals every device it serves resets.
+struct DeviceState {
+    mcu: Mcu,
+    app: App,
+    rt: Box<dyn Runtime>,
+    periph: Peripherals,
+}
+
+/// Runs one device on a worker's cached state for `template`: the shared
+/// snapshot restored, the runtime and peripherals reset to the template's
+/// boot state in place, then the device's supply, environment seed and
+/// fault plan installed. The result is a function of `(spec, template,
+/// device)` alone — the determinism contract every `--jobs` width relies
+/// on.
 fn run_device(
     spec: &ScenarioSpec,
     template: &Template,
-    cache: &mut Option<(Mcu, App)>,
+    cache: &mut Option<DeviceState>,
     device: u32,
 ) -> DeviceResult {
-    let (mcu, app) = cache.get_or_insert_with(|| {
+    let DeviceState {
+        mcu,
+        app,
+        rt,
+        periph,
+    } = cache.get_or_insert_with(|| {
         let mut mcu = Mcu::new(Supply::continuous());
         let app = (template.build)(&mut mcu).expect("template validated on the coordinator");
-        (mcu, app)
+        DeviceState {
+            mcu,
+            app,
+            rt: template.rt.clone_state(),
+            periph: template.periph.clone(),
+        }
     });
     mcu.restore(&template.snap);
     mcu.supply = spec.supply_for_device(device);
-    let mut periph = Peripherals::new(spec.device_seed(device));
+    reset_runtime(rt, &*template.rt);
+    periph.clone_from(&template.periph);
+    periph.env = Environment::new(spec.device_seed(device));
     let fault = spec.fault_for_device(device);
-    fault.apply(&mut periph);
-    let mut rt = spec.kernel_builder().with_faults(fault).build();
+    fault.apply(periph);
     let cfg = ExecConfig {
         retry: fault.retry,
         ..ExecConfig::default()
     };
-    let r = run_app(app, rt.as_mut(), mcu, &mut periph, &cfg);
+    let r = run_app(app, rt.as_mut(), mcu, periph, &cfg);
     DeviceResult {
         device,
         seed: spec.device_seed(device),
@@ -196,7 +228,7 @@ fn run_device(
         wall_us: r.wall_us,
         on_us: r.on_us,
         stats: r.stats,
-        packets: periph.radio.into_packets(),
+        packets: periph.radio.packets().to_vec(),
     }
 }
 
@@ -211,10 +243,10 @@ struct Batch<R> {
 }
 
 /// The one device-batch routine: runs every `(device, template index)`
-/// item on the pool, each worker holding a cached machine per template, a
-/// [`FleetAgg`], and — when `out` is given — a shard of a sharded sink;
-/// then merges the shards into `out` in device order and the aggregates
-/// into one. `keep` picks what survives of each device's result.
+/// item on the pool, each worker holding a cached device state per
+/// template, a [`FleetAgg`], and — when `out` is given — a shard of a
+/// sharded sink; then merges the shards into `out` in device order and the
+/// aggregates into one. `keep` picks what survives of each device's result.
 fn run_batch<R: Send>(
     spec: &ScenarioSpec,
     templates: &[Template],
@@ -235,7 +267,7 @@ fn run_batch<R: Send>(
         spec.jobs,
         items,
         || {
-            let cache: Vec<Option<(Mcu, App)>> = templates.iter().map(|_| None).collect();
+            let cache: Vec<Option<DeviceState>> = templates.iter().map(|_| None).collect();
             (
                 cache,
                 FleetAgg::new(),
@@ -296,8 +328,9 @@ fn reconcile_phase(
 /// unit per device in a `"devices"` phase.
 ///
 /// Every worker builds its own template machine + app once, then serves
-/// devices by restoring the shared CoW snapshot and installing the
-/// device's supply and fault plan — the same restore discipline the crash
+/// devices by restoring the shared CoW snapshot, resetting its runtime and
+/// peripherals in place, and installing the device's supply, environment
+/// seed and fault plan — the same restore discipline the crash
 /// sweep uses, which is what makes results a function of the device index
 /// alone.
 pub fn run_fleet(
@@ -327,7 +360,7 @@ fn fleet(
     if spec.count == 0 {
         return Err("a fleet needs at least 1 device".into());
     }
-    let template = Template::new(|mcu| spec.build_app(mcu))?;
+    let template = Template::new(spec, |mcu| spec.build_app(mcu))?;
     if let Some(p) = progress {
         p.begin_phase("devices", spec.count as u64);
     }
@@ -419,10 +452,10 @@ impl StreamedFleetOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use easeio_exec::{AppSpec, DeviceSpec};
+    use easeio_exec::{AppSpec, DeviceSpec, SupplySpec};
     use easeio_trace::fleet::build_fleet_report;
     use easeio_trace::{validate_any_report, Value};
-    use kernel::KernelKind;
+    use kernel::{FaultSpec, KernelKind};
 
     fn radio_fleet(count: u32, kernel: KernelKind) -> ScenarioSpec {
         ScenarioSpec {
@@ -465,7 +498,7 @@ mod tests {
     #[test]
     fn record_line_equals_the_generic_json_rendering() {
         let fleet_spec = radio_fleet(3, KernelKind::Naive);
-        let template = Template::new(|mcu| fleet_spec.build_app(mcu)).unwrap();
+        let template = Template::new(&fleet_spec, |mcu| fleet_spec.build_app(mcu)).unwrap();
         let mut cache = None;
         let mut r = run_device(&fleet_spec, &template, &mut cache, 2);
         assert_eq!(r.record_line(), record_value(&r).to_compact());
@@ -480,6 +513,44 @@ mod tests {
         r.verdict = Some(Verdict::Incorrect("x".into()));
         r.outcome = Outcome::Fault(kernel::Fault::Power(mcu_emu::PowerFailure));
         assert_eq!(r.record_line(), record_value(&r).to_compact());
+    }
+
+    /// A worker resets its runtime and peripherals per device: a device
+    /// run after others on a warm worker equals the same device on a fresh
+    /// worker, under every kernel, with faults injected — its result, and
+    /// the runtime, peripherals and allocations it leaves behind.
+    #[test]
+    fn a_device_on_a_warm_worker_equals_it_on_a_fresh_one() {
+        for kernel in KernelKind::ALL {
+            let spec = ScenarioSpec {
+                device: DeviceSpec {
+                    fault: FaultSpec::with_rate(9, 120),
+                    ..radio_fleet(16, kernel).device
+                },
+                supply: SupplySpec::Timer,
+                ..radio_fleet(16, kernel)
+            };
+            let template = Template::new(&spec, |mcu| spec.build_app(mcu)).unwrap();
+            let mut warm = None;
+            for device in 0..12 {
+                run_device(&spec, &template, &mut warm, device);
+            }
+            for device in [3, 12, 15] {
+                let reused = run_device(&spec, &template, &mut warm, device);
+                let mut cold = None;
+                let fresh = run_device(&spec, &template, &mut cold, device);
+                let what = format!("{kernel:?} device {device}");
+                let (w, c) = (warm.as_ref().unwrap(), cold.as_ref().unwrap());
+                assert!(w.rt.state_eq(&*c.rt), "{what}");
+                assert_eq!(w.periph, c.periph, "{what}");
+                assert_eq!(w.mcu.mem.allocations(), c.mcu.mem.allocations(), "{what}");
+                assert_eq!(reused.outcome, fresh.outcome, "{what}");
+                assert_eq!(reused.verdict, fresh.verdict, "{what}");
+                assert_eq!(reused.stats, fresh.stats, "{what}");
+                assert_eq!(reused.packets, fresh.packets, "{what}");
+                assert_eq!(reused.record_line(), fresh.record_line(), "{what}");
+            }
+        }
     }
 
     #[test]

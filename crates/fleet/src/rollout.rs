@@ -205,7 +205,8 @@ fn plan_rollout(spec: &ScenarioSpec, policy: &RolloutPolicy) -> Result<RolloutPl
     let chunks = updated_cfg
         .payload_words
         .div_ceil(updated_cfg.chunk_words.max(1));
-    let template = |cfg: OtaUpdateCfg| Template::new(move |mcu| Ok(ota_update::build(mcu, &cfg).0));
+    let template =
+        |cfg: OtaUpdateCfg| Template::new(spec, move |mcu| Ok(ota_update::build(mcu, &cfg).0));
     Ok(RolloutPlan {
         templates: [template(stale_cfg)?, template(updated_cfg)?],
         chunks,

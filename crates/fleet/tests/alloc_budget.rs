@@ -5,66 +5,27 @@
 //! the pool runs inline on this thread, once at 64 and once at 192 devices;
 //! the difference divided by the 128 extra devices is what one more device
 //! costs, with everything a fleet builds once cancelled out. Each device
-//! builds its runtime, peripherals and fault plan afresh, and its radio log
-//! and stats travel into the result; nothing else may allocate per device,
-//! per task attempt or per spend (DESIGN.md §19).
+//! resets the worker's runtime and peripherals to the template's boot state
+//! in place (DESIGN.md §21); what it still allocates is its packets'
+//! payloads, a fresh supply and activation tracker, and what travels out:
+//! its radio log, its stats and its record line. Nothing else may allocate
+//! per device, per task attempt or per spend (DESIGN.md §19).
 
+mod counting;
+
+use counting::{allocations, Counting};
 use easeio_exec::{AppSpec, DeviceSpec, ScenarioSpec, SupplySpec};
 use easeio_fleet::run_fleet_streamed;
 use easeio_trace::stream::JsonlWriter;
 use kernel::{FaultSpec, KernelKind};
 use mcu_emu::{Cost, Counter, Mcu, RunStats, Supply, WorkKind};
 use periph::MediumSpec;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 /// Most heap allocations one more device may add to a streamed fleet.
-const PER_DEVICE_BUDGET: u64 = 26;
-
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note() {
-    // `try_with`: the thread-local may already be gone while a thread
-    // tears down, and the allocator must not panic then.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call forwards to the system allocator unchanged; the
-// thread-local counter neither allocates nor touches the memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+const PER_DEVICE_BUDGET: u64 = 14;
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-/// Allocations (including reallocations) `f` makes on this thread.
-fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.with(Cell::get);
-    let r = f();
-    (ALLOCS.with(Cell::get) - before, r)
-}
 
 fn spec(count: u32) -> ScenarioSpec {
     ScenarioSpec {

@@ -21,12 +21,13 @@ use crate::io::{perform_dma, perform_io, IoOp};
 use crate::runtime::{DmaOutcome, IoOutcome, Runtime};
 use crate::semantics::{DmaAnnotation, ReexecSemantics, TaskId};
 use mcu_emu::{
-    Addr, AllocTag, Cost, Counter, IntMap, IntSet, Mcu, PowerFailure, RawVar, Region, WorkKind,
+    clone_map_from, clone_set_from, Addr, AllocTag, Cost, Counter, IntMap, IntSet, Mcu,
+    PowerFailure, RawVar, Region, WorkKind,
 };
 use periph::Peripherals;
 
 /// The Alpaca runtime.
-#[derive(Debug, Default, Clone, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct AlpacaRuntime {
     /// Variables read so far in the current activation.
     read_set: IntSet<RawVar>,
@@ -38,6 +39,31 @@ pub struct AlpacaRuntime {
     /// Persistent private slots, reused across activations (the compiler
     /// allocates these statically).
     slots: IntMap<RawVar, RawVar>,
+}
+
+impl Clone for AlpacaRuntime {
+    fn clone(&self) -> Self {
+        Self {
+            read_set: self.read_set.clone(),
+            active: self.active.clone(),
+            redirect: self.redirect.clone(),
+            slots: self.slots.clone(),
+        }
+    }
+
+    /// Copies `source` into this runtime's tables, keeping their buffers.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            read_set,
+            active,
+            redirect,
+            slots,
+        } = self;
+        clone_set_from(read_set, &source.read_set);
+        active.clone_from(&source.active);
+        clone_map_from(redirect, &source.redirect);
+        clone_map_from(slots, &source.slots);
+    }
 }
 
 impl AlpacaRuntime {

@@ -141,7 +141,10 @@ impl KernelBuilder {
         self.kind
     }
 
-    /// Sets the transient-fault configuration runs under this builder use.
+    /// Attaches a transient-fault configuration, readable back through
+    /// [`KernelBuilder::fault`]. [`KernelBuilder::build`] never reads it:
+    /// faults reach a run through [`FaultSpec::apply`] on its peripherals
+    /// and through `ExecConfig::retry`.
     pub fn with_faults(mut self, fault: FaultSpec) -> Self {
         self.fault = fault;
         self

@@ -91,7 +91,7 @@ enum Phase {
 /// execution pointer, what runs next, the failed attempts of the current
 /// activation and the activation tracker. Together with the MCU, the
 /// runtime and the peripherals it is everything a run continues from.
-#[derive(Debug, Clone)]
+#[derive(Debug, PartialEq)]
 pub struct ExecState {
     cur: NvVar<u16>,
     phase: Phase,
@@ -101,7 +101,46 @@ pub struct ExecState {
     tracker: ActivationTracker,
 }
 
+impl Clone for ExecState {
+    fn clone(&self) -> Self {
+        Self {
+            tracker: self.tracker.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies `source` into this state, keeping the tracker's buffers.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            cur,
+            phase,
+            attempts,
+            tracker,
+        } = self;
+        *cur = source.cur;
+        *phase = source.phase;
+        *attempts = source.attempts;
+        tracker.clone_from(&source.tracker);
+    }
+}
+
 impl ExecState {
+    /// The start of a run of `app`: allocates the FRAM execution pointer
+    /// and points it at the entry task. The MCU should be freshly
+    /// constructed (or restored); the app's buffers must already be
+    /// allocated in `mcu.mem` (apps do this in their builders).
+    pub fn boot(app: &App, mcu: &mut Mcu) -> Self {
+        // The execution pointer lives in FRAM, restored on every boot.
+        let cur: NvVar<u16> = NvVar::alloc_tagged(&mut mcu.mem, Region::Fram, AllocTag::Runtime);
+        cur.set(&mut mcu.mem, app.entry.0);
+        Self {
+            cur,
+            phase: Phase::Boot,
+            attempts: 0,
+            tracker: ActivationTracker::new(),
+        }
+    }
+
     /// Whether `other` continues exactly like this state on a run that
     /// never observes the clock: equal in everything, with the tracker's
     /// timestamps left out ([`ActivationTracker::same_untimed`]).
@@ -114,47 +153,27 @@ impl ExecState {
 }
 
 /// The intermittent executor as a value: a run that can stop at any
-/// task-attempt start and be resumed from a saved [`ExecState`].
+/// task-attempt start and continue from a saved [`ExecState`]. It advances
+/// the state it borrows, so a caller that reuses one state across runs
+/// keeps the tracker's buffers.
 pub struct Executor<'a> {
     app: &'a App,
     rt: &'a mut dyn Runtime,
     periph: &'a mut Peripherals,
     cfg: &'a ExecConfig,
-    state: ExecState,
+    state: &'a mut ExecState,
 }
 
 impl<'a> Executor<'a> {
-    /// Starts a run of `app`: allocates the FRAM execution pointer and
-    /// points it at the entry task. The MCU should be freshly constructed
-    /// (or restored); the app's buffers must already be allocated in
-    /// `mcu.mem` (apps do this in their builders).
+    /// Runs `app` from `state` — [`ExecState::boot`], or a state saved at a
+    /// task-attempt start — over a runtime, peripherals and MCU in the
+    /// matching state.
     pub fn new(
         app: &'a App,
         rt: &'a mut dyn Runtime,
-        mcu: &mut Mcu,
         periph: &'a mut Peripherals,
         cfg: &'a ExecConfig,
-    ) -> Self {
-        // The execution pointer lives in FRAM, restored on every boot.
-        let cur: NvVar<u16> = NvVar::alloc_tagged(&mut mcu.mem, Region::Fram, AllocTag::Runtime);
-        cur.set(&mut mcu.mem, app.entry.0);
-        let state = ExecState {
-            cur,
-            phase: Phase::Boot,
-            attempts: 0,
-            tracker: ActivationTracker::new(),
-        };
-        Self::resume(app, rt, periph, cfg, state)
-    }
-
-    /// Continues a run from `state`, over a runtime, peripherals and MCU
-    /// restored to where that state was taken.
-    pub fn resume(
-        app: &'a App,
-        rt: &'a mut dyn Runtime,
-        periph: &'a mut Peripherals,
-        cfg: &'a ExecConfig,
-        state: ExecState,
+        state: &'a mut ExecState,
     ) -> Self {
         Self {
             app,
@@ -167,7 +186,7 @@ impl<'a> Executor<'a> {
 
     /// The loop position.
     pub fn state(&self) -> &ExecState {
-        &self.state
+        self.state
     }
 
     /// The runtime.
@@ -398,7 +417,8 @@ pub fn run_app(
     periph: &mut Peripherals,
     cfg: &ExecConfig,
 ) -> RunResult {
-    let mut exec = Executor::new(app, rt, mcu, periph, cfg);
+    let mut state = ExecState::boot(app, mcu);
+    let mut exec = Executor::new(app, rt, periph, cfg, &mut state);
     exec.run(mcu, |_, _| ControlFlow::Continue(()));
     exec.finish(mcu)
 }

@@ -15,11 +15,14 @@ use crate::error::{Fault, IoFailure};
 use crate::io::{perform_dma, perform_io, IoOp};
 use crate::runtime::{DmaOutcome, IoOutcome, Runtime};
 use crate::semantics::{DmaAnnotation, ReexecSemantics, TaskId};
-use mcu_emu::{Addr, AllocTag, Cost, Counter, IntMap, Mcu, PowerFailure, RawVar, Region, WorkKind};
+use mcu_emu::{
+    clone_map_from, Addr, AllocTag, Cost, Counter, IntMap, Mcu, PowerFailure, RawVar, Region,
+    WorkKind,
+};
 use periph::Peripherals;
 
 /// The InK runtime.
-#[derive(Debug, Default, Clone, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct InkRuntime {
     /// Working-copy redirection for the current activation, in first-touch
     /// order (the commit list).
@@ -28,6 +31,28 @@ pub struct InkRuntime {
     /// Persistent working-copy slots (the second halves of the double
     /// buffers), reused across activations.
     slots: IntMap<RawVar, RawVar>,
+}
+
+impl Clone for InkRuntime {
+    fn clone(&self) -> Self {
+        Self {
+            active: self.active.clone(),
+            redirect: self.redirect.clone(),
+            slots: self.slots.clone(),
+        }
+    }
+
+    /// Copies `source` into this runtime's tables, keeping their buffers.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            active,
+            redirect,
+            slots,
+        } = self;
+        active.clone_from(&source.active);
+        clone_map_from(redirect, &source.redirect);
+        clone_map_from(slots, &source.slots);
+    }
 }
 
 impl InkRuntime {

@@ -41,7 +41,7 @@ pub use error::{DmaError, Fault, IoError, IoFailure, IoFault};
 pub use executor::{run_app, ExecConfig, ExecState, Executor, Outcome, RunResult};
 pub use io::IoOp;
 pub use retry::{FaultSpec, RetryPolicy};
-pub use runtime::{DmaOutcome, IoOutcome, Runtime, RuntimeState};
+pub use runtime::{reset_runtime, DmaOutcome, IoOutcome, Runtime, RuntimeState};
 pub use semantics::{DmaAnnotation, ReexecSemantics, TaskId};
 pub use task::{App, Inventory, TaskDef, TaskResult, Transition, Verdict};
 pub use update::{graph_hash, TaskGraphVersion, UpdateStore};

@@ -40,25 +40,43 @@ pub struct DmaOutcome {
     pub executed: bool,
 }
 
-/// The checkpoint hook of a runtime: a clone of its host-side state and an
-/// exact comparison against another runtime's. Every `Runtime` that is
-/// `Clone + PartialEq + Send + Sync` gets it from the blanket impl below;
-/// crash sweeps use it to resume injected runs at a task-attempt start of
-/// their reference run and to detect when one rejoins it.
+/// The checkpoint hook of a runtime: a clone of its host-side state, an
+/// in-place reset to another runtime's, and an exact comparison against
+/// another runtime's. Every `Runtime` that is `Clone + PartialEq` gets it
+/// from the blanket impl below; crash sweeps use it to resume injected runs
+/// at a task-attempt start of their reference run and to detect when one
+/// rejoins it, and fleets to start every device from its template's boot
+/// state.
 pub trait RuntimeState {
     /// A copy of this runtime's state, shareable across sweep workers.
-    fn clone_state(&self) -> Box<dyn Runtime + Send + Sync>;
+    fn clone_state(&self) -> Box<dyn Runtime>;
+
+    /// Makes this runtime equal to `src` in place, keeping its buffers
+    /// ([`Clone::clone_from`]). Returns false, changing nothing, when `src`
+    /// is a different runtime; [`reset_runtime`] then replaces the box.
+    fn reset_from(&mut self, src: &dyn Runtime) -> bool;
 
     /// Whether `other` is the same runtime in the same state.
     fn state_eq(&self, other: &dyn Runtime) -> bool;
 
-    /// Upcast for [`RuntimeState::state_eq`]'s downcast.
+    /// Upcast for the downcasts of [`RuntimeState::reset_from`] and
+    /// [`RuntimeState::state_eq`].
     fn as_any(&self) -> &dyn Any;
 }
 
-impl<T: Runtime + Clone + PartialEq + Send + Sync + 'static> RuntimeState for T {
-    fn clone_state(&self) -> Box<dyn Runtime + Send + Sync> {
+impl<T: Runtime + Clone + PartialEq + 'static> RuntimeState for T {
+    fn clone_state(&self) -> Box<dyn Runtime> {
         Box::new(self.clone())
+    }
+
+    fn reset_from(&mut self, src: &dyn Runtime) -> bool {
+        match src.as_any().downcast_ref::<T>() {
+            Some(src) => {
+                self.clone_from(src);
+                true
+            }
+            None => false,
+        }
     }
 
     fn state_eq(&self, other: &dyn Runtime) -> bool {
@@ -70,8 +88,18 @@ impl<T: Runtime + Clone + PartialEq + Send + Sync + 'static> RuntimeState for T 
     }
 }
 
-/// An intermittent-computing runtime.
-pub trait Runtime: RuntimeState {
+/// Makes `held` equal to `src`: reset in place when it is the same runtime,
+/// replaced by a copy of `src` when it is another one. The one reset every
+/// reused run state goes through (DESIGN.md §21).
+pub fn reset_runtime(held: &mut Box<dyn Runtime>, src: &dyn Runtime) {
+    if !held.reset_from(src) {
+        *held = src.clone_state();
+    }
+}
+
+/// An intermittent-computing runtime. `Send + Sync`, so checkpoints and
+/// templates holding one are shared by every worker of a pool.
+pub trait Runtime: RuntimeState + Send + Sync {
     /// Runtime name for reports ("Alpaca", "InK", "EaseIO", ...).
     fn name(&self) -> &'static str;
 

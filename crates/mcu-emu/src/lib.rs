@@ -23,7 +23,7 @@ pub mod power;
 pub mod stats;
 
 pub use clock::Clock;
-pub use easeio_trace::hash::{FlatSet, IntHasher, IntMap, IntSet};
+pub use easeio_trace::hash::{clone_map_from, clone_set_from, FlatSet, IntHasher, IntMap, IntSet};
 pub use easeio_trace::TraceSink;
 pub use energy::{Capacitor, Cost, CostTable};
 pub use mcu::{Mcu, McuCheckpoint, McuSnapshot, PowerFailure, SpendBoundary, MAX_TRACKED};

@@ -152,12 +152,13 @@ pub struct Mcu {
 }
 
 impl Mcu {
-    /// Creates an MCU with default costs and the given supply.
+    /// Creates an MCU with default costs and the given supply: allocates
+    /// the buffers, then [`Mcu::reset`]s them to the blank machine.
     pub fn new(supply: Supply) -> Self {
-        Self {
+        let mut mcu = Self {
             clock: Clock::new(),
             mem: Memory::new(),
-            supply,
+            supply: Supply::continuous(),
             cost: CostTable::default(),
             stats: RunStats::new(),
             trace: TraceSink::disabled(),
@@ -165,7 +166,27 @@ impl Mcu {
             samples: Vec::new(),
             recorder: None,
             pure: false,
-        }
+        };
+        mcu.reset(supply);
+        mcu
+    }
+
+    /// Returns this machine to the blank one [`Mcu::new`] makes — zeroed
+    /// memory with no allocations, clock and ledger at zero, default
+    /// costs, `supply` installed, no trace sink and no boundary recorder —
+    /// keeping its memory, ledger and attribution buffers. An app builder
+    /// then runs on it exactly as on a new machine (DESIGN.md §21).
+    pub fn reset(&mut self, supply: Supply) {
+        self.clock = Clock::new();
+        self.mem.reset();
+        self.supply = supply;
+        self.cost = CostTable::default();
+        self.stats.clone_from(&RunStats::new());
+        self.trace = TraceSink::disabled();
+        self.attr.reset();
+        self.samples.clear();
+        self.recorder = None;
+        self.pure = false;
     }
 
     /// Starts recording one [`SpendBoundary`] per energy-spend boundary,
@@ -769,6 +790,60 @@ mod tests {
         m.restore(&snap);
         let a2 = m.mem.alloc(Region::Fram, 8, AllocTag::Runtime);
         assert_eq!(a1, a2);
+    }
+
+    /// A reset machine is the blank one `Mcu::new` makes: an app built on
+    /// it after a snapshot, restores, a trace sink, a recorder and leaked
+    /// cause scopes lands on the same bytes, ledger and clock as on a new
+    /// machine.
+    #[test]
+    fn reset_machine_builds_like_a_new_one() {
+        let build = |m: &mut Mcu| {
+            let v = RawVar {
+                addr: m.mem.alloc(Region::Fram, 4, AllocTag::App),
+                width: 4,
+            };
+            m.store_var(WorkKind::App, v, 0xC0FFEE).unwrap();
+            m.spend(WorkKind::Overhead, Cost::new(1_500, 40)).unwrap();
+            m.snapshot()
+        };
+        let mut fresh = continuous();
+        let want = build(&mut fresh);
+
+        let mut m = continuous();
+        let snap = build(&mut m);
+        m.mem.alloc(Region::Sram, 64, AllocTag::Runtime);
+        m.mem
+            .write_bytes(crate::memory::Addr::new(Region::Fram, 100_000), &[1; 16]);
+        m.restore(&snap);
+        m.trace = TraceSink::enabled();
+        m.record_boundaries(&[]);
+        m.push_cause(EnergyCause::Commit);
+        m.set_attr_task(4);
+        m.spend(WorkKind::App, Cost::new(10, 10)).unwrap();
+
+        m.reset(Supply::continuous());
+        assert!(m.take_boundary_recording().is_none());
+        assert!(!m.trace.is_enabled());
+        assert_eq!(m.stats, RunStats::new());
+        let got = build(&mut m);
+        let mut a = continuous();
+        let mut b = continuous();
+        a.restore(&want);
+        b.restore(&got);
+        for region in [Region::Fram, Region::Sram, Region::LeaRam] {
+            let at = crate::memory::Addr::new(region, 0);
+            let n = region.size() as u32;
+            assert_eq!(
+                a.mem.read_bytes(at, n),
+                b.mem.read_bytes(at, n),
+                "{region:?}"
+            );
+        }
+        assert_eq!(a.mem.allocations(), b.mem.allocations());
+        assert_eq!(a.stats, b.stats);
+        assert_eq!(a.clock.now_us(), b.clock.now_us());
+        assert_eq!(m.cause_samples().len(), 0);
     }
 
     #[test]

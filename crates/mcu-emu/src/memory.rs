@@ -374,6 +374,33 @@ impl Memory {
         out
     }
 
+    /// Returns to the blank memory [`Memory::new`] makes — every region
+    /// zero, no allocations, no snapshot base — keeping the buffers. With
+    /// no base the dirty map is relative to that blank image, so only the
+    /// pages written since are zeroed; after a snapshot or restore, all of
+    /// them are. The FRAM write counter keeps counting (it is host-side
+    /// and only its differences mean anything).
+    pub fn reset(&mut self) {
+        if self.base.is_some() {
+            self.fram.fill(0);
+            self.sram.fill(0);
+            self.lea_ram.fill(0);
+        } else {
+            for (i, &region) in REGIONS.iter().enumerate() {
+                let mut bits = self.dirty[i];
+                while bits != 0 {
+                    let page = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    self.slab_mut(region)[page_span(region, page)].fill(0);
+                }
+            }
+        }
+        self.next = [0; 3];
+        self.allocs.clear();
+        self.base = None;
+        self.dirty = [0; 3];
+    }
+
     /// Clears all volatile regions; called on reboot. FRAM persists.
     pub fn power_failure(&mut self) {
         self.mark_dirty(Region::Sram, 0, Region::Sram.size() as u32);
@@ -553,6 +580,31 @@ mod tests {
     fn alloc_panics_when_region_exhausted() {
         let mut m = Memory::new();
         m.alloc(Region::Sram, 4 * 1024 + 2, AllocTag::App);
+    }
+
+    /// Reset zeroes every written byte whether or not the memory has a
+    /// snapshot base (without one it walks only the dirty pages).
+    #[test]
+    fn reset_returns_to_blank_memory_with_or_without_a_base() {
+        for based in [false, true] {
+            let mut m = Memory::new();
+            let a = m.alloc(Region::Fram, 8, AllocTag::App);
+            m.write_bytes(a, &[7; 8]);
+            if based {
+                m.snapshot();
+            }
+            m.write_bytes(Addr::new(Region::Fram, 200_000), &[9; 4]);
+            m.write_bytes(Addr::new(Region::LeaRam, 100), &[3; 2]);
+            m.reset();
+            for region in REGIONS {
+                let all = m.read_bytes(Addr::new(region, 0), region.size() as u32);
+                assert!(all.iter().all(|&b| b == 0), "{region:?} (based: {based})");
+            }
+            assert!(m.allocations().is_empty());
+            assert_eq!(m.allocated(Region::Fram), 0);
+            assert_eq!(m.dirty_pages(Region::Fram), 0);
+            assert_eq!(m.alloc(Region::Fram, 8, AllocTag::App), a);
+        }
     }
 
     #[test]

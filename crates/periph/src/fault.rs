@@ -14,7 +14,7 @@
 //! attempt on the peripheral, so a skipped/restored operation never
 //! advances the schedule.
 
-use mcu_emu::{Counter, IntMap};
+use mcu_emu::{clone_map_from, Counter, IntMap};
 
 /// Peripheral class a fault plan schedules over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -170,10 +170,25 @@ impl FaultPlan {
 /// the MCU) but are per *run*: a fresh [`Peripherals`](crate::Peripherals)
 /// starts them at zero, which is what makes a sweep's injected runs
 /// mutually independent.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct FaultState {
     plan: Option<FaultPlan>,
     attempts: IntMap<(PeriphClass, u16, u16), u32>,
+}
+
+impl Clone for FaultState {
+    fn clone(&self) -> Self {
+        Self {
+            plan: self.plan,
+            attempts: self.attempts.clone(),
+        }
+    }
+
+    /// Copies `source` into this state, keeping the counter table.
+    fn clone_from(&mut self, source: &Self) {
+        self.plan = source.plan;
+        clone_map_from(&mut self.attempts, &source.attempts);
+    }
 }
 
 impl FaultState {

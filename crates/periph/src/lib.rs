@@ -31,7 +31,7 @@ pub use radio::{Packet, RadioLog};
 pub use sensors::Sensor;
 
 /// Bundle of peripheral state threaded through task execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Peripherals {
     /// The physical environment sensors sample.
     pub env: Environment,
@@ -40,6 +40,25 @@ pub struct Peripherals {
     /// Transient-fault schedule and attempt counters (no faults unless a
     /// plan is installed).
     pub faults: FaultState,
+}
+
+impl Clone for Peripherals {
+    fn clone(&self) -> Self {
+        Self {
+            env: self.env.clone(),
+            radio: self.radio.clone(),
+            faults: self.faults.clone(),
+        }
+    }
+
+    /// Copies `source` into these peripherals, keeping the radio log's and
+    /// the fault counters' buffers.
+    fn clone_from(&mut self, source: &Self) {
+        let Self { env, radio, faults } = self;
+        env.clone_from(&source.env);
+        radio.clone_from(&source.radio);
+        faults.clone_from(&source.faults);
+    }
 }
 
 impl Peripherals {

@@ -15,7 +15,7 @@
 //! short `Vec` costs less than hashing the key.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// Multiplier of the FxHash step: an odd constant with well-spread bits.
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -72,12 +72,48 @@ pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 /// `HashSet` keyed through [`IntHasher`].
 pub type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
 
+/// Makes `dst` equal to `src`, keeping `dst`'s table: the in-place
+/// [`Clone::clone_from`] of a hash map. std's own `clone_from` frees the
+/// table when `src` is empty and reallocates it whenever the bucket counts
+/// differ. The copy's iteration order may differ from `src`'s, which is
+/// why no run-path code iterates a hash map in an order that reaches an
+/// output.
+pub fn clone_map_from<K: Clone + Eq + Hash, V: Clone, S: BuildHasher>(
+    dst: &mut HashMap<K, V, S>,
+    src: &HashMap<K, V, S>,
+) {
+    dst.clear();
+    dst.extend(src.iter().map(|(k, v)| (k.clone(), v.clone())));
+}
+
+/// [`clone_map_from`] for hash sets.
+pub fn clone_set_from<T: Clone + Eq + Hash, S: BuildHasher>(
+    dst: &mut HashSet<T, S>,
+    src: &HashSet<T, S>,
+) {
+    dst.clear();
+    dst.extend(src.iter().cloned());
+}
+
 /// A set kept as a deduplicated `Vec` in insertion order, for sets that
 /// stay a few entries long. Membership is a linear scan; equality is set
 /// equality, so two sets built in different orders compare equal.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FlatSet<T> {
     items: Vec<T>,
+}
+
+impl<T: Clone> Clone for FlatSet<T> {
+    fn clone(&self) -> Self {
+        Self {
+            items: self.items.clone(),
+        }
+    }
+
+    /// Copies `source`'s items into this set's buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.items.clone_from(&source.items);
+    }
 }
 
 impl<T> Default for FlatSet<T> {

@@ -38,7 +38,10 @@ pub struct SweepViolation {
 pub struct SweepTimingDoc {
     /// Worker count the sweep ran with.
     pub jobs: u64,
-    /// Host wall-clock for everything after the oracle (µs).
+    /// Host time for everything after the oracle (µs): classification,
+    /// the workers' summed busy time on the injections, and the merge. Not
+    /// wall time: time-slicing inflates the busy part when workers share
+    /// CPUs.
     pub wall_us: u64,
     /// Throughput in milli-injections per second (fixed point ×1000).
     /// `None` — and omitted from the document — when the sweep finished too

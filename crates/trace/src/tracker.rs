@@ -6,10 +6,10 @@
 //! analyzer's view), not anything the MCU stores, so it lives here with the
 //! rest of the observability machinery rather than in the kernel.
 
-use crate::hash::{FlatSet, IntMap};
+use crate::hash::{clone_map_from, FlatSet, IntMap};
 
 /// Tracks first completions of I/O and DMA sites per task activation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct ActivationTracker {
     /// I/O sites completed in the current activations. Commit clears a
     /// task's entries, so only the in-flight task has any.
@@ -20,6 +20,28 @@ pub struct ActivationTracker {
     /// Persistent across commits — it feeds the degraded fallback path,
     /// which by definition reaches back past the current activation.
     last_io: IntMap<(u16, u16), (i32, u64)>,
+}
+
+impl Clone for ActivationTracker {
+    fn clone(&self) -> Self {
+        Self {
+            io_done: self.io_done.clone(),
+            dma_done: self.dma_done.clone(),
+            last_io: self.last_io.clone(),
+        }
+    }
+
+    /// Copies `source` into this tracker's buffers.
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            io_done,
+            dma_done,
+            last_io,
+        } = self;
+        io_done.clone_from(&source.io_done);
+        dma_done.clone_from(&source.dma_done);
+        clone_map_from(last_io, &source.last_io);
+    }
 }
 
 impl ActivationTracker {
