@@ -47,16 +47,20 @@ impl MakeRuntime for KernelKind {
     }
 }
 
+/// The paper's controlled-failure schedule for the run at `seed` (§5.1:
+/// on-period uniform [5, 20] ms).
+pub fn paper_supply(seed: u64) -> Supply {
+    Supply::timer(TimerResetConfig::default(), seed)
+}
+
 /// Repetition configuration for an experiment.
 #[derive(Debug, Clone)]
 pub struct ExperimentCfg {
     /// Number of seeded repetitions.
     pub runs: u64,
-    /// Base seed; run `i` uses seed `base_seed + i` for both the failure
-    /// schedule and the environment.
+    /// Base seed; run `i` uses seed `base_seed + i` for both its supply and
+    /// its environment.
     pub base_seed: u64,
-    /// Failure-schedule parameters (§5.1: on-period uniform [5, 20] ms).
-    pub reset: TimerResetConfig,
 }
 
 impl Default for ExperimentCfg {
@@ -64,7 +68,6 @@ impl Default for ExperimentCfg {
         Self {
             runs: 1000,
             base_seed: 0xEA5E10,
-            reset: TimerResetConfig::default(),
         }
     }
 }
@@ -88,6 +91,8 @@ pub struct Summary {
     pub correct: u64,
     /// Completed runs with corrupted state.
     pub incorrect: u64,
+    /// Task commits over completed runs.
+    pub task_commits: u64,
     /// Total on-time over all completed runs (µs).
     pub total_on_us: u64,
     /// App-classified time (µs).
@@ -134,14 +139,6 @@ impl Summary {
             return 0;
         }
         self.total_on_us / self.completed
-    }
-
-    /// Mean energy per run (µJ ×100 fixed point for pretty printing).
-    pub fn mean_energy_uj_x100(&self) -> u64 {
-        if self.completed == 0 {
-            return 0;
-        }
-        self.energy_nj / self.completed / 10
     }
 
     /// Total redundant re-executions (I/O + DMA).
@@ -241,12 +238,16 @@ pub fn golden(builder: &dyn Fn(&mut Mcu) -> App, kind: KernelKind, env_seed: u64
     (r.stats.app_time_us, r.stats.app_energy_nj)
 }
 
-/// Runs the experiment `cfg.runs` times and aggregates.
+/// Runs the experiment `cfg.runs` times and aggregates. The run at seed
+/// `s` is powered by `supply(s)`; every run gets the same fault plan and
+/// retry policy.
 pub fn run_many(
     app_name: &'static str,
     builder: &dyn Fn(&mut Mcu) -> App,
     kind: KernelKind,
     cfg: &ExperimentCfg,
+    supply: &dyn Fn(u64) -> Supply,
+    fault: &FaultSpec,
 ) -> Summary {
     let (golden_app_us, golden_app_energy_nj) = golden(builder, kind, cfg.base_seed);
     let mut s = Summary {
@@ -258,6 +259,7 @@ pub fn run_many(
         faulted: 0,
         correct: 0,
         incorrect: 0,
+        task_commits: 0,
         total_on_us: 0,
         app_us: 0,
         overhead_us: 0,
@@ -272,10 +274,8 @@ pub fn run_many(
         dma_skipped: 0,
         run_totals_us: Vec::new(),
     };
-    for i in 0..cfg.runs {
-        let seed = cfg.base_seed + i;
-        let supply = Supply::timer(cfg.reset.clone(), seed);
-        let r = run_once(builder, kind, supply, seed);
+    for seed in cfg.base_seed..cfg.base_seed + cfg.runs {
+        let r = run_once_faulted(builder, kind, supply(seed), seed, fault);
         match r.outcome {
             Outcome::NonTermination => {
                 s.non_terminated += 1;
@@ -292,6 +292,7 @@ pub fn run_many(
             Some(Verdict::Incorrect(_)) => s.incorrect += 1,
             None => {}
         }
+        s.task_commits += r.stats.task_commits;
         s.total_on_us += r.stats.total_time_us();
         s.run_totals_us.push(r.stats.total_time_us());
         s.app_us += r.stats.app_time_us;
@@ -343,8 +344,22 @@ mod tests {
             ..Default::default()
         };
         let build = |mcu: &mut Mcu| dma_app::build(mcu, &DmaAppCfg::default());
-        let a = run_many("dma", &build, KernelKind::Alpaca, &cfg);
-        let b = run_many("dma", &build, KernelKind::Alpaca, &cfg);
+        let a = run_many(
+            "dma",
+            &build,
+            KernelKind::Alpaca,
+            &cfg,
+            &paper_supply,
+            &FaultSpec::none(),
+        );
+        let b = run_many(
+            "dma",
+            &build,
+            KernelKind::Alpaca,
+            &cfg,
+            &paper_supply,
+            &FaultSpec::none(),
+        );
         assert_eq!(a.total_on_us, b.total_on_us);
         assert_eq!(a.power_failures, b.power_failures);
         assert_eq!(a.completed, 20);
@@ -358,8 +373,22 @@ mod tests {
             ..Default::default()
         };
         let build = |mcu: &mut Mcu| dma_app::build(mcu, &DmaAppCfg::default());
-        let alpaca = run_many("dma", &build, KernelKind::Alpaca, &cfg);
-        let easeio = run_many("dma", &build, KernelKind::EaseIo, &cfg);
+        let alpaca = run_many(
+            "dma",
+            &build,
+            KernelKind::Alpaca,
+            &cfg,
+            &paper_supply,
+            &FaultSpec::none(),
+        );
+        let easeio = run_many(
+            "dma",
+            &build,
+            KernelKind::EaseIo,
+            &cfg,
+            &paper_supply,
+            &FaultSpec::none(),
+        );
         assert!(
             easeio.reexecutions() < alpaca.reexecutions(),
             "EaseIO {} vs Alpaca {} re-executions",
@@ -401,6 +430,8 @@ mod percentile_tests {
                 runs: 5,
                 ..Default::default()
             },
+            &paper_supply,
+            &FaultSpec::none(),
         );
         // Replace measured values with a known ladder.
         s.run_totals_us = vec![10, 20, 30, 40, 50];

@@ -13,18 +13,6 @@ use std::hint::black_box;
 
 fn bench_simulator(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator");
-    g.bench_function("dma_app_easeio_intermittent", |b| {
-        b.iter(|| {
-            let builder = |mcu: &mut Mcu| dma_app::build(mcu, &DmaAppCfg::default());
-            let r = run_once(
-                &builder,
-                KernelKind::EaseIo,
-                Supply::timer(TimerResetConfig::default(), black_box(42)),
-                42,
-            );
-            black_box(r.stats.power_failures)
-        })
-    });
     g.bench_function("weather_alpaca_intermittent", |b| {
         b.iter(|| {
             let builder = |mcu: &mut Mcu| weather::build(mcu, &WeatherCfg::default());

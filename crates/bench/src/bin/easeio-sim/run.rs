@@ -8,7 +8,7 @@ use crate::{
     die, emit_report, faults_suffix, pretty, print_list, probe_build, read_json_or_die,
     read_or_die, write_or_die, ExitCode,
 };
-use apps::harness::{golden, measure_footprint, run_once_faulted, run_traced_faulted};
+use apps::harness::{golden, measure_footprint, run_many, run_traced_faulted, ExperimentCfg};
 use easeio_exec::{AppSpec, ScenarioSpec, SupplySpec};
 use easeio_trace::{
     build_metrics_report, build_profile, build_report, chrome_trace_with_counters, jsonl,
@@ -62,7 +62,7 @@ pub fn main(a: &Args) -> ExitCode {
     {
         single(&sc, app_name, trace, metrics_out)
     } else {
-        aggregate(&sc)
+        aggregate(&sc, app_name)
     }
 }
 
@@ -214,48 +214,38 @@ fn single(sc: &ScenarioSpec, app_name: &str, trace: bool, metrics_out: Option<&s
 }
 
 /// `--runs N` untraced runs, seed advancing per run, folded into one line.
-fn aggregate(sc: &ScenarioSpec) -> ExitCode {
+/// A run without a verdict counts as correct.
+fn aggregate(sc: &ScenarioSpec, app_name: &'static str) -> ExitCode {
     let kind = sc.device.kernel;
     let build = |m: &mut Mcu| sc.build_app(m).expect("probe-built above");
-    let mut completed = 0u64;
-    let mut correct = 0u64;
-    let mut total_on = 0u64;
-    let mut failures = 0u64;
-    let mut commits = 0u64;
-    let mut io_executed = 0u64;
-    let mut io_skipped = 0u64;
-    let mut app_us = 0u64;
-    for i in 0..sc.runs {
-        let supply = sc.supply_for_run(i);
-        let r = run_once_faulted(&build, kind, supply, sc.seed + i, &sc.device.fault);
-        if r.outcome == Outcome::Completed {
-            completed += 1;
-            total_on += r.stats.total_time_us();
-            failures += r.stats.power_failures;
-            commits += r.stats.task_commits;
-            io_executed += r.stats.io_executed;
-            io_skipped += r.stats.io_skipped;
-            app_us += r.stats.app_time_us;
-            if matches!(r.verdict, Some(Verdict::Correct) | None) {
-                correct += 1;
-            }
-        }
-    }
+    let cfg = ExperimentCfg {
+        runs: sc.runs,
+        base_seed: sc.seed,
+    };
+    let supply = |seed| sc.supply.make(seed);
+    let s = run_many(app_name, &build, kind, &cfg, &supply, &sc.device.fault);
+    let correct = s.completed - s.incorrect;
+    let n = s.completed.max(1) as f64;
     println!(
         "{} × {} under {}: {}/{} completed, {}/{} correct, mean {:.2} ms, {:.2} failures/run",
         sc.runs,
         sc.device.app.label(),
         kind.name(),
-        completed,
+        s.completed,
         sc.runs,
         correct,
-        completed,
-        total_on as f64 / completed.max(1) as f64 / 1000.0,
-        failures as f64 / completed.max(1) as f64,
+        s.completed,
+        s.total_on_us as f64 / n / 1000.0,
+        s.power_failures as f64 / n,
     );
-    let (golden_us, _) = golden(&build, kind, sc.seed);
-    let wasted = app_us.saturating_sub(golden_us * completed);
-    print_summary(failures, commits, io_executed, io_skipped, wasted, app_us);
+    print_summary(
+        s.power_failures,
+        s.task_commits,
+        s.io_executed,
+        s.io_skipped,
+        s.wasted_us(),
+        s.app_us,
+    );
     ExitCode::Ok
 }
 

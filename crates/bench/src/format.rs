@@ -1,33 +1,90 @@
-//! Plain-text table rendering for experiment output.
+//! The rendered form of the paper's tables and the unit formatting of their
+//! cells.
 
-/// Prints a titled, column-aligned table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!();
-    println!("== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
+use std::fmt::Display;
+
+/// One rendered table of the evaluation: what `cargo bench --bench paper`
+/// prints, what `tests/golden/paper_tables.json` pins, and what
+/// EXPERIMENTS.md quotes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table {
+    /// Stable id (`fig7-dma`, `table4`, …; DESIGN.md §6 maps each to its
+    /// paper artifact).
+    pub id: &'static str,
+    /// Lines printed before the table (Figure 13's workload).
+    pub caption: Vec<String>,
+    /// Title line.
+    pub title: String,
+    /// Column headers.
+    pub headers: Vec<String>,
+    /// Cells, one row per line.
+    pub rows: Vec<Vec<String>>,
+    /// Lines printed after the table: computed ratios and the paper's
+    /// shape claim; an empty line is a blank line.
+    pub notes: Vec<String>,
+}
+
+impl Table {
+    /// A table with no caption and no notes; `headers` are separated by
+    /// ` | `.
+    pub fn new(id: &'static str, title: &str, headers: &str, rows: Vec<Vec<String>>) -> Table {
+        let headers = headers.split(" | ").map(String::from).collect();
+        let (title, caption, notes) = (title.to_string(), vec![], vec![]);
+        Table {
+            id,
+            caption,
+            title,
+            headers,
+            rows,
+            notes,
+        }
+    }
+
+    /// Sets the caption, one line per line of `text`.
+    pub fn with_caption(mut self, text: &str) -> Table {
+        self.caption = lines(text);
+        self
+    }
+
+    /// Sets the notes, one line per line of `text`; a leading newline is a
+    /// blank first line.
+    pub fn with_notes(mut self, text: &str) -> Table {
+        self.notes = lines(text);
+        self
+    }
+
+    /// The table as plain text: caption, a titled and column-aligned
+    /// table, then the notes, every line newline-terminated.
+    pub fn text(&self) -> String {
+        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
+        for row in &self.rows {
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.len());
             }
         }
-    }
-    let line = |cells: &[String]| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!(
-                "{:<w$}  ",
-                c,
-                w = widths.get(i).copied().unwrap_or(8)
-            ));
+        let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+        let mut text: String = self.caption.iter().map(|l| format!("{l}\n")).collect();
+        text += &format!("\n== {} ==\n", self.title);
+        for cells in [&self.headers, &rule].into_iter().chain(&self.rows) {
+            let width = |i: usize| widths.get(i).copied().unwrap_or(8);
+            let padded = cells
+                .iter()
+                .enumerate()
+                .map(|(i, c)| format!("{c:<w$}  ", w = width(i)));
+            text += &format!("  {}\n", padded.collect::<String>().trim_end());
         }
-        println!("  {}", s.trim_end());
-    };
-    line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
-    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
-    for row in rows {
-        line(row);
+        text.extend(self.notes.iter().map(|l| format!("{l}\n")));
+        text
     }
+}
+
+fn lines(s: &str) -> Vec<String> {
+    s.lines().map(String::from).collect()
+}
+
+/// One table row, each cell formatted with `Display`.
+pub fn row(cells: &[&dyn Display]) -> Vec<String> {
+    cells.iter().map(|c| c.to_string()).collect()
 }
 
 /// Microseconds → milliseconds with two decimals.

@@ -1,18 +1,12 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
-//! Each `benches/*.rs` target (plain `harness = false` mains, so
-//! `cargo bench` reproduces the full evaluation) calls into
-//! [`experiments`] and prints paper-style rows via [`mod@format`]. The number
-//! of seeded repetitions defaults to the paper's 1000 and can be overridden
-//! with the `EASEIO_RUNS` environment variable for quick passes.
+//! [`experiments::evaluate`] runs the evaluation once at the paper's 1000
+//! seeded runs per cell; its [`experiments::Evaluation::tables`] are what
+//! `cargo bench --bench paper` prints. `tests/paper_tables.rs` pins them in
+//! `tests/golden/paper_tables.json`, asserts the paper's shape claims on the
+//! typed results, and checks that EXPERIMENTS.md quotes each table as the
+//! golden renders it; regenerate both after an intentional change with
+//! `UPDATE_GOLDEN=1 cargo test -p easeio-bench --test paper_tables`.
 
 pub mod experiments;
 pub mod format;
-
-/// Number of repetitions per experiment: `EASEIO_RUNS` or the paper's 1000.
-pub fn runs() -> u64 {
-    std::env::var("EASEIO_RUNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000)
-}

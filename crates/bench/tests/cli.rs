@@ -325,6 +325,56 @@ fn one_small_run_per_mode() {
     headline(&["compare", &base, &base], "compare: ");
 }
 
+/// The `--runs N` aggregate's whole stdout, pinned: a clean EaseIO run, a
+/// faulted Naive run where most runs abort and the rest are incorrect, and
+/// a faulted EaseIO run.
+#[test]
+fn runs_aggregate_output_is_pinned() {
+    for (args, expected) in [
+        (
+            &["--app", "fir", "--runs", "20", "--seed", "3"][..],
+            "20 × fir under EaseIO: 20/20 completed, 20/20 correct, mean 18.04 ms, 1.10 failures/run\n\
+             summary: 22 failures, 120 commits, io 84 executed / 0 skipped, wasted work 10.3%\n",
+        ),
+        (
+            &[
+                "--app",
+                "flaky-radio",
+                "--kernel",
+                "naive",
+                "--runs",
+                "16",
+                "--seed",
+                "5",
+                "--fault-rate",
+                "320",
+                "--max-retries",
+                "2",
+            ],
+            "16 × flaky-radio under Naive: 3/16 completed, 0/3 correct, mean 30.24 ms, 2.33 failures/run\n\
+             summary: 7 failures, 75 commits, io 49 executed / 0 skipped, wasted work 28.2%\n",
+        ),
+        (
+            &[
+                "--app",
+                "flaky-radio",
+                "--runs",
+                "12",
+                "--seed",
+                "5",
+                "--fault-rate",
+                "80",
+            ],
+            "12 × flaky-radio under EaseIO: 12/12 completed, 12/12 correct, mean 24.99 ms, 1.67 failures/run\n\
+             summary: 20 failures, 300 commits, io 196 executed / 0 skipped, wasted work 12.0%\n",
+        ),
+    ] {
+        let out = sim(args);
+        assert_eq!(code(&out), 0, "{args:?}");
+        assert_eq!(stdout(&out), expected, "{args:?}");
+    }
+}
+
 #[test]
 fn written_reports_validate() {
     let dir = scratch("reports");

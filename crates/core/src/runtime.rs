@@ -273,11 +273,6 @@ impl EaseIoRuntime {
     pub fn dma_pool_used(&self) -> u32 {
         self.dma.pool_used()
     }
-
-    /// Number of regional-privatization slots allocated.
-    pub fn regional_slot_count(&self) -> usize {
-        self.regional.slot_count()
-    }
 }
 
 impl Runtime for EaseIoRuntime {

@@ -304,11 +304,6 @@ impl ScenarioSpec {
         self.device.build_app(mcu)
     }
 
-    /// The supply for run `i` of an aggregate (seed advances per run).
-    pub fn supply_for_run(&self, i: u64) -> Supply {
-        self.supply.make(self.seed + i)
-    }
-
     /// The seed replica `device` derives its environment, supply schedule,
     /// and fault draws from. Device 0 uses the scenario seed itself, so a
     /// 1-device fleet reproduces a plain `run` at the same seed exactly

@@ -16,7 +16,8 @@ use crate::pool::{run_indexed, PoolStats};
 use crate::supply::rf_supply_phased;
 
 /// Phase step between RF repetitions: one deterministic fading model,
-/// independent-looking trajectories per run (matches the Fig. 13 bench).
+/// independent-looking trajectories per run (the paper's Fig. 13 is a grid
+/// over this engine).
 const RF_PHASE_STEP_US: u64 = 3_171;
 
 /// What to grid over.

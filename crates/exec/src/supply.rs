@@ -1,5 +1,5 @@
-//! Power-supply models shared by the CLI, the experiment grid, and the
-//! paper's figure benches.
+//! Power-supply models shared by the CLI and the experiment grid (which
+//! also computes the paper's Fig. 13).
 
 use mcu_emu::{Capacitor, RfHarvestConfig, Supply, TimerResetConfig};
 

@@ -179,17 +179,6 @@ impl UpdateStore {
         Ok((raw as u32) & 1)
     }
 
-    /// Charged read of the active image's version header.
-    pub fn active_version(&self, mcu: &mut Mcu) -> Result<TaskGraphVersion, PowerFailure> {
-        let s = self.slots[self.active_slot(mcu)? as usize];
-        mcu.with_cause(EnergyCause::UpdateStage, |m| {
-            Ok(TaskGraphVersion {
-                seq: m.load_var(WorkKind::Overhead, s.seq.raw())? as u32,
-                hash: m.load_var(WorkKind::Overhead, s.hash.raw())? as u32,
-            })
-        })
-    }
-
     /// Recovery entry point: re-hashes the active payload against its
     /// header. Any mismatch means the device rebooted into a torn image —
     /// the state the two-phase protocol makes unreachable — and bumps

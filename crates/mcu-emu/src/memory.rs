@@ -367,13 +367,6 @@ impl Memory {
         }
     }
 
-    /// Reads a little-endian scalar of `N` bytes.
-    pub fn read_le<const N: usize>(&self, addr: Addr) -> [u8; N] {
-        let mut out = [0u8; N];
-        out.copy_from_slice(self.read_bytes(addr, N as u32));
-        out
-    }
-
     /// Returns to the blank memory [`Memory::new`] makes — every region
     /// zero, no allocations, no snapshot base — keeping the buffers. With
     /// no base the dirty map is relative to that blank image, so only the

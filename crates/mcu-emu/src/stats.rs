@@ -578,11 +578,6 @@ impl RunStats {
         self.app_energy_nj.saturating_sub(golden_app_energy_nj)
     }
 
-    /// Total redundant I/O re-executions (peripheral plus DMA).
-    pub fn total_reexecutions(&self) -> u64 {
-        self.io_reexecutions + self.dma_reexecutions
-    }
-
     /// Merges another run's ledger into this one (for aggregation across
     /// seeded repetitions).
     pub fn merge(&mut self, other: &RunStats) {
