@@ -166,10 +166,9 @@ pub fn build(mcu: &mut Mcu, cfg: &FlakyRadioCfg) -> (App, NvVar<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{KernelKind, MakeRuntime};
-    use kernel::{run_app, ExecConfig, FaultSpec, Outcome};
+    use crate::harness::{KernelBuilder, KernelKind};
+    use kernel::{run_app, FaultSpec, Outcome};
     use mcu_emu::{Supply, TimerResetConfig};
-    use periph::Peripherals;
 
     fn run_with_faults(
         kind: KernelKind,
@@ -178,14 +177,8 @@ mod tests {
         fault: &FaultSpec,
     ) -> (kernel::RunResult, u32, usize) {
         let mut mcu = Mcu::new(supply);
-        let mut p = Peripherals::new(env_seed);
-        fault.apply(&mut p);
         let (app, sent) = build(&mut mcu, &FlakyRadioCfg::default());
-        let mut rt = kind.make();
-        let cfg = ExecConfig {
-            retry: fault.retry,
-            ..ExecConfig::default()
-        };
+        let (mut rt, mut p, cfg) = KernelBuilder::new(kind).with_faults(*fault).boot(env_seed);
         let r = run_app(&app, rt.as_mut(), &mut mcu, &mut p, &cfg);
         let n = sent.get(&mcu.mem);
         (r, n, p.radio.count())

@@ -8,42 +8,72 @@
 //! power failures, redundant re-executions, and correctness counts.
 
 use easeio_core::EaseIoRuntime;
+use kernel::alpaca::AlpacaRuntime;
 use kernel::footprint::{footprint, Footprint};
+use kernel::ink::InkRuntime;
+use kernel::naive::NaiveRuntime;
 use kernel::{run_app, App, ExecConfig, FaultSpec, Outcome, RunResult, Runtime, Verdict};
 use mcu_emu::{Mcu, Supply, TimerResetConfig};
 use periph::Peripherals;
-use std::sync::Arc;
 
-pub use kernel::{KernelBuilder, KernelFactory, KernelKind};
+pub use kernel::KernelKind;
 
-/// The [`KernelFactory`] covering every kernel the repository ships: it
-/// constructs EaseIO (which lives upstream of the `kernel` crate) and lets
-/// the in-crate baselines fall through to [`KernelBuilder`]'s defaults.
-pub fn standard_factory() -> KernelFactory {
-    Arc::new(|kind| match kind {
-        KernelKind::EaseIo | KernelKind::EaseIoOp => {
-            Some(Box::new(EaseIoRuntime::default()) as Box<dyn Runtime>)
+/// The one run recipe: which kernel runs, under which transient-fault
+/// configuration (plan + retry policy). Every from-scratch run start in
+/// the workspace — single runs, the crash sweep's oracle and reference,
+/// the experiment grid, the synthesized-program checker — goes through
+/// [`KernelBuilder::boot`], so runs seeded alike start from identical
+/// state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelBuilder {
+    kind: KernelKind,
+    fault: FaultSpec,
+}
+
+impl From<KernelKind> for KernelBuilder {
+    fn from(kind: KernelKind) -> Self {
+        Self::new(kind)
+    }
+}
+
+impl KernelBuilder {
+    /// A fault-free recipe for `kind`.
+    pub fn new(kind: KernelKind) -> Self {
+        Self {
+            kind,
+            fault: FaultSpec::none(),
         }
-        _ => None,
-    })
-}
+    }
 
-/// A [`KernelBuilder`] for `kind` with the [`standard_factory`] installed:
-/// the one constructor every experiment, sweep, and engine worker uses.
-pub fn kernel_builder(kind: KernelKind) -> KernelBuilder {
-    KernelBuilder::new(kind).with_factory(standard_factory())
-}
+    /// The recipe with `fault`'s plan and retry policy, which
+    /// [`KernelBuilder::boot`] applies.
+    pub fn with_faults(mut self, fault: FaultSpec) -> Self {
+        self.fault = fault;
+        self
+    }
 
-/// Convenience `kind.make()` method, preserved from the pre-builder API as
-/// an extension trait over [`KernelKind`].
-pub trait MakeRuntime {
-    /// Instantiates a fresh runtime via the standard [`KernelBuilder`].
-    fn make(self) -> Box<dyn Runtime>;
-}
+    /// Instantiates a fresh kernel. Each run gets its own instance — kernels
+    /// carry per-run state (locks, private copies, activation bookkeeping).
+    pub fn build(&self) -> Box<dyn Runtime> {
+        match self.kind {
+            KernelKind::Naive => Box::new(NaiveRuntime::new()),
+            KernelKind::Alpaca => Box::new(AlpacaRuntime::new()),
+            KernelKind::Ink => Box::new(InkRuntime::new()),
+            KernelKind::EaseIo | KernelKind::EaseIoOp => Box::new(EaseIoRuntime::default()),
+        }
+    }
 
-impl MakeRuntime for KernelKind {
-    fn make(self) -> Box<dyn Runtime> {
-        kernel_builder(self).build()
+    /// The start of a run at `env_seed`: a fresh kernel, fresh peripherals
+    /// with the recipe's fault plan applied, and the executor configuration
+    /// carrying its retry policy.
+    pub fn boot(&self, env_seed: u64) -> (Box<dyn Runtime>, Peripherals, ExecConfig) {
+        let mut periph = Peripherals::new(env_seed);
+        self.fault.apply(&mut periph);
+        let cfg = ExecConfig {
+            retry: self.fault.retry,
+            ..ExecConfig::default()
+        };
+        (self.build(), periph, cfg)
     }
 }
 
@@ -73,7 +103,7 @@ impl Default for ExperimentCfg {
 }
 
 /// Aggregated results of `runs` seeded executions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Summary {
     /// Runtime display name.
     pub runtime: &'static str,
@@ -148,81 +178,47 @@ impl Summary {
 
     /// The q-th percentile of per-run total time (µs); q in 0..=100.
     pub fn percentile_us(&self, q: u32) -> u64 {
-        if self.run_totals_us.is_empty() {
-            return 0;
-        }
         let mut v = self.run_totals_us.clone();
         v.sort_unstable();
-        let idx = ((v.len() - 1) as u64 * q as u64 / 100) as usize;
-        v[idx]
+        easeio_trace::agg::percentile(&v, q.into())
     }
 }
 
-/// Runs the app once. `builder` allocates the app on the provided MCU.
+/// Runs the app once on `supply`, started by `recipe`'s [`KernelBuilder::boot`].
+/// `builder` allocates the app on the provided MCU.
 pub fn run_once(
     builder: &dyn Fn(&mut Mcu) -> App,
-    kind: KernelKind,
+    recipe: impl Into<KernelBuilder>,
     supply: Supply,
     env_seed: u64,
 ) -> RunResult {
-    run_configured(builder, kind, supply, env_seed, false, &FaultSpec::none())
-}
-
-/// Like [`run_once`], with a peripheral fault plan installed and its retry
-/// policy applied.
-pub fn run_once_faulted(
-    builder: &dyn Fn(&mut Mcu) -> App,
-    kind: KernelKind,
-    supply: Supply,
-    env_seed: u64,
-    fault: &FaultSpec,
-) -> RunResult {
-    run_configured(builder, kind, supply, env_seed, false, fault)
+    run_on(&mut Mcu::new(supply), builder, recipe.into(), env_seed).1
 }
 
 /// Like [`run_once`], but with the structured event recorder enabled: the
 /// returned [`RunResult::events`] holds the full trace.
 pub fn run_traced(
     builder: &dyn Fn(&mut Mcu) -> App,
-    kind: KernelKind,
+    recipe: impl Into<KernelBuilder>,
     supply: Supply,
     env_seed: u64,
-) -> RunResult {
-    run_configured(builder, kind, supply, env_seed, true, &FaultSpec::none())
-}
-
-/// Traced run with a peripheral fault plan installed.
-pub fn run_traced_faulted(
-    builder: &dyn Fn(&mut Mcu) -> App,
-    kind: KernelKind,
-    supply: Supply,
-    env_seed: u64,
-    fault: &FaultSpec,
-) -> RunResult {
-    run_configured(builder, kind, supply, env_seed, true, fault)
-}
-
-fn run_configured(
-    builder: &dyn Fn(&mut Mcu) -> App,
-    kind: KernelKind,
-    supply: Supply,
-    env_seed: u64,
-    traced: bool,
-    fault: &FaultSpec,
 ) -> RunResult {
     let mut mcu = Mcu::new(supply);
-    if traced {
-        mcu.trace = mcu_emu::TraceSink::enabled();
-    }
-    let mut periph = Peripherals::new(env_seed);
-    fault.apply(&mut periph);
-    let app = builder(&mut mcu);
-    let mut rt = kind.make();
-    let cfg = ExecConfig {
-        retry: fault.retry,
-        ..ExecConfig::default()
-    };
-    run_app(&app, rt.as_mut(), &mut mcu, &mut periph, &cfg)
+    mcu.trace = mcu_emu::TraceSink::enabled();
+    run_on(&mut mcu, builder, recipe.into(), env_seed).1
+}
+
+/// Builds the app on `mcu` and runs it from `recipe`'s boot.
+fn run_on(
+    mcu: &mut Mcu,
+    builder: &dyn Fn(&mut Mcu) -> App,
+    recipe: KernelBuilder,
+    env_seed: u64,
+) -> (App, RunResult) {
+    let app = builder(mcu);
+    let (mut rt, mut periph, cfg) = recipe.boot(env_seed);
+    let r = run_app(&app, rt.as_mut(), mcu, &mut periph, &cfg);
+    (app, r)
 }
 
 /// Golden run on continuous power: returns (app time, app energy) per run.
@@ -239,43 +235,27 @@ pub fn golden(builder: &dyn Fn(&mut Mcu) -> App, kind: KernelKind, env_seed: u64
 }
 
 /// Runs the experiment `cfg.runs` times and aggregates. The run at seed
-/// `s` is powered by `supply(s)`; every run gets the same fault plan and
-/// retry policy.
+/// `s` is powered by `supply(s)`; every run starts from `recipe`, so gets
+/// the same fault plan and retry policy. The golden run is fault-free.
 pub fn run_many(
     app_name: &'static str,
     builder: &dyn Fn(&mut Mcu) -> App,
-    kind: KernelKind,
+    recipe: impl Into<KernelBuilder>,
     cfg: &ExperimentCfg,
     supply: &dyn Fn(u64) -> Supply,
-    fault: &FaultSpec,
 ) -> Summary {
-    let (golden_app_us, golden_app_energy_nj) = golden(builder, kind, cfg.base_seed);
+    let recipe = recipe.into();
+    let (golden_app_us, golden_app_energy_nj) = golden(builder, recipe.kind, cfg.base_seed);
     let mut s = Summary {
-        runtime: kind.name(),
+        runtime: recipe.kind.name(),
         app: app_name,
         runs: cfg.runs,
-        completed: 0,
-        non_terminated: 0,
-        faulted: 0,
-        correct: 0,
-        incorrect: 0,
-        task_commits: 0,
-        total_on_us: 0,
-        app_us: 0,
-        overhead_us: 0,
         golden_app_us,
         golden_app_energy_nj,
-        energy_nj: 0,
-        power_failures: 0,
-        io_executed: 0,
-        io_skipped: 0,
-        io_reexecutions: 0,
-        dma_reexecutions: 0,
-        dma_skipped: 0,
-        run_totals_us: Vec::new(),
+        ..Summary::default()
     };
     for seed in cfg.base_seed..cfg.base_seed + cfg.runs {
-        let r = run_once_faulted(builder, kind, supply(seed), seed, fault);
+        let r = run_once(builder, recipe, supply(seed), seed);
         match r.outcome {
             Outcome::NonTermination => {
                 s.non_terminated += 1;
@@ -317,16 +297,7 @@ pub fn measure_footprint(
     env_seed: u64,
 ) -> Footprint {
     let mut mcu = Mcu::new(Supply::continuous());
-    let mut periph = Peripherals::new(env_seed);
-    let app = builder(&mut mcu);
-    let mut rt = kind.make();
-    let r = run_app(
-        &app,
-        rt.as_mut(),
-        &mut mcu,
-        &mut periph,
-        &ExecConfig::default(),
-    );
+    let (app, r) = run_on(&mut mcu, builder, kind.into(), env_seed);
     assert_eq!(r.outcome, Outcome::Completed);
     footprint(kind.name(), &app.inventory, &mcu.mem)
 }
@@ -344,22 +315,8 @@ mod tests {
             ..Default::default()
         };
         let build = |mcu: &mut Mcu| dma_app::build(mcu, &DmaAppCfg::default());
-        let a = run_many(
-            "dma",
-            &build,
-            KernelKind::Alpaca,
-            &cfg,
-            &paper_supply,
-            &FaultSpec::none(),
-        );
-        let b = run_many(
-            "dma",
-            &build,
-            KernelKind::Alpaca,
-            &cfg,
-            &paper_supply,
-            &FaultSpec::none(),
-        );
+        let a = run_many("dma", &build, KernelKind::Alpaca, &cfg, &paper_supply);
+        let b = run_many("dma", &build, KernelKind::Alpaca, &cfg, &paper_supply);
         assert_eq!(a.total_on_us, b.total_on_us);
         assert_eq!(a.power_failures, b.power_failures);
         assert_eq!(a.completed, 20);
@@ -373,22 +330,8 @@ mod tests {
             ..Default::default()
         };
         let build = |mcu: &mut Mcu| dma_app::build(mcu, &DmaAppCfg::default());
-        let alpaca = run_many(
-            "dma",
-            &build,
-            KernelKind::Alpaca,
-            &cfg,
-            &paper_supply,
-            &FaultSpec::none(),
-        );
-        let easeio = run_many(
-            "dma",
-            &build,
-            KernelKind::EaseIo,
-            &cfg,
-            &paper_supply,
-            &FaultSpec::none(),
-        );
+        let alpaca = run_many("dma", &build, KernelKind::Alpaca, &cfg, &paper_supply);
+        let easeio = run_many("dma", &build, KernelKind::EaseIo, &cfg, &paper_supply);
         assert!(
             easeio.reexecutions() < alpaca.reexecutions(),
             "EaseIO {} vs Alpaca {} re-executions",
@@ -402,6 +345,44 @@ mod tests {
             alpaca.mean_total_us()
         );
         assert!(easeio.wasted_us() < alpaca.wasted_us());
+    }
+
+    #[test]
+    fn every_kind_builds_its_runtime() {
+        for kind in KernelKind::ALL {
+            let rt = KernelBuilder::new(kind).build();
+            // EaseIO/Op is the EaseIO runtime paired with `Exclude` apps.
+            assert_eq!(rt.name(), kind.name().trim_end_matches("/Op"), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn boot_applies_the_fault_plan_and_retry_policy() {
+        use crate::flaky_radio::{self, FlakyRadioCfg};
+        let build = |mcu: &mut Mcu| flaky_radio::build(mcu, &FlakyRadioCfg::default()).0;
+        let recipe = KernelBuilder::new(KernelKind::EaseIo).with_faults(FaultSpec {
+            retry: kernel::RetryPolicy {
+                max_retries: 1,
+                ..Default::default()
+            },
+            ..FaultSpec::with_rate(3, 300)
+        });
+        let supply = || Supply::timer(TimerResetConfig::default(), 5);
+        let mut mcu = Mcu::new(supply());
+        let app = build(&mut mcu);
+        let (mut rt, mut periph, cfg) = recipe.boot(5);
+        let plan = periph::FaultPlan::new(3, 300);
+        assert_eq!(periph, Peripherals::with_fault_plan(5, plan));
+        assert_eq!(cfg.retry.max_retries, 1);
+        let booted = run_app(&app, rt.as_mut(), &mut mcu, &mut periph, &cfg);
+        let once = run_once(&build, recipe, supply(), 5);
+        assert_eq!(format!("{booted:?}"), format!("{once:?}"));
+        let quiet = run_once(&build, KernelKind::EaseIo, supply(), 5);
+        assert_ne!(
+            format!("{quiet:?}"),
+            format!("{once:?}"),
+            "the fault plan changed the run"
+        );
     }
 
     #[test]
@@ -431,7 +412,6 @@ mod percentile_tests {
                 ..Default::default()
             },
             &paper_supply,
-            &FaultSpec::none(),
         );
         // Replace measured values with a known ladder.
         s.run_totals_us = vec![10, 20, 30, 40, 50];

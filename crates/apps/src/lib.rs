@@ -34,7 +34,4 @@ pub mod temp_app;
 pub mod unsafe_branch;
 pub mod weather;
 
-pub use harness::{
-    kernel_builder, run_many, run_once, standard_factory, ExperimentCfg, KernelBuilder,
-    KernelFactory, KernelKind, MakeRuntime, Summary,
-};
+pub use harness::{run_many, run_once, ExperimentCfg, KernelBuilder, KernelKind, Summary};

@@ -176,17 +176,15 @@ pub fn build(mcu: &mut Mcu, cfg: &MotionCfg) -> (App, NvVar<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{KernelKind, MakeRuntime};
-    use kernel::{run_app, ExecConfig, Outcome};
+    use crate::harness::{KernelBuilder, KernelKind};
+    use kernel::{run_app, Outcome};
     use mcu_emu::{Supply, TimerResetConfig};
-    use periph::Peripherals;
 
     fn run(kind: KernelKind, seed: u64) -> (kernel::RunResult, u32, usize) {
         let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), seed));
-        let mut p = Peripherals::new(seed);
         let (app, alerts) = build(&mut mcu, &MotionCfg::default());
-        let mut rt = kind.make();
-        let r = run_app(&app, rt.as_mut(), &mut mcu, &mut p, &ExecConfig::default());
+        let (mut rt, mut p, cfg) = KernelBuilder::new(kind).boot(seed);
+        let r = run_app(&app, rt.as_mut(), &mut mcu, &mut p, &cfg);
         let n = alerts.get(&mcu.mem);
         (r, n, p.radio.count())
     }
@@ -194,10 +192,9 @@ mod tests {
     #[test]
     fn detects_activity_on_continuous_power() {
         let mut mcu = Mcu::new(Supply::continuous());
-        let mut p = Peripherals::new(3);
         let (app, alerts) = build(&mut mcu, &MotionCfg::default());
-        let mut rt = KernelKind::Alpaca.make();
-        let r = run_app(&app, rt.as_mut(), &mut mcu, &mut p, &ExecConfig::default());
+        let (mut rt, mut p, cfg) = KernelBuilder::new(KernelKind::Alpaca).boot(3);
+        let r = run_app(&app, rt.as_mut(), &mut mcu, &mut p, &cfg);
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(r.verdict, Some(Verdict::Correct));
         // The app starts inside a burst window (bursts occupy t ∈ [0, 0.5 s)),

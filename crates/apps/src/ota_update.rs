@@ -199,11 +199,10 @@ pub fn build(mcu: &mut Mcu, cfg: &OtaUpdateCfg) -> (App, NvVar<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{KernelKind, MakeRuntime};
+    use crate::harness::{KernelBuilder, KernelKind};
     use kernel::update::{PROBE_DUPLICATE_ACTIVATION, PROBE_VERSION_TORN};
-    use kernel::{run_app, ExecConfig, Outcome};
+    use kernel::{run_app, Outcome};
     use mcu_emu::Supply;
-    use periph::Peripherals;
 
     fn cfg_for(kind: KernelKind) -> OtaUpdateCfg {
         OtaUpdateCfg {
@@ -214,10 +213,9 @@ mod tests {
 
     fn run_injected(kind: KernelKind, supply: Supply) -> kernel::RunResult {
         let mut mcu = Mcu::new(supply);
-        let mut p = Peripherals::new(5);
         let (app, _) = build(&mut mcu, &cfg_for(kind));
-        let mut rt = kind.make();
-        run_app(&app, rt.as_mut(), &mut mcu, &mut p, &ExecConfig::default())
+        let (mut rt, mut p, cfg) = KernelBuilder::new(kind).boot(5);
+        run_app(&app, rt.as_mut(), &mut mcu, &mut p, &cfg)
     }
 
     #[test]
@@ -286,14 +284,13 @@ mod tests {
     #[test]
     fn a_device_that_received_no_image_stays_on_the_factory_version() {
         let mut mcu = Mcu::new(Supply::continuous());
-        let mut p = Peripherals::new(5);
         let cfg = OtaUpdateCfg {
             target_seq: 1,
             ..OtaUpdateCfg::default()
         };
         let (app, _) = build(&mut mcu, &cfg);
-        let mut rt = KernelKind::EaseIo.make();
-        let r = run_app(&app, rt.as_mut(), &mut mcu, &mut p, &ExecConfig::default());
+        let (mut rt, mut p, exec) = KernelBuilder::new(KernelKind::EaseIo).boot(5);
+        let r = run_app(&app, rt.as_mut(), &mut mcu, &mut p, &exec);
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(r.verdict, Some(Verdict::Correct));
         // The window never opens and nothing is staged.

@@ -33,13 +33,13 @@
 //!   that DMA — which addresses physical memory — cannot see; mixing the
 //!   two in one task is broken on *continuous* power under real InK too).
 
-use crate::harness::{KernelKind, MakeRuntime};
+use crate::harness::{KernelBuilder, KernelKind};
 use kernel::{
-    run_app, App, ExecConfig, Inventory, IoOp, Outcome, ReexecSemantics, TaskCtx, TaskDef, TaskId,
-    TaskResult, Transition,
+    run_app, App, Inventory, IoOp, Outcome, ReexecSemantics, TaskCtx, TaskDef, TaskId, TaskResult,
+    Transition,
 };
 use mcu_emu::{Mcu, NvBuf, NvVar, Region, Supply};
-use periph::{Peripherals, Sensor};
+use periph::Sensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
@@ -505,16 +505,9 @@ pub fn check(
     env_seed: u64,
 ) -> Result<(), String> {
     let mut mcu = Mcu::new(supply);
-    let mut periph = Peripherals::new(env_seed);
     let inst = build(&mut mcu, prog);
-    let mut rt = kind.make();
-    let r = run_app(
-        &inst.app,
-        rt.as_mut(),
-        &mut mcu,
-        &mut periph,
-        &ExecConfig::default(),
-    );
+    let (mut rt, mut periph, cfg) = KernelBuilder::new(kind).boot(env_seed);
+    let r = run_app(&inst.app, rt.as_mut(), &mut mcu, &mut periph, &cfg);
     if r.outcome != Outcome::Completed {
         return Err(format!("did not complete: {:?}", r.outcome));
     }

@@ -3,13 +3,13 @@
 
 use crate::flags::Args;
 use crate::{emit_json, emit_report, print_list, probe_build, read_json_or_die, ExitCode};
-use apps::harness::{run_once_faulted, KernelKind};
+use apps::harness::{run_once, KernelKind};
 use easeio_exec::{AppSpec, SupplySpec, APP_NAMES};
 use easeio_trace::{
     build_metrics_report, compare_metrics, flamegraph, MetricsEntry, MetricsInputs, SiteWasteRow,
     SkippedApp, TaskWasteRow,
 };
-use kernel::{FaultSpec, Outcome, Verdict};
+use kernel::{Outcome, Verdict};
 use mcu_emu::{Mcu, RunStats, DMA_SITE_BASE};
 
 pub fn outcome_label(outcome: &Outcome) -> &'static str {
@@ -101,8 +101,8 @@ pub fn metrics_main(a: &Args) -> ExitCode {
             let spec = AppSpec::Named(app_name.clone());
             probe_build(&spec, *kind);
             let build = |m: &mut Mcu| spec.build(*kind, m).expect("probe-built above");
-            let supply = SupplySpec::Timer.make(seed);
-            let r = run_once_faulted(&build, *kind, supply, seed, &FaultSpec::none());
+            let supply = SupplySpec::Timer.make(seed, 0);
+            let r = run_once(&build, *kind, supply, seed);
             let entry = metrics_entry(kind.name(), app_name, &r.outcome, &r.verdict, &r.stats);
             let redundant: u64 = entry.redundant_sites.iter().map(|s| s.energy_nj).sum();
             println!(

@@ -8,7 +8,7 @@ use crate::{
     die, emit_report, faults_suffix, pretty, print_list, probe_build, read_json_or_die,
     read_or_die, write_or_die, ExitCode,
 };
-use apps::harness::{golden, measure_footprint, run_many, run_traced_faulted, ExperimentCfg};
+use apps::harness::{golden, measure_footprint, run_many, run_traced, ExperimentCfg};
 use easeio_exec::{AppSpec, ScenarioSpec, SupplySpec};
 use easeio_trace::{
     build_metrics_report, build_profile, build_report, chrome_trace_with_counters, jsonl,
@@ -69,9 +69,9 @@ pub fn main(a: &Args) -> ExitCode {
 /// One traced run: the human summary plus every requested output.
 fn single(sc: &ScenarioSpec, app_name: &str, trace: bool, metrics_out: Option<&str>) -> ExitCode {
     let kind = sc.device.kernel;
-    let supply = sc.supply.make(sc.seed);
+    let supply = sc.supply.make(sc.seed, 0);
     let build = |m: &mut Mcu| sc.build_app(m).expect("probe-built above");
-    let r = run_traced_faulted(&build, kind, supply, sc.seed, &sc.device.fault);
+    let r = run_traced(&build, sc.kernel_builder(), supply, sc.seed);
     println!(
         "{} under {} on {} supply (seed {}{})",
         app_name,
@@ -222,8 +222,10 @@ fn aggregate(sc: &ScenarioSpec, app_name: &'static str) -> ExitCode {
         runs: sc.runs,
         base_seed: sc.seed,
     };
-    let supply = |seed| sc.supply.make(seed);
-    let s = run_many(app_name, &build, kind, &cfg, &supply, &sc.device.fault);
+    // Run `seed` is replica `seed - sc.seed`: RF runs phase-shift their
+    // harvesting trajectory as timer runs reseed their schedule.
+    let supply = |seed| sc.supply.make(seed, seed - sc.seed);
+    let s = run_many(app_name, &build, sc.kernel_builder(), &cfg, &supply);
     let correct = s.completed - s.incorrect;
     let n = s.completed.max(1) as f64;
     println!(

@@ -22,7 +22,7 @@ use easeio_core::dma_rules::BufferMode::{self, Dedicated, Shared};
 use easeio_core::{EaseIoConfig, EaseIoRuntime};
 use easeio_exec::{run_grid, GridCell, GridSpec};
 use kernel::footprint::Footprint;
-use kernel::{run_app, App, ExecConfig, FaultSpec, Inventory, Outcome, Verdict};
+use kernel::{run_app, App, ExecConfig, Inventory, Outcome, Verdict};
 use mcu_emu::{Mcu, Supply, TimerResetConfig};
 use KernelKind::{Alpaca, EaseIo, EaseIoOp, Ink};
 
@@ -146,8 +146,7 @@ fn paper_runs(app: &'static str, builder: &Builder, kind: KernelKind, runs: u64)
         runs,
         ..ExperimentCfg::default()
     };
-    let faults = FaultSpec::none();
-    run_many(app, builder.as_ref(), kind, &cfg, &paper_supply, &faults)
+    run_many(app, builder.as_ref(), kind, &cfg, &paper_supply)
 }
 
 /// `builder` under Alpaca, InK and EaseIO, [`PAPER_RUNS`] runs each.
@@ -259,7 +258,7 @@ fn reset_period() -> Vec<(u64, Option<u64>, Option<u64>)> {
             ..ExperimentCfg::default()
         };
         let mean = |rt| {
-            let s = run_many("dma", dma().as_ref(), rt, &cfg, &supply, &FaultSpec::none());
+            let s = run_many("dma", dma().as_ref(), rt, &cfg, &supply);
             (s.completed > 0).then(|| s.mean_total_us())
         };
         ((lo + hi) / 2, mean(Alpaca), mean(EaseIo))
@@ -637,9 +636,9 @@ fn table1() -> Table {
         "runtime | repeated I/O | wasted I/O | mem. inconsistency | safe DMA | timely I/O \
          | semantic re-exec | evidence",
         literal_rows(
-            "Alpaca / InK | yes | high | yes | no | no | no | fig7/fig12/table5
+            "Alpaca / InK | yes | high | yes | no | no | no | fig7-dma/fig7-temp/fig12/table5
 Naive (no privatization) | yes | high | yes | no | no | no | unsafe_branch/motion tests
-EaseIO (this reproduction) | no / low | no | no | yes | yes | yes | fig7/fig12/table5/model_check",
+EaseIO (this reproduction) | no / low | no | no | yes | yes | yes | fig7-dma/fig7-temp/fig12/table5/model_check",
         ),
     )
     .with_notes(

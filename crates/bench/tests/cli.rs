@@ -375,6 +375,51 @@ fn runs_aggregate_output_is_pinned() {
     }
 }
 
+/// The value of `"key":N` in one JSONL record.
+fn json_u64(line: &str, key: &str) -> u64 {
+    let tail = &line[line.find(&format!("\"{key}\":")).expect(key) + key.len() + 3..];
+    let end = tail.find([',', '}']).unwrap();
+    tail[..end].parse().unwrap()
+}
+
+/// Replica `k` of an RF run sees the fading wave phase-shifted by `k`
+/// steps, so the runs of `--runs N` and the devices of a fleet do not all
+/// repeat replica 0's harvesting trajectory.
+#[test]
+fn rf_replicas_follow_distinct_trajectories() {
+    let rf = ["--app", "dma", "--supply", "rf", "--distance", "64"];
+    // `--runs 2` averages replicas 0 and 1; replica 0 alone is the single
+    // run. Equal means would say replica 1 repeated replica 0.
+    let single = stdout(&sim(&rf));
+    let value = |label: &str| {
+        let rest = single.lines().find_map(|l| l.trim().strip_prefix(label));
+        rest.and_then(|r| r.split_whitespace().next())
+            .unwrap()
+            .to_string()
+    };
+    let (on_ms, failures) = (value("time:"), value("power failures:"));
+    let aggregate = stdout(&sim(&[&rf[..], &["--runs", "2"]].concat()));
+    let same = format!("mean {on_ms} ms, {failures}.00 failures/run");
+    assert!(!aggregate.contains(&same), "{aggregate} repeats {same}");
+
+    let dir = scratch("rf-fleet");
+    let stream = dir.join("fleet.jsonl");
+    let out = sim(&[
+        &["fleet"][..],
+        &rf,
+        &["--devices", "2", "--stream-out", path_str(&stream)],
+    ]
+    .concat());
+    assert_eq!(code(&out), 0);
+    let lines = std::fs::read_to_string(&stream).unwrap();
+    let runs: Vec<(u64, u64)> = lines
+        .lines()
+        .map(|l| (json_u64(l, "wall_us"), json_u64(l, "power_failures")))
+        .collect();
+    assert_eq!(runs.len(), 2);
+    assert_ne!(runs[0], runs[1], "device 1 repeated device 0's run");
+}
+
 #[test]
 fn written_reports_validate() {
     let dir = scratch("reports");

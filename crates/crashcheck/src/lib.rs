@@ -34,7 +34,7 @@
 //! Exhaustive below a threshold; above it, boundaries are sampled without
 //! replacement from a seeded [`StdRng`].
 
-use apps::harness::{KernelKind, MakeRuntime};
+use apps::harness::{KernelBuilder, KernelKind};
 use kernel::update::{PROBE_VERSION_TORN, UPDATE_WINDOW_ENTER, UPDATE_WINDOW_EXIT};
 use kernel::{
     reset_runtime, run_app, App, ExecConfig, ExecState, Executor, FaultSpec, Outcome, RunResult,
@@ -326,9 +326,10 @@ pub struct RunRecord {
     pub fram: Arc<[u8]>,
 }
 
-/// One run from the snapshot under `supply`: fresh peripherals, fresh
-/// runtime, restored machine — identical initial state every time. Public
-/// so the parallel engine's workers replay exactly the serial recipe.
+/// One run from the snapshot under `supply`: restored machine, then the
+/// [`KernelBuilder::boot`] of `kind` under `fault` — identical initial
+/// state every time. Public so the parallel engine's workers replay
+/// exactly the serial recipe.
 pub fn run_from(
     app: &App,
     kind: KernelKind,
@@ -338,30 +339,11 @@ pub fn run_from(
     env_seed: u64,
     fault: &FaultSpec,
 ) -> RunRecord {
-    let (mut rt, mut periph, cfg) = fresh_run(kind, mcu, snap, supply, env_seed, fault);
-    let r = run_app(app, rt.as_mut(), mcu, &mut periph, &cfg);
-    record_of(r, mcu)
-}
-
-/// The shared start of every run: restored machine, `supply` installed,
-/// fresh peripherals under the fault plan, fresh kernel.
-fn fresh_run(
-    kind: KernelKind,
-    mcu: &mut Mcu,
-    snap: &McuSnapshot,
-    supply: Supply,
-    env_seed: u64,
-    fault: &FaultSpec,
-) -> (Box<dyn Runtime>, Peripherals, ExecConfig) {
     mcu.restore(snap);
     mcu.supply = supply;
-    let mut periph = Peripherals::new(env_seed);
-    fault.apply(&mut periph);
-    let cfg = ExecConfig {
-        retry: fault.retry,
-        ..ExecConfig::default()
-    };
-    (kind.make(), periph, cfg)
+    let (mut rt, mut periph, cfg) = KernelBuilder::new(kind).with_faults(*fault).boot(env_seed);
+    let r = run_app(app, rt.as_mut(), mcu, &mut periph, &cfg);
+    record_of(r, mcu)
 }
 
 /// The record of a finished run.
@@ -549,8 +531,9 @@ pub fn reference_run(
     fault: &FaultSpec,
 ) -> Reference {
     mcu.record_boundaries(&[PROBE_COUNTERS.as_slice(), &UPDATE_WINDOW_COUNTERS].concat());
-    let (mut rt, mut periph, cfg) =
-        fresh_run(kind, mcu, snap, Supply::continuous(), env_seed, fault);
+    mcu.restore(snap);
+    mcu.supply = Supply::continuous();
+    let (mut rt, mut periph, cfg) = KernelBuilder::new(kind).with_faults(*fault).boot(env_seed);
     let base = mcu.stats.boundaries;
     let mut state = ExecState::boot(app, mcu);
     let mut exec = Executor::new(app, rt.as_mut(), &mut periph, &cfg, &mut state);

@@ -15,7 +15,7 @@
 //! it, and the per-device seeds (`device_seed`) decorrelate their supply
 //! schedules, environments, and fault draws deterministically.
 
-use apps::harness::{kernel_builder, KernelBuilder, KernelKind};
+use apps::harness::{KernelBuilder, KernelKind};
 use apps::{
     dma_app, fir, fir_long, flaky_radio, lea_app, motion, ota_update, temp_app, unsafe_branch,
     weather,
@@ -24,7 +24,7 @@ use kernel::{App, FaultSpec};
 use mcu_emu::{Mcu, Supply, TimerResetConfig};
 use periph::{FaultPlan, MediumSpec};
 
-use crate::supply::{rf_supply, timer_supply_with_mean_on};
+use crate::supply::{rf_supply_phased, timer_supply_with_mean_on, RF_PHASE_STEP_US};
 
 /// Which application to build. `Named` covers the paper's eight benchmark
 /// apps; `Source` compiles an `easec` program from disk.
@@ -181,13 +181,16 @@ impl SupplySpec {
         })
     }
 
-    /// Instantiates the supply for one run.
-    pub fn make(self, seed: u64) -> Supply {
+    /// Instantiates the supply for replica `replica` of a run: timer
+    /// schedules draw from `seed`, the RF harvester's fading wave is
+    /// phase-shifted by `replica × RF_PHASE_STEP_US`. Replica 0 is the
+    /// single run.
+    pub fn make(self, seed: u64, replica: u64) -> Supply {
         match self {
             SupplySpec::Continuous => Supply::continuous(),
             SupplySpec::Timer => Supply::timer(TimerResetConfig::default(), seed),
             SupplySpec::TimerOnMs(on_ms) => timer_supply_with_mean_on(on_ms, seed),
-            SupplySpec::Rf(distance) => rf_supply(distance),
+            SupplySpec::Rf(distance) => rf_supply_phased(distance, replica * RF_PHASE_STEP_US),
         }
     }
 
@@ -226,14 +229,6 @@ impl Default for DeviceSpec {
 }
 
 impl DeviceSpec {
-    /// The kernel builder for this device, standard factory installed and
-    /// the device's fault configuration attached. The kernel it builds is
-    /// the same with or without it: a run's faults come from
-    /// `FaultSpec::apply` on its peripherals and `ExecConfig::retry`.
-    pub fn kernel_builder(&self) -> KernelBuilder {
-        kernel_builder(self.kernel).with_faults(self.fault)
-    }
-
     /// Builds the device's app on `mcu`, applying the kernel's app-variant
     /// pairings (constant-DMA exclusion, update protocol) automatically.
     pub fn build_app(&self, mcu: &mut Mcu) -> Result<App, String> {
@@ -294,9 +289,10 @@ impl ScenarioSpec {
         }
     }
 
-    /// The kernel builder for this scenario's device template.
+    /// The run recipe of this scenario's device template: its kernel under
+    /// its fault configuration.
     pub fn kernel_builder(&self) -> KernelBuilder {
-        self.device.kernel_builder()
+        KernelBuilder::new(self.device.kernel).with_faults(self.device.fault)
     }
 
     /// Builds the template app on `mcu`.
@@ -314,7 +310,7 @@ impl ScenarioSpec {
 
     /// The supply instance for one replica.
     pub fn supply_for_device(&self, device: u32) -> Supply {
-        self.supply.make(self.device_seed(device))
+        self.supply.make(self.device_seed(device), device as u64)
     }
 
     /// The fault spec for one replica: the template's rate and retry

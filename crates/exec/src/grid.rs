@@ -7,18 +7,12 @@
 //! seeded independently of every other, the merged table is identical at
 //! any `--jobs` width.
 
-use apps::harness::{run_once_faulted, KernelKind};
+use apps::harness::{run_once, KernelBuilder, KernelKind};
 use kernel::{App, FaultSpec, Outcome, Verdict};
 use mcu_emu::Mcu;
 
 use crate::config::SupplySpec;
 use crate::pool::{run_indexed, PoolStats};
-use crate::supply::rf_supply_phased;
-
-/// Phase step between RF repetitions: one deterministic fading model,
-/// independent-looking trajectories per run (the paper's Fig. 13 is a grid
-/// over this engine).
-const RF_PHASE_STEP_US: u64 = 3_171;
 
 /// What to grid over.
 #[derive(Debug, Clone)]
@@ -30,8 +24,8 @@ pub struct GridSpec {
     /// Timer mean on-periods in milliseconds (rows on the failure-intensity
     /// axis).
     pub on_times_ms: Vec<u64>,
-    /// Repetitions per cell (phase-perturbed for RF, seed-advanced for
-    /// timer).
+    /// Repetitions per cell: replica `k` runs at environment seed
+    /// `seed + k` on `SupplySpec::make(seed + k, k)`.
     pub runs: u64,
     /// Base seed.
     pub seed: u64,
@@ -102,17 +96,15 @@ pub fn run_grid(
         || (),
         |_, _, &(kind, supply)| {
             let build = |m: &mut Mcu| builder(kind, m);
+            let recipe = KernelBuilder::new(kind).with_faults(spec.fault);
             let mut completed = 0u64;
             let mut correct = 0u64;
             let mut wall = 0u64;
             let mut on = 0u64;
             let mut failures = 0u64;
             for k in 0..spec.runs {
-                let (run_supply, seed) = match supply {
-                    SupplySpec::Rf(d) => (rf_supply_phased(d, k * RF_PHASE_STEP_US), spec.seed),
-                    other => (other.make(spec.seed + k), spec.seed + k),
-                };
-                let r = run_once_faulted(&build, kind, run_supply, seed, &spec.fault);
+                let seed = spec.seed + k;
+                let r = run_once(&build, recipe, supply.make(seed, k), seed);
                 if r.outcome == Outcome::Completed {
                     completed += 1;
                     wall += r.wall_us;

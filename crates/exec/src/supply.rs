@@ -3,16 +3,17 @@
 
 use mcu_emu::{Capacitor, RfHarvestConfig, Supply, TimerResetConfig};
 
+/// Phase step between RF replicas: replica `k` of an RF run sees the one
+/// deterministic fading model shifted by `k × RF_PHASE_STEP_US`, an
+/// independent-looking harvesting trajectory per run.
+pub const RF_PHASE_STEP_US: u64 = 3_171;
+
 /// The RF-harvesting supply of the real-world evaluation (§5.5): a 3 W
 /// transmitter at 915 MHz charging a small storage capacitor, with the
 /// combined antenna/rectifier gain calibrated so the no-failure /
 /// intermittent crossover falls inside the paper's 52–64 inch sweep.
-pub fn rf_supply(distance_inch: u64) -> Supply {
-    rf_supply_phased(distance_inch, 0)
-}
-
-/// [`rf_supply`] with an explicit fading-wave phase: different phases give
-/// independent-looking (but fully deterministic) harvesting trajectories.
+/// Different fading-wave phases give independent-looking (but fully
+/// deterministic) harvesting trajectories.
 pub fn rf_supply_phased(distance_inch: u64, phase_us: u64) -> Supply {
     Supply::harvester(RfHarvestConfig {
         tx_power_mw: 3_000,

@@ -30,7 +30,7 @@ proptest! {
 
     /// Anchor 1: device 0 of any fleet is *the* single-device run — same
     /// outcome, verdict, clocks, energy attribution, and reboot count as
-    /// `apps::harness::run_once_faulted` with the same seed.
+    /// `apps::harness::run_once` of the same recipe and seed.
     #[test]
     fn one_device_fleet_reproduces_the_single_run(
         app_i in 0usize..PROPTEST_APPS.len(),
@@ -57,12 +57,11 @@ proptest! {
 
         let fleet = run_fleet(&spec, None).unwrap();
         let builder = |mcu: &mut mcu_emu::Mcu| spec.build_app(mcu).unwrap();
-        let single = apps::harness::run_once_faulted(
+        let single = apps::harness::run_once(
             &builder,
-            spec.device.kernel,
+            spec.kernel_builder(),
             spec.supply_for_device(0),
             spec.device_seed(0),
-            &fault,
         );
         common::assert_agg_is_the_single_run(&fleet.agg, &single)?;
     }

@@ -72,12 +72,11 @@ proptest! {
             ..OtaUpdateCfg::default()
         };
         let builder = |mcu: &mut mcu_emu::Mcu| ota_update::build(mcu, &cfg).0;
-        let single = apps::harness::run_once_faulted(
+        let single = apps::harness::run_once(
             &builder,
-            kernel,
+            apps::harness::KernelBuilder::new(kernel).with_faults(fault),
             spec.supply_for_device(0),
             spec.device_seed(0),
-            &fault,
         );
         common::assert_agg_is_the_single_run(&r.agg, &single)?;
     }

@@ -1,26 +1,11 @@
-//! Unified kernel construction: one [`KernelKind`] names every runtime the
-//! stack knows, one [`KernelBuilder`] instantiates it.
+//! The kernel names: one [`KernelKind`] names every runtime the stack
+//! knows. It is a *value* — `Copy + Send`, parsed from the CLI, carried
+//! inside a `ScenarioSpec` — so every layer (serial runs, the crash sweep,
+//! the parallel engine's workers) agrees on which kernel runs.
 //!
-//! Before this module each caller picked a concrete constructor by hand
-//! (`AlpacaRuntime::new()`, `InkRuntime::new()`, …) and the simulator CLI
-//! plumbed the choice through ad-hoc flags. The builder makes the kernel a
-//! *value*: a `KernelKind` travels inside a `ScenarioSpec`, is `Copy + Send`,
-//! and every layer — serial runs, the crash sweep, the parallel execution
-//! engine's worker threads — constructs runtimes the same way.
-//!
-//! The EaseIO runtime itself lives upstream of this crate (`easeio-core`
-//! depends on `kernel`, not the other way around), so the builder carries an
-//! optional [`KernelFactory`] extension slot: `apps::harness` installs a
-//! factory that knows how to build EaseIO, while the three in-crate
-//! baselines build directly. Asking the bare builder for an EaseIO kernel is
-//! a programming error and panics with a pointer to the standard factory.
-
-use crate::alpaca::AlpacaRuntime;
-use crate::ink::InkRuntime;
-use crate::naive::NaiveRuntime;
-use crate::retry::FaultSpec;
-use crate::runtime::Runtime;
-use std::sync::Arc;
+//! Construction lives upstream, in `apps::harness::KernelBuilder`: the
+//! EaseIO runtime is defined in `easeio-core`, which depends on this crate,
+//! so only a crate above both can build every kind.
 
 /// Which kernel (runtime) executes the task graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,121 +87,9 @@ impl KernelKind {
     ];
 }
 
-/// Extension hook constructing kernels defined upstream of this crate.
-/// Returns `None` for kinds it does not handle. `Send + Sync` so one factory
-/// serves every worker thread of the parallel engine.
-pub type KernelFactory = Arc<dyn Fn(KernelKind) -> Option<Box<dyn Runtime>> + Send + Sync>;
-
-/// Builds kernel instances from a [`KernelKind`].
-#[derive(Clone)]
-pub struct KernelBuilder {
-    kind: KernelKind,
-    factory: Option<KernelFactory>,
-    fault: FaultSpec,
-}
-
-impl std::fmt::Debug for KernelBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KernelBuilder")
-            .field("kind", &self.kind)
-            .field("has_factory", &self.factory.is_some())
-            .field("fault", &self.fault)
-            .finish()
-    }
-}
-
-impl KernelBuilder {
-    /// A builder for `kind` with no extension factory: it can construct the
-    /// three kernels defined in this crate.
-    pub fn new(kind: KernelKind) -> Self {
-        Self {
-            kind,
-            factory: None,
-            fault: FaultSpec::none(),
-        }
-    }
-
-    /// The kind this builder constructs.
-    pub fn kind(&self) -> KernelKind {
-        self.kind
-    }
-
-    /// Attaches a transient-fault configuration, readable back through
-    /// [`KernelBuilder::fault`]. [`KernelBuilder::build`] never reads it:
-    /// faults reach a run through [`FaultSpec::apply`] on its peripherals
-    /// and through `ExecConfig::retry`.
-    pub fn with_faults(mut self, fault: FaultSpec) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// The transient-fault configuration (plan + retry policy).
-    pub fn fault(&self) -> FaultSpec {
-        self.fault
-    }
-
-    /// Installs an extension factory consulted before the in-crate kernels
-    /// (`apps::harness::standard_factory` wires up EaseIO).
-    pub fn with_factory(mut self, factory: KernelFactory) -> Self {
-        self.factory = Some(factory);
-        self
-    }
-
-    /// Instantiates a fresh kernel. Each run gets its own instance — kernels
-    /// carry per-run state (locks, private copies, activation bookkeeping).
-    pub fn build(&self) -> Box<dyn Runtime> {
-        if let Some(factory) = &self.factory {
-            if let Some(rt) = factory(self.kind) {
-                return rt;
-            }
-        }
-        match self.kind {
-            KernelKind::Naive => Box::new(NaiveRuntime::new()),
-            KernelKind::Alpaca => Box::new(AlpacaRuntime::new()),
-            KernelKind::Ink => Box::new(InkRuntime::new()),
-            KernelKind::EaseIo | KernelKind::EaseIoOp => panic!(
-                "the EaseIO kernel lives upstream of the kernel crate; install a factory \
-                 (e.g. apps::harness::standard_factory) on this KernelBuilder"
-            ),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builds_in_crate_kernels_without_a_factory() {
-        for kind in [KernelKind::Naive, KernelKind::Alpaca, KernelKind::Ink] {
-            let rt = KernelBuilder::new(kind).build();
-            assert_eq!(rt.name(), kind.name());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "factory")]
-    fn easeio_without_a_factory_panics_with_guidance() {
-        KernelBuilder::new(KernelKind::EaseIo).build();
-    }
-
-    #[test]
-    fn factory_takes_precedence_and_falls_through() {
-        let factory: KernelFactory = Arc::new(|kind| match kind {
-            // Stand-in: pretend Naive is an externally provided kernel.
-            KernelKind::EaseIo => Some(Box::new(NaiveRuntime::new()) as Box<dyn Runtime>),
-            _ => None,
-        });
-        let rt = KernelBuilder::new(KernelKind::EaseIo)
-            .with_factory(factory.clone())
-            .build();
-        assert_eq!(rt.name(), "Naive");
-        // Unhandled kinds fall through to the in-crate constructors.
-        let rt = KernelBuilder::new(KernelKind::Alpaca)
-            .with_factory(factory)
-            .build();
-        assert_eq!(rt.name(), "Alpaca");
-    }
 
     #[test]
     fn cli_names_round_trip() {

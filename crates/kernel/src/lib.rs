@@ -35,7 +35,7 @@ pub mod semantics;
 pub mod task;
 pub mod update;
 
-pub use builder::{KernelBuilder, KernelFactory, KernelKind};
+pub use builder::KernelKind;
 pub use ctx::TaskCtx;
 pub use error::{DmaError, Fault, IoError, IoFailure, IoFault};
 pub use executor::{run_app, ExecConfig, ExecState, Executor, Outcome, RunResult};

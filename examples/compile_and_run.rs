@@ -4,11 +4,10 @@
 //!
 //! Run with: `cargo run --release --example compile_and_run`
 
-use easeio_repro::apps::harness::{KernelKind, MakeRuntime};
+use easeio_repro::apps::harness::{KernelBuilder, KernelKind};
 use easeio_repro::easec;
-use easeio_repro::kernel::{run_app, ExecConfig, Outcome};
+use easeio_repro::kernel::{run_app, Outcome};
 use easeio_repro::mcu_emu::{Mcu, Supply, TimerResetConfig};
-use easeio_repro::periph::Peripherals;
 
 fn main() {
     let source = include_str!("programs/weather.eio");
@@ -20,15 +19,8 @@ fn main() {
     for kind in [KernelKind::Alpaca, KernelKind::EaseIo] {
         let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), 17));
         let compiled = easec::compile(source, &mut mcu).expect("compiles");
-        let mut periph = Peripherals::new(17);
-        let mut rt = kind.make();
-        let r = run_app(
-            &compiled.app,
-            rt.as_mut(),
-            &mut mcu,
-            &mut periph,
-            &ExecConfig::default(),
-        );
+        let (mut rt, mut periph, exec) = KernelBuilder::new(kind).boot(17);
+        let r = run_app(&compiled.app, rt.as_mut(), &mut mcu, &mut periph, &exec);
         assert_eq!(r.outcome, Outcome::Completed);
         println!(
             "{:<8} {:>7.2} ms, {} failures, {} I/O executed, {} restored, {} duplicate sends",

@@ -8,10 +8,9 @@
 //! Run with: `cargo run --release --example fir_pipeline`
 
 use easeio_repro::apps::fir::{self, FirCfg};
-use easeio_repro::apps::harness::{KernelKind, MakeRuntime};
-use easeio_repro::kernel::{run_app, ExecConfig, Outcome, Verdict};
+use easeio_repro::apps::harness::{KernelBuilder, KernelKind};
+use easeio_repro::kernel::{run_app, Outcome, Verdict};
 use easeio_repro::mcu_emu::{Mcu, Supply, TimerResetConfig};
-use easeio_repro::periph::Peripherals;
 
 const SEEDS: u64 = 200;
 
@@ -21,20 +20,13 @@ fn tally(kind: KernelKind) -> (u64, u64, f64) {
     let mut total_ms = 0.0;
     for seed in 0..SEEDS {
         let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), seed));
-        let mut periph = Peripherals::new(seed);
         let cfg = FirCfg {
             exclude_const_dma: kind.excludes_const_dma(),
             ..FirCfg::default()
         };
         let app = fir::build(&mut mcu, &cfg);
-        let mut rt = kind.make();
-        let r = run_app(
-            &app,
-            rt.as_mut(),
-            &mut mcu,
-            &mut periph,
-            &ExecConfig::default(),
-        );
+        let (mut rt, mut periph, exec) = KernelBuilder::new(kind).boot(seed);
+        let r = run_app(&app, rt.as_mut(), &mut mcu, &mut periph, &exec);
         assert_eq!(r.outcome, Outcome::Completed);
         match r.verdict {
             Some(Verdict::Correct) => correct += 1,

@@ -7,11 +7,10 @@
 //!
 //! Run with: `cargo run --release --example motion_sentinel`
 
-use easeio_repro::apps::harness::{KernelKind, MakeRuntime};
+use easeio_repro::apps::harness::{KernelBuilder, KernelKind};
 use easeio_repro::apps::motion::{self, MotionCfg};
-use easeio_repro::kernel::{run_app, ExecConfig, Outcome};
+use easeio_repro::kernel::{run_app, Outcome};
 use easeio_repro::mcu_emu::{Mcu, Supply, TimerResetConfig};
-use easeio_repro::periph::Peripherals;
 
 fn main() {
     println!("Motion sentinel — 6 windows × 16 accelerometer samples\n");
@@ -22,16 +21,9 @@ fn main() {
     for kind in [KernelKind::Naive, KernelKind::Alpaca, KernelKind::EaseIo] {
         for seed in [175u64, 182, 37] {
             let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), seed));
-            let mut periph = Peripherals::new(seed);
             let (app, alerts) = motion::build(&mut mcu, &MotionCfg::default());
-            let mut rt = kind.make();
-            let r = run_app(
-                &app,
-                rt.as_mut(),
-                &mut mcu,
-                &mut periph,
-                &ExecConfig::default(),
-            );
+            let (mut rt, mut periph, exec) = KernelBuilder::new(kind).boot(seed);
+            let r = run_app(&app, rt.as_mut(), &mut mcu, &mut periph, &exec);
             assert_eq!(r.outcome, Outcome::Completed);
             let a = alerts.get(&mcu.mem) as usize;
             let p = periph.radio.count();

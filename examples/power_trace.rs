@@ -13,11 +13,10 @@
 //! Run with: `cargo run --release --example power_trace`
 
 use easeio_repro::apps::dma_app::{self, DmaAppCfg};
-use easeio_repro::apps::harness::{KernelKind, MakeRuntime};
+use easeio_repro::apps::harness::{KernelBuilder, KernelKind};
 use easeio_repro::easeio_trace::{chrome_trace, Event, TraceSink};
-use easeio_repro::kernel::{run_app, ExecConfig};
+use easeio_repro::kernel::run_app;
 use easeio_repro::mcu_emu::{Capacitor, Mcu, RfHarvestConfig, Supply};
-use easeio_repro::periph::Peripherals;
 
 /// Samples of (wall ms, remaining energy fraction 0..=1) collected by
 /// polling the supply between runs of fixed-size work slices.
@@ -34,7 +33,6 @@ fn trace(distance_inch: u64) -> (Vec<(f64, f64)>, u64, Vec<Event>) {
     };
     let mut mcu = Mcu::new(Supply::harvester(cfg));
     mcu.trace = TraceSink::enabled();
-    let mut periph = Peripherals::new(1);
     let app = dma_app::build(
         &mut mcu,
         &DmaAppCfg {
@@ -42,16 +40,10 @@ fn trace(distance_inch: u64) -> (Vec<(f64, f64)>, u64, Vec<Event>) {
             ..DmaAppCfg::default()
         },
     );
-    let mut rt = KernelKind::EaseIo.make();
+    let (mut rt, mut periph, exec) = KernelBuilder::new(KernelKind::EaseIo).boot(1);
     // Sample the capacitor through a supply observer: we run the app to
     // completion and reconstruct the trace from failure timestamps.
-    let r = run_app(
-        &app,
-        rt.as_mut(),
-        &mut mcu,
-        &mut periph,
-        &ExecConfig::default(),
-    );
+    let r = run_app(&app, rt.as_mut(), &mut mcu, &mut periph, &exec);
     let mut samples = Vec::new();
     if let Supply::Harvester { cfg, .. } = &mcu.supply {
         samples.push((

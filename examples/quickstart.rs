@@ -7,10 +7,9 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use easeio_repro::apps::dma_app::{self, DmaAppCfg};
-use easeio_repro::apps::harness::{KernelKind, MakeRuntime};
-use easeio_repro::kernel::{run_app, ExecConfig, Outcome};
+use easeio_repro::apps::harness::{KernelBuilder, KernelKind};
+use easeio_repro::kernel::{run_app, Outcome};
 use easeio_repro::mcu_emu::{Mcu, Supply, TimerResetConfig};
-use easeio_repro::periph::Peripherals;
 
 fn main() {
     println!("EaseIO quickstart — uni-task DMA benchmark, resets U[5,20] ms\n");
@@ -21,16 +20,9 @@ fn main() {
     for kind in [KernelKind::Alpaca, KernelKind::Ink, KernelKind::EaseIo] {
         // Fresh MCU, same seed → identical failure schedule for each runtime.
         let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), 42));
-        let mut periph = Peripherals::new(42);
         let app = dma_app::build(&mut mcu, &DmaAppCfg::default());
-        let mut rt = kind.make();
-        let r = run_app(
-            &app,
-            rt.as_mut(),
-            &mut mcu,
-            &mut periph,
-            &ExecConfig::default(),
-        );
+        let (mut rt, mut periph, exec) = KernelBuilder::new(kind).boot(42);
+        let r = run_app(&app, rt.as_mut(), &mut mcu, &mut periph, &exec);
         assert_eq!(r.outcome, Outcome::Completed);
         assert!(r.verdict.unwrap().is_correct());
         println!(

@@ -8,28 +8,20 @@
 //!
 //! Run with: `cargo run --release --example weather_station`
 
-use easeio_repro::apps::harness::{KernelKind, MakeRuntime};
+use easeio_repro::apps::harness::{KernelBuilder, KernelKind};
 use easeio_repro::apps::weather::{self, WeatherCfg};
-use easeio_repro::kernel::{run_app, ExecConfig, Outcome, Verdict};
+use easeio_repro::kernel::{run_app, Outcome, Verdict};
 use easeio_repro::mcu_emu::{Mcu, Supply, TimerResetConfig};
-use easeio_repro::periph::Peripherals;
 
 fn run_station(kind: KernelKind, single_buffer: bool, seed: u64) {
     let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), seed));
-    let mut periph = Peripherals::new(seed);
     let cfg = WeatherCfg {
         single_buffer,
         ..WeatherCfg::default()
     };
     let app = weather::build(&mut mcu, &cfg);
-    let mut rt = kind.make();
-    let r = run_app(
-        &app,
-        rt.as_mut(),
-        &mut mcu,
-        &mut periph,
-        &ExecConfig::default(),
-    );
+    let (mut rt, mut periph, exec) = KernelBuilder::new(kind).boot(seed);
+    let r = run_app(&app, rt.as_mut(), &mut mcu, &mut periph, &exec);
     assert_eq!(r.outcome, Outcome::Completed);
     let verdict = match r.verdict {
         Some(Verdict::Correct) => "correct".to_string(),

@@ -13,18 +13,16 @@
 //! # Quick start
 //!
 //! ```
-//! use easeio_repro::apps::{dma_app, harness::{KernelKind, MakeRuntime}};
-//! use easeio_repro::kernel::{run_app, ExecConfig, Outcome};
+//! use easeio_repro::apps::{dma_app, harness::{KernelBuilder, KernelKind}};
+//! use easeio_repro::kernel::{run_app, Outcome};
 //! use easeio_repro::mcu_emu::{Mcu, Supply, TimerResetConfig};
-//! use easeio_repro::periph::Peripherals;
 //!
 //! // Build the paper's uni-task DMA benchmark on a simulated MCU that
 //! // loses power every 5–20 ms, and run it under EaseIO.
 //! let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), 42));
-//! let mut periph = Peripherals::new(42);
 //! let app = dma_app::build(&mut mcu, &dma_app::DmaAppCfg::default());
-//! let mut rt = KernelKind::EaseIo.make();
-//! let result = run_app(&app, rt.as_mut(), &mut mcu, &mut periph, &ExecConfig::default());
+//! let (mut rt, mut periph, exec) = KernelBuilder::new(KernelKind::EaseIo).boot(42);
+//! let result = run_app(&app, rt.as_mut(), &mut mcu, &mut periph, &exec);
 //! assert_eq!(result.outcome, Outcome::Completed);
 //! ```
 

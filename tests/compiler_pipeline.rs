@@ -1,9 +1,9 @@
 //! End-to-end tests of the easec front-end: programs written in the paper's
 //! own surface syntax get the paper's guarantees when run under EaseIO.
 
-use easeio_repro::apps::harness::{KernelKind, MakeRuntime};
+use easeio_repro::apps::harness::{KernelBuilder, KernelKind};
 use easeio_repro::easec;
-use easeio_repro::kernel::{run_app, ExecConfig, Outcome};
+use easeio_repro::kernel::{run_app, Outcome};
 use easeio_repro::mcu_emu::{Mcu, Supply, TimerResetConfig};
 use easeio_repro::periph::Peripherals;
 
@@ -15,15 +15,8 @@ fn run_compiled(
 ) -> (Mcu, Peripherals, easec::Compiled, kernel::RunResult) {
     let mut mcu = Mcu::new(supply);
     let compiled = easec::compile(src, &mut mcu).unwrap_or_else(|e| panic!("{e}"));
-    let mut periph = Peripherals::new(env_seed);
-    let mut rt = kind.make();
-    let r = run_app(
-        &compiled.app,
-        rt.as_mut(),
-        &mut mcu,
-        &mut periph,
-        &ExecConfig::default(),
-    );
+    let (mut rt, mut periph, exec) = KernelBuilder::new(kind).boot(env_seed);
+    let r = run_app(&compiled.app, rt.as_mut(), &mut mcu, &mut periph, &exec);
     (mcu, periph, compiled, r)
 }
 

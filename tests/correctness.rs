@@ -5,7 +5,7 @@
 //! workload; the baselines must be correct exactly where the paper says
 //! they are (no DMA WAR, or double-buffered layouts).
 
-use easeio_repro::apps::harness::{run_once, KernelKind, MakeRuntime};
+use easeio_repro::apps::harness::{run_once, KernelBuilder, KernelKind};
 use easeio_repro::apps::{dma_app, fir, lea_app, temp_app, unsafe_branch, weather};
 use easeio_repro::kernel::{App, Outcome, Verdict};
 use easeio_repro::mcu_emu::{Mcu, Supply, TimerResetConfig};
@@ -159,16 +159,9 @@ fn radio_never_receives_duplicate_packets_under_easeio() {
     // transmitted twice (paper Fig 2a).
     for seed in 0..30u64 {
         let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), seed));
-        let mut periph = easeio_repro::periph::Peripherals::new(seed);
         let app = weather::build(&mut mcu, &weather::WeatherCfg::default());
-        let mut rt = KernelKind::EaseIo.make();
-        let r = easeio_repro::kernel::run_app(
-            &app,
-            rt.as_mut(),
-            &mut mcu,
-            &mut periph,
-            &easeio_repro::kernel::ExecConfig::default(),
-        );
+        let (mut rt, mut periph, exec) = KernelBuilder::new(KernelKind::EaseIo).boot(seed);
+        let r = easeio_repro::kernel::run_app(&app, rt.as_mut(), &mut mcu, &mut periph, &exec);
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(
             periph.radio.duplicate_count(),
@@ -184,16 +177,9 @@ fn naive_runtime_duplicates_packets_under_failures() {
     let mut dupes = 0;
     for seed in 0..60u64 {
         let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), seed));
-        let mut periph = easeio_repro::periph::Peripherals::new(seed);
         let app = weather::build(&mut mcu, &weather::WeatherCfg::default());
-        let mut rt = KernelKind::Naive.make();
-        let r = easeio_repro::kernel::run_app(
-            &app,
-            rt.as_mut(),
-            &mut mcu,
-            &mut periph,
-            &easeio_repro::kernel::ExecConfig::default(),
-        );
+        let (mut rt, mut periph, exec) = KernelBuilder::new(KernelKind::Naive).boot(seed);
+        let r = easeio_repro::kernel::run_app(&app, rt.as_mut(), &mut mcu, &mut periph, &exec);
         assert_eq!(r.outcome, Outcome::Completed);
         dupes += periph.radio.duplicate_count();
     }

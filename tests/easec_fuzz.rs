@@ -1,6 +1,6 @@
 //! Fuzz-style robustness tests for the easec front-end.
 
-use easeio_repro::apps::harness::MakeRuntime;
+use easeio_repro::apps::harness::{KernelBuilder, KernelKind};
 use easeio_repro::easec::{self, ast::*, printer};
 use easeio_repro::mcu_emu::{Mcu, Supply};
 use proptest::prelude::*;
@@ -181,15 +181,9 @@ fn generated_programs_round_trip_and_compile() {
         let mut mcu = Mcu::new(Supply::continuous());
         let compiled = easec::compile(&printed, &mut mcu)
             .unwrap_or_else(|e| panic!("seed {seed}: compile failed: {e}\n{printed}"));
-        let mut periph = easeio_repro::periph::Peripherals::new(seed);
-        let mut rt = easeio_repro::apps::harness::KernelKind::EaseIo.make();
-        let r = easeio_repro::kernel::run_app(
-            &compiled.app,
-            rt.as_mut(),
-            &mut mcu,
-            &mut periph,
-            &easeio_repro::kernel::ExecConfig::default(),
-        );
+        let (mut rt, mut periph, exec) = KernelBuilder::new(KernelKind::EaseIo).boot(seed);
+        let r =
+            easeio_repro::kernel::run_app(&compiled.app, rt.as_mut(), &mut mcu, &mut periph, &exec);
         assert_eq!(
             r.outcome,
             easeio_repro::kernel::Outcome::Completed,
@@ -209,15 +203,9 @@ fn generated_programs_survive_intermittent_power() {
             Ok(c) => c,
             Err(e) => panic!("seed {seed}: {e}"),
         };
-        let mut periph = easeio_repro::periph::Peripherals::new(seed);
-        let mut rt = easeio_repro::apps::harness::KernelKind::EaseIo.make();
-        let r = easeio_repro::kernel::run_app(
-            &compiled.app,
-            rt.as_mut(),
-            &mut mcu,
-            &mut periph,
-            &easeio_repro::kernel::ExecConfig::default(),
-        );
+        let (mut rt, mut periph, exec) = KernelBuilder::new(KernelKind::EaseIo).boot(seed);
+        let r =
+            easeio_repro::kernel::run_app(&compiled.app, rt.as_mut(), &mut mcu, &mut periph, &exec);
         assert_eq!(
             r.outcome,
             easeio_repro::kernel::Outcome::Completed,

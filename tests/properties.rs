@@ -13,7 +13,7 @@
 //!   timestamped across power failures and every span begin has a matching
 //!   end, for every runtime and schedule.
 
-use easeio_repro::apps::harness::{run_once, run_traced, KernelKind, MakeRuntime};
+use easeio_repro::apps::harness::{run_once, run_traced, KernelBuilder, KernelKind};
 use easeio_repro::apps::{dma_app, fir, temp_app};
 use easeio_repro::easeio_trace::build_profile;
 use easeio_repro::kernel::{Outcome, Verdict};
@@ -221,16 +221,9 @@ fn easeio_matches_continuous_memory_exactly_on_fir() {
     let golden = fir::reference(&cfg);
     for seed in [1u64, 7, 1234, 0xDEAD] {
         let mut mcu = Mcu::new(Supply::timer(TimerResetConfig::default(), seed));
-        let mut periph = easeio_repro::periph::Peripherals::new(seed);
         let app = fir::build(&mut mcu, &cfg);
-        let mut rt = KernelKind::EaseIo.make();
-        let r = easeio_repro::kernel::run_app(
-            &app,
-            rt.as_mut(),
-            &mut mcu,
-            &mut periph,
-            &easeio_repro::kernel::ExecConfig::default(),
-        );
+        let (mut rt, mut periph, exec) = KernelBuilder::new(KernelKind::EaseIo).boot(seed);
+        let r = easeio_repro::kernel::run_app(&app, rt.as_mut(), &mut mcu, &mut periph, &exec);
         assert_eq!(r.outcome, Outcome::Completed);
         assert_eq!(r.verdict, Some(Verdict::Correct), "seed {seed}");
         // `reference` is itself deterministic; re-derive and compare.
