@@ -254,7 +254,8 @@ pub fn run_many(
         golden_app_energy_nj,
         ..Summary::default()
     };
-    for seed in cfg.base_seed..cfg.base_seed + cfg.runs {
+    for k in 0..cfg.runs {
+        let seed = cfg.base_seed + k;
         let r = run_once(builder, recipe, supply(seed), seed);
         match r.outcome {
             Outcome::NonTermination => {

@@ -299,6 +299,16 @@ impl Args {
         usage_error(self.mode, msg)
     }
 
+    /// Exits 2 unless the seed of the last of `count` replicas,
+    /// `seed + count - 1`, fits in a `u64`; `flag` names the count.
+    pub fn check_replica_seeds(&self, seed: u64, count: u64, flag: &str) {
+        if seed.checked_add(count.saturating_sub(1)).is_none() {
+            self.fail(&format!(
+                "--seed {seed} with {flag} {count}: the last replica's seed overflows u64"
+            ));
+        }
+    }
+
     /// The one [`ScenarioSpec`] builder: a 1-device spec from the common
     /// flags (fleet raises `count` and sets the medium), with each mode's
     /// historical default seed (run 42, sweep 7, grid 77).
@@ -335,13 +345,15 @@ impl Args {
         if let Some(r) = self.num("--max-retries") {
             fault.retry.max_retries = r;
         }
+        let runs = self.num("--runs").unwrap_or(1);
+        self.check_replica_seeds(seed, runs, "--runs");
         ScenarioSpec {
             device: DeviceSpec { app, kernel, fault },
             count: 1,
             supply,
             medium: MediumSpec::ideal(),
             seed,
-            runs: self.num("--runs").unwrap_or(1),
+            runs,
             jobs: self.num::<usize>("--jobs").unwrap_or(1).max(1),
             trace_out: self.opt("--trace-out").map(String::from),
             report_out: self.opt("--report-out").map(String::from),

@@ -32,6 +32,7 @@ pub fn main(a: &Args) -> ExitCode {
     if sc.count == 0 {
         a.fail("--devices must be at least 1");
     }
+    a.check_replica_seeds(sc.seed, sc.count.into(), "--devices");
     let rollout = a.switch("--rollout");
     // `switch` reports whether a flag was given, value flags included.
     if !rollout && ROLLOUT_ONLY.iter().any(|f| a.switch(f)) {
@@ -141,8 +142,8 @@ fn fleet_main(a: &Args, sc: &ScenarioSpec) -> ExitCode {
          {} lost to collisions, {} to the channel",
         g.delivered,
         g.delivered_unique,
-        g.delivery_rate_milli() / 10,
-        g.delivery_rate_milli() % 10,
+        g.delivery_rate_milli / 10,
+        g.delivery_rate_milli % 10,
         g.lost_collision,
         g.lost_channel
     );

@@ -6,55 +6,25 @@ use crate::{emit_json, emit_report, print_list, probe_build, read_json_or_die, E
 use apps::harness::{run_once, KernelKind};
 use easeio_exec::{AppSpec, SupplySpec, APP_NAMES};
 use easeio_trace::{
-    build_metrics_report, compare_metrics, flamegraph, MetricsEntry, MetricsInputs, SiteWasteRow,
-    SkippedApp, TaskWasteRow,
+    build_metrics_report, compare_metrics, flamegraph, MetricsEntry, MetricsInputs, SkippedApp,
 };
 use kernel::{Outcome, Verdict};
-use mcu_emu::{Mcu, RunStats, DMA_SITE_BASE};
+use mcu_emu::{Mcu, RunStats};
 
-pub fn outcome_label(outcome: &Outcome) -> &'static str {
-    match outcome {
-        Outcome::Completed => "completed",
-        Outcome::NonTermination => "non_termination",
-        Outcome::Fault(_) => "fault",
-    }
-}
-
-/// Folds one run's attribution ledger into a metrics-report entry.
+/// A metrics-report entry carrying one run's attribution ledger.
 pub fn metrics_entry(
     runtime: &str,
     app: &str,
     outcome: &Outcome,
     verdict: &Option<Verdict>,
-    stats: &RunStats,
+    stats: RunStats,
 ) -> MetricsEntry {
     MetricsEntry {
         runtime: runtime.into(),
         app: app.into(),
-        outcome: outcome_label(outcome).into(),
+        outcome: outcome.label().into(),
         correct: *outcome == Outcome::Completed && !matches!(verdict, Some(Verdict::Incorrect(_))),
-        reboots: stats.power_failures,
-        total_time_us: stats.total_time_us(),
-        total_energy_nj: stats.total_energy_nj(),
-        cause_time_us: stats.cause_time_us,
-        cause_energy_nj: stats.cause_energy_nj,
-        tasks: stats
-            .cause_energy_by_task
-            .iter()
-            .map(|(task, energy)| TaskWasteRow {
-                task,
-                energy_nj: *energy,
-            })
-            .collect(),
-        redundant_sites: stats
-            .redundant_energy_by_site
-            .iter()
-            .map(|(key, nj)| SiteWasteRow {
-                site: key & !DMA_SITE_BASE,
-                dma: key & DMA_SITE_BASE != 0,
-                energy_nj: *nj,
-            })
-            .collect(),
+        stats,
     }
 }
 
@@ -103,16 +73,17 @@ pub fn metrics_main(a: &Args) -> ExitCode {
             let build = |m: &mut Mcu| spec.build(*kind, m).expect("probe-built above");
             let supply = SupplySpec::Timer.make(seed, 0);
             let r = run_once(&build, *kind, supply, seed);
-            let entry = metrics_entry(kind.name(), app_name, &r.outcome, &r.verdict, &r.stats);
-            let redundant: u64 = entry.redundant_sites.iter().map(|s| s.energy_nj).sum();
+            let entry = metrics_entry(kind.name(), app_name, &r.outcome, &r.verdict, r.stats);
+            let (total, waste) = (entry.stats.total_energy_nj(), entry.stats.waste_energy_nj());
+            let redundant: u64 = entry.stats.redundant_energy_by_site.values().sum();
             println!(
                 "{:<8} {:<15} {:>12.2} {:>11.2} {:>6.1}% {:>13}",
                 kind.name(),
                 app_name,
-                entry.total_energy_nj as f64 / 1000.0,
-                entry.waste_nj() as f64 / 1000.0,
-                if entry.total_energy_nj > 0 {
-                    entry.waste_nj() as f64 * 100.0 / entry.total_energy_nj as f64
+                total as f64 / 1000.0,
+                waste as f64 / 1000.0,
+                if total > 0 {
+                    waste as f64 * 100.0 / total as f64
                 } else {
                     0.0
                 },

@@ -153,25 +153,13 @@ fn single(sc: &ScenarioSpec, app_name: &str, trace: bool, metrics_out: Option<&s
             app: app_name.into(),
             supply: supply_value(sc.supply),
             seed: sc.seed,
-            outcome: crate::metrics::outcome_label(&r.outcome).into(),
+            outcome: r.outcome.label().into(),
             correct: r.verdict.as_ref().map(|v| matches!(v, Verdict::Correct)),
             wall_us: r.wall_us,
             on_us: r.on_us,
-            app_time_us: r.stats.app_time_us,
-            overhead_time_us: r.stats.overhead_time_us,
-            app_energy_nj: r.stats.app_energy_nj,
-            overhead_energy_nj: r.stats.overhead_energy_nj,
+            stats: r.stats.clone(),
             golden_app_time_us: golden_us,
             golden_app_energy_nj: golden_nj,
-            power_failures: r.stats.power_failures,
-            task_attempts: r.stats.task_attempts,
-            task_commits: r.stats.task_commits,
-            io_executed: r.stats.io_executed,
-            io_skipped: r.stats.io_skipped,
-            io_reexecutions: r.stats.io_reexecutions,
-            dma_executed: r.stats.dma_executed,
-            dma_skipped: r.stats.dma_skipped,
-            dma_reexecutions: r.stats.dma_reexecutions,
             memory: Some((fp.text, fp.ram, fp.fram)),
             events_recorded: r.events.len() as u64,
             events_dropped: r.events_dropped,
@@ -190,7 +178,7 @@ fn single(sc: &ScenarioSpec, app_name: &str, trace: bool, metrics_out: Option<&s
                 app_name,
                 &r.outcome,
                 &r.verdict,
-                &r.stats,
+                r.stats.clone(),
             )],
             skipped: Vec::new(),
         };

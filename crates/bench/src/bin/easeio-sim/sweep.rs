@@ -9,17 +9,20 @@ use crate::{
     verdict, ExitCode, ProgressGuard,
 };
 use crashcheck::{boundary_forensics, SweepMode, SweepOutcome, SweepPlan};
-use easeio_exec::{
-    sweep_matrix_observed, AppSpec, SweepEntry, SweepOptions, SweepTiming, APP_NAMES,
-};
+use easeio_exec::{sweep_matrix_observed, AppSpec, SweepEntry, SweepOptions, APP_NAMES};
 use easeio_trace::{
     build_forensics_report, build_sweep_report, ForensicsInputs, ForensicsViolationDoc,
-    FramDiffByte, FramDiffDoc, SweepInputs, SweepViolation, SweepWasteDoc, CATEGORY_NAMES,
+    FramDiffByte, FramDiffDoc, SweepInputs, SweepTimingDoc, SweepViolation, SweepWasteDoc,
+    CATEGORY_NAMES,
 };
 use kernel::App;
 use mcu_emu::Mcu;
 
-fn sweep_report_inputs(out: &SweepOutcome, plan: &SweepPlan, timing: &SweepTiming) -> SweepInputs {
+fn sweep_report_inputs(
+    out: &SweepOutcome,
+    plan: &SweepPlan,
+    timing: &SweepTimingDoc,
+) -> SweepInputs {
     SweepInputs {
         runtime: out.runtime.into(),
         app: out.app.into(),
@@ -47,7 +50,7 @@ fn sweep_report_inputs(out: &SweepOutcome, plan: &SweepPlan, timing: &SweepTimin
                 .map(|(name, nj)| ((*name).to_string(), nj))
                 .collect(),
         )),
-        timing: Some(timing.doc()),
+        timing: Some(timing.clone()),
     }
 }
 

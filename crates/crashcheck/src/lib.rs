@@ -41,8 +41,8 @@ use kernel::{
     Runtime, Verdict,
 };
 use mcu_emu::{
-    AllocTag, Counter, Mcu, McuCheckpoint, McuSnapshot, Region, RunStats, SpendBoundary, Supply,
-    CAUSE_COUNT,
+    AllocTag, Counter, EnergyCause, Mcu, McuCheckpoint, McuSnapshot, Region, RunStats,
+    SpendBoundary, Supply, CAUSE_COUNT,
 };
 use periph::Peripherals;
 use rand::rngs::StdRng;
@@ -299,18 +299,8 @@ pub struct RunRecord {
     pub verdict: Option<Verdict>,
     /// Energy-spend boundaries crossed.
     pub boundaries: u64,
-    /// `probe_single_redundant` counter.
-    pub single_redundant: u64,
-    /// `probe_timely_stale` counter.
-    pub timely_stale: u64,
-    /// `probe_commit_overpriced` counter.
-    pub commit_overpriced: u64,
-    /// `probe_retry_duplicated_effect` counter.
-    pub retry_duplicated_effect: u64,
-    /// `probe_degraded_staleness_exceeded` counter.
-    pub degraded_staleness_exceeded: u64,
-    /// `probe_version_torn` counter.
-    pub version_torn: u64,
+    /// The judged probe counters, in [`PROBES`] order.
+    pub probes: [u64; PROBES.len()],
     /// Per-cause energy ledger of the run, indexed by
     /// `EnergyCause::index`.
     pub cause_energy_nj: [u64; CAUSE_COUNT],
@@ -353,40 +343,48 @@ fn record_of(r: RunResult, mcu: &Mcu) -> RunRecord {
 
 /// The record of a finished run whose final image is `fram`.
 fn record_with(r: RunResult, fram: Arc<[u8]>) -> RunRecord {
-    let probes = PROBE_COUNTERS.map(|n| r.stats.counter(n));
     RunRecord {
         outcome: r.outcome,
         verdict: r.verdict,
         boundaries: r.stats.boundaries,
-        single_redundant: probes[0],
-        timely_stale: probes[1],
-        commit_overpriced: probes[2],
-        retry_duplicated_effect: probes[3],
-        degraded_staleness_exceeded: probes[4],
-        version_torn: probes[5],
+        probes: PROBES.map(|(counter, _)| r.stats.counter(counter)),
         cause_energy_nj: r.stats.cause_energy_nj,
-        total_energy_nj: r.stats.app_energy_nj + r.stats.overhead_energy_nj,
+        total_energy_nj: r.stats.total_energy_nj(),
         waste_nj: r.stats.waste_energy_nj(),
         attribution_balanced: r.stats.attribution_balanced(),
         fram,
     }
 }
 
-/// The [`mcu_emu::RunStats`] counters a [`RunRecord`] exposes, in field
-/// order — the counters a boundary trace must capture per slice so skipped
-/// boundaries' records can be materialized from their representative.
-pub const PROBE_COUNTERS: [Counter; 6] = [
-    Counter::ProbeSingleRedundant,
-    Counter::ProbeTimelyStale,
-    Counter::ProbeCommitOverpriced,
-    Counter::ProbeRetryDuplicatedEffect,
-    Counter::ProbeDegradedStalenessExceeded,
-    PROBE_VERSION_TORN,
+/// The judged probes: each [`mcu_emu::RunStats`] probe counter paired with
+/// the violation a nonzero count raises, in judgement order. A
+/// [`RunRecord`] carries their counts, and a boundary trace captures them
+/// per slice so skipped boundaries' records can be materialized from their
+/// representative.
+pub const PROBES: [(Counter, ViolationKind); 6] = [
+    (
+        Counter::ProbeSingleRedundant,
+        ViolationKind::SingleRedundant,
+    ),
+    (Counter::ProbeTimelyStale, ViolationKind::TimelyStale),
+    (
+        Counter::ProbeCommitOverpriced,
+        ViolationKind::CommitOverpriced,
+    ),
+    (
+        Counter::ProbeRetryDuplicatedEffect,
+        ViolationKind::RetryDuplicatedEffect,
+    ),
+    (
+        Counter::ProbeDegradedStalenessExceeded,
+        ViolationKind::DegradedStalenessExceeded,
+    ),
+    (PROBE_VERSION_TORN, ViolationKind::VersionTorn),
 ];
 
 /// The OTA window marker counters, recorded on the reference trace right
-/// after [`PROBE_COUNTERS`] (slice indices `PROBE_COUNTERS.len()` and
-/// `PROBE_COUNTERS.len() + 1`). Not probes: they never materialize into a
+/// after the [`PROBES`] counters (slice indices `PROBES.len()` and
+/// `PROBES.len() + 1`). Not probes: they never materialize into a
 /// [`RunRecord`]; [`filter_update_window`] reads them to find which
 /// boundaries fall inside the stage→flip→activate span.
 pub const UPDATE_WINDOW_COUNTERS: [Counter; 2] = [UPDATE_WINDOW_ENTER, UPDATE_WINDOW_EXIT];
@@ -530,7 +528,8 @@ pub fn reference_run(
     env_seed: u64,
     fault: &FaultSpec,
 ) -> Reference {
-    mcu.record_boundaries(&[PROBE_COUNTERS.as_slice(), &UPDATE_WINDOW_COUNTERS].concat());
+    let probes = PROBES.map(|(counter, _)| counter);
+    mcu.record_boundaries(&[probes.as_slice(), &UPDATE_WINDOW_COUNTERS].concat());
     mcu.restore(snap);
     mcu.supply = Supply::continuous();
     let (mut rt, mut periph, cfg) = KernelBuilder::new(kind).with_faults(*fault).boot(env_seed);
@@ -684,7 +683,7 @@ impl Reference {
 /// exactly the stage→flip→activate span. Boundaries past the reference
 /// run's last slice never fire their injection and are dropped.
 pub fn filter_update_window(chosen: &[u64], trace: &BoundaryTrace) -> Vec<u64> {
-    let enter = PROBE_COUNTERS.len();
+    let enter = PROBES.len();
     let exit = enter + 1;
     chosen
         .iter()
@@ -800,7 +799,7 @@ struct Ledger {
     boundaries: u64,
     energy_nj: u64,
     cause_energy_nj: [u64; CAUSE_COUNT],
-    probes: [u64; PROBE_COUNTERS.len()],
+    probes: [u64; PROBES.len()],
 }
 
 impl Ledger {
@@ -820,7 +819,7 @@ impl Ledger {
             boundaries: s.boundaries,
             energy_nj: s.app_energy_nj + s.overhead_energy_nj,
             cause_energy_nj: s.cause_energy_nj,
-            probes: PROBE_COUNTERS.map(|n| s.counter(n)),
+            probes: PROBES.map(|(counter, _)| s.counter(counter)),
         }
     }
 }
@@ -836,25 +835,14 @@ fn shift_record(rec: &RunRecord, from: &Ledger, to: &Ledger) -> RunRecord {
     for (i, c) in cause_energy_nj.iter_mut().enumerate() {
         *c = shift(*c, from.cause_energy_nj[i], to.cause_energy_nj[i]);
     }
-    let waste_nj = mcu_emu::EnergyCause::ALL
-        .iter()
-        .filter(|c| c.is_waste())
-        .map(|c| cause_energy_nj[c.index()])
-        .sum();
-    let probe = |total: u64, i: usize| shift(total, from.probes[i], to.probes[i]);
     RunRecord {
         outcome: rec.outcome,
         verdict: rec.verdict.clone(),
         boundaries: shift(rec.boundaries, from.boundaries, to.boundaries),
-        single_redundant: probe(rec.single_redundant, 0),
-        timely_stale: probe(rec.timely_stale, 1),
-        commit_overpriced: probe(rec.commit_overpriced, 2),
-        retry_duplicated_effect: probe(rec.retry_duplicated_effect, 3),
-        degraded_staleness_exceeded: probe(rec.degraded_staleness_exceeded, 4),
-        version_torn: probe(rec.version_torn, 5),
+        probes: std::array::from_fn(|i| shift(rec.probes[i], from.probes[i], to.probes[i])),
         cause_energy_nj,
         total_energy_nj: shift(rec.total_energy_nj, from.energy_nj, to.energy_nj),
-        waste_nj,
+        waste_nj: EnergyCause::waste_of(&cause_energy_nj),
         attribution_balanced: rec.attribution_balanced,
         fram: Arc::clone(&rec.fram),
     }
@@ -955,47 +943,10 @@ pub fn check_record(
     if let Some(Verdict::Incorrect(why)) = &r.verdict {
         report(ViolationKind::WrongVerdict, why.clone());
     }
-    if r.single_redundant > 0 {
-        report(
-            ViolationKind::SingleRedundant,
-            format!("probe_single_redundant = {}", r.single_redundant),
-        );
-    }
-    if r.timely_stale > 0 {
-        report(
-            ViolationKind::TimelyStale,
-            format!("probe_timely_stale = {}", r.timely_stale),
-        );
-    }
-    if r.commit_overpriced > 0 {
-        report(
-            ViolationKind::CommitOverpriced,
-            format!("probe_commit_overpriced = {}", r.commit_overpriced),
-        );
-    }
-    if r.retry_duplicated_effect > 0 {
-        report(
-            ViolationKind::RetryDuplicatedEffect,
-            format!(
-                "probe_retry_duplicated_effect = {}",
-                r.retry_duplicated_effect
-            ),
-        );
-    }
-    if r.degraded_staleness_exceeded > 0 {
-        report(
-            ViolationKind::DegradedStalenessExceeded,
-            format!(
-                "probe_degraded_staleness_exceeded = {}",
-                r.degraded_staleness_exceeded
-            ),
-        );
-    }
-    if r.version_torn > 0 {
-        report(
-            ViolationKind::VersionTorn,
-            format!("probe_version_torn = {}", r.version_torn),
-        );
+    for (&(counter, kind), &n) in PROBES.iter().zip(&r.probes) {
+        if n > 0 {
+            report(kind, format!("{} = {n}", counter.name()));
+        }
     }
     // A record sharing the oracle's image is equal without a byte compare.
     if strict_memory && !std::ptr::eq(&*r.fram, oracle_fram) && *r.fram != *oracle_fram {
@@ -1732,7 +1683,7 @@ mod tests {
             taps: 64,
         };
         let mut periph = Peripherals::with_fault_plan(1, FaultPlan::new(seed, 500));
-        mcu.record_boundaries(&PROBE_COUNTERS);
+        mcu.record_boundaries(&PROBES.map(|(counter, _)| counter));
         // Attempt 0: full cost charged (64·64 µs ≈ 5 slices), LeaStall, no
         // memory effect. Attempt 1: identical burst, succeeds.
         assert!(perform_io(&mut mcu, &mut periph, &op, TaskId(0), 0).is_err());
@@ -2108,5 +2059,54 @@ mod tests {
             assert_eq!(x.kind, y.kind);
             assert_eq!(x.detail, y.detail);
         }
+    }
+
+    /// A completed, balanced run whose probe counters are `probes`.
+    fn probe_record(probes: [u64; PROBES.len()], fram: &Arc<[u8]>) -> RunRecord {
+        RunRecord {
+            outcome: Outcome::Completed,
+            verdict: None,
+            boundaries: 1,
+            probes,
+            cause_energy_nj: [0; CAUSE_COUNT],
+            total_energy_nj: 0,
+            waste_nj: 0,
+            attribution_balanced: true,
+            fram: Arc::clone(fram),
+        }
+    }
+
+    /// Each judged probe raises exactly its own violation kind, detailed as
+    /// `"{counter name} = {n}"`, and all six together raise six violations
+    /// in table order. `timely_stale` and `commit_overpriced` trip in no
+    /// sweep-matrix row, so only this test pins their pairing.
+    #[test]
+    fn each_probe_raises_its_paired_violation() {
+        let expected = [
+            ("probe_single_redundant", ViolationKind::SingleRedundant),
+            ("probe_timely_stale", ViolationKind::TimelyStale),
+            ("probe_commit_overpriced", ViolationKind::CommitOverpriced),
+            (
+                "probe_retry_duplicated_effect",
+                ViolationKind::RetryDuplicatedEffect,
+            ),
+            (
+                "probe_degraded_staleness_exceeded",
+                ViolationKind::DegradedStalenessExceeded,
+            ),
+            ("probe_version_torn", ViolationKind::VersionTorn),
+        ];
+        let fram: Arc<[u8]> = Arc::from([7u8; 4].as_slice());
+        for (i, (name, kind)) in expected.iter().enumerate() {
+            let mut probes = [0; PROBES.len()];
+            probes[i] = 1;
+            let v = check_record(&probe_record(probes, &fram), &fram, 9, true);
+            assert_eq!(v.len(), 1, "{name}: {v:?}");
+            assert_eq!((v[0].boundary, v[0].kind), (9, *kind), "{name}");
+            assert_eq!(v[0].detail, format!("{name} = 1"));
+        }
+        let all = check_record(&probe_record([1; PROBES.len()], &fram), &fram, 9, true);
+        let kinds: Vec<ViolationKind> = all.iter().map(|v| v.kind).collect();
+        assert_eq!(kinds, expected.map(|(_, kind)| kind));
     }
 }

@@ -34,7 +34,4 @@ pub use config::{AppSpec, DeviceSpec, ScenarioSpec, SupplySpec, APP_NAMES};
 pub use grid::{grid_points, run_grid, GridCell, GridSpec};
 pub use pool::{run_indexed, run_indexed_collect, PoolStats};
 pub use supply::{rf_supply_phased, timer_supply_with_mean_on};
-pub use sweep::{
-    run_sweep, sweep_matrix, sweep_matrix_observed, PruneStats, SweepEntry, SweepOptions,
-    SweepTiming,
-};
+pub use sweep::{run_sweep, sweep_matrix, sweep_matrix_observed, SweepEntry, SweepOptions};

@@ -16,45 +16,9 @@
 //! channel — and the report validator rejects any ledger where that does
 //! not hold.
 
+use easeio_trace::FleetDeliveryDoc;
 use periph::{MediumSpec, Packet};
 use std::collections::BTreeMap;
-
-/// The gateway's accounting over one fleet run.
-///
-/// A packet's *identity* is its (device, sequence) pair, where the
-/// sequence is the packet's first payload word (the round counter in the
-/// `flaky-radio` relay; the per-device send index for apps that do not
-/// number their packets). `air_duplicates` — transmissions beyond the
-/// first of an identity — are `Single`-semantics violations on the air:
-/// zero under EaseIO, pinned positive by the Naive baseline.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GatewayStats {
-    /// Packets put on the air by all devices.
-    pub transmissions: u64,
-    /// Distinct (device, sequence) identities among them.
-    pub unique_sent: u64,
-    /// Transmissions beyond the first of their identity.
-    pub air_duplicates: u64,
-    /// Packets received (survived collisions and channel loss).
-    pub delivered: u64,
-    /// Distinct identities among the received packets.
-    pub delivered_unique: u64,
-    /// Received packets whose identity had already been received.
-    pub gateway_duplicates: u64,
-    /// Packets destroyed by overlapping air windows.
-    pub lost_collision: u64,
-    /// Collision-free packets dropped by the seeded channel loss.
-    pub lost_channel: u64,
-}
-
-impl GatewayStats {
-    /// `delivered_unique * 1000 / unique_sent` (0 when nothing was sent).
-    pub fn delivery_rate_milli(&self) -> u64 {
-        (self.delivered_unique * 1000)
-            .checked_div(self.unique_sent)
-            .unwrap_or(0)
-    }
-}
 
 /// One transmission after the merge, in canonical order.
 struct AirEvent {
@@ -79,15 +43,24 @@ fn identity(device: u32, index: usize, pkt: &Packet) -> u64 {
 }
 
 /// Merges every device's `(device, radio log)` pair over the medium and
-/// accounts for each packet. Pure in `(logs, medium)`: the result does not
-/// depend on the order of `logs`, and nothing here depends on host timing.
+/// accounts for each packet, returning the fleet report's `delivery` block.
+/// Pure in `(logs, medium)`: the result does not depend on the order of
+/// `logs`, and nothing here depends on host timing.
+///
+/// A packet's *identity* is its (device, sequence) pair, where the
+/// sequence is the packet's first payload word (the round counter in the
+/// `flaky-radio` relay; the per-device send index for apps that do not
+/// number their packets). `air_duplicates` — transmissions beyond the
+/// first of an identity — are `Single`-semantics violations on the air:
+/// zero under EaseIO, pinned positive by the Naive baseline.
+///
 /// The radio logs are the one per-device datum a fleet run retains: the
 /// gateway cannot reduce them incrementally, because collisions couple
 /// packets *across* devices through the global air-window order.
 pub fn reconcile_logs<'a>(
     logs: impl IntoIterator<Item = (u32, &'a [Packet])>,
     medium: &MediumSpec,
-) -> GatewayStats {
+) -> FleetDeliveryDoc {
     let mut events: Vec<AirEvent> = Vec::new();
     for (device, packets) in logs {
         for (k, pkt) in packets.iter().enumerate() {
@@ -128,7 +101,7 @@ pub fn reconcile_logs<'a>(
 
     // Every transmission's identity with whether it arrived; sorted, each
     // identity is one run, and it was delivered if any of its run was.
-    let mut stats = GatewayStats::default();
+    let mut stats = FleetDeliveryDoc::default();
     let mut arrivals: Vec<(u64, bool)> = Vec::with_capacity(events.len());
     for (e, &lost) in events.iter().zip(&collided) {
         stats.transmissions += 1;
@@ -152,6 +125,9 @@ pub fn reconcile_logs<'a>(
     }
     stats.air_duplicates = stats.transmissions - stats.unique_sent;
     stats.gateway_duplicates = stats.delivered - stats.delivered_unique;
+    stats.delivery_rate_milli = (stats.delivered_unique * 1000)
+        .checked_div(stats.unique_sent)
+        .unwrap_or(0);
     stats
 }
 
@@ -202,7 +178,7 @@ mod tests {
 
     /// The map-based reconcile the packed-key sort replaced, kept as the
     /// reference the proptest below holds `reconcile_logs` to.
-    fn reconcile_with_maps(devices: &[Log], medium: &MediumSpec) -> GatewayStats {
+    fn reconcile_with_maps(devices: &[Log], medium: &MediumSpec) -> FleetDeliveryDoc {
         let mut events = Vec::new();
         for (device, packets) in devices {
             for (k, pkt) in packets.iter().enumerate() {
@@ -230,7 +206,7 @@ mod tests {
         }
         let mut sent_by_identity: BTreeMap<(u32, i64), u64> = BTreeMap::new();
         let mut received_by_identity: BTreeMap<(u32, i64), u64> = BTreeMap::new();
-        let mut stats = GatewayStats::default();
+        let mut stats = FleetDeliveryDoc::default();
         for (e, &lost) in events.iter().zip(&collided) {
             stats.transmissions += 1;
             *sent_by_identity.entry(e.4).or_insert(0) += 1;
@@ -247,6 +223,9 @@ mod tests {
         stats.air_duplicates = stats.transmissions - stats.unique_sent;
         stats.delivered_unique = received_by_identity.len() as u64;
         stats.gateway_duplicates = stats.delivered - stats.delivered_unique;
+        stats.delivery_rate_milli = (stats.delivered_unique * 1000)
+            .checked_div(stats.unique_sent)
+            .unwrap_or(0);
         stats
     }
 
@@ -287,7 +266,7 @@ mod tests {
     /// One device's radio log.
     type Log = (u32, Vec<Packet>);
 
-    fn reconcile(devices: &[Log], medium: &MediumSpec) -> GatewayStats {
+    fn reconcile(devices: &[Log], medium: &MediumSpec) -> FleetDeliveryDoc {
         reconcile_logs(devices.iter().map(|(d, p)| (*d, p.as_slice())), medium)
     }
 
@@ -312,7 +291,7 @@ mod tests {
         assert_eq!(g.delivered_unique, 3);
         assert_eq!(g.air_duplicates, 0);
         assert_eq!(g.lost_collision, 0);
-        assert_eq!(g.delivery_rate_milli(), 1000);
+        assert_eq!(g.delivery_rate_milli, 1000);
     }
 
     #[test]
@@ -324,7 +303,7 @@ mod tests {
         assert_eq!(g.delivered, 0);
         // Both identities were sent exactly once; nothing arrived.
         assert_eq!(g.unique_sent, 2);
-        assert_eq!(g.delivery_rate_milli(), 0);
+        assert_eq!(g.delivery_rate_milli, 0);
     }
 
     #[test]

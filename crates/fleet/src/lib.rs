@@ -46,7 +46,7 @@ pub mod gateway;
 pub mod rollout;
 pub mod telemetry;
 
-pub use gateway::{find_air_duplicate, reconcile_logs, AirDuplicate, GatewayStats};
+pub use gateway::{find_air_duplicate, reconcile_logs, AirDuplicate};
 pub use rollout::{
     run_rollout, run_rollout_streamed, RolloutPolicy, RolloutViolation, RolloutViolationKind,
     StreamedRolloutOutcome,
@@ -90,11 +90,7 @@ impl DeviceResult {
     /// at any `--jobs` width. Written field by field into one buffer, with
     /// numbers formatted as [`easeio_trace::Value::to_compact`] formats them.
     pub fn record_line(&self) -> String {
-        let outcome = match self.outcome {
-            Outcome::Completed => "completed",
-            Outcome::NonTermination => "non_termination",
-            Outcome::Fault(_) => "fault",
-        };
+        let outcome = self.outcome.label();
         let verdict = match &self.verdict {
             Some(Verdict::Correct) => "\"correct\"",
             Some(Verdict::Incorrect(_)) => "\"incorrect\"",
@@ -129,7 +125,7 @@ pub struct StreamedFleetOutcome {
     /// Fleet-wide aggregate (merged per-worker folds).
     pub agg: FleetAgg,
     /// Gateway delivery accounting over the shared medium.
-    pub gateway: GatewayStats,
+    pub gateway: FleetDeliveryDoc,
     /// Worker utilization (host timing; stripped from report identity).
     pub pool: PoolStats,
     /// What the sharded sink merged (all zero for a run without a sink).
@@ -312,7 +308,7 @@ fn reconcile_phase(
     packets: &[(u32, Vec<Packet>)],
     medium: &MediumSpec,
     progress: Option<&Progress>,
-) -> GatewayStats {
+) -> FleetDeliveryDoc {
     if let Some(p) = progress {
         p.begin_phase("reconcile", 1);
     }
@@ -385,7 +381,7 @@ fn fleet(
 pub(crate) fn fleet_inputs(
     spec: &ScenarioSpec,
     agg: &FleetAgg,
-    g: &GatewayStats,
+    delivery: &FleetDeliveryDoc,
     timing: FleetTimingDoc,
 ) -> FleetInputs {
     FleetInputs {
@@ -403,17 +399,7 @@ pub(crate) fn fleet_inputs(
         fault_spec: spec.device.fault.doc(),
         outcomes: agg.outcomes(),
         power_failures: agg.power_failures(),
-        delivery: FleetDeliveryDoc {
-            transmissions: g.transmissions,
-            unique_sent: g.unique_sent,
-            air_duplicates: g.air_duplicates,
-            delivered: g.delivered,
-            delivered_unique: g.delivered_unique,
-            gateway_duplicates: g.gateway_duplicates,
-            lost_collision: g.lost_collision,
-            lost_channel: g.lost_channel,
-            delivery_rate_milli: g.delivery_rate_milli(),
-        },
+        delivery: delivery.clone(),
         energy: agg.energy(),
         stragglers: agg.stragglers(),
         rollout: None,
@@ -472,11 +458,7 @@ mod tests {
     /// The record as a JSON value, rendered by the generic writer: what
     /// `record_line` must equal byte for byte.
     fn record_value(r: &DeviceResult) -> Value {
-        let outcome = match r.outcome {
-            Outcome::Completed => "completed",
-            Outcome::NonTermination => "non_termination",
-            Outcome::Fault(_) => "fault",
-        };
+        let outcome = r.outcome.label();
         let verdict = match &r.verdict {
             Some(Verdict::Correct) => Value::str("correct"),
             Some(Verdict::Incorrect(_)) => Value::str("incorrect"),

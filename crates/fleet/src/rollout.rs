@@ -35,10 +35,10 @@
 //! fold into a [`FleetAgg`] instead of accumulating.
 
 use crate::telemetry::FleetAgg;
-use crate::{reconcile_phase, run_batch, DeviceResult, GatewayStats, Template};
+use crate::{reconcile_phase, run_batch, DeviceResult, Template};
 use apps::ota_update::{self, OtaUpdateCfg};
 use easeio_exec::{PoolStats, ScenarioSpec};
-use easeio_trace::fleet::{FleetInputs, FleetRolloutDoc};
+use easeio_trace::fleet::{FleetDeliveryDoc, FleetInputs, FleetRolloutDoc};
 use easeio_trace::stream::{JsonlWriter, StreamStats};
 use easeio_trace::Progress;
 use kernel::update::{PROBE_DUPLICATE_ACTIVATION, PROBE_VERSION_TORN};
@@ -106,7 +106,7 @@ pub struct StreamedRolloutOutcome {
     /// Fleet-wide aggregate (merged per-worker folds across all waves).
     pub agg: FleetAgg,
     /// Gateway delivery accounting over the shared medium.
-    pub gateway: GatewayStats,
+    pub gateway: FleetDeliveryDoc,
     /// Worker utilization, summed over waves.
     pub pool: PoolStats,
     /// What the per-wave sinks merged, summed over waves (all zero for a

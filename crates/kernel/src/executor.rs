@@ -52,6 +52,18 @@ pub enum Outcome {
     Fault(Fault),
 }
 
+impl Outcome {
+    /// Stable snake_case label for reports and streamed records:
+    /// `completed`, `non_termination` or `fault`.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Outcome::Completed => "completed",
+            Outcome::NonTermination => "non_termination",
+            Outcome::Fault(_) => "fault",
+        }
+    }
+}
+
 /// Everything a run produces.
 #[derive(Debug)]
 pub struct RunResult {

@@ -13,7 +13,7 @@ use crate::energy::{Cost, CostTable};
 use crate::memory::{MemSnapshot, Memory};
 use crate::nvstore::RawVar;
 use crate::power::Supply;
-use crate::stats::{CauseSample, Counter, EnergyCause, RunStats, WorkKind, KERNEL_TASK};
+use crate::{CauseSample, Counter, EnergyCause, RunStats, WorkKind, CAUSE_COUNT, KERNEL_TASK};
 use easeio_trace::{Event, EventKind, InstantKind, SpanKind, Status, TraceSink, NO_SITE, NO_TASK};
 
 /// Longest piece of a spend the supply is stepped through at once (µs).
@@ -98,7 +98,7 @@ pub struct SpendBoundary {
     /// Cumulative overhead energy before this boundary.
     pub overhead_energy_nj: u64,
     /// Cumulative per-cause energy ledger before this boundary.
-    pub cause_energy_nj: [u64; crate::stats::CAUSE_COUNT],
+    pub cause_energy_nj: [u64; CAUSE_COUNT],
     /// Values of the recorder's tracked counters before this boundary, in
     /// the order they were passed to [`Mcu::record_boundaries`]; the slots
     /// past the tracked ones stay 0.

@@ -19,8 +19,8 @@
 
 use crate::envelope::ReportBody;
 use crate::json::Value;
-use crate::metrics::{CATEGORY_COUNT, CATEGORY_NAMES};
 use crate::schema::{field, opt, req, uint, uint_sum, Field, Ty, FAULT_SPEC, U64_MAP};
+use crate::stats::{CATEGORY_NAMES, CAUSE_COUNT};
 use crate::sweep::FaultSpecDoc;
 
 /// The shared radio-medium configuration a fleet ran over. Experiment
@@ -57,8 +57,9 @@ pub struct FleetOutcomesDoc {
     pub unverified: u64,
 }
 
-/// The gateway's exactly-once accounting over the whole fleet.
-#[derive(Debug, Clone, Default)]
+/// The gateway's exactly-once accounting over the whole fleet, as the
+/// gateway's reconcile pass returns it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetDeliveryDoc {
     /// Packets put on the air by all devices.
     pub transmissions: u64,
@@ -90,7 +91,7 @@ pub struct FleetEnergyDoc {
     /// Total energy across all devices (nJ).
     pub total_energy_nj: u64,
     /// Energy by cause, aligned to [`CATEGORY_NAMES`].
-    pub cause_energy_nj: [u64; CATEGORY_COUNT],
+    pub cause_energy_nj: [u64; CAUSE_COUNT],
 }
 
 /// Straggler percentiles over per-device wall-clock (virtual µs, dead time

@@ -39,6 +39,7 @@ pub mod report;
 pub mod ring;
 pub mod schema;
 pub mod sketch;
+pub mod stats;
 pub mod stream;
 pub mod sweep;
 pub mod tracker;
@@ -60,14 +61,18 @@ pub use json::{parse as parse_json, JsonError, Value};
 pub use jsonl::jsonl;
 pub use metrics::{
     build_metrics_report, compare_metrics, flamegraph, validate_metrics_report, MetricsEntry,
-    MetricsInputs, Regression, SiteWasteRow, SkippedApp, TaskWasteRow, CATEGORY_COUNT,
-    CATEGORY_NAMES, WASTE_CATEGORY_NAMES,
+    MetricsInputs, Regression, SkippedApp,
 };
 pub use profile::{build_profile, LatencySummary, Profile, SiteProfile, TaskProfile};
 pub use progress::{Progress, ProgressSnapshot};
 pub use report::{build_report, validate_report, ReportInputs};
 pub use ring::{RingRecorder, DEFAULT_CAPACITY};
 pub use sketch::Sketch;
+pub use stats::{
+    current_rss_bytes, peak_rss_bytes, CauseMarks, CauseSample, Counter, EnergyCause, RunStats,
+    TaskRows, WorkKind, CATEGORY_NAMES, CAUSE_COUNT, DMA_SITE_BASE, KERNEL_TASK,
+    WASTE_CATEGORY_NAMES,
+};
 pub use stream::{flush_registered, register_for_flush, JsonlWriter, ShardedSink, StreamStats};
 pub use sweep::{
     build_sweep_report, validate_sweep_report, FaultSpecDoc, SweepInputs, SweepPruneDoc,

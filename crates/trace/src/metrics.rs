@@ -10,10 +10,9 @@
 //! time/energy breakdown, per-task rows, and per-site redundant-energy
 //! rows.
 //!
-//! This crate sits below `mcu-emu` and cannot name its `EnergyCause` enum,
-//! so the category vocabulary is pinned here as [`CATEGORY_NAMES`] — the
-//! order must match `EnergyCause::ALL` exactly (the cross-crate agreement
-//! is asserted by a test in the workspace's `tests/observability.rs`). The
+//! Each entry carries the run's [`RunStats`] itself, and the category
+//! vocabulary is [`EnergyCause`]'s own name table, [`CATEGORY_NAMES`]: the
+//! ledger and its report share one definition (the `stats` module). The
 //! validator enforces the attribution invariant *structurally*: a document
 //! whose categories do not sum to its totals is rejected as malformed, not
 //! merely suspicious.
@@ -26,56 +25,7 @@ use crate::envelope::ReportBody;
 use crate::json::Value;
 use crate::report::pct;
 use crate::schema::{field, opt, req, uint, uint_sum, Field, Ty, U64_MAP};
-
-/// Number of attribution categories.
-pub const CATEGORY_COUNT: usize = 8;
-
-/// Category names, in ledger order. Must match `EnergyCause::ALL` in
-/// `mcu-emu` (index-for-index); documents carry the list so readers never
-/// have to guess the order.
-pub const CATEGORY_NAMES: [&str; CATEGORY_COUNT] = [
-    "progress",
-    "reexec_compute",
-    "redundant_io",
-    "commit",
-    "retry",
-    "dma_priv",
-    "runtime_misc",
-    "update_stage",
-];
-
-/// The subset of [`CATEGORY_NAMES`] counted as waste: energy a
-/// continuously-powered run would not have spent.
-pub const WASTE_CATEGORY_NAMES: [&str; 3] = ["reexec_compute", "redundant_io", "retry"];
-
-/// The sum of the waste categories of a per-category ledger.
-fn waste_of(energy_nj: &[u64; CATEGORY_COUNT]) -> u64 {
-    let cells = CATEGORY_NAMES.iter().zip(energy_nj);
-    cells
-        .filter(|(name, _)| WASTE_CATEGORY_NAMES.contains(name))
-        .map(|(_, nj)| nj)
-        .sum()
-}
-
-/// Per-task slice of the attribution ledger.
-#[derive(Debug, Clone)]
-pub struct TaskWasteRow {
-    /// Task id (`u16::MAX` = kernel-context spends outside any task).
-    pub task: u16,
-    /// Energy by category, aligned to [`CATEGORY_NAMES`].
-    pub energy_nj: [u64; CATEGORY_COUNT],
-}
-
-/// Energy wasted on redundant re-execution at one call site.
-#[derive(Debug, Clone)]
-pub struct SiteWasteRow {
-    /// Call-site id (I/O site or DMA site — see `dma`).
-    pub site: u16,
-    /// Whether the site is a DMA burst site rather than an I/O site.
-    pub dma: bool,
-    /// Energy the redundant re-executions cost (nJ).
-    pub energy_nj: u64,
-}
+use crate::stats::{EnergyCause, RunStats, CATEGORY_NAMES, DMA_SITE_BASE, WASTE_CATEGORY_NAMES};
 
 /// One runtime × app measurement: the full attribution ledger of a run.
 #[derive(Debug, Clone)]
@@ -84,31 +34,14 @@ pub struct MetricsEntry {
     pub runtime: String,
     /// Application name.
     pub app: String,
-    /// Run outcome label (`"completed"`, `"out-of-budget"`, …).
+    /// Run outcome label (`"completed"`, `"non_termination"`, `"fault"`).
     pub outcome: String,
     /// Whether the run's observable output matched the golden run.
     pub correct: bool,
-    /// Power-failure reboots survived.
-    pub reboots: u64,
-    /// Total powered time (µs).
-    pub total_time_us: u64,
-    /// Total energy spent (nJ).
-    pub total_energy_nj: u64,
-    /// Time by category, aligned to [`CATEGORY_NAMES`].
-    pub cause_time_us: [u64; CATEGORY_COUNT],
-    /// Energy by category, aligned to [`CATEGORY_NAMES`].
-    pub cause_energy_nj: [u64; CATEGORY_COUNT],
-    /// Per-task rows (ledger order; together they cover every nanojoule).
-    pub tasks: Vec<TaskWasteRow>,
-    /// Per-site redundant-energy rows.
-    pub redundant_sites: Vec<SiteWasteRow>,
-}
-
-impl MetricsEntry {
-    /// Total wasted energy: the sum of the waste categories.
-    pub fn waste_nj(&self) -> u64 {
-        waste_of(&self.cause_energy_nj)
-    }
+    /// The run's ledger: reboots, totals, the per-cause breakdown, the
+    /// per-task rows (together they cover every nanojoule) and the
+    /// per-site redundant energy.
+    pub stats: RunStats,
 }
 
 /// An app the metrics harness could not measure, with the reason stated
@@ -180,44 +113,48 @@ impl ReportBody for MetricsInputs {
 }
 
 fn render_entry(e: &MetricsEntry) -> Value {
-    let breakdown: Vec<(String, Value)> = (0..CATEGORY_COUNT)
-        .map(|i| {
+    let s = &e.stats;
+    let total_energy_nj = s.total_energy_nj();
+    let breakdown: Vec<(String, Value)> = EnergyCause::ALL
+        .iter()
+        .map(|c| {
+            let (time_us, energy_nj) = (s.cause_time_us[c.index()], s.cause_energy(*c));
             (
-                CATEGORY_NAMES[i].to_string(),
+                c.name().to_string(),
                 Value::Obj(vec![
-                    ("time_us".into(), Value::u64(e.cause_time_us[i])),
-                    ("energy_nj".into(), Value::u64(e.cause_energy_nj[i])),
-                    (
-                        "energy_pct".into(),
-                        pct(e.cause_energy_nj[i], e.total_energy_nj),
-                    ),
+                    ("time_us".into(), Value::u64(time_us)),
+                    ("energy_nj".into(), Value::u64(energy_nj)),
+                    ("energy_pct".into(), pct(energy_nj, total_energy_nj)),
                 ]),
             )
         })
         .collect();
-    let waste = e.waste_nj();
-    let tasks: Vec<Value> = e
-        .tasks
+    let waste = s.waste_energy_nj();
+    let tasks: Vec<Value> = s
+        .cause_energy_by_task
         .iter()
-        .map(|t| {
+        .map(|(task, energy_nj)| {
             Value::Obj(vec![
-                ("task".into(), Value::u64(t.task as u64)),
+                ("task".into(), Value::u64(task as u64)),
                 (
                     "energy_nj".into(),
-                    Value::u64_map(CATEGORY_NAMES.iter().zip(t.energy_nj)),
+                    Value::u64_map(CATEGORY_NAMES.iter().zip(*energy_nj)),
                 ),
-                ("waste_nj".into(), Value::u64(waste_of(&t.energy_nj))),
+                (
+                    "waste_nj".into(),
+                    Value::u64(EnergyCause::waste_of(energy_nj)),
+                ),
             ])
         })
         .collect();
-    let sites: Vec<Value> = e
-        .redundant_sites
+    let sites: Vec<Value> = s
+        .redundant_energy_by_site
         .iter()
-        .map(|s| {
+        .map(|(key, nj)| {
             Value::Obj(vec![
-                ("site".into(), Value::u64(s.site as u64)),
-                ("dma".into(), Value::Bool(s.dma)),
-                ("energy_nj".into(), Value::u64(s.energy_nj)),
+                ("site".into(), Value::u64(u64::from(key & !DMA_SITE_BASE))),
+                ("dma".into(), Value::Bool(key & DMA_SITE_BASE != 0)),
+                ("energy_nj".into(), Value::u64(*nj)),
             ])
         })
         .collect();
@@ -226,12 +163,12 @@ fn render_entry(e: &MetricsEntry) -> Value {
         ("app".into(), Value::str(&e.app)),
         ("outcome".into(), Value::str(&e.outcome)),
         ("correct".into(), Value::Bool(e.correct)),
-        ("reboots".into(), Value::u64(e.reboots)),
-        ("total_time_us".into(), Value::u64(e.total_time_us)),
-        ("total_energy_nj".into(), Value::u64(e.total_energy_nj)),
+        ("reboots".into(), Value::u64(s.power_failures)),
+        ("total_time_us".into(), Value::u64(s.total_time_us())),
+        ("total_energy_nj".into(), Value::u64(total_energy_nj)),
         ("breakdown".into(), Value::Obj(breakdown)),
         ("waste_nj".into(), Value::u64(waste)),
-        ("waste_pct".into(), pct(waste, e.total_energy_nj)),
+        ("waste_pct".into(), pct(waste, total_energy_nj)),
         ("tasks".into(), Value::Arr(tasks)),
         ("redundant_sites".into(), Value::Arr(sites)),
     ])
@@ -387,19 +324,21 @@ pub fn flamegraph(inp: &MetricsInputs) -> Value {
                 .iter()
                 .filter(|e| e.runtime == *rt)
                 .map(|e| {
-                    rt_total += e.total_energy_nj;
-                    let cats: Vec<Value> = (0..CATEGORY_COUNT)
-                        .filter(|&i| e.cause_energy_nj[i] > 0)
-                        .map(|i| {
+                    let total = e.stats.total_energy_nj();
+                    rt_total += total;
+                    let cats: Vec<Value> = EnergyCause::ALL
+                        .iter()
+                        .filter(|c| e.stats.cause_energy(**c) > 0)
+                        .map(|c| {
                             Value::Obj(vec![
-                                ("name".into(), Value::str(CATEGORY_NAMES[i])),
-                                ("value".into(), Value::u64(e.cause_energy_nj[i])),
+                                ("name".into(), Value::str(c.name())),
+                                ("value".into(), Value::u64(e.stats.cause_energy(*c))),
                             ])
                         })
                         .collect();
                     Value::Obj(vec![
                         ("name".into(), Value::str(&e.app)),
-                        ("value".into(), Value::u64(e.total_energy_nj)),
+                        ("value".into(), Value::u64(total)),
                         ("children".into(), Value::Arr(cats)),
                     ])
                 })
@@ -550,28 +489,23 @@ fn entry_index(doc: &Value) -> Vec<((String, String), &Value)> {
 mod tests {
     use super::*;
     use crate::envelope::{validate_any_report, ReportKind};
+    use crate::stats::{WorkKind, CAUSE_COUNT};
 
-    fn entry(runtime: &str, app: &str, energy: [u64; CATEGORY_COUNT]) -> MetricsEntry {
-        let total: u64 = energy.iter().sum();
+    /// A run that spent `energy[i]` nJ over `energy[i] / 2` µs on cause
+    /// `i`, all in task 0, with `energy[2]` of it redundant at site 2.
+    fn entry(runtime: &str, app: &str, energy: [u64; CAUSE_COUNT]) -> MetricsEntry {
+        let mut stats = RunStats::new();
+        stats.power_failures = 3;
+        for (cause, e) in EnergyCause::ALL.into_iter().zip(energy) {
+            stats.record_attributed(WorkKind::App, cause, 0, e / 2, e);
+        }
+        stats.note_redundant_site(2, energy[2]);
         MetricsEntry {
             runtime: runtime.into(),
             app: app.into(),
             outcome: "completed".into(),
             correct: true,
-            reboots: 3,
-            total_time_us: total / 2,
-            total_energy_nj: total,
-            cause_time_us: energy.map(|e| e / 2),
-            cause_energy_nj: energy,
-            tasks: vec![TaskWasteRow {
-                task: 0,
-                energy_nj: energy,
-            }],
-            redundant_sites: vec![SiteWasteRow {
-                site: 2,
-                dma: false,
-                energy_nj: energy[2],
-            }],
+            stats,
         }
     }
 
@@ -647,7 +581,7 @@ mod tests {
     #[test]
     fn validator_rejects_breakdown_that_does_not_sum() {
         let mut inp = sample();
-        inp.entries[0].total_energy_nj += 1;
+        inp.entries[0].stats.app_energy_nj += 1;
         let doc = build_metrics_report(&inp);
         let errs = validate_metrics_report(&doc).unwrap_err();
         assert!(
@@ -659,7 +593,7 @@ mod tests {
     #[test]
     fn validator_rejects_task_ledger_gaps() {
         let mut inp = sample();
-        inp.entries[0].tasks[0].energy_nj[0] -= 1;
+        inp.entries[0].stats.cause_energy_by_task.row_mut(0)[0] -= 1;
         let doc = build_metrics_report(&inp);
         let errs = validate_metrics_report(&doc).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("task ledger")), "{errs:?}");
@@ -683,9 +617,9 @@ mod tests {
         let old = build_metrics_report(&sample());
         let mut worse = sample();
         // +50% redundant-io waste on the naive entry.
-        worse.entries[1].cause_energy_nj[2] += 15;
-        worse.entries[1].total_energy_nj += 15;
-        worse.entries[1].tasks[0].energy_nj[2] += 15;
+        worse.entries[1]
+            .stats
+            .record_attributed(WorkKind::App, EnergyCause::RedundantIo, 0, 0, 15);
         let new = build_metrics_report(&worse);
         assert!(compare_metrics(&old, &new, 50.0).unwrap().is_empty());
         let regs = compare_metrics(&old, &new, 5.0).unwrap();

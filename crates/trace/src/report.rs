@@ -12,6 +12,7 @@ use crate::envelope::ReportBody;
 use crate::json::Value;
 use crate::profile::Profile;
 use crate::schema::{opt, req, Field, Ty, U64_MAP};
+use crate::stats::RunStats;
 
 pub use crate::envelope::SCHEMA_VERSION;
 
@@ -34,36 +35,14 @@ pub struct ReportInputs {
     pub wall_us: u64,
     /// Powered time (µs).
     pub on_us: u64,
-    /// App-classified time (µs).
-    pub app_time_us: u64,
-    /// Overhead-classified time (µs).
-    pub overhead_time_us: u64,
-    /// App-classified energy (nJ).
-    pub app_energy_nj: u64,
-    /// Overhead-classified energy (nJ).
-    pub overhead_energy_nj: u64,
+    /// The run's ledger: time and energy by kind, power failures, task
+    /// attempts and commits, and the I/O and DMA executed / skipped /
+    /// re-executed counts.
+    pub stats: RunStats,
     /// Golden (continuous-power) app time (µs), for wasted-work.
     pub golden_app_time_us: u64,
     /// Golden app energy (nJ).
     pub golden_app_energy_nj: u64,
-    /// Power failures.
-    pub power_failures: u64,
-    /// Task attempts / commits.
-    pub task_attempts: u64,
-    /// Task commits.
-    pub task_commits: u64,
-    /// I/O physically executed.
-    pub io_executed: u64,
-    /// I/O skipped with restored outputs.
-    pub io_skipped: u64,
-    /// Redundant I/O re-executions.
-    pub io_reexecutions: u64,
-    /// DMA transfers performed.
-    pub dma_executed: u64,
-    /// DMA transfers skipped.
-    pub dma_skipped: u64,
-    /// Redundant DMA re-executions.
-    pub dma_reexecutions: u64,
     /// Memory overhead `(text, ram, fram)` bytes, if measured.
     pub memory: Option<(u32, u32, u32)>,
     /// Events recorded / dropped by the ring.
@@ -114,23 +93,20 @@ pub fn build_report(inp: &ReportInputs, profile: &Profile) -> Value {
 
 /// The report body: everything under the envelope's `report` key.
 fn run_body(inp: &ReportInputs, profile: &Profile) -> Value {
-    let wasted_us = inp.app_time_us.saturating_sub(inp.golden_app_time_us);
-    let wasted_nj = inp.app_energy_nj.saturating_sub(inp.golden_app_energy_nj);
-    let total_us = inp.app_time_us + inp.overhead_time_us;
+    let s = &inp.stats;
+    let wasted_us = s.wasted_time_us(inp.golden_app_time_us);
+    let wasted_nj = s.wasted_energy_nj(inp.golden_app_energy_nj);
     let metrics = Value::Obj(vec![
         ("wall_us".into(), Value::u64(inp.wall_us)),
         ("on_us".into(), Value::u64(inp.on_us)),
-        ("app_time_us".into(), Value::u64(inp.app_time_us)),
-        ("overhead_time_us".into(), Value::u64(inp.overhead_time_us)),
-        ("app_energy_nj".into(), Value::u64(inp.app_energy_nj)),
+        ("app_time_us".into(), Value::u64(s.app_time_us)),
+        ("overhead_time_us".into(), Value::u64(s.overhead_time_us)),
+        ("app_energy_nj".into(), Value::u64(s.app_energy_nj)),
         (
             "overhead_energy_nj".into(),
-            Value::u64(inp.overhead_energy_nj),
+            Value::u64(s.overhead_energy_nj),
         ),
-        (
-            "total_energy_nj".into(),
-            Value::u64(inp.app_energy_nj + inp.overhead_energy_nj),
-        ),
+        ("total_energy_nj".into(), Value::u64(s.total_energy_nj())),
         (
             "golden_app_time_us".into(),
             Value::u64(inp.golden_app_time_us),
@@ -141,20 +117,20 @@ fn run_body(inp: &ReportInputs, profile: &Profile) -> Value {
         ),
         ("wasted_time_us".into(), Value::u64(wasted_us)),
         ("wasted_energy_nj".into(), Value::u64(wasted_nj)),
-        ("wasted_work_pct".into(), pct(wasted_us, inp.app_time_us)),
+        ("wasted_work_pct".into(), pct(wasted_us, s.app_time_us)),
         (
             "runtime_overhead_pct".into(),
-            pct(inp.overhead_time_us, total_us),
+            pct(s.overhead_time_us, s.total_time_us()),
         ),
-        ("power_failures".into(), Value::u64(inp.power_failures)),
-        ("task_attempts".into(), Value::u64(inp.task_attempts)),
-        ("task_commits".into(), Value::u64(inp.task_commits)),
-        ("io_executed".into(), Value::u64(inp.io_executed)),
-        ("io_skipped".into(), Value::u64(inp.io_skipped)),
-        ("io_reexecutions".into(), Value::u64(inp.io_reexecutions)),
-        ("dma_executed".into(), Value::u64(inp.dma_executed)),
-        ("dma_skipped".into(), Value::u64(inp.dma_skipped)),
-        ("dma_reexecutions".into(), Value::u64(inp.dma_reexecutions)),
+        ("power_failures".into(), Value::u64(s.power_failures)),
+        ("task_attempts".into(), Value::u64(s.task_attempts)),
+        ("task_commits".into(), Value::u64(s.task_commits)),
+        ("io_executed".into(), Value::u64(s.io_executed)),
+        ("io_skipped".into(), Value::u64(s.io_skipped)),
+        ("io_reexecutions".into(), Value::u64(s.io_reexecutions)),
+        ("dma_executed".into(), Value::u64(s.dma_executed)),
+        ("dma_skipped".into(), Value::u64(s.dma_skipped)),
+        ("dma_reexecutions".into(), Value::u64(s.dma_reexecutions)),
         (
             "memory".into(),
             match inp.memory {
@@ -403,21 +379,23 @@ mod tests {
             correct: Some(true),
             wall_us: 1000,
             on_us: 800,
-            app_time_us: 600,
-            overhead_time_us: 200,
-            app_energy_nj: 6000,
-            overhead_energy_nj: 2000,
+            stats: RunStats {
+                app_time_us: 600,
+                overhead_time_us: 200,
+                app_energy_nj: 6000,
+                overhead_energy_nj: 2000,
+                power_failures: 3,
+                task_attempts: 9,
+                task_commits: 6,
+                io_executed: 4,
+                io_skipped: 2,
+                io_reexecutions: 1,
+                dma_executed: 1,
+                dma_skipped: 1,
+                ..RunStats::default()
+            },
             golden_app_time_us: 450,
             golden_app_energy_nj: 4500,
-            power_failures: 3,
-            task_attempts: 9,
-            task_commits: 6,
-            io_executed: 4,
-            io_skipped: 2,
-            io_reexecutions: 1,
-            dma_executed: 1,
-            dma_skipped: 1,
-            dma_reexecutions: 0,
             memory: Some((1480, 128, 512)),
             events_recorded: 42,
             events_dropped: 0,

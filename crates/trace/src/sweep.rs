@@ -61,11 +61,10 @@ pub struct SweepTimingDoc {
     pub injections_per_worker: Vec<u64>,
     /// Busy time of each worker (µs).
     pub busy_us_per_worker: Vec<u64>,
-    /// Injection-point pruning statistics (present when run through an
-    /// engine that classifies boundaries). Lives inside `timing` on
+    /// Injection-point pruning statistics. Lives inside `timing` on
     /// purpose: pruning changes how the sweep was *computed*, never what it
     /// found, so identity stripping must drop it along with the clocks.
-    pub prune: Option<SweepPruneDoc>,
+    pub prune: SweepPruneDoc,
     /// Spend boundaries simulated across the executed injections.
     pub boundaries_simulated: u64,
     /// Executed injections that stopped where they rejoined the reference
@@ -290,21 +289,20 @@ fn sweep_body(inp: &SweepInputs) -> Value {
             ),
             ("rejoined".into(), Value::u64(t.rejoined)),
         ]);
-        if let Some(p) = &t.prune {
-            timing.push((
-                "prune".into(),
-                Value::Obj(vec![
-                    ("enabled".into(), Value::Bool(p.enabled)),
-                    (
-                        "injections_executed".into(),
-                        Value::u64(p.injections_executed),
-                    ),
-                    ("injections_pruned".into(), Value::u64(p.injections_pruned)),
-                    ("classes".into(), Value::u64(p.classes)),
-                    ("time_observed".into(), Value::Bool(p.time_observed)),
-                ]),
-            ));
-        }
+        let p = &t.prune;
+        timing.push((
+            "prune".into(),
+            Value::Obj(vec![
+                ("enabled".into(), Value::Bool(p.enabled)),
+                (
+                    "injections_executed".into(),
+                    Value::u64(p.injections_executed),
+                ),
+                ("injections_pruned".into(), Value::u64(p.injections_pruned)),
+                ("classes".into(), Value::u64(p.classes)),
+                ("time_observed".into(), Value::Bool(p.time_observed)),
+            ]),
+        ));
         fields.push(("timing".into(), Value::Obj(timing)));
     }
     Value::Obj(fields)
@@ -431,13 +429,13 @@ mod tests {
                 merge_us: 1,
                 injections_per_worker: vec![21, 21],
                 busy_us_per_worker: vec![5, 5],
-                prune: Some(SweepPruneDoc {
+                prune: SweepPruneDoc {
                     enabled: true,
                     injections_executed: 12,
                     injections_pruned: 30,
                     classes: 12,
                     time_observed: false,
-                }),
+                },
                 boundaries_simulated: 900,
                 rejoined: 10,
             }),
@@ -602,13 +600,13 @@ mod tests {
             merge_us: 3_956,
             injections_per_worker: vec![11, 11, 10, 10],
             busy_us_per_worker: vec![30_000, 31_000, 29_000, 30_500],
-            prune: Some(SweepPruneDoc {
+            prune: SweepPruneDoc {
                 enabled: true,
                 injections_executed: 12,
                 injections_pruned: 30,
                 classes: 12,
                 time_observed: false,
-            }),
+            },
             boundaries_simulated: 3_400,
             rejoined: 9,
         });
@@ -653,7 +651,13 @@ mod tests {
             merge_us: 0,
             injections_per_worker: vec![42],
             busy_us_per_worker: vec![0],
-            prune: None,
+            prune: SweepPruneDoc {
+                enabled: false,
+                injections_executed: 42,
+                injections_pruned: 0,
+                classes: 0,
+                time_observed: false,
+            },
             boundaries_simulated: 4_200,
             rejoined: 0,
         });
@@ -661,6 +665,5 @@ mod tests {
         validate_sweep_report(&doc).unwrap();
         let timing = doc.get("report").unwrap().get("timing").unwrap();
         assert!(timing.get("injections_per_sec_milli").is_none());
-        assert!(timing.get("prune").is_none());
     }
 }

@@ -8,12 +8,12 @@
 //! CI divergence gate.
 
 use crashcheck::{SweepMode, SweepOutcome, SweepPlan};
-use easeio_exec::{run_grid, run_sweep, GridSpec, SweepOptions, SweepTiming};
+use easeio_exec::{run_grid, run_sweep, GridSpec, SweepOptions};
 use easeio_repro::apps::dma_app;
 use easeio_repro::apps::harness::KernelKind;
 use easeio_repro::easeio_trace::{
     build_sweep_report, identity_document, validate_any_report, ReportKind, SweepInputs,
-    SweepViolation, SweepWasteDoc, CATEGORY_NAMES,
+    SweepTimingDoc, SweepViolation, SweepWasteDoc, CATEGORY_NAMES,
 };
 use easeio_repro::kernel::{App, FaultSpec};
 use easeio_repro::mcu_emu::Mcu;
@@ -31,7 +31,7 @@ fn small_dma(m: &mut Mcu) -> App {
     )
 }
 
-fn report_for(out: &SweepOutcome, plan: &SweepPlan, timing: &SweepTiming) -> String {
+fn report_for(out: &SweepOutcome, plan: &SweepPlan, timing: &SweepTimingDoc) -> String {
     let inputs = SweepInputs {
         runtime: out.runtime.into(),
         app: out.app.into(),
@@ -61,7 +61,7 @@ fn report_for(out: &SweepOutcome, plan: &SweepPlan, timing: &SweepTiming) -> Str
                 .map(|(name, nj)| ((*name).to_string(), nj))
                 .collect(),
         )),
-        timing: Some(timing.doc()),
+        timing: Some(timing.clone()),
     };
     let doc = build_sweep_report(&inputs);
     assert_eq!(validate_any_report(&doc), Ok(ReportKind::Sweep));

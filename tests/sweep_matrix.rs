@@ -21,9 +21,9 @@
 //! at one worker and requires the whole outcome to equal the pruned one.
 
 use crashcheck::{SweepMode, SweepOutcome, SweepPlan};
-use easeio_exec::{sweep_matrix, AppSpec, SweepEntry, SweepOptions, SweepTiming, APP_NAMES};
+use easeio_exec::{sweep_matrix, AppSpec, SweepEntry, SweepOptions, APP_NAMES};
 use easeio_repro::apps::harness::KernelKind;
-use easeio_repro::easeio_trace::Value;
+use easeio_repro::easeio_trace::{SweepTimingDoc, Value};
 use easeio_repro::kernel::{App, FaultSpec};
 use easeio_repro::mcu_emu::Mcu;
 use std::path::PathBuf;
@@ -102,7 +102,7 @@ fn plan(row: &Row) -> SweepPlan {
 type Builder = Box<dyn Fn(&mut Mcu) -> App + Sync>;
 
 /// Runs every row over one shared pool.
-fn run(rows: &[Row], options: SweepOptions) -> Vec<(SweepOutcome, SweepTiming)> {
+fn run(rows: &[Row], options: SweepOptions) -> Vec<(SweepOutcome, SweepTimingDoc)> {
     let builders: Vec<Builder> = rows
         .iter()
         .map(|r| {
@@ -128,7 +128,7 @@ const PRUNED: SweepOptions = SweepOptions {
 };
 
 /// One golden line: the row's identity, its verdicts and its exact work.
-fn golden_row(row: &Row, out: &SweepOutcome, timing: &SweepTiming) -> Value {
+fn golden_row(row: &Row, out: &SweepOutcome, timing: &SweepTimingDoc) -> Value {
     // (kind, count, first boundary), in order of first appearance.
     let mut kinds: Vec<(&str, u64, u64)> = Vec::new();
     for v in &out.violations {
